@@ -31,8 +31,8 @@ SweepOptions sweep_options(std::size_t jobs) {
   // The cheap half of the paper set: enough heterogeneity for stealing to
   // matter, small enough for a bench iteration.
   sw.machines = {"paper_fig5", "shiftreg", "dk27", "serial_adder", "bbtas"};
-  sw.bist_cycles = 64;
-  sw.functional_cycles = 128;
+  sw.job.bist_cycles = 64;
+  sw.job.functional_cycles = 128;
   sw.jobs = jobs;
   return sw;
 }

@@ -10,7 +10,7 @@
 //   * overall stuck-at coverage per structure, and coverage as a function
 //     of test length (the coverage-curve series).
 //
-// By default the per-machine flows run as CampaignJobs on the jobs/
+// The per-machine flows run as CampaignJobs on the jobs/
 // work-stealing scheduler with the keyed artifact cache -- one shared pool
 // executes whole flows AND their inner fault batches, rows stream in
 // deterministic submission order, and a corpus summary (cache hit rate,
@@ -23,8 +23,6 @@
 //                 results are identical for any value)
 //   --repeat N    enqueue the job list N times (cache-warm re-runs: every
 //                 repeat after the first is all cache hits, no recompiles)
-//   --serial      legacy serial per-machine loop (the scheduler's A/B
-//                 baseline; --threads N sizes its per-campaign pools)
 //   --cycles N    BIST cycles per session (default 256)
 //   --engine E    campaign engine: event (default), flat, serial
 //                 (identical detected sets; only the speed differs)
@@ -33,15 +31,17 @@
 //                 detected sets at every width)
 //   --tech T      implementation technology: two_level (default) or
 //                 multi_level (ignored under --all, which sweeps both)
+//   --threads N   threads of the dk27 coverage series (default: hardware
+//                 concurrency; identical results at any value)
 //   --time-budget-ms N
-//                 anytime wall-clock budget per machine flow (per JOB in
-//                 orchestrated mode; the deadline starts when the job
-//                 starts). Truncated stages are labeled. Ctrl-C cancels
-//                 gracefully: queued jobs drain as skipped rows and the
-//                 summary aggregates whatever completed.
+//                 anytime wall-clock budget per JOB (the deadline starts
+//                 when the job starts). Truncated stages are labeled.
+//                 Ctrl-C cancels gracefully: queued jobs drain as skipped
+//                 rows and the summary aggregates whatever completed.
+//
+// A malformed flag value exits 2; a hard job failure exits 1.
 
 #include <cstdio>
-#include <thread>
 
 #include "benchdata/iwls93.hpp"
 #include "jobs/orchestrator.hpp"
@@ -50,79 +50,10 @@
 #include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/faultpoint.hpp"
-#include "util/table.hpp"
 
 namespace {
 
 using namespace stc;
-
-// The historical serial loop, kept verbatim as the scheduler's A/B
-// baseline (--serial): nested per-campaign thread pools, no caching.
-int run_serial_loop(const Cli& cli, std::size_t bist_cycles,
-                    CampaignEngine engine, Technology tech, unsigned lane_words,
-                    const std::shared_ptr<CancelToken>& cancel, long budget_ms) {
-  const std::size_t hw = std::thread::hardware_concurrency();
-  const std::size_t threads = static_cast<std::size_t>(
-      cli.get_int("threads", hw > 0 ? static_cast<long>(hw) : 1));
-
-  const char* machines[] = {"paper_fig5", "shiftreg", "tav", "dk27", "serial_adder"};
-
-  AsciiTable table({"machine", "struct", "FFs", "area GE", "depth", "2L lits",
-                    "ML lits", "coverage %", "feedback cov %", "faults",
-                    "activity %", "camp ms"});
-  table.set_title(std::string("Architecture comparison (Figs. 1-4), stuck-at "
-                              "fault simulation [engine: ") +
-                  campaign_engine_name(engine) + ", tech: " +
-                  technology_name(tech) + "]");
-
-  std::vector<std::string> degradation_lines;
-
-  for (const char* name : machines) {
-    const MealyMachine m = load_benchmark(name);
-    FlowOptions opts;
-    opts.with_fault_sim = true;
-    opts.technology = tech;
-    opts.bist_cycles = bist_cycles;
-    opts.campaign.num_threads = threads;
-    opts.campaign.engine = engine;
-    opts.campaign.lane_words = lane_words;
-    // Per-machine anytime budget: wall clock (when asked for) + Ctrl-C.
-    opts.budget.with_cancel(cancel);
-    if (budget_ms >= 0)
-      opts.budget.with_deadline_ms(static_cast<double>(budget_ms));
-    const FlowResult res = run_flow(m, opts);
-
-    for (const StructureReport* s : {&res.fig1, &res.fig2, &res.fig3, &res.fig4}) {
-      auto pct = [](const std::optional<double>& v) {
-        char buf[16];
-        if (!v) return std::string("-");
-        std::snprintf(buf, sizeof buf, "%.1f", *v * 100.0);
-        return std::string(buf);
-      };
-      char ms[24];
-      std::snprintf(ms, sizeof ms, "%.2f", s->campaign_seconds * 1e3);
-      table.add_row({name, s->kind, std::to_string(s->flipflops),
-                     std::to_string(static_cast<long>(s->area_ge)),
-                     std::to_string(s->depth), std::to_string(s->logic.literals),
-                     s->logic_ml ? std::to_string(s->logic_ml->literals) : "-",
-                     pct(s->coverage), pct(s->feedback_coverage),
-                     std::to_string(s->total_faults), pct(s->activity), ms});
-      for (const Degradation& d : s->degradations) {
-        const std::string line = render_degradation(d);
-        if (!line.empty())
-          degradation_lines.push_back(std::string(name) + "/" + s->kind + ": " + line);
-      }
-    }
-  }
-  std::printf("%s\n", table.render().c_str());
-  if (!degradation_lines.empty()) {
-    std::printf("Degraded (anytime-budget) stages:\n");
-    for (const std::string& l : degradation_lines)
-      std::printf("  ! %s\n", l.c_str());
-    std::printf("\n");
-  }
-  return 0;
-}
 
 void coverage_series(CampaignEngine engine, unsigned lane_words,
                      const std::shared_ptr<CancelToken>& cancel, long budget_ms,
@@ -150,15 +81,10 @@ void coverage_series(CampaignEngine engine, unsigned lane_words,
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  using namespace stc;
-  const Cli cli(argc, argv);
+int run(const Cli& cli) {
   faultpoints::arm_from_env();
 
-  // Parse + validate every flag ONCE, up front (the per-machine loop used
-  // to re-read --cycles on every iteration); a bad value is one typed
+  // Parse + validate every flag ONCE, up front: a bad value is one typed
   // error before any synthesis work starts.
   CampaignEngine engine;
   Technology tech;
@@ -177,63 +103,58 @@ int main(int argc, char** argv) {
     bist_cycles = static_cast<std::size_t>(cycles_raw);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+    return 2;
   }
 
   const auto cancel = install_sigint_cancel();
   const long budget_ms = cli.get_int("time-budget-ms", -1);
   const bool all = cli.has("all");
 
-  if (cli.has("serial")) {
-    const int rc = run_serial_loop(cli, bist_cycles, engine, tech, lane_words,
-                                   cancel, budget_ms);
-    if (rc != 0) return rc;
-  } else {
-    // Orchestrated path: every (machine, arch, tech) is a CampaignJob on
-    // one work-stealing pool; --jobs sizes the pool, the artifact cache
-    // deduplicates builds, rows stream in submission order.
-    const std::size_t hw = std::thread::hardware_concurrency();
-    SweepOptions sw;
-    if (!all)
-      sw.machines = {"paper_fig5", "shiftreg", "tav", "dk27", "serial_adder"};
-    sw.techs = all ? std::vector<Technology>{Technology::kTwoLevel,
-                                             Technology::kMultiLevel}
-                   : std::vector<Technology>{tech};
-    sw.engine = engine;
-    sw.lane_words = lane_words;
-    sw.bist_cycles = bist_cycles;
-    sw.jobs = static_cast<std::size_t>(
-        cli.get_int("jobs", hw > 0 ? static_cast<long>(hw) : 1));
-    sw.repeat = static_cast<std::size_t>(cli.get_int("repeat", 1));
-    sw.job_budget_ms = static_cast<double>(budget_ms);
-    sw.cancel = cancel;
+  // Every (machine, arch, tech) is a CampaignJob on one work-stealing
+  // pool; --jobs sizes the pool, the artifact cache deduplicates builds,
+  // rows stream in submission order.
+  SweepOptions sw;
+  if (!all) sw.machines = {"paper_fig5", "shiftreg", "tav", "dk27", "serial_adder"};
+  sw.techs = all ? std::vector<Technology>{Technology::kTwoLevel,
+                                           Technology::kMultiLevel}
+                 : std::vector<Technology>{tech};
+  sw.job.engine = engine;
+  sw.job.lane_words = lane_words;
+  sw.job.bist_cycles = bist_cycles;
+  sw.jobs = static_cast<std::size_t>(
+      cli.get_int("jobs", static_cast<long>(hardware_threads())));
+  sw.repeat = static_cast<std::size_t>(cli.get_int("repeat", 1));
+  sw.job_budget_ms = static_cast<double>(budget_ms);
+  sw.cancel = cancel;
 
-    std::printf("Corpus sweep: %s, engine %s, %zu lanes, %zu jobs%s\n",
-                all ? "full KISS corpus x fig1-fig4 x two_level+multi_level"
-                    : "paper set x fig1-fig4",
-                campaign_engine_name(engine), 64 * (std::size_t)lane_words,
-                sw.jobs, sw.repeat > 1 ? " (repeated)" : "");
-    std::printf("%s\n", corpus_row_header().c_str());
-    JobCache cache;
-    const CorpusReport rep =
-        run_corpus_sweep(sw, cache, [](const CampaignJobResult& row) {
-          std::printf("%s\n", render_corpus_row(row).c_str());
-          std::fflush(stdout);
-        });
-    std::printf("\n%s\n", render_corpus_summary(rep).c_str());
-    std::printf("\n");
-    // Hard failures (anything but a budget-exhausted anytime row) must
-    // fail the bench run -- CI gates on this exit code.
-    if (hard_failures(rep) > 0) return 1;
-  }
+  std::printf("Corpus sweep: %s, engine %s, %zu lanes, %zu jobs%s\n",
+              all ? "full KISS corpus x fig1-fig4 x two_level+multi_level"
+                  : "paper set x fig1-fig4",
+              campaign_engine_name(engine), 64 * (std::size_t)lane_words,
+              sw.jobs, sw.repeat > 1 ? " (repeated)" : "");
+  std::printf("%s\n", corpus_row_header().c_str());
+  JobCache cache;
+  const CorpusReport rep =
+      run_corpus_sweep(sw, cache, [](const CampaignJobResult& row) {
+        std::printf("%s\n", render_corpus_row(row).c_str());
+        std::fflush(stdout);
+      });
+  std::printf("\n%s\n", render_corpus_summary(rep).c_str());
+  std::printf("\n");
+  // Hard failures (anything but a budget-exhausted anytime row) must
+  // fail the bench run -- CI gates on this exit code.
+  if (hard_failures(rep) > 0) return 1;
 
   // The dk27 series stays a focused single-structure study; skip it for
   // the corpus-wide sweep (and once cancellation has been requested).
   if (!all && !(cancel && cancel->requested())) {
-    const std::size_t hw = std::thread::hardware_concurrency();
     const std::size_t threads = static_cast<std::size_t>(
-        cli.get_int("threads", hw > 0 ? static_cast<long>(hw) : 1));
+        cli.get_int("threads", static_cast<long>(hardware_threads())));
     coverage_series(engine, lane_words, cancel, budget_ms, threads);
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return run_cli(argc, argv, run); }

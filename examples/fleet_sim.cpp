@@ -17,11 +17,10 @@
 // (each instance's outcome is a pure function of its id); only wall time
 // differs. Ctrl-C / --budget-ms truncate gracefully with exact partial
 // counts, labeled in the report. Exits 0 with a final "fleet_sim ok:" line
-// (the CI smoke greps for it), 1 on failure.
+// (the CI smoke greps for it), 1 on failure, 2 on a malformed flag value.
 
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 
 #include "jobs/orchestrator.hpp"
 #include "util/budget.hpp"
@@ -61,9 +60,8 @@ int main(int argc, char** argv) {
     spec.fleet_seed =
         static_cast<std::uint64_t>(cli.get_int("seed", 0xF1EE7));
 
-    const std::size_t hw = std::thread::hardware_concurrency();
     const std::size_t jobs = static_cast<std::size_t>(
-        cli.get_int("jobs", hw > 0 ? static_cast<long>(hw) : 1));
+        cli.get_int("jobs", static_cast<long>(hardware_threads())));
 
     Budget budget;
     const long budget_ms = cli.get_int("budget-ms", -1);
@@ -74,8 +72,7 @@ int main(int argc, char** argv) {
     // machine -> structure -> warm states, the shared pool runs the shards.
     JobCache cache;
     TaskPool pool(std::max<std::size_t>(1, jobs));
-    PoolChunkExecutor exec(pool);
-    const CampaignJobResult r = run_campaign_job(spec, cache, budget, &exec);
+    const CampaignJobResult r = run_campaign_job(spec, cache, budget, &pool);
 
     if (r.failed()) {
       std::fprintf(stderr, "fleet_sim FAILED: %s [%s]\n", r.error.c_str(),
@@ -95,7 +92,9 @@ int main(int argc, char** argv) {
                     r.fleet->instances_simulated()));
     return 0;
   } catch (const std::exception& e) {
+    // Everything above that can throw parses a flag; the job itself
+    // reports its failures in r.
     std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+    return 2;
   }
 }

@@ -12,9 +12,10 @@
 #include "partition/lattice.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const stc::Cli& cli) {
   using namespace stc;
-  const Cli cli(argc, argv);
   const std::string name = cli.get("machine", "paper_fig5");
   const std::size_t max_elems = static_cast<std::size_t>(cli.get_int("max", 2000));
 
@@ -59,3 +60,7 @@ int main(int argc, char** argv) {
     if (!p.is_identity()) std::printf("  %s\n", p.to_string().c_str());
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return stc::run_cli(argc, argv, run); }

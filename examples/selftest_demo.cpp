@@ -18,9 +18,10 @@
 #include "synth/flow.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const stc::Cli& cli) {
   using namespace stc;
-  const Cli cli(argc, argv);
   const std::string name = cli.get("machine", "shiftreg");
   const std::size_t cycles = static_cast<std::size_t>(cli.get_int("cycles", 256));
 
@@ -85,3 +86,7 @@ int main(int argc, char** argv) {
               fig2.nl.depth(), fig4.nl.depth());
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return stc::run_cli(argc, argv, run); }

@@ -178,6 +178,11 @@ int main(int argc, char** argv) {
     if (cmd == "serve") return cmd_serve(cli, spool);
     if (cmd == "submit") return cmd_submit(cli, spool);
     if (cmd == "status") return cmd_status(spool);
+  } catch (const Error& e) {
+    // A malformed flag value (Cli::get_int) or an otherwise invalid
+    // request is a usage error; spool I/O failures are not.
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return e.code() == ErrorCode::kInvalidInput ? 2 : 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

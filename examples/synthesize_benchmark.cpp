@@ -30,7 +30,6 @@
 // labeled in the report (a second Ctrl-C kills the process).
 
 #include <cstdio>
-#include <thread>
 
 #include "benchdata/iwls93.hpp"
 #include "fsm/kiss.hpp"
@@ -40,9 +39,10 @@
 #include "util/cli.hpp"
 #include "util/faultpoint.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const stc::Cli& cli) {
   using namespace stc;
-  const Cli cli(argc, argv);
   faultpoints::arm_from_env();
 
   if (cli.has("list")) {
@@ -53,31 +53,36 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  CampaignEngine engine;
+  unsigned lane_words;
+  Technology tech;
+  try {
+    engine = parse_campaign_engine(cli.get("engine", "event"));
+    lane_words = lane_words_from_lanes(static_cast<unsigned>(cli.get_int("lanes", 64)));
+    tech = parse_technology(cli.get("tech", "two_level"));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
+
   if (cli.has("all")) {
-    const std::size_t hw = std::thread::hardware_concurrency();
     SweepOptions sw;  // empty machine list = the full corpus
-    sw.with_fault_sim = cli.has("faultsim");
+    sw.job.with_fault_sim = cli.has("faultsim");
     sw.jobs = static_cast<std::size_t>(
-        cli.get_int("jobs", hw > 0 ? static_cast<long>(hw) : 1));
+        cli.get_int("jobs", static_cast<long>(hardware_threads())));
     sw.repeat = static_cast<std::size_t>(cli.get_int("repeat", 1));
-    sw.bist_cycles = static_cast<std::size_t>(cli.get_int("cycles", 256));
+    sw.job.bist_cycles = static_cast<std::size_t>(cli.get_int("cycles", 256));
     sw.ostr_max_nodes =
         static_cast<std::uint64_t>(cli.get_int("max-nodes", 2000000));
-    try {
-      sw.engine = parse_campaign_engine(cli.get("engine", "event"));
-      sw.lane_words = lane_words_from_lanes(
-          static_cast<unsigned>(cli.get_int("lanes", 64)));
-      sw.techs = {parse_technology(cli.get("tech", "two_level"))};
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
+    sw.job.engine = engine;
+    sw.job.lane_words = lane_words;
+    sw.techs = {tech};
     sw.job_budget_ms = static_cast<double>(cli.get_int("time-budget-ms", -1));
     sw.cancel = install_sigint_cancel();
 
     std::printf("Corpus synthesis sweep: %zu jobs, engine %s%s\n", sw.jobs,
-                campaign_engine_name(sw.engine),
-                sw.with_fault_sim ? ", fault simulation on" : "");
+                campaign_engine_name(sw.job.engine),
+                sw.job.with_fault_sim ? ", fault simulation on" : "");
     std::printf("%s\n", corpus_row_header().c_str());
     JobCache cache;
     const CorpusReport rep =
@@ -107,18 +112,11 @@ int main(int argc, char** argv) {
   opts.with_fault_sim = cli.has("faultsim");
   opts.ostr.max_nodes = static_cast<std::uint64_t>(cli.get_int("max-nodes", 2000000));
   opts.bist_cycles = static_cast<std::size_t>(cli.get_int("cycles", 256));
-  const std::size_t hw = std::thread::hardware_concurrency();
   opts.campaign.num_threads = static_cast<std::size_t>(
-      cli.get_int("threads", hw > 0 ? static_cast<long>(hw) : 1));
-  try {
-    opts.campaign.engine = parse_campaign_engine(cli.get("engine", "event"));
-    opts.campaign.lane_words = lane_words_from_lanes(
-        static_cast<unsigned>(cli.get_int("lanes", 64)));
-    opts.technology = parse_technology(cli.get("tech", "two_level"));
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+      cli.get_int("threads", static_cast<long>(hardware_threads())));
+  opts.campaign.engine = engine;
+  opts.campaign.lane_words = lane_words;
+  opts.technology = tech;
 
   // Anytime controls: one whole-flow budget carrying the wall-clock
   // deadline (--time-budget-ms) and SIGINT cancellation. Either one makes
@@ -138,3 +136,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return stc::run_cli(argc, argv, run); }

@@ -1,13 +1,12 @@
 #include "bist/session.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "bist/lfsr.hpp"
+#include "jobs/scheduler.hpp"
 #include "netlist/eval64.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -716,8 +715,8 @@ void CampaignOptions::validate(const SelfTestPlan& plan) const {
     add("lane_words must be 1, 4 or 8 (64, 256 or 512 lanes); got " +
         std::to_string(lane_words));
   if (num_threads == 0) add("num_threads must be >= 1; got 0");
-  if (executor != nullptr && num_threads > 1)
-    add("scheduler-owned campaign (executor set) must pass num_threads = 1: "
+  if (pool != nullptr && num_threads > 1)
+    add("scheduler-owned campaign (pool set) must pass num_threads = 1: "
         "nesting a per-campaign thread pool under the shared work-stealing "
         "pool oversubscribes every core -- size the shared pool with the "
         "orchestrator's --jobs flag instead; got num_threads = " +
@@ -781,7 +780,9 @@ CampaignResult run_fault_campaign(const ControllerStructure& cs, const SelfTestP
   } else if (!reps.empty()) {
     // Warm state (when given) carries the compiled program, the pin map
     // and parked scratch for this exact structure; verify the binding
-    // before trusting any of it.
+    // before trusting any of it. Without one, a local warm state compiles
+    // the program once and the chunks lease scratch from it the same way.
+    std::shared_ptr<CampaignWarmState> local_warm;
     CampaignWarmState* warm = options.warm;
     if (warm != nullptr) {
       std::string mismatch;
@@ -797,58 +798,43 @@ CampaignResult run_fault_campaign(const ControllerStructure& cs, const SelfTestP
       if (!mismatch.empty())
         throw Error(ErrorCode::kInvalidInput,
                     "run_fault_campaign: incompatible warm state", mismatch);
+    } else {
+      local_warm = make_campaign_warm_state(cs, plan.output_misr_width,
+                                            options.lane_words);
+      warm = local_warm.get();
     }
-    const PinMap pins = warm ? warm->pins() : map_pins(cs);
+    const PinMap& pins = warm->pins();
     // Each run simulates one fault per lane, minus the reserved fault-free
     // reference lane 0.
     const std::size_t batch_size = faults_per_run(options.lane_words);
     const std::size_t num_batches = (reps.size() + batch_size - 1) / batch_size;
     const std::size_t parallelism =
-        options.executor
-            ? std::max<std::size_t>(1, options.executor->max_parallelism())
-            : options.num_threads;
+        options.pool ? options.pool->size() : options.num_threads;
     const std::size_t num_chunks =
         std::max<std::size_t>(1, std::min(parallelism, num_batches));
-
-    // Compile once per structure: reuse the warm state's program when
-    // given, otherwise compile here; chunks copy the program (cheap)
-    // instead of re-running the compile.
-    std::optional<CompiledNetlist> local_proto;
-    if (!warm) local_proto.emplace(nl, options.lane_words);
-    const CompiledNetlist& proto = warm ? warm->proto() : *local_proto;
 
     // Batch b covers reps [Bb, Bb+B); chunk c takes batches c, c+K, ...
     // (K = num_chunks). Chunks write disjoint rep_detected / rep_simulated
     // ranges, so the result is identical for every chunk count, thread
-    // count and execution interleaving -- whether the chunks run on the
-    // internal pool below or on the scheduler's shared pool via
-    // options.executor (a wall-clock budget may truncate different batches
-    // per run; every completed batch's verdicts stay exact).
+    // count and execution interleaving -- inline, on a private pool or on
+    // the scheduler's shared pool (a wall-clock budget may truncate
+    // different batches per run; every completed batch's verdicts stay
+    // exact).
     std::vector<std::uint64_t> chunk_cycles(num_chunks, 0);
     std::vector<std::uint64_t> chunk_ops(num_chunks, 0);
     std::vector<std::size_t> chunk_runs(num_chunks, 0);
     auto chunk_fn = [&](std::size_t c) {
       Budget bud = options.budget;  // per-chunk copy, absolute deadline
-      // Lease warm scratch when available (zero rebuild on reuse);
-      // otherwise build chunk-local scratch the way each worker used to.
       // The lease returns to the free-list via RAII so an engine throw
-      // mid-batch (rethrown by the executor's exception barrier) does not
+      // mid-batch (rethrown by run_chunks' exception barrier) does not
       // leak the scratch out of the warm state.
-      std::unique_ptr<CampaignScratch> leased;
-      std::optional<CampaignScratch> local;
+      std::unique_ptr<CampaignScratch> leased = warm->acquire(cs);
       struct LeaseReturn {
         CampaignWarmState* warm;
         std::unique_ptr<CampaignScratch>& sc;
-        ~LeaseReturn() {
-          if (warm != nullptr && sc) warm->release(std::move(sc));
-        }
+        ~LeaseReturn() { warm->release(std::move(sc)); }
       } lease_return{warm, leased};
-      if (warm) {
-        leased = warm->acquire(cs);
-      } else {
-        local.emplace(cs, proto, plan.output_misr_width, pins);
-      }
-      CampaignScratch& sc = warm ? *leased : *local;
+      CampaignScratch& sc = *leased;
       const std::uint64_t cycles0 = sc.cycles;
       const std::uint64_t ops0 =
           options.engine == CampaignEngine::kEvent ? sc.ev.ops_evaluated : 0;
@@ -873,31 +859,9 @@ CampaignResult run_fault_campaign(const ControllerStructure& cs, const SelfTestP
                          ? sc.ev.ops_evaluated - ops0
                          : chunk_cycles[c] * sc.cn.num_ops();
     };
-
-    if (options.executor && num_chunks > 1) {
-      options.executor->run_chunks(num_chunks, chunk_fn);
-    } else if (num_chunks == 1) {
-      chunk_fn(0);
-    } else {
-      // Same exception barrier as PoolChunkExecutor: a throw escaping a
-      // std::thread terminates the process, so park the first exception
-      // and rethrow it here after every worker joined.
-      std::mutex err_mu;
-      std::exception_ptr first_error;
-      std::vector<std::thread> pool;
-      pool.reserve(num_chunks);
-      for (std::size_t c = 0; c < num_chunks; ++c)
-        pool.emplace_back([&, c] {
-          try {
-            chunk_fn(c);
-          } catch (...) {
-            std::lock_guard<std::mutex> lock(err_mu);
-            if (!first_error) first_error = std::current_exception();
-          }
-        });
-      for (std::thread& t : pool) t.join();
-      if (first_error) std::rethrow_exception(first_error);
-    }
+    const std::unique_ptr<TaskPool> own_pool =
+        options.pool ? nullptr : make_private_pool(num_chunks);
+    run_chunks(options.pool ? options.pool : own_pool.get(), num_chunks, chunk_fn);
     res.ops_per_cycle = nl.topo_order().size();
     for (std::size_t c = 0; c < num_chunks; ++c) {
       res.cycles_simulated += chunk_cycles[c];

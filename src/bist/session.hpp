@@ -26,6 +26,8 @@
 
 namespace stc {
 
+class TaskPool;  // jobs/scheduler.hpp
+
 enum class RegRole { kGenerate, kCompress, kSystem, kHold };
 
 struct SessionSpec {
@@ -144,24 +146,6 @@ enum class CampaignEngine {
 CampaignEngine parse_campaign_engine(const std::string& name);
 const char* campaign_engine_name(CampaignEngine engine);
 
-/// Shared-pool execution hook for the campaign's independent fault-batch
-/// chunks. When CampaignOptions::executor is set, run_fault_campaign
-/// decomposes the batch loop into up to max_parallelism() chunks and hands
-/// them to run_chunks() instead of spawning its own thread pool -- this is
-/// how the jobs/ work-stealing scheduler flattens every campaign's inner
-/// parallelism into ONE process-wide pool (no nested pools, no
-/// oversubscription). run_chunks(n, fn) must invoke fn(0..n-1) exactly
-/// once each (concurrently or not) and return only when all have finished.
-/// Chunks write disjoint result slots, so the detected-fault sets are
-/// identical for every chunk count and any execution order/interleaving.
-class CampaignChunkExecutor {
- public:
-  virtual ~CampaignChunkExecutor() = default;
-  virtual std::size_t max_parallelism() const = 0;
-  virtual void run_chunks(std::size_t n,
-                          const std::function<void(std::size_t)>& fn) = 0;
-};
-
 /// Warm per-structure campaign state: the compiled lane program plus a
 /// free-list of per-worker scratch (lane buffers, banks, event residency).
 /// Building one costs the netlist compile; a campaign handed a warm state
@@ -187,8 +171,10 @@ std::size_t campaign_warm_reuses(const CampaignWarmState& warm);
 std::size_t campaign_warm_builds(const CampaignWarmState& warm);
 
 struct CampaignOptions {
-  /// Fan fault batches across worker threads (mirrors
-  /// OstrOptions::num_threads). Results are identical for any value.
+  /// Worker threads for the fault batches when no `pool` is given: above 1
+  /// the batches run on a private TaskPool(num_threads - 1) plus the
+  /// calling thread (see run_chunks in jobs/scheduler.hpp). Results are
+  /// identical for any value.
   std::size_t num_threads = 1;
   /// Structural fault collapsing: simulate one representative per
   /// equivalence class (see collapse_faults) and expand the verdicts.
@@ -202,27 +188,28 @@ struct CampaignOptions {
   unsigned lane_words = 1;
   /// Anytime governance. One work unit = one self-test run (a fault batch
   /// on the bit-parallel engines, a single fault serially), charged per
-  /// worker thread, checked between runs. Every verdict of a completed
+  /// chunk of batches, checked between runs. Every verdict of a completed
   /// batch is exact; an exhausted budget truncates the sweep and the
   /// result reports faults_simulated < raw.total with coverage() counting
   /// unsimulated faults as undetected (pessimistic). Under a deadline or
   /// cancellation WHICH batches completed may depend on thread timing; the
-  /// work allowance is deterministic per worker (use num_threads = 1 for a
-  /// deterministic truncated subset).
+  /// work allowance is deterministic per chunk (use num_threads = 1 and no
+  /// pool for a deterministic truncated subset).
   Budget budget;
-  /// Scheduler-owned campaigns: when set, the batch loop is sharded over
-  /// this executor's shared pool and num_threads MUST stay 1 (validate()
-  /// rejects anything else -- nesting a per-campaign pool under the
-  /// scheduler oversubscribes every core). Results are identical to the
-  /// internal-pool path by construction. Non-owning; must outlive the call.
-  CampaignChunkExecutor* executor = nullptr;
+  /// Shared pool (the jobs/ scheduler's): when set, the batch loop is
+  /// split into up to pool->size() chunks that run as tasks of the calling
+  /// job, and num_threads MUST stay 1 (validate() rejects anything else --
+  /// a private pool nested under the shared one oversubscribes every
+  /// core). Results are identical to the private-pool and inline paths by
+  /// construction. Non-owning; must outlive the call.
+  TaskPool* pool = nullptr;
   /// Warm compiled-program + scratch state for this exact structure (see
   /// make_campaign_warm_state). Non-owning; must outlive the call.
   CampaignWarmState* warm = nullptr;
 
   /// Check every field against `plan` and report ALL problems in one
   /// Error(kInvalidInput) -- engine, lane_words, num_threads, empty plan,
-  /// MISR width, executor/num_threads nesting. Called by run_fault_campaign
+  /// MISR width, pool/num_threads nesting. Called by run_fault_campaign
   /// before any simulation work.
   void validate(const SelfTestPlan& plan) const;
 };

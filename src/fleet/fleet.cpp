@@ -4,10 +4,9 @@
 #include <chrono>
 #include <cmath>
 #include <iomanip>
-#include <mutex>
 #include <sstream>
-#include <thread>
 
+#include "jobs/scheduler.hpp"
 #include "util/error.hpp"
 
 namespace stc {
@@ -48,9 +47,9 @@ void FleetOptions::validate() const {
   if (engine != CampaignEngine::kEvent && engine != CampaignEngine::kFlat)
     problems.push_back("fleet runs need a bit-parallel engine (event or flat)");
   if (plan.sessions.empty()) problems.push_back("plan has no sessions");
-  if (executor && jobs > 1)
+  if (pool && jobs > 1)
     problems.push_back(
-        "executor-owned fleets must keep jobs == 1 (the scheduler owns the "
+        "pool-owned fleets must keep jobs == 1 (the scheduler owns the "
         "worker pool; a nested pool would oversubscribe it)");
   if (!problems.empty()) {
     std::string joined;
@@ -84,36 +83,18 @@ FleetShardStats run_fleet_pass(const ControllerStructure& cs,
                                      count, sampler, opt.engine, opt.budget);
   };
 
-  if (opt.executor && n_shards > 1) {
-    opt.executor->run_chunks(n_shards, shard_fn);
-  } else {
-    std::size_t workers = opt.jobs != 0
-                              ? opt.jobs
-                              : std::max(1u, std::thread::hardware_concurrency());
-    workers = std::min(workers, n_shards);
-    if (workers <= 1) {
-      for (std::size_t s = 0; s < n_shards; ++s) shard_fn(s);
-    } else {
-      // Chunk-strided worker assignment with the usual exception barrier: a
-      // throw escaping a std::thread terminates the process, so park the
-      // first exception and rethrow after every worker joined.
-      std::mutex err_mu;
-      std::exception_ptr first_error;
-      std::vector<std::thread> pool;
-      pool.reserve(workers);
-      for (std::size_t t = 0; t < workers; ++t)
-        pool.emplace_back([&, t] {
-          try {
-            for (std::size_t s = t; s < n_shards; s += workers) shard_fn(s);
-          } catch (...) {
-            std::lock_guard<std::mutex> lock(err_mu);
-            if (!first_error) first_error = std::current_exception();
-          }
-        });
-      for (std::thread& t : pool) t.join();
-      if (first_error) std::rethrow_exception(first_error);
-    }
-  }
+  // Chunk c runs shards c, c + K, ... (K = num_chunks). On a shared pool
+  // every shard is its own chunk, so idle workers can steal single shards;
+  // a private pool gets one chunk per thread.
+  const std::size_t workers = opt.jobs != 0 ? opt.jobs : hardware_threads();
+  const std::size_t num_chunks =
+      opt.pool ? n_shards : std::min(workers, n_shards);
+  const std::unique_ptr<TaskPool> own_pool =
+      opt.pool ? nullptr : make_private_pool(num_chunks);
+  run_chunks(opt.pool ? opt.pool : own_pool.get(), num_chunks,
+             [&](std::size_t c) {
+               for (std::size_t s = c; s < n_shards; s += num_chunks) shard_fn(s);
+             });
 
   FleetShardStats total;
   for (const FleetShardStats& s : shard_stats) total.merge(s);

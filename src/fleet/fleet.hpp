@@ -13,9 +13,9 @@
 // probability (with a Wilson interval) against the theoretical 2^-k bound
 // per signature width, plus escape rates and test-length/coverage curves.
 //
-// Layering: this header depends only on bist/ + util/ (the executor seam
-// is session.hpp's CampaignChunkExecutor), so jobs/ can orchestrate fleet
-// runs without a dependency cycle.
+// Layering: this header depends only on bist/ + util/; shards run through
+// run_chunks (jobs/scheduler.hpp), inline, on a private pool or on the
+// scheduler's shared pool, so jobs/ can orchestrate fleet runs too.
 
 #include <cstdint>
 #include <functional>
@@ -50,11 +50,13 @@ struct FleetOptions {
   /// Output-MISR widths to sweep (the 2^-k comparison axis).
   std::vector<std::size_t> misr_widths = {8, 16, 24, 40};
   /// Instances per scheduled shard. The shard partition is a function of
-  /// this value only -- never of jobs/executor -- and every instance's
+  /// this value only -- never of jobs/pool -- and every instance's
   /// outcome is a pure function of its id, so aggregate counts are
   /// bit-identical across worker counts AND shard sizes.
   std::size_t shard_instances = 4096;
-  /// Worker threads when no executor is given (0 = hardware concurrency).
+  /// Worker threads when no `pool` is given (0 = hardware concurrency):
+  /// above 1 the shards run on a private TaskPool(jobs - 1) plus the
+  /// calling thread.
   std::size_t jobs = 1;
   unsigned lane_words = 1;
   CampaignEngine engine = CampaignEngine::kEvent;
@@ -72,8 +74,9 @@ struct FleetOptions {
   /// Exhaustion truncates with exact partial counts, labeled in the
   /// report's degradation.
   Budget budget;
-  /// Shared-pool hook (jobs/ scheduler); when set, `jobs` must stay 1.
-  CampaignChunkExecutor* executor = nullptr;
+  /// Shared pool (the jobs/ scheduler's): when set, every shard is a task
+  /// of the calling job and `jobs` must stay 1. Non-owning.
+  TaskPool* pool = nullptr;
   /// Warm-state source (JobCache). When absent, built locally.
   FleetWarmProvider warm;
 
@@ -149,9 +152,9 @@ struct FleetReport {
 };
 
 /// Run the fleet: for each MISR width, simulate `instances` chips in
-/// shards (chunk-strided over the executor/worker pool), then the
-/// test-length curve. Aggregates are bit-identical for every jobs value,
-/// executor and shard size; only wall time differs.
+/// shards (through run_chunks, inline or on a pool), then the test-length
+/// curve. Aggregates are bit-identical for every jobs value, pool and
+/// shard size; only wall time differs.
 FleetReport run_fleet(const ControllerStructure& cs, const FleetOptions& opt);
 
 /// Multi-line human-readable report: per-width alias table (empirical vs

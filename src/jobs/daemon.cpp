@@ -91,7 +91,6 @@ DaemonReport run_daemon(const DaemonOptions& opt, JobCache& cache) {
   const std::size_t max_inflight =
       opt.max_inflight == 0 ? workers : opt.max_inflight;
   TaskPool pool(workers);
-  PoolChunkExecutor executor(pool);
 
   std::vector<std::shared_ptr<Inflight>> inflight;
 
@@ -242,10 +241,10 @@ DaemonReport run_daemon(const DaemonOptions& opt, JobCache& cache) {
                         inf->claimed.job.spec.machine.c_str(),
                         arch_name(inf->claimed.job.spec.arch)));
           inflight.push_back(inf);
-          group.run([inf, &cache, &executor, &opt] {
+          group.run([inf, &cache, &pool, &opt] {
             inf->outcome = run_campaign_job_with_retry(
                 inf->claimed.job.spec, cache, opt.retry, inf->budget_ms,
-                inf->cancel, &executor, opt.ostr_max_nodes);
+                inf->cancel, &pool, opt.ostr_max_nodes);
             int expected = Inflight::kRunning;
             inf->state.compare_exchange_strong(expected, Inflight::kFinished,
                                                std::memory_order_acq_rel);

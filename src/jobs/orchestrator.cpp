@@ -53,21 +53,10 @@ std::vector<CampaignJobSpec> expand_sweep(const SweepOptions& opt) {
     for (const std::string& name : machines) {
       for (Technology tech : opt.techs) {
         for (ArchKind arch : opt.archs) {
-          CampaignJobSpec s;
+          CampaignJobSpec s = opt.job;
           s.machine = name;
           s.arch = arch;
           s.tech = tech;
-          s.engine = opt.engine;
-          s.lane_words = opt.lane_words;
-          s.bist_cycles = opt.bist_cycles;
-          s.functional_cycles = opt.functional_cycles;
-          s.minimizer = opt.minimizer;
-          s.with_fault_sim = opt.with_fault_sim;
-          s.fleet_instances = opt.fleet_instances;
-          s.fleet_widths = opt.fleet_widths;
-          s.fleet_distribution = opt.fleet_distribution;
-          s.fleet_defect_rate = opt.fleet_defect_rate;
-          s.fleet_seed = opt.fleet_seed;
           specs.push_back(std::move(s));
         }
       }
@@ -77,8 +66,7 @@ std::vector<CampaignJobSpec> expand_sweep(const SweepOptions& opt) {
 }
 
 CampaignJobResult run_campaign_job(const CampaignJobSpec& spec, JobCache& cache,
-                                   const Budget& budget,
-                                   CampaignChunkExecutor* executor,
+                                   const Budget& budget, TaskPool* pool,
                                    std::uint64_t ostr_max_nodes) {
   CampaignJobResult r;
   r.spec = spec;
@@ -118,7 +106,7 @@ CampaignJobResult run_campaign_job(const CampaignJobSpec& spec, JobCache& cache,
     // Scheduler-owned: inner parallelism goes through the shared pool (or
     // stays serial when there is none) -- never a nested per-campaign pool.
     fopt.campaign.num_threads = 1;
-    fopt.campaign.executor = executor;
+    fopt.campaign.pool = pool;
 
     // Warm compiled-netlist + scratch for the campaign-driven structures
     // (the serial oracle engine compiles nothing, fig1 runs no sessions).
@@ -143,7 +131,7 @@ CampaignJobResult run_campaign_job(const CampaignJobSpec& spec, JobCache& cache,
       flo.defects.model = spec.fleet_distribution;
       flo.defects.defect_rate = spec.fleet_defect_rate;
       flo.budget = budget;
-      flo.executor = executor;
+      flo.pool = pool;
       flo.jobs = 1;  // scheduler-owned or serial; never a nested pool
       // Warm states come from the cache per MISR width, so re-queued fleet
       // jobs on a cached structure skip every compile (run_fleet calls this
@@ -194,7 +182,7 @@ double RetryPolicy::backoff_ms(std::size_t retry, std::uint64_t seed) const {
 JobAttemptOutcome run_campaign_job_with_retry(
     const CampaignJobSpec& spec, JobCache& cache, const RetryPolicy& policy,
     double attempt_budget_ms, std::shared_ptr<const CancelToken> cancel,
-    CampaignChunkExecutor* executor, std::uint64_t ostr_max_nodes) {
+    TaskPool* pool, std::uint64_t ostr_max_nodes) {
   const std::uint64_t seed =
       fnv1a_str(hash_combine(kFnvOffset, static_cast<std::uint64_t>(spec.arch)),
                 spec.machine);
@@ -208,7 +196,7 @@ JobAttemptOutcome run_campaign_job_with_retry(
     if (attempt_budget_ms >= 0.0) budget.with_deadline_ms(attempt_budget_ms);
     if (cancel) budget.with_cancel(cancel);
 
-    out.result = run_campaign_job(spec, cache, budget, executor, ostr_max_nodes);
+    out.result = run_campaign_job(spec, cache, budget, pool, ostr_max_nodes);
     out.attempts = attempt;
     if (!out.result.failed()) return out;
     if (!policy.is_transient(out.result.error_code)) return out;  // permanent
@@ -252,7 +240,6 @@ CorpusReport run_corpus_sweep(
   const auto t0 = std::chrono::steady_clock::now();
   {
     TaskPool pool(std::max<std::size_t>(1, opt.jobs));
-    PoolChunkExecutor exec(pool);
 
     // Ordered retirement: results land in their submission-order slot; the
     // finishing worker advances the retire cursor and emits every newly
@@ -273,7 +260,7 @@ CorpusReport run_corpus_sweep(
           Budget budget;
           if (opt.job_budget_ms >= 0.0) budget.with_deadline_ms(opt.job_budget_ms);
           if (opt.cancel) budget.with_cancel(opt.cancel);
-          r = run_campaign_job(specs[i], cache, budget, &exec,
+          r = run_campaign_job(specs[i], cache, budget, &pool,
                                opt.ostr_max_nodes);
         }
         std::lock_guard<std::mutex> lock(retire_mu);

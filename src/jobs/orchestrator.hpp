@@ -83,19 +83,10 @@ struct SweepOptions {
   std::vector<ArchKind> archs = {ArchKind::kFig1, ArchKind::kFig2,
                                  ArchKind::kFig3, ArchKind::kFig4};
   std::vector<Technology> techs = {Technology::kTwoLevel};
-  CampaignEngine engine = CampaignEngine::kEvent;
-  unsigned lane_words = 1;
-  std::size_t bist_cycles = 256;
-  std::size_t functional_cycles = 512;
-  MinimizerKind minimizer = MinimizerKind::kAuto;
-  bool with_fault_sim = true;
-  /// Fleet mode for every expanded job (see CampaignJobSpec): > 0 turns the
-  /// sweep into a corpus-wide deployment simulation.
-  std::uint64_t fleet_instances = 0;
-  std::vector<std::size_t> fleet_widths = {8, 16, 24, 40};
-  DefectModel fleet_distribution = DefectModel::kSingleUniform;
-  double fleet_defect_rate = 1.0;
-  std::uint64_t fleet_seed = 0xF1EE7;
+  /// Template of every expanded job: expand_sweep copies it and sets only
+  /// machine, arch and tech. Fleet mode (job.fleet_instances > 0) turns
+  /// the sweep into a corpus-wide deployment simulation.
+  CampaignJobSpec job;
   /// Worker threads of the shared pool (the --jobs flag). Results are
   /// identical for any value; only wall time differs.
   std::size_t jobs = 1;
@@ -161,12 +152,12 @@ CorpusReport run_corpus_sweep(const SweepOptions& opt, JobCache& cache,
                               const std::function<void(const CampaignJobResult&)>&
                                   on_row = nullptr);
 
-/// Run ONE job outside any pool/sweep (the daemon-mode building block and
-/// the test seam): same artifact path as a sweep job, inner batches run on
-/// `executor` when given.
+/// Run ONE job outside any sweep (the daemon-mode building block and the
+/// test seam): same artifact path as a sweep job; inner batches and fleet
+/// shards run on `pool` when given, inline otherwise.
 CampaignJobResult run_campaign_job(const CampaignJobSpec& spec, JobCache& cache,
                                    const Budget& budget = {},
-                                   CampaignChunkExecutor* executor = nullptr,
+                                   TaskPool* pool = nullptr,
                                    std::uint64_t ostr_max_nodes = 2000000);
 
 // --- retry policy (the daemon's failure taxonomy) ---------------------------
@@ -209,7 +200,7 @@ JobAttemptOutcome run_campaign_job_with_retry(
     const CampaignJobSpec& spec, JobCache& cache, const RetryPolicy& policy,
     double attempt_budget_ms = -1.0,
     std::shared_ptr<const CancelToken> cancel = nullptr,
-    CampaignChunkExecutor* executor = nullptr,
+    TaskPool* pool = nullptr,
     std::uint64_t ostr_max_nodes = 2000000);
 
 /// Failed rows that should fail a CI gate: everything except

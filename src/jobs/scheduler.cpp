@@ -1,9 +1,24 @@
 #include "jobs/scheduler.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
+#include <thread>
 
 namespace stc {
+
+struct TaskPool::Worker {
+  std::mutex mu;
+  std::deque<Task> dq;  // back = owner side, front = steal side
+  std::thread th;
+  // Counters are atomic (single writer: the owning worker) so stats()
+  // may be called for live progress while tasks execute, not just after
+  // a Group::wait() quiesced the pool.
+  std::atomic<std::uint64_t> tasks{0};
+  std::atomic<std::uint64_t> steals{0};
+  std::atomic<std::uint64_t> busy_ns{0};
+  std::uint64_t rng = 0;  // steal-victim xorshift state
+};
 
 namespace {
 // Which pool (if any) the current thread works for. A thread serves at
@@ -202,19 +217,14 @@ void TaskPool::Group::wait() {
            [this] { return pending_.load(std::memory_order_acquire) == 0; });
 }
 
-void PoolChunkExecutor::run_chunks(std::size_t n,
-                                   const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  if (n == 1) {
-    fn(0);
-    return;
-  }
+void run_chunks(TaskPool* pool, std::size_t n,
+                const std::function<void(std::size_t)>& fn) {
   // Exception barrier: pool tasks must not throw (an escaping exception
   // unwinds worker_loop and terminates the process), so every chunk runs
   // under a catch-all that parks the first exception; it is rethrown on
   // the calling thread after the join, where the per-job handler can see
   // it. Later chunks still run -- they write disjoint slots, and a
-  // campaign-level throw discards the whole result anyway.
+  // caller-level throw discards the whole result anyway.
   std::mutex err_mu;
   std::exception_ptr first_error;
   const auto guarded = [&](std::size_t c) {
@@ -225,16 +235,23 @@ void PoolChunkExecutor::run_chunks(std::size_t n,
       if (!first_error) first_error = std::current_exception();
     }
   };
-  {
-    TaskPool::Group group(pool_);
-    // Chunks 1..n-1 go to the pool (own deque when called from a job on a
-    // worker; stealable); chunk 0 runs inline so the calling job always
-    // contributes a core.
+  if (pool == nullptr || n <= 1) {
+    for (std::size_t c = 0; c < n; ++c) guarded(c);
+  } else {
+    TaskPool::Group group(*pool);
     for (std::size_t c = 1; c < n; ++c) group.run([&guarded, c] { guarded(c); });
     guarded(0);
     group.wait();
   }
   if (first_error) std::rethrow_exception(first_error);
+}
+
+std::unique_ptr<TaskPool> make_private_pool(std::size_t threads) {
+  return threads > 1 ? std::make_unique<TaskPool>(threads - 1) : nullptr;
+}
+
+std::size_t hardware_threads() {
+  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 }  // namespace stc

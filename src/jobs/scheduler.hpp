@@ -1,9 +1,11 @@
 #pragma once
-// Work-stealing task pool for corpus-scale campaign orchestration.
+// Work-stealing task pool and run_chunks, the library's one parallel loop.
 //
-// One process-wide pool replaces today's nested per-campaign thread pools:
-// whole synthesis/campaign jobs AND their inner fault-batch chunks share
-// the same workers. Design (see DESIGN.md "Job scheduling"):
+// Every fan-out -- campaign fault batches, fleet shards, OSTR subtrees --
+// goes through run_chunks(), either inline (no pool), on a private pool
+// sized by the caller's worker count, or on a shared pool where whole
+// synthesis/campaign jobs AND their inner chunks share the same workers.
+// Pool design (see DESIGN.md "Job scheduling"):
 //
 //   * every worker owns a deque: it pushes/pops its own subtasks at the
 //     back (LIFO -- hot caches, bounded memory), idle workers steal from a
@@ -27,10 +29,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
-
-#include "bist/session.hpp"
 
 namespace stc {
 
@@ -64,10 +63,9 @@ class TaskPool {
   /// opens a group for its campaign chunks). When wait() returns, no
   /// finishing worker still touches the Group, so a stack-allocated Group
   /// may be destroyed immediately. Tasks must not throw: an escaping
-  /// exception terminates the process (std::thread semantics) -- the
-  /// orchestrator catches per-job errors inside its closures, and
-  /// PoolChunkExecutor wraps every chunk in an exception barrier that
-  /// rethrows on the calling thread after the join.
+  /// exception terminates the process -- the orchestrator catches per-job
+  /// errors inside its closures, and run_chunks wraps every chunk in an
+  /// exception barrier that rethrows on the calling thread after the join.
   class Group {
    public:
     explicit Group(TaskPool& pool) : pool_(pool) {}
@@ -92,18 +90,7 @@ class TaskPool {
     Group* group = nullptr;
   };
 
-  struct Worker {
-    std::mutex mu;
-    std::deque<Task> dq;  // back = owner side, front = steal side
-    std::thread th;
-    // Counters are atomic (single writer: the owning worker) so stats()
-    // may be called for live progress while tasks execute, not just after
-    // a Group::wait() quiesced the pool.
-    std::atomic<std::uint64_t> tasks{0};
-    std::atomic<std::uint64_t> steals{0};
-    std::atomic<std::uint64_t> busy_ns{0};
-    std::uint64_t rng = 0;  // steal-victim xorshift state
-  };
+  struct Worker;  // owns its deque and thread (defined in scheduler.cpp)
 
   void worker_loop(std::size_t self);
   bool pop_own(std::size_t self, Task& out);
@@ -123,19 +110,24 @@ class TaskPool {
   std::atomic<bool> stop_{false};
 };
 
-/// CampaignChunkExecutor bound to a pool: run_fault_campaign hands its
-/// fault-batch chunks here and they run as subtasks of the calling job on
-/// the SAME workers (stealable by idle ones) -- the flattening that
-/// replaces nested campaign pools.
-class PoolChunkExecutor : public CampaignChunkExecutor {
- public:
-  explicit PoolChunkExecutor(TaskPool& pool) : pool_(pool) {}
-  std::size_t max_parallelism() const override { return pool_.size(); }
-  void run_chunks(std::size_t n,
-                  const std::function<void(std::size_t)>& fn) override;
+/// The library's one parallel loop: run fn(0..n-1), each exactly once,
+/// and return when all have finished. pool == nullptr runs them inline, in
+/// order. Otherwise chunks 1..n-1 become tasks of `pool` -- on the calling
+/// worker's own deque when called from a pool task, where idle workers
+/// steal them -- and the caller runs chunk 0, so it always contributes a
+/// core. Exception barrier: a throwing chunk never unwinds a worker; the
+/// first exception is parked, every other chunk still runs, and the
+/// exception is rethrown on the caller once all chunks have finished.
+void run_chunks(TaskPool* pool, std::size_t n,
+                const std::function<void(std::size_t)>& fn);
 
- private:
-  TaskPool& pool_;
-};
+/// The pool for a call that wants `threads` threads and has no shared
+/// pool: none (run inline) for threads <= 1, else a private
+/// TaskPool(threads - 1) -- run_chunks' caller is the last thread.
+std::unique_ptr<TaskPool> make_private_pool(std::size_t threads);
+
+/// The number of hardware threads, at least 1: the default width of the
+/// drivers' --jobs/--threads flags and of FleetOptions::jobs = 0.
+std::size_t hardware_threads();
 
 }  // namespace stc

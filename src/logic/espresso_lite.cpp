@@ -5,26 +5,6 @@
 #include "util/bitvec.hpp"
 
 namespace stc {
-
-Cube expand_against_off(const Cube& cube, const std::vector<Minterm>& off_minterms,
-                        std::size_t num_vars) {
-  Cube cur = cube;
-  for (std::size_t v = 0; v < num_vars; ++v) {
-    const std::uint64_t bit = std::uint64_t{1} << v;
-    if (!(cur.care & bit)) continue;
-    const Cube trial = cur.without(v);
-    bool hits_off = false;
-    for (Minterm m : off_minterms) {
-      if (trial.contains_minterm(m)) {
-        hits_off = true;
-        break;
-      }
-    }
-    if (!hits_off) cur = trial;
-  }
-  return cur;
-}
-
 namespace {
 
 /// Per-output OFF covers: complement of ON_b u DC_b via unate recursion.

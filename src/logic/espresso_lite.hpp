@@ -47,11 +47,4 @@ CubeList minimize_espresso_mv(const PlaSpec& spec, const EspressoOptions& option
 Cover minimize_espresso(const TruthTable& tt, const EspressoOptions& options = {},
                         Degradation* degradation = nullptr);
 
-/// Legacy helper kept for differential tests: greedily expand `cube`
-/// against an explicit OFF minterm list (drop literals while no OFF
-/// minterm is swallowed). Deterministic order: variables tried LSB first,
-/// bounded by the function's arity `num_vars`.
-Cube expand_against_off(const Cube& cube, const std::vector<Minterm>& off_minterms,
-                        std::size_t num_vars);
-
 }  // namespace stc

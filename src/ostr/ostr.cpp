@@ -5,9 +5,9 @@
 #include <cstring>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 
 #include "fsm/minimize.hpp"
+#include "jobs/scheduler.hpp"
 
 namespace stc {
 
@@ -347,7 +347,7 @@ OstrResult run_search(const MealyMachine& fsm, const OstrOptions& opt,
   if (!root_viable && opt.prune) {
     ++root_res.pruned;  // Lemma 1 cuts the entire tree at the root
   } else if (num_tasks > 0) {
-    const std::size_t num_threads =
+    const std::size_t num_chunks =
         std::max<std::size_t>(1, std::min(opt.num_threads, num_tasks));
 
     // Budget rounds: every round hands the still-unfinished tasks
@@ -367,17 +367,20 @@ OstrResult run_search(const MealyMachine& fsm, const OstrOptions& opt,
         if (!b.is_identity()) out.stats.exhausted = false;
     }
 
-    // Worker stores persist across budget rounds so a restarted task's
-    // replayed prefix really does hit the memo tables.
+    // Chunk w owns context w. A one-chunk search runs on main_ctx (the
+    // caller's store); wider ones give every chunk a private store, which
+    // persists across budget rounds so a restarted task's replayed prefix
+    // really does hit the memo tables.
     std::vector<std::unique_ptr<PartitionStore>> worker_stores;
     std::vector<std::unique_ptr<WorkerCtx>> worker_ctxs;
-    if (num_threads > 1) {
-      for (std::size_t w = 0; w < num_threads; ++w) {
+    if (num_chunks > 1) {
+      for (std::size_t w = 0; w < num_chunks; ++w) {
         worker_stores.push_back(std::make_unique<PartitionStore>(&fsm));
         worker_ctxs.push_back(std::make_unique<WorkerCtx>(
             fsm, opt, *worker_stores[w], eps, basis, bound));
       }
     }
+    const std::unique_ptr<TaskPool> pool = make_private_pool(num_chunks);
 
     for (int round = 0; round < kMaxRounds && !active.empty() && budget > 0;
          ++round) {
@@ -396,40 +399,19 @@ OstrResult run_search(const MealyMachine& fsm, const OstrOptions& opt,
       if (run_tasks.empty()) break;
       active = run_tasks;
 
-      if (num_threads <= 1) {
-        for (std::size_t rank = 0; rank < active.size(); ++rank) {
-          if (reached_floor(bound.load())) break;  // optimum already in hand
-          TaskRun t(main_ctx, quotas[rank], doubling);
+      // Chunks claim tasks in rank order until the round is drained or the
+      // shared bound reaches the floor (the optimum is already in hand).
+      std::atomic<std::size_t> next_rank{0};
+      run_chunks(pool.get(), num_chunks, [&](std::size_t w) {
+        WorkerCtx& ctx = num_chunks > 1 ? *worker_ctxs[w] : main_ctx;
+        for (;;) {
+          const std::size_t rank = next_rank.fetch_add(1, std::memory_order_relaxed);
+          if (rank >= active.size() || reached_floor(bound.load())) break;
+          TaskRun t(ctx, quotas[rank], doubling);
           t.run_subtree(active[rank]);
           task_results[active[rank]] = std::move(t.res);
         }
-      } else {
-        std::atomic<std::size_t> next_rank{0};
-        std::vector<std::exception_ptr> errors(num_threads);
-        std::vector<std::thread> threads;
-        threads.reserve(num_threads);
-        for (std::size_t w = 0; w < num_threads; ++w) {
-          threads.emplace_back([&, w] {
-            try {
-              WorkerCtx& ctx = *worker_ctxs[w];
-              for (;;) {
-                const std::size_t rank =
-                    next_rank.fetch_add(1, std::memory_order_relaxed);
-                if (rank >= active.size()) break;
-                if (reached_floor(bound.load())) break;
-                TaskRun t(ctx, quotas[rank], doubling);
-                t.run_subtree(active[rank]);
-                task_results[active[rank]] = std::move(t.res);
-              }
-            } catch (...) {
-              errors[w] = std::current_exception();
-            }
-          });
-        }
-        for (auto& t : threads) t.join();
-        for (auto& e : errors)
-          if (e) std::rethrow_exception(e);
-      }
+      });
 
       // Deterministic accounting: every node visited this round (including
       // replayed prefixes of restarted tasks) draws down the budget.

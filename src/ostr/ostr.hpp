@@ -18,9 +18,10 @@
 // join of the parent kappa with a basis element; all m/M/meet/refines
 // queries hit the store's memo tables. The top-level subtrees (one per
 // basis element) are independent tasks with deterministic node quotas, so
-// OstrOptions::num_threads > 1 fans them across worker threads and returns
-// the same optimal cost as the single-threaded search (see DESIGN.md
-// "Interner architecture" for the determinism argument).
+// OstrOptions::num_threads > 1 fans them across run_chunks chunks on a
+// private TaskPool and returns the same optimal cost as the
+// single-threaded search (see DESIGN.md "Interner architecture" for the
+// determinism argument).
 
 #include <cstdint>
 #include <optional>
@@ -63,10 +64,12 @@ struct OstrOptions {
   bool extended_candidates = true;
   /// Collect every improving solution (for reporting/ablation).
   bool keep_history = false;
-  /// Number of worker threads for the top-level subtree fan-out. 0 or 1 =
-  /// run everything on the calling thread. Workers share an atomic
-  /// best-solution bound; each worker owns a private PartitionStore. The
-  /// returned best cost ((i),(ii)) is identical for every thread count.
+  /// Threads for the top-level subtree fan-out. 0 or 1 = run everything
+  /// on the calling thread with the caller's store. Above 1, that many
+  /// chunks run on a private TaskPool(num_threads - 1) plus the calling
+  /// thread; chunks share an atomic best-solution bound and each owns a
+  /// private PartitionStore. The returned best cost ((i),(ii)) is
+  /// identical for every thread count.
   std::size_t num_threads = 1;
 };
 
@@ -109,8 +112,9 @@ struct OstrResult {
 OstrResult solve_ostr(const MealyMachine& fsm, const OstrOptions& options = {});
 
 /// Same, but reuse a caller-owned interner (one per machine across a whole
-/// synthesis flow). The store must be bound to `fsm`. Used by the
-/// single-threaded path; worker threads always own private stores.
+/// synthesis flow). The store must be bound to `fsm`. Used by one-chunk
+/// searches (num_threads <= 1); wider searches give every chunk a private
+/// store.
 OstrResult solve_ostr(const MealyMachine& fsm, const OstrOptions& options,
                       PartitionStore& store);
 

@@ -1,7 +1,10 @@
 #include "util/cli.hpp"
 
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 
+#include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace stc {
@@ -36,7 +39,27 @@ std::string Cli::get(const std::string& name, const std::string& fallback) const
 long Cli::get_int(const std::string& name, long fallback) const {
   auto it = options_.find(name);
   if (it == options_.end() || it->second.empty()) return fallback;
-  return std::strtol(it->second.c_str(), nullptr, 10);
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long value = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE)
+    throw Error(ErrorCode::kInvalidInput,
+                "invalid value '" + it->second + "' for --" + name +
+                    ": expected a base-10 integer that fits a long",
+                "flag=--" + name);
+  return value;
+}
+
+int run_cli(int argc, char** argv, int (*body)(const Cli&)) {
+  const Cli cli(argc, argv);
+  try {
+    return body(cli);
+  } catch (const Error& e) {
+    if (e.code() != ErrorCode::kInvalidInput) throw;
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }
 
 }  // namespace stc

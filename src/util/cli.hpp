@@ -20,7 +20,10 @@ class Cli {
   /// Value of `--name`, or `fallback` when absent.
   std::string get(const std::string& name, const std::string& fallback) const;
 
-  /// Integer value of `--name`, or `fallback` when absent.
+  /// Integer value of `--name`, or `fallback` when absent or empty. The
+  /// whole value must be one base-10 integer that fits a long: trailing
+  /// characters ("64x") or overflow throw Error(kInvalidInput) naming the
+  /// flag (drivers exit 2 with its message).
   long get_int(const std::string& name, long fallback) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
@@ -31,5 +34,10 @@ class Cli {
   std::unordered_map<std::string, std::string> options_;
   std::vector<std::string> positional_;
 };
+
+/// A driver's main: parse the command line and return body(cli). A
+/// malformed flag value -- the Error(kInvalidInput) get_int throws --
+/// prints "error: <message>" to stderr and exits 2 instead of terminating.
+int run_cli(int argc, char** argv, int (*body)(const Cli&));
 
 }  // namespace stc

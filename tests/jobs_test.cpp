@@ -11,6 +11,8 @@
 //     to the direct serial measure_structure path;
 //   * cancellation: a mid-sweep cancel drains queued jobs as labeled
 //     skipped rows and the partial aggregates stay consistent;
+//   * run_chunks: a throwing chunk reaches the caller on every path (inline,
+//     private pool, shared pool) while every other chunk still runs;
 //   * validate(): scheduler-owned campaigns reject nested thread pools.
 
 #include <gtest/gtest.h>
@@ -70,32 +72,72 @@ TEST(TaskPool, NestedGroupsCompleteWithoutDeadlock) {
   EXPECT_EQ(leaf_runs.load(), 16 * 8);
 }
 
-TEST(TaskPool, PoolChunkExecutorRunsEachChunkOnce) {
+// --- run_chunks: the one parallel loop and its exception barrier -----------
+
+TEST(RunChunks, RunsEachChunkOnceOnAPool) {
   TaskPool pool(2);
-  PoolChunkExecutor exec(pool);
-  EXPECT_EQ(exec.max_parallelism(), 2u);
   std::vector<std::atomic<int>> ran(17);
   for (auto& r : ran) r.store(0);
-  exec.run_chunks(ran.size(),
-                  [&](std::size_t c) { ran[c].fetch_add(1); });
+  run_chunks(&pool, ran.size(), [&](std::size_t c) { ran[c].fetch_add(1); });
   for (std::size_t c = 0; c < ran.size(); ++c) EXPECT_EQ(ran[c].load(), 1) << c;
+}
+
+/// Eight chunks, chunk 3 throws a typed Error: the caller must see that
+/// Error, and every other chunk must still have run exactly once.
+void expect_barrier(TaskPool* pool) {
+  std::vector<std::atomic<int>> ran(8);
+  for (auto& r : ran) r.store(0);
+  try {
+    run_chunks(pool, ran.size(), [&](std::size_t c) {
+      ran[c].fetch_add(1);
+      if (c == 3) throw Error(ErrorCode::kIo, "chunk failed", "chunk=3");
+    });
+    ADD_FAILURE() << "expected the chunk's Error on the caller";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kIo);
+    EXPECT_EQ(e.context(), "chunk=3");
+  }
+  for (std::size_t c = 0; c < ran.size(); ++c) EXPECT_EQ(ran[c].load(), 1) << c;
+}
+
+TEST(RunChunks, InlineLoopRethrowsAfterEveryChunk) { expect_barrier(nullptr); }
+
+TEST(RunChunks, PrivatePoolRethrowsAfterEveryChunk) {
+  // The pool a num_threads = 4 campaign, fleet or OSTR search runs on.
+  EXPECT_EQ(make_private_pool(1), nullptr);
+  const std::unique_ptr<TaskPool> pool = make_private_pool(4);
+  ASSERT_NE(pool, nullptr);
+  EXPECT_EQ(pool->size(), 3u);
+  expect_barrier(pool.get());
+}
+
+TEST(RunChunks, SharedPoolRethrowsInsideATaskAndKeepsServing) {
+  TaskPool pool(3);
+  {
+    // Called from inside a pool task, the way a scheduled job shards its
+    // campaign: chunks land on the worker's own deque.
+    TaskPool::Group group(pool);
+    group.run([&pool] { expect_barrier(&pool); });
+    group.wait();
+  }
+  // No worker was lost to the throw: a following group runs normally.
+  std::vector<std::atomic<int>> ran(32);
+  for (auto& r : ran) r.store(0);
+  {
+    TaskPool::Group group(pool);
+    for (std::size_t i = 0; i < ran.size(); ++i)
+      group.run([&ran, i] { ran[i].fetch_add(1); });
+    group.wait();
+  }
+  for (std::size_t i = 0; i < ran.size(); ++i) EXPECT_EQ(ran[i].load(), 1) << i;
 }
 
 // --- CampaignOptions::validate (scheduler-owned campaigns) ------------------
 
-class DummyExecutor : public CampaignChunkExecutor {
- public:
-  std::size_t max_parallelism() const override { return 4; }
-  void run_chunks(std::size_t n,
-                  const std::function<void(std::size_t)>& fn) override {
-    for (std::size_t c = 0; c < n; ++c) fn(c);
-  }
-};
-
 TEST(CampaignValidate, RejectsNestedPoolUnderScheduler) {
-  DummyExecutor exec;
+  TaskPool pool(1);
   CampaignOptions opt;
-  opt.executor = &exec;
+  opt.pool = &pool;
   opt.num_threads = 4;  // nested per-campaign pool: forbidden
   try {
     opt.validate(SelfTestPlan::two_session(16));
@@ -235,8 +277,8 @@ TEST(JobCache, StructureKeyIsContentNotName) {
 SweepOptions small_sweep(std::size_t jobs) {
   SweepOptions sw;
   sw.machines = {"paper_fig5", "shiftreg", "tav", "dk27", "serial_adder"};
-  sw.bist_cycles = 64;
-  sw.functional_cycles = 128;
+  sw.job.bist_cycles = 64;
+  sw.job.functional_cycles = 128;
   sw.jobs = jobs;
   return sw;
 }
@@ -278,8 +320,8 @@ TEST(CorpusSweep, MatchesDirectSerialMeasureStructure) {
                                        : build_fig3(enc);
     FlowOptions fopt;
     fopt.with_fault_sim = true;
-    fopt.bist_cycles = sw.bist_cycles;
-    fopt.functional_cycles = sw.functional_cycles;
+    fopt.bist_cycles = sw.job.bist_cycles;
+    fopt.functional_cycles = sw.job.functional_cycles;
     CoverageResult cov;
     const StructureReport ref = measure_structure(cs, fopt, &cov);
     SCOPED_TRACE(row.spec.machine + "/" + arch_name(row.spec.arch));
@@ -305,6 +347,25 @@ TEST(CorpusSweep, RowOrderIsMachineMajorThenTechThenArch) {
   EXPECT_EQ(specs[2].tech, Technology::kMultiLevel);
   EXPECT_EQ(specs[4].machine, "b");
   EXPECT_EQ(specs[8].machine, "a");  // second repeat restarts the list
+}
+
+TEST(CorpusSweep, ExpandCopiesTheJobTemplate) {
+  SweepOptions sw;
+  sw.machines = {"a"};
+  sw.archs = {ArchKind::kFig4};
+  sw.job.machine = "ignored";
+  sw.job.lane_words = 4;
+  sw.job.bist_cycles = 77;
+  sw.job.fleet_instances = 9;
+  sw.job.fleet_widths = {12};
+  const auto specs = expand_sweep(sw);
+  ASSERT_EQ(specs.size(), 1u);
+  EXPECT_EQ(specs[0].machine, "a");  // machine, arch, tech come from the axes
+  EXPECT_EQ(arch_name(specs[0].arch), std::string("fig4"));
+  EXPECT_EQ(specs[0].lane_words, 4u);  // everything else from the template
+  EXPECT_EQ(specs[0].bist_cycles, 77u);
+  EXPECT_EQ(specs[0].fleet_instances, 9u);
+  EXPECT_EQ(specs[0].fleet_widths, std::vector<std::size_t>{12});
 }
 
 // --- Cancellation -----------------------------------------------------------

@@ -211,21 +211,6 @@ TEST_P(MinimizerProperty, QmNeverWorseThanEspressoOnCubes) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MinimizerProperty,
                          ::testing::Range<std::uint64_t>(0, 10));
 
-TEST(Espresso, ExpandAgainstOff) {
-  // cube 111 with OFF = {011}: variables 1 and 0 can be dropped... order
-  // matters; result must still avoid 011 and cover 111.
-  const Cube start = Cube::from_string("111");
-  const Cube expanded = expand_against_off(start, {0b011}, 3);
-  EXPECT_TRUE(expanded.contains_minterm(0b111));
-  EXPECT_FALSE(expanded.contains_minterm(0b011));
-  EXPECT_LT(expanded.num_literals(), 3u);
-}
-
-TEST(Espresso, NoOffMeansTautology) {
-  const Cube expanded = expand_against_off(Cube::from_string("101"), {}, 3);
-  EXPECT_EQ(expanded.num_literals(), 0u);
-}
-
 // --- cost ------------------------------------------------------------------------
 
 TEST(Cost, SingleCubeCover) {

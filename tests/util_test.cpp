@@ -6,6 +6,7 @@
 
 #include "util/bitvec.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -227,6 +228,55 @@ TEST(Cli, ParsesOptionsAndPositionals) {
   EXPECT_EQ(cli.get_int("absent", 9), 9);
   ASSERT_EQ(cli.positional().size(), 2u);
   EXPECT_EQ(cli.positional()[1], "pos2");
+}
+
+/// get_int's Error for `value` given as --lanes.
+Error bad_int(const char* value) {
+  const char* argv[] = {"prog", "--lanes", value};
+  const Cli cli(3, const_cast<char**>(argv));
+  try {
+    cli.get_int("lanes", 64);
+  } catch (const Error& e) {
+    return e;
+  }
+  ADD_FAILURE() << "--lanes " << value << " was accepted";
+  return Error(ErrorCode::kInternal, "accepted");
+}
+
+TEST(Cli, GetIntRejectsTrailingCharacters) {
+  for (const char* value : {"64x", "1e6", "12 ", "x64", "0x40"}) {
+    const Error e = bad_int(value);
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidInput) << value;
+    EXPECT_EQ(e.context(), "flag=--lanes") << value;
+    EXPECT_NE(std::string(e.what()).find(value), std::string::npos) << e.what();
+  }
+}
+
+TEST(Cli, GetIntRejectsOverflow) {
+  for (const char* value : {"99999999999999999999999", "-99999999999999999999999"}) {
+    const Error e = bad_int(value);
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidInput) << value;
+    EXPECT_NE(std::string(e.what()).find("--lanes"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Cli, GetIntAcceptsWholeIntegers) {
+  const char* argv[] = {"prog", "--a", "-1", "--b=+7", "--c", "--d=0"};
+  const Cli cli(6, const_cast<char**>(argv));
+  EXPECT_EQ(cli.get_int("a", 0), -1);
+  EXPECT_EQ(cli.get_int("b", 0), 7);
+  EXPECT_EQ(cli.get_int("c", 5), 5);  // present without a value: fallback
+  EXPECT_EQ(cli.get_int("d", 5), 0);
+}
+
+TEST(Cli, RunCliExitsTwoOnAMalformedFlag) {
+  const auto body = [](const Cli& cli) {
+    return static_cast<int>(cli.get_int("lanes", 64) / 64) - 1;
+  };
+  const char* good[] = {"prog", "--lanes", "64"};
+  EXPECT_EQ(run_cli(3, const_cast<char**>(good), body), 0);
+  const char* bad[] = {"prog", "--lanes", "64x"};
+  EXPECT_EQ(run_cli(3, const_cast<char**>(bad), body), 2);
 }
 
 }  // namespace
