@@ -94,13 +94,11 @@ int run(const Cli& cli) {
     engine = parse_campaign_engine(cli.get("engine", "event"));
     tech = parse_technology(cli.get("tech", "two_level"));
     lane_words = lane_words_from_lanes(
-        static_cast<unsigned>(cli.get_int("lanes", 64)));
-    const long cycles_raw = cli.get_int("cycles", 256);
-    if (cycles_raw < 1 || cycles_raw > 1'000'000)
+        static_cast<unsigned>(cli.get_count("lanes", 64, 512)));
+    bist_cycles = cli.get_count("cycles", 256, 1'000'000);
+    if (bist_cycles == 0)
       throw Error(ErrorCode::kInvalidInput, "invalid --cycles",
-                  "BIST cycles per session must be in [1, 1000000]; got " +
-                      std::to_string(cycles_raw));
-    bist_cycles = static_cast<std::size_t>(cycles_raw);
+                  "BIST cycles per session must be in [1, 1000000]; got 0");
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
@@ -121,9 +119,8 @@ int run(const Cli& cli) {
   sw.job.engine = engine;
   sw.job.lane_words = lane_words;
   sw.job.bist_cycles = bist_cycles;
-  sw.jobs = static_cast<std::size_t>(
-      cli.get_int("jobs", static_cast<long>(hardware_threads())));
-  sw.repeat = static_cast<std::size_t>(cli.get_int("repeat", 1));
+  sw.jobs = cli.get_count("jobs", hardware_threads(), 4096);
+  sw.repeat = cli.get_count("repeat", 1, 1000);
   sw.job_budget_ms = static_cast<double>(budget_ms);
   sw.cancel = cancel;
 
@@ -148,8 +145,7 @@ int run(const Cli& cli) {
   // The dk27 series stays a focused single-structure study; skip it for
   // the corpus-wide sweep (and once cancellation has been requested).
   if (!all && !(cancel && cancel->requested())) {
-    const std::size_t threads = static_cast<std::size_t>(
-        cli.get_int("threads", static_cast<long>(hardware_threads())));
+    const std::size_t threads = cli.get_count("threads", hardware_threads(), 4096);
     coverage_series(engine, lane_words, cancel, budget_ms, threads);
   }
   return 0;
@@ -157,4 +153,10 @@ int run(const Cli& cli) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return run_cli(argc, argv, run); }
+int main(int argc, char** argv) {
+  return run_cli(argc, argv,
+                 {"all", "jobs N", "repeat N", "cycles N", "engine event|flat|serial",
+                  "lanes 64|256|512", "tech two_level|multi_level", "threads N",
+                  "time-budget-ms N"},
+                 run);
+}

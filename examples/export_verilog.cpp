@@ -13,9 +13,10 @@
 #include "synth/flow.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const stc::Cli& cli) {
   using namespace stc;
-  const Cli cli(argc, argv);
   const std::string name = cli.get("machine", "shiftreg");
   const std::string structure = cli.get("structure", "fig4");
   const std::string out_base = cli.get("out", "/tmp/" + name + "_" + structure);
@@ -60,4 +61,11 @@ int main(int argc, char** argv) {
   }
   std::printf("wrote %s.v and %s.blif\n", out_base.c_str(), out_base.c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return stc::run_cli(argc, argv, {"machine NAME", "structure fig1..fig4", "out PATH"},
+                      run);
 }

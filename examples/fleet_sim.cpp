@@ -17,7 +17,8 @@
 // (each instance's outcome is a pure function of its id); only wall time
 // differs. Ctrl-C / --budget-ms truncate gracefully with exact partial
 // counts, labeled in the report. Exits 0 with a final "fleet_sim ok:" line
-// (the CI smoke greps for it), 1 on failure, 2 on a malformed flag value.
+// (the CI smoke greps for it), 1 on failure, 2 on an unknown flag or a
+// malformed flag value.
 
 #include <cstdio>
 #include <cstdlib>
@@ -27,9 +28,10 @@
 #include "util/cli.hpp"
 #include "util/strings.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const stc::Cli& cli) {
   using namespace stc;
-  const Cli cli(argc, argv);
   try {
     CampaignJobSpec spec;
     spec.machine = cli.get("machine", "dk27");
@@ -37,8 +39,8 @@ int main(int argc, char** argv) {
     spec.tech = parse_technology(cli.get("tech", "two_level"));
     spec.engine = parse_campaign_engine(cli.get("engine", "event"));
     spec.lane_words =
-        lane_words_from_lanes(static_cast<unsigned>(cli.get_int("lanes", 64)));
-    spec.bist_cycles = static_cast<std::size_t>(cli.get_int("cycles", 256));
+        lane_words_from_lanes(static_cast<unsigned>(cli.get_count("lanes", 64, 512)));
+    spec.bist_cycles = cli.get_count("cycles", 256, 1'000'000);
 
     // --instances accepts scientific notation ("1e6") -- fleets are big.
     const double inst = std::strtod(cli.get("instances", "1e6").c_str(), nullptr);
@@ -57,11 +59,9 @@ int main(int argc, char** argv) {
         parse_defect_model(cli.get("distribution", "single_uniform"));
     spec.fleet_defect_rate =
         std::strtod(cli.get("defect-rate", "1.0").c_str(), nullptr);
-    spec.fleet_seed =
-        static_cast<std::uint64_t>(cli.get_int("seed", 0xF1EE7));
+    spec.fleet_seed = cli.get_count("seed", 0xF1EE7);
 
-    const std::size_t jobs = static_cast<std::size_t>(
-        cli.get_int("jobs", static_cast<long>(hardware_threads())));
+    const std::size_t jobs = cli.get_count("jobs", hardware_threads(), 4096);
 
     Budget budget;
     const long budget_ms = cli.get_int("budget-ms", -1);
@@ -97,4 +97,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return stc::run_cli(argc, argv,
+                      {"machine NAME", "arch fig2|fig3|fig4", "instances N",
+                       "widths W,W,...", "distribution fault_free|single_uniform|clustered",
+                       "defect-rate X", "jobs N", "lanes 64|256|512", "engine event|flat",
+                       "cycles N", "seed N", "budget-ms N", "tech two_level|multi_level"},
+                      run);
 }

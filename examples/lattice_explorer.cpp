@@ -17,7 +17,7 @@ namespace {
 int run(const stc::Cli& cli) {
   using namespace stc;
   const std::string name = cli.get("machine", "paper_fig5");
-  const std::size_t max_elems = static_cast<std::size_t>(cli.get_int("max", 2000));
+  const std::size_t max_elems = cli.get_count("max", 2000, 1'000'000);
 
   MealyMachine m;
   try {
@@ -63,4 +63,6 @@ int run(const stc::Cli& cli) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return stc::run_cli(argc, argv, run); }
+int main(int argc, char** argv) {
+  return stc::run_cli(argc, argv, {"machine NAME", "max N"}, run);
+}

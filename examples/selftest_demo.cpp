@@ -23,7 +23,11 @@ namespace {
 int run(const stc::Cli& cli) {
   using namespace stc;
   const std::string name = cli.get("machine", "shiftreg");
-  const std::size_t cycles = static_cast<std::size_t>(cli.get_int("cycles", 256));
+  const std::size_t cycles = cli.get_count("cycles", 256, 1'000'000);
+  // Campaigns run on the bit-parallel engine (63 faults per session run);
+  // the detected sets are identical to the serial per-fault oracle.
+  CampaignOptions copt;
+  copt.num_threads = cli.get_count("threads", 1, 4096);
 
   MealyMachine m;
   try {
@@ -45,11 +49,6 @@ int run(const stc::Cli& cli) {
               ostr.best.s1, ostr.best.s2);
   std::printf("fig2 (conventional BIST): %s\n", fig2.nl.stats().c_str());
   std::printf("fig4 (pipeline):          %s\n\n", fig4.nl.stats().c_str());
-
-  // Campaigns run on the bit-parallel engine (63 faults per session run);
-  // the detected sets are identical to the serial per-fault oracle.
-  CampaignOptions copt;
-  copt.num_threads = static_cast<std::size_t>(cli.get_int("threads", 1));
 
   // --- conventional BIST: one session, T generates, R compresses ---------
   const auto camp2 =
@@ -89,4 +88,6 @@ int run(const stc::Cli& cli) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return stc::run_cli(argc, argv, run); }
+int main(int argc, char** argv) {
+  return stc::run_cli(argc, argv, {"machine NAME", "cycles N", "threads N"}, run);
+}

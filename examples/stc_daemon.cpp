@@ -41,30 +41,31 @@
 
 namespace {
 
-int usage(const char* prog) {
-  std::fprintf(stderr,
-               "usage: %s serve|submit|status <spool-dir> [options]\n"
-               "       (see the header of examples/stc_daemon.cpp)\n",
-               prog);
-  return 2;
-}
+const char kOperands[] = "serve|submit|status <spool-dir>";
+
+/// Flags of serve and submit (status takes none).
+const std::vector<std::string> kFlags = {
+    "jobs N", "budget-ms N", "drain", "cache-max-entries N", "max-attempts N",
+    "watchdog-grace X", "watchdog-kill-grace X", "max-recoveries N", "quiet",
+    "machine NAME", "arch fig1..fig4", "tech two_level|multi_level",
+    "engine event|flat|serial", "lanes 64|256|512", "cycles N", "functional-cycles N",
+    "minimizer auto|qm|espresso", "no-faultsim", "count N", "fleet-instances N",
+    "fleet-widths W,W,...", "distribution fault_free|single_uniform|clustered",
+    "defect-rate X", "fleet-seed N"};
 
 int cmd_serve(const stc::Cli& cli, const std::string& spool) {
   using namespace stc;
   DaemonOptions opt;
   opt.spool_dir = spool;
-  opt.jobs = static_cast<std::size_t>(cli.get_int("jobs", 1));
+  opt.jobs = cli.get_count("jobs", 1, 4096);
   opt.default_budget_ms = static_cast<double>(cli.get_int("budget-ms", -1));
   opt.drain = cli.has("drain");
-  opt.cache_max_entries =
-      static_cast<std::size_t>(cli.get_int("cache-max-entries", 0));
-  opt.retry.max_attempts =
-      static_cast<std::size_t>(cli.get_int("max-attempts", 3));
+  opt.cache_max_entries = cli.get_count("cache-max-entries", 0, 1'000'000);
+  opt.retry.max_attempts = cli.get_count("max-attempts", 3, 1000);
   opt.watchdog_grace = static_cast<double>(cli.get_int("watchdog-grace", 2));
   opt.watchdog_kill_grace =
       static_cast<double>(cli.get_int("watchdog-kill-grace", 4));
-  opt.max_recoveries =
-      static_cast<std::uint64_t>(cli.get_int("max-recoveries", 3));
+  opt.max_recoveries = cli.get_count("max-recoveries", 3, 1000);
   opt.shutdown = install_sigint_cancel();
   if (!cli.has("quiet")) {
     opt.log = [](const std::string& line) {
@@ -100,16 +101,15 @@ int cmd_submit(const stc::Cli& cli, const std::string& spool) {
   job.spec.tech = parse_technology(cli.get("tech", "two_level"));
   job.spec.engine = parse_campaign_engine(cli.get("engine", "event"));
   job.spec.lane_words =
-      lane_words_from_lanes(static_cast<unsigned>(cli.get_int("lanes", 64)));
-  job.spec.bist_cycles = static_cast<std::size_t>(cli.get_int("cycles", 256));
-  job.spec.functional_cycles =
-      static_cast<std::size_t>(cli.get_int("functional-cycles", 512));
+      lane_words_from_lanes(static_cast<unsigned>(cli.get_count("lanes", 64, 512)));
+  job.spec.bist_cycles = cli.get_count("cycles", 256, 1'000'000);
+  job.spec.functional_cycles = cli.get_count("functional-cycles", 512, 1'000'000);
   job.spec.minimizer = parse_minimizer(cli.get("minimizer", "auto"));
   job.spec.with_fault_sim = !cli.has("no-faultsim");
   job.budget_ms = static_cast<double>(cli.get_int("budget-ms", -1));
   // Fleet mode: the spooled job becomes a deployment simulation.
   job.spec.fleet_instances =
-      static_cast<std::uint64_t>(cli.get_int("fleet-instances", 0));
+      cli.get_count("fleet-instances", 0, 1'000'000'000'000);
   if (job.spec.fleet_instances > 0) {
     const std::string widths = cli.get("fleet-widths", "");
     if (!widths.empty()) {
@@ -121,13 +121,12 @@ int cmd_submit(const stc::Cli& cli, const std::string& spool) {
         parse_defect_model(cli.get("distribution", "single_uniform"));
     job.spec.fleet_defect_rate =
         std::strtod(cli.get("defect-rate", "1.0").c_str(), nullptr);
-    job.spec.fleet_seed =
-        static_cast<std::uint64_t>(cli.get_int("fleet-seed", 0xF1EE7));
+    job.spec.fleet_seed = cli.get_count("fleet-seed", 0xF1EE7);
   }
 
   JobQueue queue(spool);
-  const long count = cli.get_int("count", 1);
-  for (long i = 0; i < count; ++i) {
+  const std::size_t count = cli.get_count("count", 1, 1'000'000);
+  for (std::size_t i = 0; i < count; ++i) {
     SpoolJob j = job;
     std::printf("%s\n", queue.submit(std::move(j)).c_str());
   }
@@ -164,28 +163,33 @@ int cmd_status(const std::string& spool) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const stc::Cli& cli) {
   using namespace stc;
-  const Cli cli(argc, argv);
-  if (cli.positional().size() < 2) return usage(argv[0]);
-  const std::string& cmd = cli.positional()[0];
-  const std::string& spool = cli.positional()[1];
+  const std::vector<std::string>& args = cli.positional();
+  const std::string cmd = args.empty() ? "" : args[0];
+  if (args.size() < 2 || (cmd != "serve" && cmd != "submit" && cmd != "status")) {
+    std::fprintf(stderr, "%s\n", cli_usage(cli.program(), kFlags, kOperands).c_str());
+    return 2;
+  }
+  const std::string& spool = args[1];
 
   try {
     faultpoints::arm_from_env();
     if (cmd == "serve") return cmd_serve(cli, spool);
     if (cmd == "submit") return cmd_submit(cli, spool);
-    if (cmd == "status") return cmd_status(spool);
+    return cmd_status(spool);
   } catch (const Error& e) {
-    // A malformed flag value (Cli::get_int) or an otherwise invalid
-    // request is a usage error; spool I/O failures are not.
+    // A malformed flag value or an otherwise invalid request is a usage
+    // error (run_cli exits 2); spool I/O failures are not.
+    if (e.code() == ErrorCode::kInvalidInput) throw;
     std::fprintf(stderr, "error: %s\n", e.what());
-    return e.code() == ErrorCode::kInvalidInput ? 2 : 1;
+    return 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  return usage(argv[0]);
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return stc::run_cli(argc, argv, kFlags, run, kOperands); }

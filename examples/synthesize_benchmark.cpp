@@ -58,7 +58,7 @@ int run(const stc::Cli& cli) {
   Technology tech;
   try {
     engine = parse_campaign_engine(cli.get("engine", "event"));
-    lane_words = lane_words_from_lanes(static_cast<unsigned>(cli.get_int("lanes", 64)));
+    lane_words = lane_words_from_lanes(static_cast<unsigned>(cli.get_count("lanes", 64, 512)));
     tech = parse_technology(cli.get("tech", "two_level"));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
@@ -68,12 +68,10 @@ int run(const stc::Cli& cli) {
   if (cli.has("all")) {
     SweepOptions sw;  // empty machine list = the full corpus
     sw.job.with_fault_sim = cli.has("faultsim");
-    sw.jobs = static_cast<std::size_t>(
-        cli.get_int("jobs", static_cast<long>(hardware_threads())));
-    sw.repeat = static_cast<std::size_t>(cli.get_int("repeat", 1));
-    sw.job.bist_cycles = static_cast<std::size_t>(cli.get_int("cycles", 256));
-    sw.ostr_max_nodes =
-        static_cast<std::uint64_t>(cli.get_int("max-nodes", 2000000));
+    sw.jobs = cli.get_count("jobs", hardware_threads(), 4096);
+    sw.repeat = cli.get_count("repeat", 1, 1000);
+    sw.job.bist_cycles = cli.get_count("cycles", 256, 1'000'000);
+    sw.ostr_max_nodes = cli.get_count("max-nodes", 2000000);
     sw.job.engine = engine;
     sw.job.lane_words = lane_words;
     sw.techs = {tech};
@@ -110,10 +108,9 @@ int run(const stc::Cli& cli) {
 
   FlowOptions opts;
   opts.with_fault_sim = cli.has("faultsim");
-  opts.ostr.max_nodes = static_cast<std::uint64_t>(cli.get_int("max-nodes", 2000000));
-  opts.bist_cycles = static_cast<std::size_t>(cli.get_int("cycles", 256));
-  opts.campaign.num_threads = static_cast<std::size_t>(
-      cli.get_int("threads", static_cast<long>(hardware_threads())));
+  opts.ostr.max_nodes = cli.get_count("max-nodes", 2000000);
+  opts.bist_cycles = cli.get_count("cycles", 256, 1'000'000);
+  opts.campaign.num_threads = cli.get_count("threads", hardware_threads(), 4096);
   opts.campaign.engine = engine;
   opts.campaign.lane_words = lane_words;
   opts.technology = tech;
@@ -139,4 +136,11 @@ int run(const stc::Cli& cli) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return stc::run_cli(argc, argv, run); }
+int main(int argc, char** argv) {
+  return stc::run_cli(argc, argv,
+                      {"machine NAME", "kiss FILE", "list", "all", "faultsim",
+                       "threads N", "jobs N", "repeat N", "engine event|flat|serial",
+                       "lanes 64|256|512", "tech two_level|multi_level", "cycles N",
+                       "max-nodes N", "time-budget-ms N"},
+                      run);
+}

@@ -58,8 +58,7 @@ std::vector<NetId> build_minimized(Netlist& nl, const MinimizedBlock& mb,
 /// restricted copy): factor the PLA when the multi-output engine ran, or
 /// the covers when they fit the 64-output CubeList bound — an oversized
 /// covers block stays two-level rather than failing.
-void maybe_factor(MinimizedBlock& mb, const Budget& budget,
-                  std::vector<Degradation>* degradations) {
+void maybe_factor(MinimizedBlock& mb, const Budget& budget) {
   FactorOptions fopt;
   fopt.budget = budget;
   Degradation deg;
@@ -68,14 +67,17 @@ void maybe_factor(MinimizedBlock& mb, const Budget& budget,
   } else if (mb.covers.size() <= 64) {
     mb.factored = extract_factored(mb.covers, fopt, &deg);
   }
-  if (degradations && deg.degraded) degradations->push_back(std::move(deg));
+  if (deg.degraded) mb.degradations.push_back(std::move(deg));
 }
 
-/// Accumulate one block into the structure: the two-level cost point
-/// always, the factored cost point when extraction ran. A multi-level
-/// build whose block could not be factored (the >64-output fallback) is
-/// recorded rather than silently reported as fully factored.
+/// Accumulate one block into the structure: its truncation labels, the
+/// two-level cost point always, the factored cost point when extraction
+/// ran. A multi-level build whose block could not be factored (the
+/// >64-output fallback) is recorded rather than silently reported as fully
+/// factored.
 void add_block_cost(ControllerStructure& cs, const MinimizedBlock& mb) {
+  cs.degradations.insert(cs.degradations.end(), mb.degradations.begin(),
+                         mb.degradations.end());
   cs.logic += mb.cost();
   if (const auto ml = mb.multilevel_cost()) {
     if (!cs.logic_ml) cs.logic_ml = LogicCost{};
@@ -98,26 +100,30 @@ CubeList restrict_to_low_outputs(const CubeList& pla, std::size_t state_bits) {
   return out;
 }
 
-/// Combined (next-state low, outputs high) dense tables of an EncodedFsm,
-/// matching the output order of EncodedFsm::spec.
-std::vector<TruthTable> combined_tables(const EncodedFsm& enc) {
-  std::vector<TruthTable> tables = enc.next_state;
-  tables.insert(tables.end(), enc.outputs.begin(), enc.outputs.end());
-  return tables;
+/// Drive the registers and primary outputs of figs. 1-3 from the nets of a
+/// combined block: next-state bits into `reg`, output bits to out[b].
+void connect_combined(ControllerStructure& cs, const EncodedFsm& enc,
+                      const std::vector<NetId>& nets, const RegisterBank& reg) {
+  Netlist& nl = cs.nl;
+  for (std::size_t b = 0; b < enc.state_bits; ++b) nl.connect_dff(reg.q[b], nets[b]);
+  for (std::size_t b = 0; b < enc.output_bits; ++b) {
+    nl.add_output(nets[enc.state_bits + b], "out[" + std::to_string(b) + "]");
+    cs.po.push_back(nets[enc.state_bits + b]);
+  }
 }
 
 }  // namespace
 
 MinimizedBlock minimize_for(const PlaSpec& spec, const std::vector<TruthTable>& tables,
-                            MinimizerKind mk, Technology tech, const Budget& budget,
-                            std::vector<Degradation>* degradations) {
+                            MinimizerKind mk, Technology tech, const Budget& budget) {
   MinimizedBlock mb;
+  mb.tech = tech;
   mb.covers.reserve(tables.size());
   const std::size_t num_vars = tables.empty() ? spec.num_vars : tables[0].num_vars();
   EspressoOptions eopt;
   eopt.budget = budget;
-  const auto collect = [degradations](Degradation&& deg) {
-    if (degradations && deg.degraded) degradations->push_back(std::move(deg));
+  const auto collect = [&mb](Degradation&& deg) {
+    if (deg.degraded) mb.degradations.push_back(std::move(deg));
   };
   // QM's prime enumeration is exact but exponential; hand larger tables
   // to the heuristic.
@@ -147,15 +153,23 @@ MinimizedBlock minimize_for(const PlaSpec& spec, const std::vector<TruthTable>& 
   // Multi-level: greedy algebraic extraction on the minimized two-level
   // form (the PLA when the multi-output engine ran, the per-output covers
   // on the QM path).
-  if (tech == Technology::kMultiLevel) maybe_factor(mb, budget, degradations);
+  if (tech == Technology::kMultiLevel) maybe_factor(mb, budget);
   return mb;
 }
 
-ControllerStructure build_fig1(const EncodedFsm& enc, MinimizerKind mk,
-                               Technology tech, const Budget& budget) {
+MinimizedBlock minimize_combined(const EncodedFsm& enc, MinimizerKind mk,
+                                 Technology tech, const Budget& budget) {
+  // Dense tables in the output order of EncodedFsm::spec: next-state bits
+  // low, output bits high.
+  std::vector<TruthTable> tables = enc.next_state;
+  tables.insert(tables.end(), enc.outputs.begin(), enc.outputs.end());
+  return minimize_for(enc.spec, tables, mk, tech, budget);
+}
+
+ControllerStructure build_fig1(const EncodedFsm& enc, const MinimizedBlock& block) {
   ControllerStructure cs;
   cs.kind = "fig1";
-  cs.tech = tech;
+  cs.tech = block.tech;
   Netlist& nl = cs.nl;
 
   cs.pi = add_functional_inputs(nl, enc.input_bits);
@@ -169,24 +183,16 @@ ControllerStructure build_fig1(const EncodedFsm& enc, MinimizerKind mk,
 
   // One multi-output block for next-state and output bits together, so
   // the minimizer can share product terms between the two.
-  const MinimizedBlock mb = minimize_for(enc.spec, combined_tables(enc), mk, tech,
-                                         budget, &cs.degradations);
-  add_block_cost(cs, mb);
-  const auto nets = build_minimized(nl, mb, vars);
-  for (std::size_t b = 0; b < enc.state_bits; ++b) nl.connect_dff(r.q[b], nets[b]);
-  for (std::size_t b = 0; b < enc.output_bits; ++b) {
-    nl.add_output(nets[enc.state_bits + b], "out[" + std::to_string(b) + "]");
-    cs.po.push_back(nets[enc.state_bits + b]);
-  }
+  add_block_cost(cs, block);
+  connect_combined(cs, enc, build_minimized(nl, block, vars), r);
   nl.finalize();
   return cs;
 }
 
-ControllerStructure build_fig2(const EncodedFsm& enc, MinimizerKind mk,
-                               Technology tech, const Budget& budget) {
+ControllerStructure build_fig2(const EncodedFsm& enc, const MinimizedBlock& block) {
   ControllerStructure cs;
   cs.kind = "fig2";
-  cs.tech = tech;
+  cs.tech = block.tech;
   Netlist& nl = cs.nl;
 
   cs.pi = add_functional_inputs(nl, enc.input_bits);
@@ -207,28 +213,20 @@ ControllerStructure build_fig2(const EncodedFsm& enc, MinimizerKind mk,
   std::vector<NetId> vars = cs.pi;
   vars.insert(vars.end(), state_in.begin(), state_in.end());
 
-  const MinimizedBlock mb = minimize_for(enc.spec, combined_tables(enc), mk, tech,
-                                         budget, &cs.degradations);
-  add_block_cost(cs, mb);
-  const auto nets = build_minimized(nl, mb, vars);
-  for (std::size_t b = 0; b < enc.state_bits; ++b) nl.connect_dff(r.q[b], nets[b]);
+  add_block_cost(cs, block);
+  connect_combined(cs, enc, build_minimized(nl, block, vars), r);
   // T holds its value in the netlist; the session driver reconfigures it
   // as a PRPG during test (BILBO behavior is not combinational logic).
   for (std::size_t b = 0; b < enc.state_bits; ++b) nl.connect_dff(t.q[b], t.q[b]);
-
-  for (std::size_t b = 0; b < enc.output_bits; ++b) {
-    nl.add_output(nets[enc.state_bits + b], "out[" + std::to_string(b) + "]");
-    cs.po.push_back(nets[enc.state_bits + b]);
-  }
   nl.finalize();
   return cs;
 }
 
-ControllerStructure build_fig3(const EncodedFsm& enc, MinimizerKind mk,
-                               Technology tech, const Budget& budget) {
+ControllerStructure build_fig3(const EncodedFsm& enc, const MinimizedBlock& block,
+                               const Budget& budget) {
   ControllerStructure cs;
   cs.kind = "fig3";
-  cs.tech = tech;
+  cs.tech = block.tech;
   Netlist& nl = cs.nl;
 
   cs.pi = add_functional_inputs(nl, enc.input_bits);
@@ -237,9 +235,6 @@ ControllerStructure build_fig3(const EncodedFsm& enc, MinimizerKind mk,
   cs.reg_a = dff_indices(nl, r1);
   cs.reg_b = dff_indices(nl, r2);
 
-  const MinimizedBlock mb = minimize_for(enc.spec, combined_tables(enc), mk, tech,
-                                         budget, &cs.degradations);
-
   // Copy C: reads R, feeds R' (and drives the primary outputs). Copy C':
   // reads R', feeds R -- only the next-state part is duplicated, with the
   // same shared products as copy C. Both registers start equal, so they
@@ -247,9 +242,8 @@ ControllerStructure build_fig3(const EncodedFsm& enc, MinimizerKind mk,
   // transparency mode.
   std::vector<NetId> vars1 = cs.pi;
   vars1.insert(vars1.end(), r1.q.begin(), r1.q.end());
-  add_block_cost(cs, mb);
-  const auto nets1 = build_minimized(nl, mb, vars1);
-  for (std::size_t b = 0; b < enc.state_bits; ++b) nl.connect_dff(r2.q[b], nets1[b]);
+  add_block_cost(cs, block);
+  const auto nets1 = build_minimized(nl, block, vars1);
 
   // The duplicated copy is its own (restricted) block, so on the
   // multi-level path it gets its own extraction over just the next-state
@@ -257,23 +251,35 @@ ControllerStructure build_fig3(const EncodedFsm& enc, MinimizerKind mk,
   std::vector<NetId> vars2 = cs.pi;
   vars2.insert(vars2.end(), r2.q.begin(), r2.q.end());
   MinimizedBlock next_mb;
-  if (mb.pla) {
-    next_mb.pla = restrict_to_low_outputs(*mb.pla, enc.state_bits);
+  next_mb.tech = block.tech;
+  if (block.pla) {
+    next_mb.pla = restrict_to_low_outputs(*block.pla, enc.state_bits);
   } else {
-    next_mb.covers.assign(mb.covers.begin(), mb.covers.begin() + enc.state_bits);
+    next_mb.covers.assign(block.covers.begin(), block.covers.begin() + enc.state_bits);
   }
-  if (tech == Technology::kMultiLevel)
-    maybe_factor(next_mb, budget, &cs.degradations);
+  if (block.tech == Technology::kMultiLevel) maybe_factor(next_mb, budget);
   add_block_cost(cs, next_mb);
   const auto nets2 = build_minimized(nl, next_mb, vars2);
   for (std::size_t b = 0; b < enc.state_bits; ++b) nl.connect_dff(r1.q[b], nets2[b]);
 
-  for (std::size_t b = 0; b < enc.output_bits; ++b) {
-    nl.add_output(nets1[enc.state_bits + b], "out[" + std::to_string(b) + "]");
-    cs.po.push_back(nets1[enc.state_bits + b]);
-  }
+  connect_combined(cs, enc, nets1, r2);
   nl.finalize();
   return cs;
+}
+
+ControllerStructure build_fig1(const EncodedFsm& enc, MinimizerKind mk,
+                               Technology tech, const Budget& budget) {
+  return build_fig1(enc, minimize_combined(enc, mk, tech, budget));
+}
+
+ControllerStructure build_fig2(const EncodedFsm& enc, MinimizerKind mk,
+                               Technology tech, const Budget& budget) {
+  return build_fig2(enc, minimize_combined(enc, mk, tech, budget));
+}
+
+ControllerStructure build_fig3(const EncodedFsm& enc, MinimizerKind mk,
+                               Technology tech, const Budget& budget) {
+  return build_fig3(enc, minimize_combined(enc, mk, tech, budget), budget);
 }
 
 ControllerStructure build_fig4(const MealyMachine& fsm, const Realization& real,
@@ -309,8 +315,7 @@ ControllerStructure build_fig4(const MealyMachine& fsm, const Realization& real,
   // C1: (inputs, R1) -> D of R2.
   std::vector<NetId> vars1 = cs.pi;
   vars1.insert(vars1.end(), r1.q.begin(), r1.q.end());
-  const MinimizedBlock mb1 = minimize_for(f1.spec, f1.next_state, mk, tech,
-                                          budget, &cs.degradations);
+  const MinimizedBlock mb1 = minimize_for(f1.spec, f1.next_state, mk, tech, budget);
   add_block_cost(cs, mb1);
   const auto c1 = build_minimized(nl, mb1, vars1);
   for (std::size_t b = 0; b < enc2.width; ++b) nl.connect_dff(r2.q[b], c1[b]);
@@ -318,8 +323,7 @@ ControllerStructure build_fig4(const MealyMachine& fsm, const Realization& real,
   // C2: (inputs, R2) -> D of R1.
   std::vector<NetId> vars2 = cs.pi;
   vars2.insert(vars2.end(), r2.q.begin(), r2.q.end());
-  const MinimizedBlock mb2 = minimize_for(f2.spec, f2.next_state, mk, tech,
-                                          budget, &cs.degradations);
+  const MinimizedBlock mb2 = minimize_for(f2.spec, f2.next_state, mk, tech, budget);
   add_block_cost(cs, mb2);
   const auto c2 = build_minimized(nl, mb2, vars2);
   for (std::size_t b = 0; b < enc1.width; ++b) nl.connect_dff(r1.q[b], c2[b]);
@@ -329,8 +333,7 @@ ControllerStructure build_fig4(const MealyMachine& fsm, const Realization& real,
   std::vector<NetId> lvars = cs.pi;
   lvars.insert(lvars.end(), r2.q.begin(), r2.q.end());
   lvars.insert(lvars.end(), r1.q.begin(), r1.q.end());
-  const MinimizedBlock mbl = minimize_for(lam.spec, lam.outputs, mk, tech,
-                                          budget, &cs.degradations);
+  const MinimizedBlock mbl = minimize_for(lam.spec, lam.outputs, mk, tech, budget);
   add_block_cost(cs, mbl);
   const auto po_nets = build_minimized(nl, mbl, lvars);
   for (std::size_t b = 0; b < po_nets.size(); ++b) {

@@ -11,6 +11,13 @@
 //  Fig. 4  optimized pipeline structure from a nontrivial OSTR solution:
 //          C1 : (I, R1) -> R2,  C2 : (I, R2) -> R1,  lambda(I, R1, R2) -> O.
 //
+// Figs. 1-3 are all built around the same combinational block C (next
+// state and outputs of the encoded machine). minimize_combined() prepares
+// that block once; the block builders build_fig1/2/3(enc, block) take the
+// shared block, so a flow or a cache minimizes and factors C once for all
+// three figures. The (enc, mk, tech, budget) builders are one-line
+// wrappers over them for callers that want a single figure.
+//
 // Every builder returns the netlist plus role maps so the self-test driver
 // (bist/session.hpp) can reconfigure registers into PRPG/MISR roles.
 
@@ -81,6 +88,13 @@ struct MinimizedBlock {
   std::vector<Cover> covers;
   std::optional<CubeList> pla;
   std::optional<FactoredNetwork> factored;
+  /// Style the block was prepared for. A kMultiLevel block may still lack
+  /// `factored` (the >64-output fallback); structures count it as such.
+  Technology tech = Technology::kTwoLevel;
+  /// Anytime labels of the minimization/factoring stages that truncated
+  /// work while preparing this block (empty = nothing degraded). Every
+  /// structure built from the block carries them.
+  std::vector<Degradation> degradations;
 
   /// Two-level cost point (always available).
   LogicCost cost() const { return pla ? pla_cost(*pla) : block_cost(covers); }
@@ -102,33 +116,46 @@ struct MinimizedBlock {
 /// blocks, from the per-output covers on the QM path).
 /// The budget governs the espresso rounds (heuristic path) and, on the
 /// multi-level path, the greedy extraction; the exact QM path for small
-/// tables ignores it. Truncations are appended to `degradations` when
-/// given. The block implements the tables at any budget.
+/// tables ignores it. Truncations are recorded in the block's
+/// `degradations`. The block implements the tables at any budget.
 MinimizedBlock minimize_for(const PlaSpec& spec, const std::vector<TruthTable>& tables,
                             MinimizerKind mk,
                             Technology tech = Technology::kTwoLevel,
-                            const Budget& budget = {},
-                            std::vector<Degradation>* degradations = nullptr);
+                            const Budget& budget = {});
 
-// Every builder accepts an anytime budget shared by all of its
-// minimization/factoring stages (the deadline is absolute, so stages
-// naturally split what remains); truncations are collected in
-// ControllerStructure::degradations. The built netlist is behavior-exact
-// at any budget.
+/// The combined (next-state low, outputs high) block C of an encoded
+/// machine -- the one place it is minimized. Figs. 1-3 are built from it.
+MinimizedBlock minimize_combined(const EncodedFsm& enc, MinimizerKind mk,
+                                 Technology tech, const Budget& budget = {});
 
-/// Fig. 1: conventional structure.
+// A builder's anytime budget is shared by all of the minimization/
+// factoring stages it runs (the deadline is absolute, so stages naturally
+// split what remains); truncations are collected in
+// ControllerStructure::degradations, after the labels the shared block
+// carries. The built netlist is behavior-exact at any budget.
+
+/// Fig. 1: conventional structure, from the shared block of `enc`.
+ControllerStructure build_fig1(const EncodedFsm& enc, const MinimizedBlock& block);
+
+/// Fig. 2: conventional structure + test register + bypass mux.
+ControllerStructure build_fig2(const EncodedFsm& enc, const MinimizedBlock& block);
+
+/// Fig. 3: doubled registers and combinational logic. The duplicated copy
+/// is the next-state part of `block`; on a multi-level block it is
+/// factored again on its own, under `budget`.
+ControllerStructure build_fig3(const EncodedFsm& enc, const MinimizedBlock& block,
+                               const Budget& budget = {});
+
+/// Single-figure wrappers: build_figN(enc, minimize_combined(enc, mk, tech,
+/// budget)).
 ControllerStructure build_fig1(const EncodedFsm& enc,
                                MinimizerKind mk = MinimizerKind::kAuto,
                                Technology tech = Technology::kTwoLevel,
                                const Budget& budget = {});
-
-/// Fig. 2: conventional structure + test register + bypass mux.
 ControllerStructure build_fig2(const EncodedFsm& enc,
                                MinimizerKind mk = MinimizerKind::kAuto,
                                Technology tech = Technology::kTwoLevel,
                                const Budget& budget = {});
-
-/// Fig. 3: doubled registers and combinational logic.
 ControllerStructure build_fig3(const EncodedFsm& enc,
                                MinimizerKind mk = MinimizerKind::kAuto,
                                Technology tech = Technology::kTwoLevel,

@@ -95,6 +95,21 @@ void JobCache::ensure_ostr(MachineEntry& m, const OstrOptions& options) {
   ++stats_.ostr_misses;
 }
 
+const MinimizedBlock& JobCache::block(MachineEntry& m, MinimizerKind minimizer,
+                                      Technology tech, const Budget& budget) {
+  MachineEntry::BlockSlot& slot = m.blocks.at(static_cast<std::size_t>(minimizer) * 2 +
+                                              static_cast<std::size_t>(tech));
+  std::lock_guard<std::mutex> lock(slot.mu);
+  const bool hit = slot.built;
+  if (!hit) {
+    slot.block = minimize_combined(m.encoded, minimizer, tech, budget);
+    slot.built = true;
+  }
+  std::lock_guard<std::mutex> stats_lock(mu_);
+  ++(hit ? stats_.block_hits : stats_.block_misses);
+  return slot.block;
+}
+
 std::shared_ptr<JobCache::StructureEntry> JobCache::structure(
     const std::shared_ptr<MachineEntry>& m, ArchKind arch, Technology tech,
     MinimizerKind minimizer, const OstrOptions& ostr_options,
@@ -122,13 +137,13 @@ std::shared_ptr<JobCache::StructureEntry> JobCache::structure(
     auto e = std::make_shared<StructureEntry>();
     switch (arch) {
       case ArchKind::kFig1:
-        e->cs = build_fig1(m->encoded, minimizer, tech, budget);
+        e->cs = build_fig1(m->encoded, block(*m, minimizer, tech, budget));
         break;
       case ArchKind::kFig2:
-        e->cs = build_fig2(m->encoded, minimizer, tech, budget);
+        e->cs = build_fig2(m->encoded, block(*m, minimizer, tech, budget));
         break;
       case ArchKind::kFig3:
-        e->cs = build_fig3(m->encoded, minimizer, tech, budget);
+        e->cs = build_fig3(m->encoded, block(*m, minimizer, tech, budget), budget);
         break;
       case ArchKind::kFig4:
         ensure_ostr(*m, ostr_options);

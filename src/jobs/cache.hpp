@@ -1,14 +1,17 @@
 #pragma once
 // Content-keyed artifact cache for campaign jobs.
 //
-// Three levels, each keyed on everything that determines its artifact and
+// Four levels, each keyed on everything that determines its artifact and
 // nothing else (see DESIGN.md "Cache keying and invalidation"):
 //
 //   machine    name -> { MealyMachine, fingerprint, EncodedFsm }
 //              plus lazily the OSTR result / realization / verification
 //              (only fig4 jobs pay for the search);
+//   block      (machine entry, minimizer, tech) -> the combined block C
+//              (espresso + factoring), built lazily and shared by the
+//              fig1-fig3 structures of that machine;
 //   structure  (fingerprint, arch, tech, minimizer) -> built
-//              ControllerStructure (espresso + factoring baked in);
+//              ControllerStructure;
 //   warm       (structure identity, lane_words, MISR width) -> compiled
 //              lane program + scratch free-list (bist/session warm state).
 //
@@ -18,6 +21,9 @@
 // immutable once built (there is no invalidation to get wrong: a new
 // machine content is a new key); eviction or a process restart is the
 // only flush.
+//
+// Blocks live in their machine entry and are never evicted: a bounded
+// cache that drops a fig1-fig3 structure rebuilds it from the kept block.
 //
 // Long-lived (daemon) use: max_entries bounds the structure + warm maps
 // with LRU eviction of UNPINNED entries -- an entry currently leased by a
@@ -31,6 +37,7 @@
 // per-entry build mutex -- exactly one builds, the rest wait and count a
 // hit. All counters are monotonic; stats() may be read while jobs run.
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -56,6 +63,7 @@ ArchKind parse_arch(const std::string& name);
 struct JobCacheStats {
   std::size_t machine_hits = 0, machine_misses = 0;
   std::size_t ostr_hits = 0, ostr_misses = 0;
+  std::size_t block_hits = 0, block_misses = 0;
   std::size_t structure_hits = 0, structure_misses = 0;
   std::size_t warm_hits = 0, warm_misses = 0;
   /// Warm-scratch reuse across all warm states (campaign-level hot starts).
@@ -64,10 +72,11 @@ struct JobCacheStats {
   std::size_t structure_evictions = 0, warm_evictions = 0;
 
   std::size_t hits() const {
-    return machine_hits + ostr_hits + structure_hits + warm_hits;
+    return machine_hits + ostr_hits + block_hits + structure_hits + warm_hits;
   }
   std::size_t misses() const {
-    return machine_misses + ostr_misses + structure_misses + warm_misses;
+    return machine_misses + ostr_misses + block_misses + structure_misses +
+           warm_misses;
   }
   double hit_rate() const {
     const std::size_t total = hits() + misses();
@@ -88,6 +97,15 @@ class JobCache {
     OstrResult ostr;
     Realization realization;
     VerifyReport verification;
+
+    // Combined blocks of `encoded` (fig1-fig3), one slot per (minimizer,
+    // tech), each built lazily under its own mutex (see block()).
+    struct BlockSlot {
+      std::mutex mu;
+      bool built = false;
+      MinimizedBlock block;
+    };
+    std::array<BlockSlot, 3 * 2> blocks;  // [minimizer][tech]
   };
 
   struct StructureEntry {
@@ -116,9 +134,16 @@ class JobCache {
   /// their own options -- budget included; see DESIGN.md).
   void ensure_ostr(MachineEntry& m, const OstrOptions& options);
 
-  /// Build (or fetch) one controller structure. `budget` governs only the
-  /// first build; the cached artifact is returned bit-identically to every
-  /// later caller.
+  /// The combined block of `m.encoded` for (minimizer, tech), minimized
+  /// (and factored) once by the first caller under its `budget`; later
+  /// callers reuse it regardless of their own budget. The reference stays
+  /// valid while `m` lives.
+  const MinimizedBlock& block(MachineEntry& m, MinimizerKind minimizer,
+                              Technology tech, const Budget& budget);
+
+  /// Build (or fetch) one controller structure; fig1-fig3 are built from
+  /// block(). `budget` governs only the first build; the cached artifact
+  /// is returned bit-identically to every later caller.
   std::shared_ptr<StructureEntry> structure(const std::shared_ptr<MachineEntry>& m,
                                             ArchKind arch, Technology tech,
                                             MinimizerKind minimizer,

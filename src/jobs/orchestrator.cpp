@@ -362,7 +362,9 @@ std::string render_corpus_summary(const CorpusReport& rep) {
      << pct(rep.pool_utilization()) << "\n";
   os << "cache hits: " << rep.cache.hits() << " (hit rate "
      << pct(rep.cache.hit_rate()) << "), misses " << rep.cache.misses()
-     << ", warm scratch reuses " << rep.cache.scratch_reuses << "\n";
+     << ", block hits " << rep.cache.block_hits << " / misses "
+     << rep.cache.block_misses << ", warm scratch reuses "
+     << rep.cache.scratch_reuses << "\n";
   os << "corpus: " << rep.total_faults << " faults, " << rep.faults_simulated
      << " simulated, " << rep.faults_detected << " detected, coverage "
      << pct(rep.coverage()) << "\n";

@@ -88,15 +88,12 @@ FlowResult run_flow(const MealyMachine& fsm, const FlowOptions& options) {
   const Encoding enc = natural_encoding(fsm.num_states());
   const EncodedFsm encoded = encode_fsm(fsm, enc);
 
-  res.fig1 = measure_structure(
-      build_fig1(encoded, options.minimizer, options.technology, options.budget),
-      options);
-  res.fig2 = measure_structure(
-      build_fig2(encoded, options.minimizer, options.technology, options.budget),
-      options);
-  res.fig3 = measure_structure(
-      build_fig3(encoded, options.minimizer, options.technology, options.budget),
-      options);
+  // Figs. 1-3 share one combinational block: minimize (and factor) it once.
+  const MinimizedBlock block = minimize_combined(encoded, options.minimizer,
+                                                 options.technology, options.budget);
+  res.fig1 = measure_structure(build_fig1(encoded, block), options);
+  res.fig2 = measure_structure(build_fig2(encoded, block), options);
+  res.fig3 = measure_structure(build_fig3(encoded, block, options.budget), options);
   res.fig4 = measure_structure(
       build_fig4(fsm, res.realization, options.minimizer, options.technology,
                  options.budget),

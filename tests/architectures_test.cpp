@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "benchdata/iwls93.hpp"
 #include "bist/session.hpp"
 #include "fsm/generate.hpp"
+#include "netlist/export.hpp"
 #include "ostr/ostr.hpp"
 #include "synth/flow.hpp"
 
@@ -244,6 +246,109 @@ TEST(Flow, FlowWithoutFaultSimSkipsCoverage) {
   const FlowResult res = run_flow(paper_example_fsm());
   EXPECT_FALSE(res.fig1.coverage.has_value());
   EXPECT_TRUE(res.verification.ok());
+}
+
+// --- one shared block for figs. 1-3 -------------------------------------------
+
+void expect_same_cost(const LogicCost& a, const LogicCost& b) {
+  EXPECT_EQ(a.tech, b.tech);
+  EXPECT_EQ(a.cubes, b.cubes);
+  EXPECT_EQ(a.literals, b.literals);
+  EXPECT_EQ(a.gate_equivalents, b.gate_equivalents);
+}
+
+/// Field-for-field equality of two structure reports (no fault simulation).
+void expect_same_report(const StructureReport& a, const StructureReport& b) {
+  SCOPED_TRACE(a.kind);
+  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.technology, b.technology);
+  EXPECT_EQ(a.flipflops, b.flipflops);
+  EXPECT_EQ(a.area_ge, b.area_ge);  // exact: same netlist
+  EXPECT_EQ(a.depth, b.depth);
+  expect_same_cost(a.logic, b.logic);
+  ASSERT_EQ(a.logic_ml.has_value(), b.logic_ml.has_value());
+  if (a.logic_ml) expect_same_cost(*a.logic_ml, *b.logic_ml);
+  EXPECT_EQ(a.factored_nodes, b.factored_nodes);
+  ASSERT_EQ(a.degradations.size(), b.degradations.size());
+  for (std::size_t k = 0; k < a.degradations.size(); ++k) {
+    EXPECT_EQ(a.degradations[k].stage, b.degradations[k].stage);
+    EXPECT_EQ(a.degradations[k].degraded, b.degradations[k].degraded);
+    EXPECT_EQ(a.degradations[k].reason, b.degradations[k].reason);
+  }
+}
+
+FlowOptions structure_only(Technology tech) {
+  FlowOptions opts;
+  opts.technology = tech;
+  opts.ostr.max_nodes = 4000;  // figs. 1-3 do not depend on the OSTR result
+  return opts;
+}
+
+class SharedBlock
+    : public ::testing::TestWithParam<std::tuple<std::string, Technology>> {};
+
+TEST_P(SharedBlock, FlowFiguresEqualStandaloneBuilds) {
+  const auto& [name, tech] = GetParam();
+  const MealyMachine m = load_benchmark(name);
+  const EncodedFsm enc = encode_fsm(m, natural_encoding(m.num_states()));
+  const FlowOptions opts = structure_only(tech);
+  const FlowResult res = run_flow(m, opts);
+
+  const ControllerStructure alone[] = {build_fig1(enc, MinimizerKind::kAuto, tech),
+                                       build_fig2(enc, MinimizerKind::kAuto, tech),
+                                       build_fig3(enc, MinimizerKind::kAuto, tech)};
+  const StructureReport* flow[] = {&res.fig1, &res.fig2, &res.fig3};
+  for (std::size_t k = 0; k < 3; ++k)
+    expect_same_report(*flow[k], measure_structure(alone[k], opts));
+
+  // The exported netlists of one shared block equal the standalone ones.
+  const MinimizedBlock block = minimize_combined(enc, MinimizerKind::kAuto, tech);
+  const ControllerStructure shared[] = {build_fig1(enc, block), build_fig2(enc, block),
+                                        build_fig3(enc, block)};
+  for (std::size_t k = 0; k < 3; ++k) {
+    EXPECT_EQ(shared[k].kind, alone[k].kind);
+    EXPECT_EQ(write_verilog(shared[k].nl, "c"), write_verilog(alone[k].nl, "c"))
+        << alone[k].kind;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKissMachines, SharedBlock,
+    ::testing::Combine(::testing::ValuesIn(benchmark_names()),
+                       ::testing::Values(Technology::kTwoLevel, Technology::kMultiLevel)),
+    [](const auto& info) {
+      return std::get<0>(info.param) + "_" + technology_name(std::get<1>(info.param));
+    });
+
+TEST(SharedBlock, TruncatedBlockLabelsEveryFigure) {
+  // A deadline that has already passed: factoring the shared block is cut
+  // at once, and each of figs. 1-3 carries that label first.
+  const MealyMachine m = load_benchmark("bbara");
+  FlowOptions opts = structure_only(Technology::kMultiLevel);
+  opts.budget = Budget::deadline_ms(0);
+  const FlowResult res = run_flow(m, opts);
+  const EncodedFsm enc = encode_fsm(m, natural_encoding(m.num_states()));
+  const MinimizedBlock block =
+      minimize_combined(enc, MinimizerKind::kAuto, Technology::kMultiLevel, opts.budget);
+  ASSERT_FALSE(block.degradations.empty());
+  EXPECT_EQ(block.degradations.front().stage, "factor");
+  for (const StructureReport* s : {&res.fig1, &res.fig2, &res.fig3}) {
+    SCOPED_TRACE(s->kind);
+    ASSERT_GE(s->degradations.size(), block.degradations.size());
+    for (std::size_t k = 0; k < block.degradations.size(); ++k) {
+      EXPECT_EQ(s->degradations[k].stage, block.degradations[k].stage);
+      EXPECT_TRUE(s->degradations[k].degraded);
+      EXPECT_EQ(s->degradations[k].reason, "deadline");
+    }
+  }
+  // The standalone builders report the same labels.
+  const ControllerStructure alone[] = {
+      build_fig1(enc, MinimizerKind::kAuto, Technology::kMultiLevel, opts.budget),
+      build_fig2(enc, MinimizerKind::kAuto, Technology::kMultiLevel, opts.budget),
+      build_fig3(enc, MinimizerKind::kAuto, Technology::kMultiLevel, opts.budget)};
+  const StructureReport* flow[] = {&res.fig1, &res.fig2, &res.fig3};
+  for (std::size_t k = 0; k < 3; ++k)
+    expect_same_report(*flow[k], measure_structure(alone[k], opts));
 }
 
 }  // namespace

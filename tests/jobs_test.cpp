@@ -6,7 +6,8 @@
 //     (a job forking campaign chunks) complete without deadlock;
 //   * cache: a warm re-run is bit-identical to the cold run -- same
 //     StructureReport numbers, same undetected fault set -- and every
-//     cache level reports the hit;
+//     cache level reports the hit; fig1-fig3 share one combined block,
+//     built once per (machine, minimizer, tech) even under eviction;
 //   * sweep: results are bit-identical at every --jobs value AND identical
 //     to the direct serial measure_structure path;
 //   * cancellation: a mid-sweep cancel drains queued jobs as labeled
@@ -19,10 +20,12 @@
 
 #include <atomic>
 #include <set>
+#include <thread>
 
 #include "benchdata/iwls93.hpp"
 #include "encoding/encoding.hpp"
 #include "jobs/orchestrator.hpp"
+#include "netlist/export.hpp"
 #include "util/error.hpp"
 
 namespace stc {
@@ -270,6 +273,96 @@ TEST(JobCache, StructureKeyIsContentNotName) {
                   MinimizerKind::kAuto, oopt, Budget(), &hit_b);
   EXPECT_FALSE(hit_a);
   EXPECT_TRUE(hit_b);  // same fingerprint -> same entry, no rebuild
+}
+
+// --- JobCache: the shared block level ---------------------------------------
+
+std::shared_ptr<JobCache::StructureEntry> fig_structure(
+    JobCache& cache, const std::shared_ptr<JobCache::MachineEntry>& m, ArchKind arch,
+    Technology tech) {
+  return cache.structure(m, arch, tech, MinimizerKind::kAuto, OstrOptions{}, Budget());
+}
+
+TEST(JobCacheBlock, Fig1ToFig3ShareOneBlock) {
+  for (const Technology tech : {Technology::kTwoLevel, Technology::kMultiLevel}) {
+    JobCache cache;
+    auto m = cache.machine("dk14");
+    for (ArchKind arch : {ArchKind::kFig1, ArchKind::kFig2, ArchKind::kFig3})
+      fig_structure(cache, m, arch, tech);
+    const JobCacheStats st = cache.stats();
+    EXPECT_EQ(st.block_misses, 1u) << technology_name(tech);
+    EXPECT_EQ(st.block_hits, 2u) << technology_name(tech);
+    EXPECT_EQ(st.structure_misses, 3u);
+    // Both levels count in the totals.
+    EXPECT_EQ(st.hits(), st.machine_hits + st.block_hits);
+    EXPECT_EQ(st.misses(), st.machine_misses + st.block_misses + st.structure_misses);
+  }
+}
+
+TEST(JobCacheBlock, ConcurrentRequestsBuildOnce) {
+  JobCache cache;
+  auto m = cache.machine("tav");
+  std::vector<const MinimizedBlock*> got(4, nullptr);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < got.size(); ++t)
+    threads.emplace_back([&, t] {
+      got[t] = &cache.block(*m, MinimizerKind::kAuto, Technology::kMultiLevel, Budget());
+    });
+  for (auto& th : threads) th.join();
+  for (const MinimizedBlock* b : got) EXPECT_EQ(b, got[0]);
+  const JobCacheStats st = cache.stats();
+  EXPECT_EQ(st.block_misses, 1u);
+  EXPECT_EQ(st.block_hits, 3u);
+  // Another (minimizer, tech) is a separate block.
+  EXPECT_NE(&cache.block(*m, MinimizerKind::kAuto, Technology::kTwoLevel, Budget()), got[0]);
+  EXPECT_EQ(cache.stats().block_misses, 2u);
+}
+
+TEST(JobCacheBlock, CachedStructuresEqualUncachedBuilds) {
+  JobCache cache;
+  auto m = cache.machine("dk14");
+  for (const Technology tech : {Technology::kTwoLevel, Technology::kMultiLevel}) {
+    const ControllerStructure alone[] = {
+        build_fig1(m->encoded, MinimizerKind::kAuto, tech),
+        build_fig2(m->encoded, MinimizerKind::kAuto, tech),
+        build_fig3(m->encoded, MinimizerKind::kAuto, tech)};
+    const ArchKind archs[] = {ArchKind::kFig1, ArchKind::kFig2, ArchKind::kFig3};
+    for (std::size_t k = 0; k < 3; ++k) {
+      const auto s = fig_structure(cache, m, archs[k], tech);
+      SCOPED_TRACE(alone[k].kind + " " + technology_name(tech));
+      EXPECT_EQ(s->cs.kind, alone[k].kind);
+      EXPECT_EQ(s->cs.tech, alone[k].tech);
+      EXPECT_EQ(write_verilog(s->cs.nl, "c"), write_verilog(alone[k].nl, "c"));
+      EXPECT_EQ(s->cs.logic.literals, alone[k].logic.literals);
+      EXPECT_EQ(s->cs.logic.gate_equivalents, alone[k].logic.gate_equivalents);
+      ASSERT_EQ(s->cs.logic_ml.has_value(), alone[k].logic_ml.has_value());
+      if (alone[k].logic_ml)
+        EXPECT_EQ(s->cs.logic_ml->literals, alone[k].logic_ml->literals);
+      EXPECT_EQ(s->cs.factored_nodes, alone[k].factored_nodes);
+      EXPECT_EQ(s->cs.degradations.size(), alone[k].degradations.size());
+    }
+  }
+}
+
+TEST(JobCacheBlock, EvictedStructuresRebuildFromTheKeptBlock) {
+  JobCache cache(1);  // room for one structure: every new one evicts
+  auto m = cache.machine("dk14");
+  const std::string first = write_verilog(
+      fig_structure(cache, m, ArchKind::kFig1, Technology::kMultiLevel)->cs.nl, "c");
+  for (int round = 0; round < 2; ++round)
+    for (ArchKind arch : {ArchKind::kFig2, ArchKind::kFig3, ArchKind::kFig1})
+      fig_structure(cache, m, arch, Technology::kMultiLevel);
+  const std::string again = write_verilog(
+      fig_structure(cache, m, ArchKind::kFig1, Technology::kMultiLevel)->cs.nl, "c");
+  EXPECT_EQ(again, first);
+  const JobCacheStats st = cache.stats();
+  EXPECT_GT(st.structure_evictions, 0u);
+  // Eight requests: each new figure evicted the last, so only the final
+  // repeat of fig1 hit -- yet the block was built once.
+  EXPECT_EQ(st.structure_misses, 7u);
+  EXPECT_EQ(st.structure_hits, 1u);
+  EXPECT_EQ(st.block_misses, 1u);
+  EXPECT_EQ(st.block_hits, 6u);
 }
 
 // --- Corpus sweep: determinism and serial equivalence -----------------------

@@ -274,9 +274,83 @@ TEST(Cli, RunCliExitsTwoOnAMalformedFlag) {
     return static_cast<int>(cli.get_int("lanes", 64) / 64) - 1;
   };
   const char* good[] = {"prog", "--lanes", "64"};
-  EXPECT_EQ(run_cli(3, const_cast<char**>(good), body), 0);
+  EXPECT_EQ(run_cli(3, const_cast<char**>(good), {"lanes N"}, body), 0);
   const char* bad[] = {"prog", "--lanes", "64x"};
-  EXPECT_EQ(run_cli(3, const_cast<char**>(bad), body), 2);
+  EXPECT_EQ(run_cli(3, const_cast<char**>(bad), {"lanes N"}, body), 2);
+}
+
+/// get_count's Error for `value` given as --cycles, bounded by 1000.
+Error bad_count(const char* value) {
+  const char* argv[] = {"prog", "--cycles", value};
+  const Cli cli(3, const_cast<char**>(argv));
+  try {
+    cli.get_count("cycles", 256, 1000);
+  } catch (const Error& e) {
+    return e;
+  }
+  ADD_FAILURE() << "--cycles " << value << " was accepted";
+  return Error(ErrorCode::kInternal, "accepted");
+}
+
+TEST(Cli, GetCountRejectsNegativeValuesInsteadOfWrapping) {
+  for (const char* value : {"-5", "-1", "-99999999"}) {
+    const Error e = bad_count(value);
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidInput) << value;
+    EXPECT_EQ(e.context(), "flag=--cycles") << value;
+    EXPECT_NE(std::string(e.what()).find(value), std::string::npos) << e.what();
+  }
+}
+
+TEST(Cli, GetCountRejectsValuesAboveTheBoundAndMalformedOnes) {
+  for (const char* value : {"1001", "99999999999999999999999", "12x"}) {
+    const Error e = bad_count(value);
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidInput) << value;
+    EXPECT_NE(std::string(e.what()).find("--cycles"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Cli, GetCountAcceptsTheWholeRange) {
+  const char* argv[] = {"prog", "--a", "0", "--b=1000", "--c", "--d", "7"};
+  const Cli cli(7, const_cast<char**>(argv));
+  EXPECT_EQ(cli.get_count("a", 5, 1000), 0u);
+  EXPECT_EQ(cli.get_count("b", 5, 1000), 1000u);
+  EXPECT_EQ(cli.get_count("c", 5, 1000), 5u);  // present without a value
+  EXPECT_EQ(cli.get_count("absent", 9, 1000), 9u);
+  EXPECT_EQ(cli.get_count("d", 0), 7u);  // default bound: any long
+}
+
+TEST(Cli, FlagsAreListedInCommandLineOrder) {
+  const char* argv[] = {"prog", "--b", "1", "pos", "--a=2", "--c"};
+  const Cli cli(6, const_cast<char**>(argv));
+  EXPECT_EQ(cli.flags(), (std::vector<std::string>{"b", "a", "c"}));
+}
+
+int count_runs(const Cli&) {
+  static int runs = 0;
+  return ++runs;
+}
+
+TEST(Cli, RunCliRejectsUndeclaredFlagsWithoutRunningTheBody) {
+  const int before = count_runs(Cli(0, nullptr));
+  const char* typo[] = {"prog", "--machine", "dk27", "--cylces", "5"};
+  EXPECT_EQ(run_cli(5, const_cast<char**>(typo), {"machine NAME", "cycles N"}, count_runs),
+            2);
+  const char* negative[] = {"prog", "--cycles", "-5"};
+  const auto counted = [](const Cli& cli) {
+    return static_cast<int>(cli.get_count("cycles", 1, 100)) - 1;
+  };
+  EXPECT_EQ(run_cli(3, const_cast<char**>(negative), {"cycles N"}, counted), 2);
+  EXPECT_EQ(count_runs(Cli(0, nullptr)), before + 1);  // body never ran
+}
+
+TEST(Cli, RunCliHelpPrintsUsageAndExitsZero) {
+  const char* help[] = {"prog", "--help"};
+  const int before = count_runs(Cli(0, nullptr));
+  EXPECT_EQ(run_cli(2, const_cast<char**>(help), {"machine NAME"}, count_runs), 0);
+  EXPECT_EQ(count_runs(Cli(0, nullptr)), before + 1);  // body never ran
+  EXPECT_EQ(cli_usage("prog", {"machine NAME", "faultsim"}),
+            "usage: prog [--machine NAME] [--faultsim]");
+  EXPECT_EQ(cli_usage("stcd", {"jobs N"}, "serve <dir>"), "usage: stcd serve <dir> [--jobs N]");
 }
 
 }  // namespace
