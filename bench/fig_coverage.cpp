@@ -48,7 +48,6 @@
 #include "synth/flow.hpp"
 #include "util/budget.hpp"
 #include "util/cli.hpp"
-#include "util/error.hpp"
 #include "util/faultpoint.hpp"
 
 namespace {
@@ -84,25 +83,12 @@ void coverage_series(CampaignEngine engine, unsigned lane_words,
 int run(const Cli& cli) {
   faultpoints::arm_from_env();
 
-  // Parse + validate every flag ONCE, up front: a bad value is one typed
-  // error before any synthesis work starts.
-  CampaignEngine engine;
-  Technology tech;
-  unsigned lane_words;
-  std::size_t bist_cycles;
-  try {
-    engine = parse_campaign_engine(cli.get("engine", "event"));
-    tech = parse_technology(cli.get("tech", "two_level"));
-    lane_words = lane_words_from_lanes(
-        static_cast<unsigned>(cli.get_count("lanes", 64, 512)));
-    bist_cycles = cli.get_count("cycles", 256, 1'000'000);
-    if (bist_cycles == 0)
-      throw Error(ErrorCode::kInvalidInput, "invalid --cycles",
-                  "BIST cycles per session must be in [1, 1000000]; got 0");
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
+  // The job flags, parsed up front as the spool parses its spec keys: a
+  // bad value is one typed error before any synthesis work starts.
+  CampaignJobSpec job;
+  set_job_flags(job, cli,
+                {{"engine", "engine"}, {"tech", "tech"}, {"lanes", "lanes"},
+                 {"cycles", "bist_cycles"}});
 
   const auto cancel = install_sigint_cancel();
   const long budget_ms = cli.get_int("time-budget-ms", -1);
@@ -115,10 +101,8 @@ int run(const Cli& cli) {
   if (!all) sw.machines = {"paper_fig5", "shiftreg", "tav", "dk27", "serial_adder"};
   sw.techs = all ? std::vector<Technology>{Technology::kTwoLevel,
                                            Technology::kMultiLevel}
-                 : std::vector<Technology>{tech};
-  sw.job.engine = engine;
-  sw.job.lane_words = lane_words;
-  sw.job.bist_cycles = bist_cycles;
+                 : std::vector<Technology>{job.tech};
+  sw.job = job;
   sw.jobs = cli.get_count("jobs", hardware_threads(), 4096);
   sw.repeat = cli.get_count("repeat", 1, 1000);
   sw.job_budget_ms = static_cast<double>(budget_ms);
@@ -127,7 +111,7 @@ int run(const Cli& cli) {
   std::printf("Corpus sweep: %s, engine %s, %zu lanes, %zu jobs%s\n",
               all ? "full KISS corpus x fig1-fig4 x two_level+multi_level"
                   : "paper set x fig1-fig4",
-              campaign_engine_name(engine), 64 * (std::size_t)lane_words,
+              campaign_engine_name(job.engine), 64 * (std::size_t)job.lane_words,
               sw.jobs, sw.repeat > 1 ? " (repeated)" : "");
   std::printf("%s\n", corpus_row_header().c_str());
   JobCache cache;
@@ -146,7 +130,7 @@ int run(const Cli& cli) {
   // the corpus-wide sweep (and once cancellation has been requested).
   if (!all && !(cancel && cancel->requested())) {
     const std::size_t threads = cli.get_count("threads", hardware_threads(), 4096);
-    coverage_series(engine, lane_words, cancel, budget_ms, threads);
+    coverage_series(job.engine, job.lane_words, cancel, budget_ms, threads);
   }
   return 0;
 }

@@ -14,6 +14,9 @@
 //                           [--defect-rate X] [--fleet-seed N]
 //       ./stc_daemon status <spool-dir>
 //
+// submit's job flags go through the spool's set_job_field, bounds included:
+// counts are whole base-10 integers, and a bad value exits 2 unsubmitted.
+//
 // serve claims jobs from <spool-dir>/pending, runs them on one persistent
 // pool + artifact cache, and retires them into done/ or failed/ with a
 // result record next to each job file. SIGINT/SIGTERM drains gracefully
@@ -28,7 +31,6 @@
 // through injected torn writes, rename crashes, and wedged jobs.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "benchdata/iwls93.hpp"
@@ -37,7 +39,6 @@
 #include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/faultpoint.hpp"
-#include "util/strings.hpp"
 
 namespace {
 
@@ -92,37 +93,18 @@ int cmd_serve(const stc::Cli& cli, const std::string& spool) {
 int cmd_submit(const stc::Cli& cli, const std::string& spool) {
   using namespace stc;
   SpoolJob job;
-  job.spec.machine = cli.get("machine", "");
-  if (job.spec.machine.empty()) {
-    std::fprintf(stderr, "error: submit requires --machine\n");
-    return 2;
-  }
-  job.spec.arch = parse_arch(cli.get("arch", "fig1"));
-  job.spec.tech = parse_technology(cli.get("tech", "two_level"));
-  job.spec.engine = parse_campaign_engine(cli.get("engine", "event"));
-  job.spec.lane_words =
-      lane_words_from_lanes(static_cast<unsigned>(cli.get_count("lanes", 64, 512)));
-  job.spec.bist_cycles = cli.get_count("cycles", 256, 1'000'000);
-  job.spec.functional_cycles = cli.get_count("functional-cycles", 512, 1'000'000);
-  job.spec.minimizer = parse_minimizer(cli.get("minimizer", "auto"));
+  // --fleet-instances > 0 spools a deployment simulation.
+  set_job_flags(job.spec, cli,
+                {{"machine", "machine"}, {"arch", "arch"}, {"tech", "tech"},
+                 {"engine", "engine"}, {"lanes", "lanes"}, {"cycles", "bist_cycles"},
+                 {"functional-cycles", "functional_cycles"}, {"minimizer", "minimizer"},
+                 {"fleet-instances", "fleet_instances"}, {"fleet-widths", "fleet_widths"},
+                 {"distribution", "fleet_distribution"},
+                 {"defect-rate", "fleet_defect_rate"}, {"fleet-seed", "fleet_seed"}});
+  if (job.spec.machine.empty())
+    throw Error(ErrorCode::kInvalidInput, "submit requires --machine");
   job.spec.with_fault_sim = !cli.has("no-faultsim");
   job.budget_ms = static_cast<double>(cli.get_int("budget-ms", -1));
-  // Fleet mode: the spooled job becomes a deployment simulation.
-  job.spec.fleet_instances =
-      cli.get_count("fleet-instances", 0, 1'000'000'000'000);
-  if (job.spec.fleet_instances > 0) {
-    const std::string widths = cli.get("fleet-widths", "");
-    if (!widths.empty()) {
-      job.spec.fleet_widths.clear();
-      for (const std::string& part : split_on(widths, ','))
-        job.spec.fleet_widths.push_back(parse_size(trim(part)));
-    }
-    job.spec.fleet_distribution =
-        parse_defect_model(cli.get("distribution", "single_uniform"));
-    job.spec.fleet_defect_rate =
-        std::strtod(cli.get("defect-rate", "1.0").c_str(), nullptr);
-    job.spec.fleet_seed = cli.get_count("fleet-seed", 0xF1EE7);
-  }
 
   JobQueue queue(spool);
   const std::size_t count = cli.get_count("count", 1, 1'000'000);

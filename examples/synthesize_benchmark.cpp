@@ -53,28 +53,19 @@ int run(const stc::Cli& cli) {
     return 0;
   }
 
-  CampaignEngine engine;
-  unsigned lane_words;
-  Technology tech;
-  try {
-    engine = parse_campaign_engine(cli.get("engine", "event"));
-    lane_words = lane_words_from_lanes(static_cast<unsigned>(cli.get_count("lanes", 64, 512)));
-    tech = parse_technology(cli.get("tech", "two_level"));
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
+  CampaignJobSpec job;
+  set_job_flags(job, cli,
+                {{"engine", "engine"}, {"lanes", "lanes"}, {"tech", "tech"},
+                 {"cycles", "bist_cycles"}});
+  job.with_fault_sim = cli.has("faultsim");
 
   if (cli.has("all")) {
     SweepOptions sw;  // empty machine list = the full corpus
-    sw.job.with_fault_sim = cli.has("faultsim");
+    sw.job = job;
     sw.jobs = cli.get_count("jobs", hardware_threads(), 4096);
     sw.repeat = cli.get_count("repeat", 1, 1000);
-    sw.job.bist_cycles = cli.get_count("cycles", 256, 1'000'000);
     sw.ostr_max_nodes = cli.get_count("max-nodes", 2000000);
-    sw.job.engine = engine;
-    sw.job.lane_words = lane_words;
-    sw.techs = {tech};
+    sw.techs = {job.tech};
     sw.job_budget_ms = static_cast<double>(cli.get_int("time-budget-ms", -1));
     sw.cancel = install_sigint_cancel();
 
@@ -107,13 +98,13 @@ int run(const stc::Cli& cli) {
   }
 
   FlowOptions opts;
-  opts.with_fault_sim = cli.has("faultsim");
+  opts.with_fault_sim = job.with_fault_sim;
   opts.ostr.max_nodes = cli.get_count("max-nodes", 2000000);
-  opts.bist_cycles = cli.get_count("cycles", 256, 1'000'000);
+  opts.bist_cycles = job.bist_cycles;
   opts.campaign.num_threads = cli.get_count("threads", hardware_threads(), 4096);
-  opts.campaign.engine = engine;
-  opts.campaign.lane_words = lane_words;
-  opts.technology = tech;
+  opts.campaign.engine = job.engine;
+  opts.campaign.lane_words = job.lane_words;
+  opts.technology = job.tech;
 
   // Anytime controls: one whole-flow budget carrying the wall-clock
   // deadline (--time-budget-ms) and SIGINT cancellation. Either one makes

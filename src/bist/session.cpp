@@ -674,8 +674,8 @@ CampaignEngine parse_campaign_engine(const std::string& name) {
   if (name == "event") return CampaignEngine::kEvent;
   if (name == "flat") return CampaignEngine::kFlat;
   if (name == "serial") return CampaignEngine::kSerial;
-  throw std::invalid_argument("unknown campaign engine '" + name +
-                              "' (expected event, flat or serial)");
+  throw Error(ErrorCode::kInvalidInput, "unknown campaign engine",
+              "engine=" + name + "; expected event|flat|serial");
 }
 
 const char* campaign_engine_name(CampaignEngine engine) {
@@ -687,10 +687,12 @@ const char* campaign_engine_name(CampaignEngine engine) {
   return "?";
 }
 
-unsigned lane_words_from_lanes(unsigned lanes) {
-  if (lanes % 64 == 0 && lane_words_supported(lanes / 64)) return lanes / 64;
-  throw std::invalid_argument("unsupported lane count " + std::to_string(lanes) +
-                              " (expected 64, 256 or 512)");
+unsigned lane_words_from_lanes(std::uint64_t lanes) {
+  if (lanes % 64 == 0 && lanes <= 512 &&
+      lane_words_supported(static_cast<unsigned>(lanes / 64)))
+    return static_cast<unsigned>(lanes / 64);
+  throw Error(ErrorCode::kInvalidInput, "unsupported lane count",
+              "lanes=" + std::to_string(lanes) + "; expected 64|256|512");
 }
 
 void CampaignOptions::validate(const SelfTestPlan& plan) const {
@@ -891,18 +893,14 @@ CampaignResult run_fault_campaign(const ControllerStructure& cs, const SelfTestP
     res.collapsed_simulated += rep_simulated[i] ? 1 : 0;
   }
 
-  res.degradation.stage = "campaign";
-  res.degradation.work_done = res.collapsed_simulated;
-  res.degradation.work_total = res.collapsed_total;
-  res.degradation.degraded = res.collapsed_simulated < res.collapsed_total;
-  if (res.degradation.degraded) {
-    Budget probe = options.budget;
-    res.degradation.reason = probe.exhausted() ? probe.reason() : "work-allowance";
-    res.degradation.detail =
-        strprintf("simulated %zu/%zu faults; coverage() counts the rest as "
-                  "undetected",
-                  res.faults_simulated, res.raw.total);
-  }
+  Budget probe = options.budget;
+  res.degradation = truncation_label(
+      "campaign", res.collapsed_simulated, res.collapsed_total,
+      res.collapsed_simulated < res.collapsed_total,
+      probe.exhausted() ? probe.reason() : "",
+      strprintf("simulated %zu/%zu faults; coverage() counts the rest as "
+                "undetected",
+                res.faults_simulated, res.raw.total));
   return res;
 }
 
@@ -1068,17 +1066,12 @@ CoverageResult measure_functional_coverage(const ControllerStructure& cs,
     }
   }
   if (degradation) {
-    degradation->stage = "functional-coverage";
-    degradation->work_done = res.simulated;
-    degradation->work_total = res.total;
-    degradation->degraded = res.simulated < res.total;
-    if (degradation->degraded) {
-      degradation->reason = *bud.reason() ? bud.reason() : "work-allowance";
-      degradation->detail =
-          strprintf("simulated %zu/%zu faults functionally; coverage() counts "
-                    "the rest as undetected",
-                    res.simulated, res.total);
-    }
+    *degradation = truncation_label(
+        "functional-coverage", res.simulated, res.total,
+        res.simulated < res.total, bud.reason(),
+        strprintf("simulated %zu/%zu faults functionally; coverage() counts "
+                  "the rest as undetected",
+                  res.simulated, res.total));
   }
   return res;
 }

@@ -125,9 +125,9 @@ inline constexpr std::size_t faults_per_run(unsigned lane_words) {
 }
 
 /// Map a driver-facing --lanes value (64, 256 or 512) to the lane-word
-/// count of CampaignOptions::lane_words; throws std::invalid_argument
-/// naming the accepted values.
-unsigned lane_words_from_lanes(unsigned lanes);
+/// count of CampaignOptions::lane_words; throws Error(kInvalidInput)
+/// naming the value given and the accepted ones.
+unsigned lane_words_from_lanes(std::uint64_t lanes);
 
 enum class CampaignEngine {
   /// Event-driven 64-lane engine: resident net words, fanout-cone
@@ -142,7 +142,7 @@ enum class CampaignEngine {
 };
 
 /// Parse "event" / "flat" / "serial" (the --engine flag of the drivers);
-/// throws std::invalid_argument on anything else.
+/// throws Error(kInvalidInput) on anything else.
 CampaignEngine parse_campaign_engine(const std::string& name);
 const char* campaign_engine_name(CampaignEngine engine);
 

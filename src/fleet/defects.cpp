@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <memory>
-#include <stdexcept>
 
+#include "util/error.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 
@@ -13,9 +13,9 @@ DefectModel parse_defect_model(const std::string& name) {
   if (name == "fault_free") return DefectModel::kFaultFree;
   if (name == "single_uniform") return DefectModel::kSingleUniform;
   if (name == "clustered") return DefectModel::kClustered;
-  throw std::invalid_argument(
-      "unknown defect distribution '" + name +
-      "' (expected fault_free, single_uniform or clustered)");
+  throw Error(ErrorCode::kInvalidInput, "unknown defect distribution",
+              "distribution=" + name +
+                  "; expected fault_free|single_uniform|clustered");
 }
 
 const char* defect_model_name(DefectModel model) {

@@ -27,7 +27,7 @@ enum class DefectModel {
 };
 
 /// Parse "fault_free" / "single_uniform" / "clustered" (the drivers'
-/// --distribution flag); throws std::invalid_argument on anything else.
+/// --distribution flag); throws Error(kInvalidInput) on anything else.
 DefectModel parse_defect_model(const std::string& name);
 const char* defect_model_name(DefectModel model);
 

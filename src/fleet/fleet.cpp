@@ -157,18 +157,13 @@ FleetReport run_fleet(const ControllerStructure& cs, const FleetOptions& opt) {
   for (const FleetCurvePoint& pt : rep.curve)
     simulated_total += pt.stats.instances;
 
-  rep.degradation.stage = "fleet";
-  rep.degradation.work_done = simulated_total;
-  rep.degradation.work_total = requested_total;
-  if (simulated_total < requested_total) {
-    rep.degradation.degraded = true;
-    Budget probe = opt.budget;  // deadline absolute, cancel token shared
-    rep.degradation.reason = probe.exhausted() ? probe.reason() : "budget";
-    std::ostringstream os;
-    os << simulated_total << "/" << requested_total
-       << " instances simulated -- partial counts are exact";
-    rep.degradation.detail = os.str();
-  }
+  Budget probe = opt.budget;  // deadline absolute, cancel token shared
+  rep.degradation = truncation_label(
+      "fleet", simulated_total, requested_total,
+      simulated_total < requested_total,
+      probe.exhausted() ? probe.reason() : "",
+      std::to_string(simulated_total) + "/" + std::to_string(requested_total) +
+          " instances simulated -- partial counts are exact");
 
   rep.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                               t0)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <exception>
 #include <iomanip>
 #include <mutex>
@@ -9,10 +10,12 @@
 #include <thread>
 
 #include "benchdata/iwls93.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/faultpoint.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace stc {
 namespace {
@@ -34,14 +37,116 @@ std::string fixed1(double v) {
   return os.str();
 }
 
-/// The self-test plan a job's campaign runs (figs 2-4; fig1 has none).
-SelfTestPlan plan_for(const CampaignJobSpec& spec) {
-  return spec.arch == ArchKind::kFig2
-             ? SelfTestPlan::conventional(2 * spec.bist_cycles)
-             : SelfTestPlan::two_session(spec.bist_cycles);
+// --- job spec text form ------------------------------------------------------
+
+Error invalid(const std::string& expected) {
+  return Error(ErrorCode::kInvalidInput, "invalid job spec value",
+               "expected " + expected);
+}
+
+/// A whole base-10 integer in [lo, hi].
+std::uint64_t parse_bounded(const std::string& text, std::uint64_t lo,
+                            std::uint64_t hi) {
+  const auto out_of_range = [&] {
+    return invalid("a whole number in [" + std::to_string(lo) + ", " +
+                   std::to_string(hi) + "]");
+  };
+  std::uint64_t v = 0;
+  try {
+    v = parse_size(text);  // rejects signs, fractions, exponents, overflow
+  } catch (const std::invalid_argument&) {
+    throw out_of_range();
+  }
+  if (v < lo || v > hi) throw out_of_range();
+  return v;
+}
+
+std::vector<std::size_t> parse_widths(const std::string& text) {
+  std::vector<std::size_t> widths;
+  for (const std::string& w : split_on(text, ','))
+    widths.push_back(parse_bounded(trim(w), 1, 64));
+  return widths;
+}
+
+double parse_rate(const std::string& text) {
+  char* end = nullptr;
+  const double rate = std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || !(rate >= 0.0 && rate <= 1.0))
+    throw invalid("a number in [0, 1]");
+  return rate;
+}
+
+void assign_job_field(CampaignJobSpec& s, const std::string& key,
+                      const std::string& v) {
+  constexpr std::uint64_t kMaxCycles = 1'000'000;
+  constexpr std::uint64_t kMaxInstances = 1'000'000'000'000;
+  if (key == "machine" && v.empty()) throw invalid("a machine name");
+  if (key == "machine") s.machine = v;
+  else if (key == "arch") s.arch = parse_arch(v);
+  else if (key == "tech") s.tech = parse_technology(v);
+  else if (key == "engine") s.engine = parse_campaign_engine(v);
+  else if (key == "lanes")
+    s.lane_words = lane_words_from_lanes(parse_bounded(v, 0, UINT64_MAX));
+  else if (key == "bist_cycles") s.bist_cycles = parse_bounded(v, 1, kMaxCycles);
+  else if (key == "functional_cycles")
+    s.functional_cycles = parse_bounded(v, 1, kMaxCycles);
+  else if (key == "minimizer") s.minimizer = parse_minimizer(v);
+  else if (key == "faultsim") s.with_fault_sim = parse_bounded(v, 0, 1) == 1;
+  else if (key == "fleet_instances")
+    s.fleet_instances = parse_bounded(v, 0, kMaxInstances);
+  else if (key == "fleet_widths") s.fleet_widths = parse_widths(v);
+  else if (key == "fleet_distribution") s.fleet_distribution = parse_defect_model(v);
+  else if (key == "fleet_defect_rate") s.fleet_defect_rate = parse_rate(v);
+  else if (key == "fleet_seed") s.fleet_seed = parse_bounded(v, 0, UINT64_MAX);
+  else throw Error(ErrorCode::kInvalidInput, "unknown job spec key");
 }
 
 }  // namespace
+
+void set_job_field(CampaignJobSpec& spec, const std::string& key,
+                   const std::string& value) {
+  try {
+    assign_job_field(spec, key, value);
+  } catch (const Error& e) {
+    throw e.within("key=" + key + "; value=" + value);
+  }
+}
+
+std::string render_job_fields(const CampaignJobSpec& spec) {
+  std::string out = "machine = " + spec.machine + "\n";
+  out += std::string("arch = ") + arch_name(spec.arch) + "\n";
+  out += std::string("tech = ") + technology_name(spec.tech) + "\n";
+  out += std::string("engine = ") + campaign_engine_name(spec.engine) + "\n";
+  out += "lanes = " + std::to_string(64u * spec.lane_words) + "\n";
+  out += "bist_cycles = " + std::to_string(spec.bist_cycles) + "\n";
+  out += "functional_cycles = " + std::to_string(spec.functional_cycles) + "\n";
+  out += std::string("minimizer = ") + minimizer_name(spec.minimizer) + "\n";
+  out += std::string("faultsim = ") + (spec.with_fault_sim ? "1" : "0") + "\n";
+  if (spec.fleet_instances == 0) return out;
+  out += "fleet_instances = " + std::to_string(spec.fleet_instances) + "\n";
+  std::string widths;
+  for (std::size_t w : spec.fleet_widths)
+    widths += (widths.empty() ? "" : ",") + std::to_string(w);
+  out += "fleet_widths = " + widths + "\n";
+  out += std::string("fleet_distribution = ") +
+         defect_model_name(spec.fleet_distribution) + "\n";
+  out += strprintf("fleet_defect_rate = %.6f\n", spec.fleet_defect_rate);
+  out += "fleet_seed = " + std::to_string(spec.fleet_seed) + "\n";
+  return out;
+}
+
+void set_job_flags(
+    CampaignJobSpec& spec, const Cli& cli,
+    std::initializer_list<std::pair<const char*, const char*>> flags) {
+  for (const auto& [flag, key] : flags) {
+    if (!cli.has(flag)) continue;
+    try {
+      set_job_field(spec, key, cli.get(flag, ""));
+    } catch (const Error& e) {
+      throw e.within(std::string("flag=--") + flag);
+    }
+  }
+}
 
 std::vector<CampaignJobSpec> expand_sweep(const SweepOptions& opt) {
   const std::vector<std::string> machines =
@@ -107,13 +212,15 @@ CampaignJobResult run_campaign_job(const CampaignJobSpec& spec, JobCache& cache,
     // stays serial when there is none) -- never a nested per-campaign pool.
     fopt.campaign.num_threads = 1;
     fopt.campaign.pool = pool;
+    const SelfTestPlan plan =
+        self_test_plan(arch_name(spec.arch), spec.bist_cycles);
 
     // Warm compiled-netlist + scratch for the campaign-driven structures
     // (the serial oracle engine compiles nothing, fig1 runs no sessions).
     std::shared_ptr<CampaignWarmState> warm;
     if (fopt.with_fault_sim && spec.arch != ArchKind::kFig1 &&
         spec.engine != CampaignEngine::kSerial) {
-      warm = cache.warm(s, plan_for(spec).output_misr_width, spec.lane_words,
+      warm = cache.warm(s, plan.output_misr_width, spec.lane_words,
                         &r.warm_cached);
       fopt.campaign.warm = warm.get();
     }
@@ -126,7 +233,7 @@ CampaignJobResult run_campaign_job(const CampaignJobSpec& spec, JobCache& cache,
       flo.misr_widths = spec.fleet_widths;
       flo.lane_words = spec.lane_words;
       flo.engine = spec.engine;
-      flo.plan = plan_for(spec);
+      flo.plan = plan;
       flo.base_seed = spec.fleet_seed;
       flo.defects.model = spec.fleet_distribution;
       flo.defects.defect_rate = spec.fleet_defect_rate;
@@ -152,9 +259,9 @@ CampaignJobResult run_campaign_job(const CampaignJobSpec& spec, JobCache& cache,
     r.error_code = e.code();
     r.error_context = e.context();
   } catch (const std::invalid_argument& e) {
-    // The library-wide precondition idiom (bad machine name, bad lane
-    // count, ...): the request can never succeed as given, so it must not
-    // be retried.
+    // The library-wide precondition idiom (unknown machine name, ...):
+    // the request can never succeed as given, so it must not be
+    // retried.
     r.error = e.what();
     r.error_code = ErrorCode::kInvalidInput;
     r.error_context = "machine=" + spec.machine;

@@ -22,6 +22,8 @@
 
 namespace stc {
 
+class Cli;
+
 /// One orchestrated unit of work.
 struct CampaignJobSpec {
   std::string machine;
@@ -47,6 +49,27 @@ struct CampaignJobSpec {
   /// sampler seed, which DefectSpec owns).
   std::uint64_t fleet_seed = 0xF1EE7;
 };
+
+// --- text form (spool files and the drivers' job flags) ----------------------
+
+/// Set the field `key` of `spec` from its text: the only conversion of spec
+/// text, for spool files and the drivers' job flags alike, under the bounds
+/// tabled in DESIGN.md "Spec keys". An unknown key or a rejected value
+/// throws Error(kInvalidInput) whose context starts "key=<k>; value=<v>".
+void set_job_field(CampaignJobSpec& spec, const std::string& key,
+                   const std::string& value);
+
+/// Every field as `key = value` lines, in the spool's fixed order. The fleet_*
+/// keys appear only for fleet jobs (fleet_instances > 0), so spool files
+/// written before fleet mode existed round-trip byte-identically.
+std::string render_job_fields(const CampaignJobSpec& spec);
+
+/// A driver's job flags: for each (flag, key) pair whose --flag is given,
+/// set_job_field(spec, key, its value), with "flag=--<flag>" prepended to
+/// the context of any error.
+void set_job_flags(
+    CampaignJobSpec& spec, const Cli& cli,
+    std::initializer_list<std::pair<const char*, const char*>> flags);
 
 struct CampaignJobResult {
   CampaignJobSpec spec;

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -85,32 +86,28 @@ void fsync_parent_dir(const std::string& path) {
   }
 }
 
-std::uint64_t parse_u64_field(const std::string& value,
-                              const std::string& origin, std::size_t line,
-                              const std::string& key) {
+std::uint64_t parse_u64_field(const std::string& key, const std::string& value) {
   try {
     return parse_size(value);
   } catch (const std::exception&) {
     throw Error(ErrorCode::kInvalidInput, "bad integer in spool file",
-                "file=" + origin + "; line=" + std::to_string(line) +
-                    "; key=" + key + "; value=" + value);
+                "key=" + key + "; value=" + value);
   }
 }
 
-double parse_double_field(const std::string& value, const std::string& origin,
-                          std::size_t line, const std::string& key) {
+/// A finite number: "inf" or "nan" is as malformed as "abc".
+double parse_double_field(const std::string& key, const std::string& value) {
   char* end = nullptr;
   const double v = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
+  if (end == value.c_str() || *end != '\0' || !std::isfinite(v))
     throw Error(ErrorCode::kInvalidInput, "bad number in spool file",
-                "file=" + origin + "; line=" + std::to_string(line) +
-                    "; key=" + key + "; value=" + value);
-  }
+                "key=" + key + "; value=" + value);
   return v;
 }
 
-/// Iterate `key = value` lines (('#'-comments and blanks skipped), calling
-/// fn(key, value, line_number); malformed lines raise typed errors.
+/// Iterate `key = value` lines ('#'-comments and blanks skipped), calling
+/// fn(key, value). A malformed line, or an Error from fn, throws a typed
+/// Error whose context starts "file=<origin>; line=<n>".
 template <typename Fn>
 void parse_kv_lines(const std::string& text, const std::string& origin,
                     Fn&& fn) {
@@ -119,13 +116,17 @@ void parse_kv_lines(const std::string& text, const std::string& origin,
     ++line_no;
     const std::string line = trim(raw);
     if (line.empty() || line[0] == '#') continue;
+    const std::string where =
+        "file=" + origin + "; line=" + std::to_string(line_no);
     const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) {
+    if (eq == std::string::npos)
       throw Error(ErrorCode::kInvalidInput, "malformed spool file line",
-                  "file=" + origin + "; line=" + std::to_string(line_no) +
-                      "; expected 'key = value', got '" + line + "'");
+                  where + "; expected 'key = value', got '" + line + "'");
+    try {
+      fn(trim(line.substr(0, eq)), trim(line.substr(eq + 1)));
+    } catch (const Error& e) {
+      throw e.within(where);
     }
-    fn(trim(line.substr(0, eq)), trim(line.substr(eq + 1)), line_no);
   }
 }
 
@@ -166,34 +167,7 @@ std::uint64_t unix_now_ms() {
 // --- spec / result file formats ---------------------------------------------
 
 std::string render_spool_job(const SpoolJob& job) {
-  std::string out = "# stc job spec\n";
-  out += "machine = " + job.spec.machine + "\n";
-  out += std::string("arch = ") + arch_name(job.spec.arch) + "\n";
-  out += std::string("tech = ") + technology_name(job.spec.tech) + "\n";
-  out += std::string("engine = ") + campaign_engine_name(job.spec.engine) + "\n";
-  out += "lanes = " + std::to_string(64u * job.spec.lane_words) + "\n";
-  out += "bist_cycles = " + std::to_string(job.spec.bist_cycles) + "\n";
-  out +=
-      "functional_cycles = " + std::to_string(job.spec.functional_cycles) + "\n";
-  out += std::string("minimizer = ") + minimizer_name(job.spec.minimizer) + "\n";
-  out += std::string("faultsim = ") + (job.spec.with_fault_sim ? "1" : "0") +
-         "\n";
-  // Fleet-mode keys ride along only when the job IS a fleet job, so spool
-  // files written before fleet mode existed round-trip byte-identically.
-  if (job.spec.fleet_instances > 0) {
-    out += "fleet_instances = " + std::to_string(job.spec.fleet_instances) +
-           "\n";
-    std::string widths;
-    for (std::size_t w : job.spec.fleet_widths) {
-      if (!widths.empty()) widths += ",";
-      widths += std::to_string(w);
-    }
-    out += "fleet_widths = " + widths + "\n";
-    out += std::string("fleet_distribution = ") +
-           defect_model_name(job.spec.fleet_distribution) + "\n";
-    out += strprintf("fleet_defect_rate = %.6f\n", job.spec.fleet_defect_rate);
-    out += "fleet_seed = " + std::to_string(job.spec.fleet_seed) + "\n";
-  }
+  std::string out = "# stc job spec\n" + render_job_fields(job.spec);
   out += strprintf("budget_ms = %.3f\n", job.budget_ms);
   out += "attempts = " + std::to_string(job.attempts) + "\n";
   out += "recoveries = " + std::to_string(job.recoveries) + "\n";
@@ -203,79 +177,17 @@ std::string render_spool_job(const SpoolJob& job) {
 
 SpoolJob parse_spool_job(const std::string& text, const std::string& origin) {
   SpoolJob job;
-  bool have_machine = false;
   parse_kv_lines(text, origin, [&](const std::string& key,
-                                   const std::string& value, std::size_t line) {
-    try {
-      if (key == "machine") {
-        job.spec.machine = value;
-        have_machine = !value.empty();
-      } else if (key == "arch") {
-        job.spec.arch = parse_arch(value);
-      } else if (key == "tech") {
-        job.spec.tech = parse_technology(value);
-      } else if (key == "engine") {
-        job.spec.engine = parse_campaign_engine(value);
-      } else if (key == "lanes") {
-        job.spec.lane_words = lane_words_from_lanes(static_cast<unsigned>(
-            parse_u64_field(value, origin, line, key)));
-      } else if (key == "bist_cycles") {
-        job.spec.bist_cycles = parse_u64_field(value, origin, line, key);
-      } else if (key == "functional_cycles") {
-        job.spec.functional_cycles = parse_u64_field(value, origin, line, key);
-      } else if (key == "minimizer") {
-        job.spec.minimizer = parse_minimizer(value);
-      } else if (key == "faultsim") {
-        job.spec.with_fault_sim =
-            parse_u64_field(value, origin, line, key) != 0;
-      } else if (key == "fleet_instances") {
-        job.spec.fleet_instances = parse_u64_field(value, origin, line, key);
-      } else if (key == "fleet_widths") {
-        job.spec.fleet_widths.clear();
-        for (const std::string& part : split_on(value, ',')) {
-          const std::string w = trim(part);
-          if (w.empty()) continue;
-          job.spec.fleet_widths.push_back(
-              static_cast<std::size_t>(parse_u64_field(w, origin, line, key)));
-        }
-        if (job.spec.fleet_widths.empty())
-          throw Error(ErrorCode::kInvalidInput, "empty fleet_widths list",
-                      "file=" + origin + "; line=" + std::to_string(line));
-      } else if (key == "fleet_distribution") {
-        job.spec.fleet_distribution = parse_defect_model(value);
-      } else if (key == "fleet_defect_rate") {
-        job.spec.fleet_defect_rate =
-            parse_double_field(value, origin, line, key);
-      } else if (key == "fleet_seed") {
-        job.spec.fleet_seed = parse_u64_field(value, origin, line, key);
-      } else if (key == "budget_ms") {
-        job.budget_ms = parse_double_field(value, origin, line, key);
-      } else if (key == "attempts") {
-        job.attempts = parse_u64_field(value, origin, line, key);
-      } else if (key == "recoveries") {
-        job.recoveries = parse_u64_field(value, origin, line, key);
-      } else if (key == "not_before_unix_ms") {
-        job.not_before_unix_ms = parse_u64_field(value, origin, line, key);
-      } else {
-        throw Error(ErrorCode::kInvalidInput, "unknown spool spec key",
-                    "file=" + origin + "; line=" + std::to_string(line) +
-                        "; key=" + key);
-      }
-    } catch (const Error& e) {
-      // Give enum parse errors (arch/tech/engine/minimizer/lanes) the file
-      // position; errors that already carry it pass through.
-      if (e.context().find("file=") != std::string::npos) throw;
-      throw Error(e.code(), e.what(),
-                  "file=" + origin + "; line=" + std::to_string(line));
-    } catch (const std::invalid_argument& e) {
-      // Some enum parsers (tech/engine/distribution) use the library-wide
-      // std::invalid_argument idiom; a bad value must surface as a typed
-      // parse error so claim() retires the file instead of crashing.
-      throw Error(ErrorCode::kInvalidInput, e.what(),
-                  "file=" + origin + "; line=" + std::to_string(line));
-    }
+                                   const std::string& value) {
+    // The queue's own keys; every other key is a spec field.
+    if (key == "budget_ms") job.budget_ms = parse_double_field(key, value);
+    else if (key == "attempts") job.attempts = parse_u64_field(key, value);
+    else if (key == "recoveries") job.recoveries = parse_u64_field(key, value);
+    else if (key == "not_before_unix_ms")
+      job.not_before_unix_ms = parse_u64_field(key, value);
+    else set_job_field(job.spec, key, value);
   });
-  if (!have_machine)
+  if (job.spec.machine.empty())
     throw Error(ErrorCode::kInvalidInput, "spool spec missing machine",
                 "file=" + origin);
   return job;
@@ -302,22 +214,19 @@ SpoolResult parse_spool_result(const std::string& text,
                                const std::string& origin) {
   SpoolResult r;
   parse_kv_lines(text, origin, [&](const std::string& key,
-                                   const std::string& value, std::size_t line) {
+                                   const std::string& value) {
     if (key == "id") r.id = value;
     else if (key == "status") r.status = value;
     else if (key == "error") r.error = value;
     else if (key == "error_code") r.error_code = value;
-    else if (key == "attempts") r.attempts = parse_u64_field(value, origin, line, key);
-    else if (key == "seconds") r.seconds = parse_double_field(value, origin, line, key);
-    else if (key == "coverage") r.coverage = parse_double_field(value, origin, line, key);
-    else if (key == "total_faults") r.total_faults = parse_u64_field(value, origin, line, key);
-    else if (key == "area_ge") r.area_ge = parse_double_field(value, origin, line, key);
-    else if (key == "fleet_instances") r.fleet_instances = parse_u64_field(value, origin, line, key);
+    else if (key == "attempts") r.attempts = parse_u64_field(key, value);
+    else if (key == "seconds") r.seconds = parse_double_field(key, value);
+    else if (key == "coverage") r.coverage = parse_double_field(key, value);
+    else if (key == "total_faults") r.total_faults = parse_u64_field(key, value);
+    else if (key == "area_ge") r.area_ge = parse_double_field(key, value);
+    else if (key == "fleet_instances") r.fleet_instances = parse_u64_field(key, value);
     else if (key == "degradation") r.degradation = value;
-    else
-      throw Error(ErrorCode::kInvalidInput, "unknown spool result key",
-                  "file=" + origin + "; line=" + std::to_string(line) +
-                      "; key=" + key);
+    else throw Error(ErrorCode::kInvalidInput, "unknown spool result key", "key=" + key);
   });
   if (r.status.empty())
     throw Error(ErrorCode::kInvalidInput, "spool result missing status",

@@ -19,10 +19,12 @@
 // retirement exactly-once across crashes.
 //
 // Spec files are `key = value` text (written by `stcd submit`, or by
-// hand), parsed into CampaignJobSpec with typed Errors naming the file and
-// line. The queue owns three metadata keys -- attempts, recoveries,
+// hand). The queue owns four keys -- budget_ms, attempts, recoveries,
 // not_before_unix_ms -- which ride in the same file so they survive
-// restarts.
+// restarts. Every other line is a CampaignJobSpec field, converted by
+// set_job_field (jobs/orchestrator.hpp lists the keys and their bounds),
+// the same function the drivers' job flags go through. A malformed line
+// raises Error(kInvalidInput) naming the file, line and key.
 //
 // The spool assumes ONE daemon process per directory (claims are
 // single-consumer); submitters may be many, from any process.
@@ -71,7 +73,7 @@ struct SpoolResult {
 
 /// Render a job to the on-disk spec format / parse it back. `origin` names
 /// the file in parse errors. Unknown keys are rejected (typos must not
-/// silently change a job).
+/// silently change a job), and so is a non-finite budget_ms.
 std::string render_spool_job(const SpoolJob& job);
 SpoolJob parse_spool_job(const std::string& text, const std::string& origin);
 

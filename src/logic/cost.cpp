@@ -4,14 +4,15 @@
 
 #include "logic/factor.hpp"
 #include "util/bitvec.hpp"
+#include "util/error.hpp"
 
 namespace stc {
 
 Technology parse_technology(const std::string& name) {
   if (name == "two_level") return Technology::kTwoLevel;
   if (name == "multi_level") return Technology::kMultiLevel;
-  throw std::invalid_argument("unknown technology '" + name +
-                              "' (expected two_level or multi_level)");
+  throw Error(ErrorCode::kInvalidInput, "unknown technology",
+              "tech=" + name + "; expected two_level|multi_level");
 }
 
 const char* technology_name(Technology tech) {

@@ -34,7 +34,7 @@ struct FactoredNetwork;  // logic/factor.hpp; only cost.cpp needs the definition
 enum class Technology : std::uint8_t { kTwoLevel, kMultiLevel };
 
 /// Parse "two_level" / "multi_level" (the --tech flag of the drivers);
-/// throws std::invalid_argument on anything else.
+/// throws Error(kInvalidInput) on anything else.
 Technology parse_technology(const std::string& name);
 const char* technology_name(Technology tech);
 

@@ -189,15 +189,9 @@ CubeList minimize_espresso_mv(const PlaSpec& spec, const EspressoOptions& option
   bool truncated = false;
   const auto label = [&](const char* what) {
     if (!degradation) return;
-    degradation->stage = "espresso";
-    degradation->degraded = truncated;
-    degradation->work_done = rounds_done;
-    degradation->work_total = options.max_iterations;
-    if (truncated) {
-      degradation->reason =
-          *budget.reason() ? budget.reason() : "work-allowance";
-      degradation->detail = what;
-    }
+    *degradation = truncation_label("espresso", rounds_done,
+                                    options.max_iterations, truncated,
+                                    budget.reason(), what);
   };
 
   CubeList f = spec.on;

@@ -925,16 +925,10 @@ FactoredNetwork extract_factored(const CubeList& pla, const FactorOptions& optio
   FactoredNetwork fn = ex.run();
   fn.check();
   if (degradation) {
-    degradation->stage = "factor";
-    degradation->degraded = ex.truncated();
-    degradation->work_done = fn.num_nodes();
-    degradation->work_total = 0;  // greedy extraction is open-ended
-    if (ex.truncated()) {
-      degradation->reason =
-          *ex.stop_reason() ? ex.stop_reason() : "work-allowance";
-      degradation->detail =
-          "divisor extraction stopped early; partial factorization is exact";
-    }
+    // Greedy extraction is open-ended: no work total.
+    *degradation = truncation_label(
+        "factor", fn.num_nodes(), 0, ex.truncated(), ex.stop_reason(),
+        "divisor extraction stopped early; partial factorization is exact");
   }
   return fn;
 }

@@ -317,14 +317,10 @@ OstrResult run_search(const MealyMachine& fsm, const OstrOptions& opt,
       std::min<std::uint64_t>(opt.max_nodes, opt.budget.work_allowance());
 
   const auto label_degraded = [&out](const Budget& b) {
-    out.degradation.stage = "ostr";
-    out.degradation.work_done = out.stats.nodes_investigated;
-    out.degradation.degraded = !out.stats.exhausted;
-    if (out.degradation.degraded) {
-      out.degradation.reason = b.exhausted() ? b.reason() : "work-allowance";
-      out.degradation.detail =
-          "search tree truncated; best symmetric pair so far returned";
-    }
+    out.degradation = truncation_label(
+        "ostr", out.stats.nodes_investigated, 0, !out.stats.exhausted,
+        b.exhausted() ? b.reason() : "",
+        "search tree truncated; best symmetric pair so far returned");
   };
 
   if (max_nodes == 0) {

@@ -4,6 +4,11 @@
 
 namespace stc {
 
+SelfTestPlan self_test_plan(const std::string& kind, std::size_t bist_cycles) {
+  return kind == "fig2" ? SelfTestPlan::conventional(2 * bist_cycles)
+                        : SelfTestPlan::two_session(bist_cycles);
+}
+
 StructureReport measure_structure(const ControllerStructure& cs,
                                   const FlowOptions& options,
                                   CoverageResult* coverage_out) {
@@ -35,10 +40,8 @@ StructureReport measure_structure(const ControllerStructure& cs,
                                         0x5EED, copt.budget, &deg);
       if (deg.degraded) rep.degradations.push_back(std::move(deg));
     } else {
-      const SelfTestPlan plan =
-          cs.kind == "fig2" ? SelfTestPlan::conventional(2 * options.bist_cycles)
-                            : SelfTestPlan::two_session(options.bist_cycles);
-      CampaignResult camp = run_fault_campaign(cs, plan, copt, faults);
+      CampaignResult camp = run_fault_campaign(
+          cs, self_test_plan(cs.kind, options.bist_cycles), copt, faults);
       if (camp.cycles_simulated > 0) rep.activity = camp.mean_activity();
       if (camp.degradation.degraded)
         rep.degradations.push_back(camp.degradation);

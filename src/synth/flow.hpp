@@ -83,6 +83,10 @@ struct FlowResult {
 /// Run the full flow. The machine must be completely specified.
 FlowResult run_flow(const MealyMachine& fsm, const FlowOptions& options = {});
 
+/// The self-test plan of structure kind "fig2" (conventional(2 x
+/// bist_cycles)) or "fig3"/"fig4" (two_session(bist_cycles)).
+SelfTestPlan self_test_plan(const std::string& kind, std::size_t bist_cycles);
+
 /// Build + measure one structure in isolation (used by the area/coverage
 /// benches to avoid re-running OSTR). When `coverage_out` is non-null and
 /// fault simulation ran, it receives the full per-fault CoverageResult

@@ -1,5 +1,6 @@
 #include "util/budget.hpp"
 
+#include <algorithm>
 #include <csignal>
 
 #include "util/strings.hpp"
@@ -7,10 +8,14 @@
 namespace stc {
 
 Budget& Budget::with_deadline_ms(double ms) {
-  if (ms < 0) ms = 0;
-  deadline_ = std::chrono::steady_clock::now() +
-              std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double, std::milli>(ms));
+  using Clock = std::chrono::steady_clock;
+  using Ms = std::chrono::duration<double, std::milli>;
+  const Clock::time_point now = Clock::now();
+  // Negative or NaN: already expired. Past the clock's range (less 1 ms
+  // for the double's rounding): saturate instead of wrapping around.
+  const double room_ms = Ms(Clock::time_point::max() - now).count() - 1.0;
+  deadline_ = now + std::chrono::duration_cast<Clock::duration>(
+                        Ms(std::clamp(ms >= 0 ? ms : 0.0, 0.0, room_ms)));
   has_deadline_ = true;
   return *this;
 }
@@ -68,6 +73,14 @@ std::shared_ptr<CancelToken> install_sigint_cancel() {
     return t;
   }();
   return token;
+}
+
+Degradation truncation_label(std::string stage, std::uint64_t done,
+                             std::uint64_t total, bool truncated,
+                             const char* reason, std::string detail) {
+  if (!truncated) return {std::move(stage), false, "", "", done, total};
+  return {std::move(stage), true, *reason ? reason : "work-allowance",
+          std::move(detail), done, total};
 }
 
 std::string render_degradation(const Degradation& d) {

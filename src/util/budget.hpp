@@ -59,7 +59,8 @@ class Budget {
     return Budget().with_work(units);
   }
 
-  /// Absolute deadline `ms` milliseconds from now.
+  /// Absolute deadline `ms` milliseconds from now; one beyond the clock's
+  /// range saturates to its latest time point and never expires.
   Budget& with_deadline_ms(double ms);
   /// Allowance of stage-defined work units charged via spend().
   Budget& with_work(std::uint64_t units);
@@ -117,6 +118,14 @@ struct Degradation {
   std::uint64_t work_done = 0;   // stage units completed
   std::uint64_t work_total = 0;  // stage units requested (0 = open-ended)
 };
+
+/// The record of a stage that did `done` of `total` work units (`total` 0
+/// = open-ended). When `truncated` it is degraded, labeled with `reason`
+/// -- a budget's reason(), or "work-allowance" when that is empty -- and
+/// with `detail`; otherwise reason and detail stay empty.
+Degradation truncation_label(std::string stage, std::uint64_t done,
+                             std::uint64_t total, bool truncated,
+                             const char* reason, std::string detail);
 
 /// One line, e.g. "espresso degraded (deadline): 3/8 rounds -- returned
 /// best cover so far". Returns "" for a non-degraded record.

@@ -33,6 +33,12 @@ const char* error_code_name(ErrorCode code) {
 Error::Error(ErrorCode code, const std::string& message, std::string context)
     : std::runtime_error(format_what(code, message, context)),
       code_(code),
+      message_(message),
       context_(std::move(context)) {}
+
+Error Error::within(const std::string& outer) const {
+  return Error(code_, message_,
+               context_.empty() ? outer : outer + "; " + context_);
+}
 
 }  // namespace stc

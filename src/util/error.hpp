@@ -44,11 +44,15 @@ class Error : public std::runtime_error {
   Error(ErrorCode code, const std::string& message, std::string context = "");
 
   ErrorCode code() const noexcept { return code_; }
+  /// This error with `outer` in front of its context: how an enclosing
+  /// parser adds the file, line or key it was reading.
+  Error within(const std::string& outer) const;
   /// Machine-readable context ("path=/x/y; errno=13"), may be empty.
   const std::string& context() const noexcept { return context_; }
 
  private:
   ErrorCode code_;
+  std::string message_;
   std::string context_;
 };
 

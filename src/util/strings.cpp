@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdarg>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 namespace stc {
@@ -58,7 +59,10 @@ std::size_t parse_size(std::string_view s) {
   std::size_t value = 0;
   for (char c : s) {
     if (c < '0' || c > '9') throw std::invalid_argument("parse_size: not a number");
-    value = value * 10 + static_cast<std::size_t>(c - '0');
+    const auto digit = static_cast<std::size_t>(c - '0');
+    if (value > (std::numeric_limits<std::size_t>::max() - digit) / 10)
+      throw std::invalid_argument("parse_size: value overflows");
+    value = value * 10 + digit;
   }
   return value;
 }

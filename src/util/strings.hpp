@@ -21,7 +21,8 @@ std::string to_lower(std::string_view s);
 bool starts_with(std::string_view s, std::string_view prefix);
 bool ends_with(std::string_view s, std::string_view suffix);
 
-/// Parse a non-negative integer; throws std::invalid_argument on garbage.
+/// Parse a non-negative base-10 integer; throws std::invalid_argument on
+/// garbage and on values that overflow std::size_t.
 std::size_t parse_size(std::string_view s);
 
 /// printf-style formatting into std::string.

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <thread>
 
 #include "benchdata/iwls93.hpp"
@@ -54,6 +55,37 @@ TEST(Budget, ExpiredDeadlineReportsDeadline) {
   Budget b = Budget::deadline_ms(0);
   EXPECT_TRUE(b.exhausted());
   EXPECT_STREQ(b.reason(), "deadline");
+}
+
+TEST(Budget, HugeDeadlineNeverExpires) {
+  // Deadlines past the steady clock's range saturate instead of wrapping
+  // into the past (9.2e18 ms is the largest --time-budget-ms).
+  for (const double ms : {9223372036854775807.0, 1e300,
+                          std::numeric_limits<double>::infinity()}) {
+    Budget b = Budget::deadline_ms(ms);
+    EXPECT_FALSE(b.exhausted()) << ms;
+    for (int i = 0; i < 10'000; ++i) ASSERT_FALSE(b.spend()) << ms;
+  }
+  // An ordinary deadline is unaffected by the saturation.
+  EXPECT_FALSE(Budget::deadline_ms(100'000).exhausted());
+}
+
+TEST(Budget, TruncationLabelFallsBackToWorkAllowance) {
+  const Degradation cut = truncation_label("fleet", 3, 8, true, "", "partial");
+  EXPECT_TRUE(cut.degraded);
+  EXPECT_EQ(cut.reason, "work-allowance");
+  EXPECT_EQ(render_degradation(cut),
+            "fleet degraded (work-allowance): 3/8 -- partial");
+  EXPECT_EQ(truncation_label("ostr", 5, 0, true, "deadline", "x").reason,
+            "deadline");
+  // Not truncated: the work counters stay, the label does not.
+  const Degradation whole = truncation_label("factor", 9, 0, false, "deadline", "x");
+  EXPECT_FALSE(whole.degraded);
+  EXPECT_EQ(whole.stage, "factor");
+  EXPECT_EQ(whole.work_done, 9u);
+  EXPECT_TRUE(whole.reason.empty());
+  EXPECT_TRUE(whole.detail.empty());
+  EXPECT_EQ(render_degradation(whole), "");
 }
 
 TEST(Budget, CancelTokenSharedAcrossCopies) {

@@ -349,7 +349,7 @@ TEST(Fleet, ZeroBudgetTruncatesWithLabel) {
   const FleetReport rep = run_fleet(cs, opt);
   EXPECT_EQ(rep.instances_simulated(), 0u);
   EXPECT_TRUE(rep.degradation.degraded);
-  EXPECT_FALSE(rep.degradation.reason.empty());
+  EXPECT_EQ(rep.degradation.reason, "work-allowance");
   EXPECT_EQ(rep.degradation.work_done, 0u);
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "util/bitvec.hpp"
@@ -188,6 +189,12 @@ TEST(Strings, ParseSize) {
   EXPECT_THROW(parse_size(""), std::invalid_argument);
   EXPECT_THROW(parse_size("1x"), std::invalid_argument);
   EXPECT_THROW(parse_size("-1"), std::invalid_argument);
+  // The largest size_t parses; one more overflows instead of wrapping.
+  EXPECT_EQ(parse_size("18446744073709551615"),
+            std::numeric_limits<std::size_t>::max());
+  EXPECT_THROW(parse_size("18446744073709551616"), std::invalid_argument);
+  EXPECT_THROW(parse_size("18446744073709551617"), std::invalid_argument);
+  EXPECT_THROW(parse_size("99999999999999999999999"), std::invalid_argument);
 }
 
 TEST(Strings, Strprintf) {
