@@ -73,8 +73,10 @@ void BM_FleetShard(benchmark::State& state) {
   double seconds = 0.0;
   for (auto _ : state) {
     const auto t0 = std::chrono::steady_clock::now();
-    st = run_fleet_shard(cs, plan, *warm, 0xF1EE7, 0, kInstances, sampler,
-                         CampaignEngine::kEvent, Budget{});
+    st = FleetShardStats{};
+    Budget unlimited;
+    run_fleet_shard(cs, plan, *warm, 0xF1EE7, 0, kInstances, sampler,
+                    CampaignEngine::kEvent, unlimited, st);
     seconds += std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                              t0)
                    .count();

@@ -83,4 +83,16 @@ std::uint64_t LaneMisr::lane_signature(std::size_t lane) const {
   return s;
 }
 
+void LaneMisr::load_lane(std::size_t lane, std::uint64_t value) {
+  const unsigned W = lane_words_;
+  const std::size_t word = lane >> 6;
+  const std::uint64_t bit = std::uint64_t{1} << (lane & 63);
+  for (std::size_t k = 0; k < width_; ++k) {
+    if ((value >> k) & 1)
+      bits_[k * W + word] |= bit;
+    else
+      bits_[k * W + word] &= ~bit;
+  }
+}
+
 }  // namespace stc

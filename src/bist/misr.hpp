@@ -73,6 +73,11 @@ class LaneMisr {
   /// Extract lane `lane`'s full signature.
   std::uint64_t lane_signature(std::size_t lane) const;
 
+  /// Overwrite lane `lane`'s signature with `value` (low `width` bits) --
+  /// how a session-major campaign carries each surviving fault's MISR
+  /// state into its next batch; the inverse of lane_signature().
+  void load_lane(std::size_t lane, std::uint64_t value);
+
  private:
   std::size_t width_;
   unsigned lane_words_;

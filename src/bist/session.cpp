@@ -343,8 +343,8 @@ void absorb_output_lanes(LaneMisr& misr, const std::uint64_t* values,
 /// Everything one campaign worker needs across fault batches: the compiled
 /// program, the event evaluator's resident state, lane-sliced banks/MISR,
 /// the input generator, and every lane buffer. Constructed once per worker;
-/// run_self_test_lanes then performs zero heap allocations in the steady
-/// state — across cycles, sessions AND batches, at every lane width
+/// the lane runs below then perform zero heap allocations in the steady
+/// state -- across cycles, sessions AND batches, at every lane width
 /// (verified by the allocation-counting hook in tests/allocfree_test.cpp).
 struct CampaignScratch {
   CompiledNetlist cn;
@@ -359,6 +359,7 @@ struct CampaignScratch {
   std::vector<std::uint64_t> diff_mask;       // W-word detected-lane mask
   std::vector<LaneFault> batch;
   std::uint64_t cycles = 0;  // machine cycles simulated by this worker
+  std::uint64_t ops = 0;     // ops evaluated by this worker (see LaneCycle)
 
   // Fleet extras (run_fleet_shard only; idle in campaign use). Sized at
   // construction so fleet runs stay allocation-free in the steady state
@@ -413,72 +414,108 @@ struct CampaignScratch {
   }
 };
 
-/// One full self-test execution over all 64·W lanes; fills sc.diff_mask
-/// with the set of lanes (one bit per lane, lane 0 excluded) whose final
-/// signatures differ from the fault-free lane 0 — i.e. the detected
-/// faults of this batch.
-void run_self_test_lanes(const ControllerStructure& cs, const SelfTestPlan& plan,
-                         const PinMap& pins, CampaignScratch& sc,
-                         CampaignEngine engine) {
+// The flat hand-off (see DESIGN.md, "Lane retirement and the flat
+// hand-off"): an event-engine lane run that re-evaluated more than
+// kHandoffPercent % of the ops per cycle over its first kHandoffWindow
+// cycles finishes on the flat evaluator, which is cheaper at that activity
+// and gives bit-identical values.
+constexpr std::size_t kHandoffWindow = 64;
+constexpr std::uint64_t kHandoffPercent = 30;
+
+/// The one place a lane run -- a (session, batch) campaign run, a fleet
+/// run or a functional batch -- evaluates a cycle. Construction starts the
+/// run: the event scratch is invalidated, so the first cycle takes the
+/// full-evaluation path. cycle() evaluates sc.in_lanes / sc.dff_lanes,
+/// counts the cycle and its ops into the scratch (num_ops() per flat
+/// cycle), and polls the budget's clock and cancel token (spend(0)). The
+/// hand-off reads only op counts, so every counter repeats per input.
+class LaneCycle {
+ public:
+  LaneCycle(CampaignScratch& sc, CampaignEngine engine, Budget& budget)
+      : sc_(sc), engine_(engine), budget_(budget) {
+    sc_.cn.reset(sc_.ev);
+  }
+
+  /// The W-strided net values of this cycle, or nullptr when the budget
+  /// is exhausted and the run must be abandoned.
+  const std::uint64_t* cycle() {
+    if (budget_.spend(0)) return nullptr;
+    ++sc_.cycles;
+    if (engine_ == CampaignEngine::kEvent) {
+      const std::uint64_t before = sc_.ev.ops_evaluated;
+      sc_.cn.evaluate_event(sc_.in_lanes.data(), sc_.dff_lanes.data(), sc_.ev);
+      const std::uint64_t ops = sc_.ev.ops_evaluated - before;
+      sc_.ops += ops;
+      window_ops_ += ops;
+      if (++watched_ == kHandoffWindow &&
+          window_ops_ * 100 > kHandoffPercent * kHandoffWindow * sc_.cn.num_ops())
+        engine_ = CampaignEngine::kFlat;
+      return sc_.ev.values.data();
+    }
+    sc_.cn.evaluate(sc_.in_lanes.data(), sc_.dff_lanes.data(),
+                    sc_.flat_values.data());
+    sc_.ops += sc_.cn.num_ops();
+    return sc_.flat_values.data();
+  }
+
+ private:
+  CampaignScratch& sc_;
+  CampaignEngine engine_;
+  Budget& budget_;
+  std::size_t watched_ = 0;
+  std::uint64_t window_ops_ = 0;
+};
+
+/// Broadcast the input LFSR onto the input lanes. `prev` is the LFSR word
+/// of the previous cycle: only PIs whose bit toggled rewrite their lane
+/// group, and a run starts with prev = ~state() to rewrite them all.
+void drive_inputs(const ControllerStructure& cs, const PinMap& pins,
+                  CampaignScratch& sc, std::uint64_t& prev) {
+  const unsigned W = sc.cn.lane_words();
+  const std::uint64_t word = sc.input_gen.state();
+  const std::uint64_t delta = word ^ prev;
+  prev = word;
+  for (std::size_t k = 0; k < cs.pi.size(); ++k)
+    if ((delta >> k) & 1) {
+      const std::uint64_t bit = sc.input_gen.bit_lanes(k);
+      std::uint64_t* dst = sc.in_lanes.data() + pins.pi_slot[k] * W;
+      for (unsigned w = 0; w < W; ++w) dst[w] = bit;
+    }
+}
+
+/// One session of a campaign lane run over the faults in sc.batch. The
+/// caller has loaded the output MISR lanes with their carried states; the
+/// session leaves its compacting banks and the MISR for the caller's
+/// compare. Returns false when the budget abandoned the run.
+bool run_session_lanes(const ControllerStructure& cs, const SessionSpec& spec,
+                       const PinMap& pins, CampaignScratch& sc,
+                       CampaignEngine engine, Budget& budget) {
   const unsigned W = sc.cn.lane_words();
   sc.cn.set_faults(sc.batch);
-  sc.out_misr.reset();
-  std::fill(sc.diff_mask.begin(), sc.diff_mask.end(), 0);
-
-  for (const SessionSpec& spec : plan.sessions) {
-    sc.bank_a.reset(spec.role_a, spec.gen_seed);
-    sc.bank_b.reset(spec.role_b, spec.gen_seed * 3 + 1);
-    sc.input_gen.seed(spec.input_seed);
-    std::copy(sc.init_dff_lanes.begin(), sc.init_dff_lanes.end(),
-              sc.dff_lanes.begin());
-    // Session boundary: invalidate the resident values so the first cycle
-    // takes the full-evaluation path (the re-seeded sources rewrite most
-    // words anyway, and this keeps the bit-exactness argument trivial).
-    sc.cn.reset(sc.ev);
-
-    // The input LFSR word is diffed cycle-to-cycle: only PIs whose bit
-    // toggled rewrite their (broadcast) lane group. ~state() forces a full
-    // rewrite on cycle 0.
-    std::uint64_t prev_in = ~sc.input_gen.state();
-    for (std::size_t cycle = 0; cycle < spec.cycles; ++cycle) {
-      const std::uint64_t in_word = sc.input_gen.state();
-      const std::uint64_t delta = in_word ^ prev_in;
-      prev_in = in_word;
-      for (std::size_t k = 0; k < cs.pi.size(); ++k)
-        if ((delta >> k) & 1) {
-          const std::uint64_t word = sc.input_gen.bit_lanes(k);
-          std::uint64_t* dst = sc.in_lanes.data() + pins.pi_slot[k] * W;
-          for (unsigned w = 0; w < W; ++w) dst[w] = word;
-        }
-
-      sc.bank_a.deposit(sc.dff_lanes.data());
-      sc.bank_b.deposit(sc.dff_lanes.data());
-      const std::uint64_t* values;
-      if (engine == CampaignEngine::kEvent) {
-        sc.cn.evaluate_event(sc.in_lanes.data(), sc.dff_lanes.data(), sc.ev);
-        values = sc.ev.values.data();
-      } else {
-        sc.cn.evaluate(sc.in_lanes.data(), sc.dff_lanes.data(),
-                       sc.flat_values.data());
-        values = sc.flat_values.data();
-      }
-
-      absorb_output_lanes(sc.out_misr, values, cs.po, W);
-
-      sc.bank_a.clock(values);
-      sc.bank_b.clock(values);
-      sc.input_gen.step();
-      ++sc.cycles;
+  sc.bank_a.reset(spec.role_a, spec.gen_seed);
+  sc.bank_b.reset(spec.role_b, spec.gen_seed * 3 + 1);
+  sc.input_gen.seed(spec.input_seed);
+  std::copy(sc.init_dff_lanes.begin(), sc.init_dff_lanes.end(),
+            sc.dff_lanes.begin());
+  LaneCycle eval(sc, engine, budget);
+  std::uint64_t prev_in = ~sc.input_gen.state();
+  bool completed = true;
+  for (std::size_t cycle = 0; cycle < spec.cycles; ++cycle) {
+    drive_inputs(cs, pins, sc, prev_in);
+    sc.bank_a.deposit(sc.dff_lanes.data());
+    sc.bank_b.deposit(sc.dff_lanes.data());
+    const std::uint64_t* values = eval.cycle();
+    if (values == nullptr) {
+      completed = false;
+      break;
     }
-
-    if (spec.role_a == RegRole::kCompress)
-      sc.bank_a.accumulate_diff(sc.diff_mask.data());
-    if (spec.role_b == RegRole::kCompress && !sc.bank_b.empty())
-      sc.bank_b.accumulate_diff(sc.diff_mask.data());
+    absorb_output_lanes(sc.out_misr, values, cs.po, W);
+    sc.bank_a.clock(values);
+    sc.bank_b.clock(values);
+    sc.input_gen.step();
   }
-  sc.out_misr.accumulate_diff(sc.diff_mask.data());
   sc.cn.clear_faults();
-  sc.diff_mask[0] &= ~std::uint64_t{1};  // lane 0 is the reference, not a fault
+  return completed;
 }
 
 // Per-(session, role) salts for fleet sub-seed derivation: splitmix64 is a
@@ -493,9 +530,11 @@ constexpr std::uint64_t kFleetGenBSalt = 0x464c4545542d4742ULL;   // "FLEET-GB"
 /// sampled defects (lane 2j+1 for instance j); this fills the four fleet
 /// pair masks (even bit 2j = pair j): PO stream diff, compressing-bank D
 /// stream diff, final output-MISR signature diff, and any-signature diff.
-void run_fleet_lanes(const ControllerStructure& cs, const SelfTestPlan& plan,
+/// Returns false when the budget abandoned the run (the masks are then
+/// meaningless).
+bool run_fleet_lanes(const ControllerStructure& cs, const SelfTestPlan& plan,
                      const PinMap& pins, CampaignScratch& sc,
-                     CampaignEngine engine, std::size_t n_pairs,
+                     CampaignEngine engine, Budget& budget, std::size_t n_pairs,
                      std::uint64_t base_seed, std::uint64_t first_instance) {
   const unsigned W = sc.cn.lane_words();
   constexpr std::uint64_t kEven = 0x5555555555555555ULL;
@@ -505,6 +544,7 @@ void run_fleet_lanes(const ControllerStructure& cs, const SelfTestPlan& plan,
   std::fill(sc.fleet_d_stream.begin(), sc.fleet_d_stream.end(), 0);
   std::fill(sc.fleet_misr_sig.begin(), sc.fleet_misr_sig.end(), 0);
   std::fill(sc.fleet_any_sig.begin(), sc.fleet_any_sig.end(), 0);
+  LaneCycle eval(sc, engine, budget);
 
   for (std::size_t si = 0; si < plan.sessions.size(); ++si) {
     const SessionSpec& spec = plan.sessions[si];
@@ -551,14 +591,10 @@ void run_fleet_lanes(const ControllerStructure& cs, const SelfTestPlan& plan,
 
       sc.bank_a.deposit(sc.dff_lanes.data());
       sc.bank_b.deposit(sc.dff_lanes.data());
-      const std::uint64_t* values;
-      if (engine == CampaignEngine::kEvent) {
-        sc.cn.evaluate_event(sc.in_lanes.data(), sc.dff_lanes.data(), sc.ev);
-        values = sc.ev.values.data();
-      } else {
-        sc.cn.evaluate(sc.in_lanes.data(), sc.dff_lanes.data(),
-                       sc.flat_values.data());
-        values = sc.flat_values.data();
+      const std::uint64_t* values = eval.cycle();
+      if (values == nullptr) {
+        sc.cn.clear_faults();
+        return false;
       }
 
       absorb_output_lanes(sc.out_misr, values, cs.po, W);
@@ -579,7 +615,6 @@ void run_fleet_lanes(const ControllerStructure& cs, const SelfTestPlan& plan,
       if (spec.role_b == RegRole::kCompress && !sc.bank_b.empty())
         sc.bank_b.accumulate_pair_d_diff(sc.fleet_d_stream.data());
       sc.fleet_input_gen.step();
-      ++sc.cycles;
     }
 
     if (spec.role_a == RegRole::kCompress)
@@ -591,6 +626,7 @@ void run_fleet_lanes(const ControllerStructure& cs, const SelfTestPlan& plan,
   for (unsigned w = 0; w < W; ++w)
     sc.fleet_any_sig[w] |= sc.fleet_misr_sig[w];
   sc.cn.clear_faults();
+  return true;
 }
 
 }  // namespace
@@ -809,66 +845,117 @@ CampaignResult run_fault_campaign(const ControllerStructure& cs, const SelfTestP
     // Each run simulates one fault per lane, minus the reserved fault-free
     // reference lane 0.
     const std::size_t batch_size = faults_per_run(options.lane_words);
-    const std::size_t num_batches = (reps.size() + batch_size - 1) / batch_size;
     const std::size_t parallelism =
         options.pool ? options.pool->size() : options.num_threads;
-    const std::size_t num_chunks =
-        std::max<std::size_t>(1, std::min(parallelism, num_batches));
-
-    // Batch b covers reps [Bb, Bb+B); chunk c takes batches c, c+K, ...
-    // (K = num_chunks). Chunks write disjoint rep_detected / rep_simulated
-    // ranges, so the result is identical for every chunk count, thread
-    // count and execution interleaving -- inline, on a private pool or on
-    // the scheduler's shared pool (a wall-clock budget may truncate
-    // different batches per run; every completed batch's verdicts stay
-    // exact).
-    std::vector<std::uint64_t> chunk_cycles(num_chunks, 0);
-    std::vector<std::uint64_t> chunk_ops(num_chunks, 0);
-    std::vector<std::size_t> chunk_runs(num_chunks, 0);
-    auto chunk_fn = [&](std::size_t c) {
-      Budget bud = options.budget;  // per-chunk copy, absolute deadline
-      // The lease returns to the free-list via RAII so an engine throw
-      // mid-batch (rethrown by run_chunks' exception barrier) does not
-      // leak the scratch out of the warm state.
-      std::unique_ptr<CampaignScratch> leased = warm->acquire(cs);
-      struct LeaseReturn {
-        CampaignWarmState* warm;
-        std::unique_ptr<CampaignScratch>& sc;
-        ~LeaseReturn() { warm->release(std::move(sc)); }
-      } lease_return{warm, leased};
-      CampaignScratch& sc = *leased;
-      const std::uint64_t cycles0 = sc.cycles;
-      const std::uint64_t ops0 =
-          options.engine == CampaignEngine::kEvent ? sc.ev.ops_evaluated : 0;
-      for (std::size_t b = c; b < num_batches; b += num_chunks) {
-        if (bud.spend(1)) break;
-        const std::size_t begin = b * batch_size;
-        const std::size_t end = std::min(reps.size(), begin + batch_size);
-        sc.batch.clear();
-        for (std::size_t i = begin; i < end; ++i)
-          sc.batch.push_back({reps[i].net, reps[i].stuck_value,
-                              static_cast<unsigned>(i - begin + 1)});
-        run_self_test_lanes(cs, plan, pins, sc, options.engine);
-        for (std::size_t i = begin; i < end; ++i) {
-          rep_simulated[i] = 1;
-          const unsigned lane = static_cast<unsigned>(i - begin + 1);
-          if ((sc.diff_mask[lane >> 6] >> (lane & 63)) & 1) rep_detected[i] = 1;
-        }
-        ++chunk_runs[c];
-      }
-      chunk_cycles[c] = sc.cycles - cycles0;
-      chunk_ops[c] = options.engine == CampaignEngine::kEvent
-                         ? sc.ev.ops_evaluated - ops0
-                         : chunk_cycles[c] * sc.cn.num_ops();
-    };
     const std::unique_ptr<TaskPool> own_pool =
-        options.pool ? nullptr : make_private_pool(num_chunks);
-    run_chunks(options.pool ? options.pool : own_pool.get(), num_chunks, chunk_fn);
+        options.pool ? nullptr
+                     : make_private_pool(std::min(
+                           parallelism,
+                           (reps.size() + batch_size - 1) / batch_size));
+    TaskPool* pool = options.pool ? options.pool : own_pool.get();
+
+    // Session-major: every session runs its survivors -- reps not yet
+    // retired, in rep order -- in fresh batches. A compacting bank's
+    // signature is final when its session ends, so a lane it flagged is
+    // retired as detected; the rest carry their output-MISR lane state
+    // into the next session, and the MISR is compared after the last one.
+    // The MISR is linear over GF(2), so a lane's difference from lane 0
+    // evolves independently of lane 0's own state: each survivor carries
+    // that difference (misr_delta) and lane 0 restarts from 0, which
+    // leaves every final compare unchanged. Batch b covers survivors
+    // [Bb, Bb+B); chunk c takes batches c, c+K, ... (K = num_chunks) and
+    // keeps one budget copy across the sessions. Chunks write disjoint
+    // rep ranges, so the result is identical for every chunk count,
+    // thread count and interleaving -- inline, on a private pool or on the
+    // scheduler's shared pool (a wall-clock budget may cut different runs
+    // from one call to the next; every retired verdict stays exact). A
+    // fault that did not finish the plan counts as unsimulated.
+    struct ChunkTally {
+      Budget budget;
+      std::uint64_t cycles = 0, ops = 0;
+      std::size_t runs = 0;
+    };
+    std::vector<ChunkTally> chunks(parallelism, ChunkTally{options.budget});
+    std::vector<char> batch_ran((reps.size() + batch_size - 1) / batch_size, 0);
+    std::vector<std::size_t> survivors(reps.size()), next;
+    for (std::size_t i = 0; i < reps.size(); ++i) survivors[i] = i;
+    next.reserve(reps.size());
+    std::vector<std::uint64_t> misr_delta(reps.size(), 0);
+
+    for (std::size_t si = 0; si < plan.sessions.size() && !survivors.empty(); ++si) {
+      const SessionSpec& spec = plan.sessions[si];
+      const bool last = si + 1 == plan.sessions.size();
+      const std::size_t num_batches = (survivors.size() + batch_size - 1) / batch_size;
+      const std::size_t num_chunks = std::min(parallelism, num_batches);
+      std::fill(batch_ran.begin(), batch_ran.end(), 0);
+      auto chunk_fn = [&](std::size_t c) {
+        ChunkTally& tally = chunks[c];
+        // The lease returns to the free-list via RAII so an engine throw
+        // mid-batch (rethrown by run_chunks' exception barrier) does not
+        // leak the scratch out of the warm state.
+        std::unique_ptr<CampaignScratch> leased = warm->acquire(cs);
+        struct LeaseReturn {
+          CampaignWarmState* warm;
+          std::unique_ptr<CampaignScratch>& sc;
+          ~LeaseReturn() { warm->release(std::move(sc)); }
+        } lease_return{warm, leased};
+        CampaignScratch& sc = *leased;
+        const std::uint64_t cycles0 = sc.cycles;
+        const std::uint64_t ops0 = sc.ops;
+        for (std::size_t b = c; b < num_batches; b += num_chunks) {
+          if (tally.budget.spend(1)) break;
+          const std::size_t begin = b * batch_size;
+          const std::size_t end = std::min(survivors.size(), begin + batch_size);
+          sc.batch.clear();
+          sc.out_misr.reset();
+          for (std::size_t i = begin; i < end; ++i) {
+            const std::size_t rep = survivors[i];
+            const unsigned lane = static_cast<unsigned>(i - begin + 1);
+            sc.batch.push_back({reps[rep].net, reps[rep].stuck_value, lane});
+            sc.out_misr.load_lane(lane, misr_delta[rep]);
+          }
+          if (!run_session_lanes(cs, spec, pins, sc, options.engine, tally.budget))
+            break;
+          std::fill(sc.diff_mask.begin(), sc.diff_mask.end(), 0);
+          if (spec.role_a == RegRole::kCompress)
+            sc.bank_a.accumulate_diff(sc.diff_mask.data());
+          if (spec.role_b == RegRole::kCompress && !sc.bank_b.empty())
+            sc.bank_b.accumulate_diff(sc.diff_mask.data());
+          if (last) sc.out_misr.accumulate_diff(sc.diff_mask.data());
+          const std::uint64_t ref = sc.out_misr.lane_signature(0);
+          for (std::size_t i = begin; i < end; ++i) {
+            const std::size_t rep = survivors[i];
+            const unsigned lane = static_cast<unsigned>(i - begin + 1);
+            if ((sc.diff_mask[lane >> 6] >> (lane & 63)) & 1) {
+              rep_detected[rep] = 1;
+              rep_simulated[rep] = 1;
+            } else if (last) {
+              rep_simulated[rep] = 1;
+            } else {
+              misr_delta[rep] = sc.out_misr.lane_signature(lane) ^ ref;
+            }
+          }
+          batch_ran[b] = 1;
+          ++tally.runs;
+        }
+        tally.cycles += sc.cycles - cycles0;
+        tally.ops += sc.ops - ops0;
+      };
+      run_chunks(pool, num_chunks, chunk_fn);
+
+      // The next session's survivors: the unretired faults of the runs
+      // that completed.
+      next.clear();
+      for (std::size_t i = 0; i < survivors.size(); ++i)
+        if (batch_ran[i / batch_size] && !rep_detected[survivors[i]])
+          next.push_back(survivors[i]);
+      survivors.swap(next);
+    }
     res.ops_per_cycle = nl.topo_order().size();
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      res.cycles_simulated += chunk_cycles[c];
-      res.ops_evaluated += chunk_ops[c];
-      res.session_runs += chunk_runs[c];
+    for (const ChunkTally& tally : chunks) {
+      res.cycles_simulated += tally.cycles;
+      res.ops_evaluated += tally.ops;
+      res.session_runs += tally.runs;
     }
   }
 
@@ -928,13 +1015,11 @@ void FleetShardStats::merge(const FleetShardStats& o) {
     signature_histogram[b] += o.signature_histogram[b];
 }
 
-FleetShardStats run_fleet_shard(const ControllerStructure& cs,
-                                const SelfTestPlan& plan,
-                                CampaignWarmState& warm,
-                                std::uint64_t base_seed, std::uint64_t first,
-                                std::uint64_t count,
-                                const FleetDefectSampler& sampler,
-                                CampaignEngine engine, const Budget& budget) {
+bool run_fleet_shard(const ControllerStructure& cs, const SelfTestPlan& plan,
+                     CampaignWarmState& warm, std::uint64_t base_seed,
+                     std::uint64_t first, std::uint64_t count,
+                     const FleetDefectSampler& sampler, CampaignEngine engine,
+                     Budget& budget, FleetShardStats& st) {
   if (!cs.nl.finalized())
     throw std::logic_error("run_fleet_shard: netlist not finalized");
   std::string problems;
@@ -969,12 +1054,15 @@ FleetShardStats run_fleet_shard(const ControllerStructure& cs,
   const unsigned W = sc.cn.lane_words();
   const std::size_t per_run = fleet_instances_per_run(W);
   const std::uint64_t cycles0 = sc.cycles;
-  Budget bud = budget;
-
-  FleetShardStats st;
+  bool completed = true;
   std::uint64_t done = 0;
   while (done < count) {
-    if (bud.spend(1)) break;  // truncation: st.instances < count, all exact
+    // Truncation: the shard's remaining instances stay unsimulated; every
+    // completed run's counts are exact.
+    if (budget.spend(1)) {
+      completed = false;
+      break;
+    }
     const std::size_t n =
         static_cast<std::size_t>(std::min<std::uint64_t>(per_run, count - done));
     sc.batch.clear();
@@ -987,8 +1075,11 @@ FleetShardStats run_fleet_shard(const ControllerStructure& cs,
         sc.batch.push_back(
             {f.net, f.stuck_value, static_cast<unsigned>(2 * j + 1)});
     }
-    run_fleet_lanes(cs, plan, warm.pins(), sc, engine, n, base_seed,
-                    first + done);
+    if (!run_fleet_lanes(cs, plan, warm.pins(), sc, engine, budget, n,
+                         base_seed, first + done)) {
+      completed = false;
+      break;
+    }
     ++st.session_runs;
 
     for (std::size_t j = 0; j < n; ++j) {
@@ -1013,8 +1104,8 @@ FleetShardStats run_fleet_shard(const ControllerStructure& cs,
     }
     done += n;
   }
-  st.cycles = sc.cycles - cycles0;
-  return st;
+  st.cycles += sc.cycles - cycles0;
+  return completed;
 }
 
 CoverageResult measure_functional_coverage(const ControllerStructure& cs,
@@ -1025,44 +1116,80 @@ CoverageResult measure_functional_coverage(const ControllerStructure& cs,
   const Netlist& nl = cs.nl;
   const std::vector<Fault> list =
       faults ? std::move(*faults) : enumerate_stuck_faults(cs.nl);
-  const PinMap pins = map_pins(cs);
-
-  // Golden output trace. Scratch buffers are hoisted so the per-cycle
-  // inner loop performs no heap allocation.
-  std::vector<bool> in(nl.num_inputs(), false);
-  std::vector<bool> values, outs;
-  auto run_trace = [&](std::optional<Fault> fault) {
-    const NetId fnet = fault ? fault->net : kNoNet;
-    const bool fval = fault ? fault->stuck_value : false;
-    Lfsr gen(std::max<std::size_t>(8, cs.pi.size()), seed);
-    Netlist::SimState state = nl.initial_state();
-    std::vector<bool> trace;
-    trace.reserve(cycles * nl.num_outputs());
-    for (std::size_t cycle = 0; cycle < cycles; ++cycle) {
-      std::fill(in.begin(), in.end(), false);
-      for (std::size_t k = 0; k < cs.pi.size(); ++k) in[pins.pi_slot[k]] = gen.bit(k);
-      // test_mode (if any) stays 0: functional operation.
-      nl.step(in, state, values, outs, fnet, fval);
-      trace.insert(trace.end(), outs.begin(), outs.end());
-      gen.step();
-    }
-    return trace;
-  };
 
   CoverageResult res;
   res.total = list.size();
   Budget bud = budget;
   const bool skip_all = bud.exhausted() || bud.work_allowance() == 0;
-  if (!skip_all) {
-    const auto golden = run_trace(std::nullopt);
-    for (const Fault& f : list) {
-      if (bud.spend(1)) break;
-      ++res.simulated;
-      if (run_trace(f) != golden) {
-        ++res.detected;
-      } else {
-        res.undetected.push_back(f);
+  if (!skip_all && !list.empty()) {
+    // Faults run kMaxLaneWords * 64 - 1 at a time on the lane kernel in
+    // system mode: the inputs are the input LFSR's broadcast bits, the
+    // test-mode pin stays 0, and every DFF lane is fed back from its D
+    // net. A lane is detected once any primary-output word differs from
+    // lane 0's, and a batch stops at the first cycle where all of its
+    // lanes are detected.
+    constexpr unsigned W = kMaxLaneWords;
+    const PinMap pins = map_pins(cs);
+    CampaignScratch sc(cs, CompiledNetlist(nl, W), 1, pins);
+    if (pins.test_slot != SIZE_MAX)
+      std::fill_n(sc.in_lanes.begin() + pins.test_slot * W, W, 0);
+    // One allocation whatever the detected count, so the sweep's heap
+    // traffic does not depend on the cycle count (see allocfree_test).
+    res.undetected.reserve(list.size());
+    std::uint64_t target[W];
+    for (std::size_t begin = 0; begin < list.size();) {
+      // One work unit = one fault: size the batch to the allowance left.
+      const std::size_t n = static_cast<std::size_t>(std::min<std::uint64_t>(
+          std::min(faults_per_run(W), list.size() - begin),
+          bud.work_allowance() - bud.work_spent()));
+      if (bud.spend(n == 0 ? 1 : n)) break;
+      sc.batch.clear();
+      std::fill_n(target, W, 0);
+      for (std::size_t j = 0; j < n; ++j) {
+        const unsigned lane = static_cast<unsigned>(j + 1);
+        sc.batch.push_back({list[begin + j].net, list[begin + j].stuck_value, lane});
+        target[lane >> 6] |= std::uint64_t{1} << (lane & 63);
       }
+      sc.cn.set_faults(sc.batch);
+      sc.input_gen.seed(seed);
+      std::copy(sc.init_dff_lanes.begin(), sc.init_dff_lanes.end(),
+                sc.dff_lanes.begin());
+      std::fill(sc.diff_mask.begin(), sc.diff_mask.end(), 0);
+      LaneCycle eval(sc, CampaignEngine::kEvent, bud);
+      std::uint64_t prev_in = ~sc.input_gen.state();
+      bool completed = true;
+      for (std::size_t cycle = 0; cycle < cycles; ++cycle) {
+        drive_inputs(cs, pins, sc, prev_in);
+        const std::uint64_t* values = eval.cycle();
+        if (values == nullptr) {
+          completed = false;
+          break;
+        }
+        for (NetId net : nl.outputs()) {
+          const std::uint64_t* row = values + std::size_t{net} * W;
+          const std::uint64_t ref = (row[0] & 1) ? ~std::uint64_t{0} : 0;
+          for (unsigned w = 0; w < W; ++w) sc.diff_mask[w] |= row[w] ^ ref;
+        }
+        std::uint64_t pending = 0;
+        for (unsigned w = 0; w < W; ++w) pending |= target[w] & ~sc.diff_mask[w];
+        if (pending == 0) break;
+        for (std::size_t k = 0; k < nl.num_dffs(); ++k)
+          std::copy_n(values + std::size_t{sc.cn.dff_d(k)} * W, W,
+                      sc.dff_lanes.begin() + k * W);
+        sc.input_gen.step();
+      }
+      sc.cn.clear_faults();
+      if (!completed) break;
+      for (std::size_t j = 0; j < n; ++j) {
+        const unsigned lane = static_cast<unsigned>(j + 1);
+        ++res.simulated;
+        if ((sc.diff_mask[lane >> 6] >> (lane & 63)) & 1) {
+          ++res.detected;
+        } else {
+          res.undetected.push_back(list[begin + j]);
+        }
+      }
+      begin += n;
     }
   }
   if (degradation) {

@@ -109,10 +109,13 @@ CoverageResult measure_coverage(const ControllerStructure& cs, const SelfTestPla
 
 /// --- bit-parallel campaign engine (PPSFP) -------------------------------
 ///
-/// Simulates 64·W − 1 faults per self-test run on W-word uint64_t lane
-/// groups of a compiled levelized netlist (lane 0 = fault-free reference;
-/// W = CampaignOptions::lane_words ∈ {1, 4, 8} for 64/256/512 lanes), so a
-/// campaign costs ceil(F/(64·W−1)) runs instead of F+1. Detection is
+/// Simulates 64·W − 1 faults per lane run on W-word uint64_t lane groups
+/// of a compiled levelized netlist (lane 0 = fault-free reference;
+/// W = CampaignOptions::lane_words ∈ {1, 4, 8} for 64/256/512 lanes).
+/// Campaigns run session-major: each session runs, in batches of 64·W − 1,
+/// the faults no earlier session's compacting bank flagged (a bank's
+/// signature is final when its session ends), and every survivor carries
+/// its output-MISR lane state into the next session. Detection is
 /// signature-exact: a lane is detected iff any final compacting-register
 /// or output-MISR signature differs from lane 0 — the same criterion as
 /// the serial oracle, so the detected-fault sets are identical by
@@ -186,15 +189,17 @@ struct CampaignOptions {
   /// Validated up front by run_fault_campaign; the serial engine ignores
   /// it. Results are identical for any supported value.
   unsigned lane_words = 1;
-  /// Anytime governance. One work unit = one self-test run (a fault batch
-  /// on the bit-parallel engines, a single fault serially), charged per
-  /// chunk of batches, checked between runs. Every verdict of a completed
-  /// batch is exact; an exhausted budget truncates the sweep and the
-  /// result reports faults_simulated < raw.total with coverage() counting
-  /// unsimulated faults as undetected (pessimistic). Under a deadline or
-  /// cancellation WHICH batches completed may depend on thread timing; the
-  /// work allowance is deterministic per chunk (use num_threads = 1 and no
-  /// pool for a deterministic truncated subset).
+  /// Anytime governance. One work unit = one lane run of one session over
+  /// one batch on the bit-parallel engines (one full self-test of a single
+  /// fault serially), charged per chunk of batches; the clock and the
+  /// cancel token are also polled every cycle, and an exhausted budget
+  /// abandons the run in flight. Every retired verdict is exact; a fault
+  /// that did not finish the plan is unsimulated, so the result reports
+  /// faults_simulated < raw.total with coverage() counting unsimulated
+  /// faults as undetected (pessimistic). Under a deadline or cancellation
+  /// WHICH runs completed may depend on thread timing; the work allowance
+  /// is deterministic per chunk (use num_threads = 1 and no pool for a
+  /// deterministic truncated subset).
   Budget budget;
   /// Shared pool (the jobs/ scheduler's): when set, the batch loop is
   /// split into up to pool->size() chunks that run as tasks of the calling
@@ -226,7 +231,10 @@ struct CampaignResult {
   std::size_t faults_simulated = 0;
   /// Anytime label: what the budget cut, if anything.
   Degradation degradation;
-  std::size_t session_runs = 0;        // full self-test executions performed
+  /// Lane runs performed: one per (session, batch) on the bit-parallel
+  /// engines -- the sum over sessions of ceil(survivors / faults_per_run)
+  /// -- and one full self-test per fault plus the reference serially.
+  std::size_t session_runs = 0;
 
   // Activity accounting (bit-parallel engines only; zero on the serial
   // path). ops_per_cycle is the compiled netlist's combinational op count,
@@ -323,22 +331,26 @@ struct FleetShardStats {
 
 /// Simulate chip instances [first, first + count) of a fleet in packed
 /// runs of fleet_instances_per_run(W), leasing scratch from `warm` (which
-/// must be bound to (cs, plan.output_misr_width, W)). The budget is
-/// charged one unit per self-test run; exhaustion truncates the shard
-/// (stats.instances < count) with every completed run's counts exact.
-FleetShardStats run_fleet_shard(const ControllerStructure& cs,
-                                const SelfTestPlan& plan,
-                                CampaignWarmState& warm,
-                                std::uint64_t base_seed, std::uint64_t first,
-                                std::uint64_t count,
-                                const FleetDefectSampler& sampler,
-                                CampaignEngine engine, const Budget& budget);
+/// must be bound to (cs, plan.output_misr_width, W)), and fold their counts
+/// into `stats`. The budget is charged one unit per self-test run and its
+/// clock polled every cycle; it is taken by reference so one copy can
+/// govern many shards. Returns false when the budget cut the shard: the
+/// cut run and the instances after it stay unsimulated, every completed
+/// run's counts are exact.
+bool run_fleet_shard(const ControllerStructure& cs, const SelfTestPlan& plan,
+                     CampaignWarmState& warm, std::uint64_t base_seed,
+                     std::uint64_t first, std::uint64_t count,
+                     const FleetDefectSampler& sampler, CampaignEngine engine,
+                     Budget& budget, FleetShardStats& stats);
 
 /// Functional (non-BIST) baseline: drive `cycles` LFSR input patterns in
 /// system mode and compare primary outputs cycle by cycle. This is what an
-/// external random test of the Fig. 1 structure can observe. The budget is
-/// checked between faults (one work unit = one fault trace); a truncated
-/// sweep reports simulated < total, optionally labeled via `degradation`.
+/// external random test of the Fig. 1 structure can observe. Runs
+/// faults_per_run(kMaxLaneWords) faults per pass on the lane kernel, each
+/// pass stopping once all of its faults are detected. One work unit = one
+/// fault (a pass is sized to the allowance left); the clock and the cancel
+/// token are polled every cycle. A truncated sweep reports simulated <
+/// total, optionally labeled via `degradation`.
 CoverageResult measure_functional_coverage(const ControllerStructure& cs,
                                            std::size_t cycles,
                                            std::optional<std::vector<Fault>> faults =

@@ -63,9 +63,11 @@ void FleetOptions::validate() const {
 
 namespace {
 
-/// One sharded pass: simulate `instances` chips under `plan`, merging shard
-/// stats in shard-index order (the merge order never affects the sums, but
-/// a fixed order keeps even hypothetical float fields deterministic).
+/// One sharded pass: simulate `instances` chips under `plan`. Chunk c runs
+/// shards c, c + K, ... (K = num_chunks) into one local accumulator under
+/// one budget copy, so a cut stops the chunk's remaining shards; the
+/// chunks merge in chunk order. Memory is O(chunks), whatever the
+/// instance count.
 FleetShardStats run_fleet_pass(const ControllerStructure& cs,
                                const SelfTestPlan& plan,
                                CampaignWarmState& warm,
@@ -73,31 +75,29 @@ FleetShardStats run_fleet_pass(const ControllerStructure& cs,
                                const FleetDefectSampler& sampler,
                                std::uint64_t instances) {
   const std::uint64_t per_shard = opt.shard_instances;
-  const std::size_t n_shards =
-      static_cast<std::size_t>((instances + per_shard - 1) / per_shard);
-  std::vector<FleetShardStats> shard_stats(n_shards);
-  auto shard_fn = [&](std::size_t s) {
-    const std::uint64_t first = static_cast<std::uint64_t>(s) * per_shard;
-    const std::uint64_t count = std::min(per_shard, instances - first);
-    shard_stats[s] = run_fleet_shard(cs, plan, warm, opt.base_seed, first,
-                                     count, sampler, opt.engine, opt.budget);
-  };
-
-  // Chunk c runs shards c, c + K, ... (K = num_chunks). On a shared pool
-  // every shard is its own chunk, so idle workers can steal single shards;
-  // a private pool gets one chunk per thread.
+  const std::uint64_t n_shards = (instances + per_shard - 1) / per_shard;
+  // A private pool gets one chunk per thread. On a shared pool up to 8
+  // chunks per worker leave idle workers something to steal.
   const std::size_t workers = opt.jobs != 0 ? opt.jobs : hardware_threads();
-  const std::size_t num_chunks =
-      opt.pool ? n_shards : std::min(workers, n_shards);
+  const std::size_t num_chunks = static_cast<std::size_t>(std::min<std::uint64_t>(
+      n_shards, opt.pool ? 8 * opt.pool->size() : workers));
+  std::vector<FleetShardStats> chunk_stats(num_chunks);
   const std::unique_ptr<TaskPool> own_pool =
       opt.pool ? nullptr : make_private_pool(num_chunks);
   run_chunks(opt.pool ? opt.pool : own_pool.get(), num_chunks,
              [&](std::size_t c) {
-               for (std::size_t s = c; s < n_shards; s += num_chunks) shard_fn(s);
+               Budget bud = opt.budget;  // deadline absolute, cancel shared
+               for (std::uint64_t s = c; s < n_shards; s += num_chunks) {
+                 const std::uint64_t first = s * per_shard;
+                 const std::uint64_t count = std::min(per_shard, instances - first);
+                 if (!run_fleet_shard(cs, plan, warm, opt.base_seed, first, count,
+                                      sampler, opt.engine, bud, chunk_stats[c]))
+                   break;
+               }
              });
 
   FleetShardStats total;
-  for (const FleetShardStats& s : shard_stats) total.merge(s);
+  for (const FleetShardStats& s : chunk_stats) total.merge(s);
   return total;
 }
 

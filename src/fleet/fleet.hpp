@@ -8,8 +8,8 @@
 // engine (the allocation-free CampaignScratch loop, leased from a
 // CampaignWarmState), each instance with its own SplitMix64-derived LFSR
 // seeds and a defect set drawn from a pluggable distribution. Shards
-// stream into FleetShardStats -- O(shards) memory, no per-instance
-// materialization -- and the report compares the empirical MISR alias
+// stream into one FleetShardStats per chunk -- O(chunks) memory, no
+// per-instance materialization -- and the report compares the empirical MISR alias
 // probability (with a Wilson interval) against the theoretical 2^-k bound
 // per signature width, plus escape rates and test-length/coverage curves.
 //
@@ -70,12 +70,15 @@ struct FleetOptions {
   std::uint64_t curve_instances = 4096;
   std::uint64_t base_seed = 0xF1EE7;
   DefectSpec defects;
-  /// Anytime governance: one work unit = one packed self-test run.
-  /// Exhaustion truncates with exact partial counts, labeled in the
-  /// report's degradation.
+  /// Anytime governance: one work unit = one packed self-test run,
+  /// charged per chunk of shards in each pass (one chunk per thread on a
+  /// private pool; use jobs = 1 for a deterministic cut). The clock and the cancel token are
+  /// polled every cycle. Exhaustion truncates with exact partial counts,
+  /// labeled in the report's degradation.
   Budget budget;
-  /// Shared pool (the jobs/ scheduler's): when set, every shard is a task
-  /// of the calling job and `jobs` must stay 1. Non-owning.
+  /// Shared pool (the jobs/ scheduler's): when set, the shards run as up
+  /// to 8 chunks per pool worker, tasks of the calling job, and `jobs`
+  /// must stay 1. Non-owning.
   TaskPool* pool = nullptr;
   /// Warm-state source (JobCache). When absent, built locally.
   FleetWarmProvider warm;

@@ -6,7 +6,7 @@
 // unit), and a shared CancelToken (SIGINT, a supervising service, a test).
 // Stages consult it at points where stopping is *safe*: OSTR at frontier
 // pops, espresso inside/between EXPAND-IRREDUNDANT-REDUCE rounds,
-// factoring between divisor extractions, fault campaigns between batches.
+// factoring between divisor extractions, fault simulation every cycle.
 //
 // The contract every governed stage honors: ANY budget, however small,
 // yields either a valid partial result labeled with a Degradation record,

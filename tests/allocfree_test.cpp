@@ -4,7 +4,8 @@
 // increment per allocation). The property under test: once a campaign's
 // scratch is warm, the cycle loop performs no heap allocation -- so the
 // total allocation count of run_fault_campaign is *independent of the
-// number of BIST cycles* (and of how many batches reuse the scratch).
+// number of BIST cycles* (and of how many batches reuse the scratch). The
+// functional sweep keeps the same property.
 
 #include <gtest/gtest.h>
 
@@ -92,6 +93,20 @@ TEST_P(CampaignAllocations, StableAcrossRepeatedCampaigns) {
   const std::uint64_t first = count_campaign_allocs(cs, 48, engine, true);
   const std::uint64_t second = count_campaign_allocs(cs, 48, engine, true);
   EXPECT_EQ(first, second) << campaign_engine_name(engine);
+}
+
+TEST(FunctionalAllocations, IndependentOfCycleCount) {
+  // The functional sweep sizes its lane scratch and its undetected list
+  // once, so a ten times longer sweep allocates exactly as often.
+  const ControllerStructure cs = fig1_for("dk16");
+  const std::vector<Fault> faults = enumerate_stuck_faults(cs.nl);
+  const auto count = [&](std::size_t cycles) {
+    const std::uint64_t before = g_allocations.load();
+    const CoverageResult r = measure_functional_coverage(cs, cycles, faults);
+    EXPECT_EQ(r.simulated, faults.size());
+    return g_allocations.load() - before;
+  };
+  EXPECT_EQ(count(24), count(240));
 }
 
 INSTANTIATE_TEST_SUITE_P(BothLaneEngines, CampaignAllocations,

@@ -259,7 +259,13 @@ TEST(AnytimeCampaign, MidCampaignTruncationReportsPartialCoverage) {
   const SelfTestPlan plan = SelfTestPlan::two_session(48);
   CampaignOptions opt;
   opt.num_threads = 1;  // deterministic truncated subset
-  opt.budget = Budget::work_limit(2);  // two self-test runs, then stop
+  // One unit is one (session, batch) run, and on fig1 only session 2's
+  // bank compacts, so no fault finishes before session 2: allow all of
+  // session 1 plus one batch of session 2, then stop.
+  const std::size_t classes =
+      collapse_faults(cs.nl, enumerate_stuck_faults(cs.nl)).num_classes();
+  const std::size_t per_run = faults_per_run(opt.lane_words);
+  opt.budget = Budget::work_limit((classes + per_run - 1) / per_run + 1);
   const CampaignResult r = run_fault_campaign(cs, plan, opt);
 
   EXPECT_LT(r.faults_simulated, r.raw.total);
@@ -340,6 +346,70 @@ TEST(AnytimeCampaign, MidFlightCancellationAcrossWorkerThreads) {
     EXPECT_TRUE(r.degradation.degraded);
     EXPECT_EQ(r.degradation.reason, "cancelled");
   }
+}
+
+// A cancel must not wait for a long session to end: the lane runs poll
+// the clock and the token every 256 cycles. Each case starts a 10^6-cycle
+// run on s1, cancels 50 ms in, and must return within a second.
+
+/// Run `work` with a token that is cancelled 50 ms in; returns the
+/// seconds from the cancel to the return.
+template <typename Fn>
+double seconds_after_cancel(const Fn& work) {
+  auto token = std::make_shared<CancelToken>();
+  std::chrono::steady_clock::time_point cancelled_at;
+  std::thread canceller([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    cancelled_at = std::chrono::steady_clock::now();
+    token->request();
+  });
+  work(Budget().with_cancel(token));
+  const auto returned_at = std::chrono::steady_clock::now();
+  canceller.join();
+  return std::chrono::duration<double>(returned_at - cancelled_at).count();
+}
+
+struct S1Blocks {
+  EncodedFsm enc;
+  MinimizedBlock block;
+};
+
+const S1Blocks& s1_blocks() {
+  static const S1Blocks b = [] {
+    const MealyMachine m = load_benchmark("s1");
+    S1Blocks r;
+    r.enc = encode_fsm(m, natural_encoding(m.num_states()));
+    r.block = minimize_combined(r.enc, MinimizerKind::kAuto, Technology::kTwoLevel);
+    return r;
+  }();
+  return b;
+}
+
+TEST(AnytimeCampaign, CancelStopsAMillionCycleSessionWithinASecond) {
+  const ControllerStructure cs = build_fig3(s1_blocks().enc, s1_blocks().block);
+  CampaignResult r;
+  const double waited = seconds_after_cancel([&](const Budget& budget) {
+    CampaignOptions opt;
+    opt.budget = budget;
+    r = run_fault_campaign(cs, SelfTestPlan::two_session(1000000), opt);
+  });
+  EXPECT_LT(waited, 1.0);
+  EXPECT_LT(r.faults_simulated, r.raw.total);
+  EXPECT_TRUE(r.degradation.degraded);
+  EXPECT_EQ(r.degradation.reason, "cancelled");
+}
+
+TEST(AnytimeCampaign, CancelStopsAMillionCycleFunctionalSweepWithinASecond) {
+  const ControllerStructure cs = build_fig1(s1_blocks().enc, s1_blocks().block);
+  CoverageResult r;
+  Degradation deg;
+  const double waited = seconds_after_cancel([&](const Budget& budget) {
+    r = measure_functional_coverage(cs, 1000000, std::nullopt, 0x5EED, budget, &deg);
+  });
+  EXPECT_LT(waited, 1.0);
+  EXPECT_LT(r.simulated, r.total);
+  EXPECT_TRUE(deg.degraded);
+  EXPECT_EQ(deg.reason, "cancelled");
 }
 
 TEST(AnytimeCampaign, FunctionalCoverageHonorsTheBudget) {

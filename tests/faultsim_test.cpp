@@ -10,6 +10,7 @@
 
 #include "benchdata/iwls93.hpp"
 #include "bist/session.hpp"
+#include "fleet/defects.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/eval64.hpp"
 #include "ostr/ostr.hpp"
@@ -283,11 +284,48 @@ TEST(CollapseFaults, ClassMembersHaveIdenticalSerialDetection) {
 
 // --- campaign equivalence ----------------------------------------------------
 
+/// How many of `faults` each session of a session-major campaign runs:
+/// every fault that no compacting bank of an earlier session flagged. The
+/// retirements come from the serial oracle's per-session register
+/// signatures.
+std::vector<std::size_t> survivors_per_session(const ControllerStructure& cs,
+                                               const SelfTestPlan& plan,
+                                               const std::vector<Fault>& faults) {
+  const Signatures golden = run_self_test(cs, plan);
+  std::vector<Signatures> sigs;
+  for (const Fault& f : faults) sigs.push_back(run_self_test(cs, plan, f));
+  std::vector<char> retired(faults.size(), 0);
+  std::vector<std::size_t> alive;
+  std::size_t first_sig = 0;
+  for (const SessionSpec& spec : plan.sessions) {
+    alive.push_back(static_cast<std::size_t>(
+        std::count(retired.begin(), retired.end(), 0)));
+    // run_self_test records one signature per compacting bank of the
+    // session (an empty reg_b records none).
+    const std::size_t n_sigs =
+        (spec.role_a == RegRole::kCompress ? 1 : 0) +
+        (spec.role_b == RegRole::kCompress && !cs.reg_b.empty() ? 1 : 0);
+    for (std::size_t i = 0; i < faults.size(); ++i)
+      for (std::size_t k = first_sig; k < first_sig + n_sigs; ++k)
+        if (sigs[i].register_sigs[k] != golden.register_sigs[k]) retired[i] = 1;
+    first_sig += n_sigs;
+  }
+  return alive;
+}
+
+/// The (session, batch) runs: each session's survivors in batches of
+/// `per_run`.
+std::size_t session_batches(const std::vector<std::size_t>& alive,
+                            std::size_t per_run) {
+  std::size_t runs = 0;
+  for (const std::size_t n : alive) runs += (n + per_run - 1) / per_run;
+  return runs;
+}
+
 class CampaignEquivalence : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(CampaignEquivalence, BothLaneEnginesMatchSerialOracleAtAllThreadCounts) {
   const ControllerStructure cs = fig1_for(GetParam());
-  const SelfTestPlan plan = SelfTestPlan::two_session(48);
 
   // The serial oracle costs one full self-test per fault, so cap the
   // compared list with a deterministic stride on the big machines; small
@@ -297,44 +335,53 @@ TEST_P(CampaignEquivalence, BothLaneEnginesMatchSerialOracleAtAllThreadCounts) {
   const std::size_t cap = 160;
   const std::size_t stride = all.size() <= cap ? 1 : (all.size() + cap - 1) / cap;
   for (std::size_t i = 0; i < all.size(); i += stride) list.push_back(all[i]);
+  const std::vector<Fault> reps = collapse_faults(cs.nl, list).representatives;
 
-  const CoverageResult serial = measure_coverage(cs, plan, list);
-  const auto serial_undet = fault_set(serial.undetected);
+  // thorough and autonomous run 2-4 sessions, so lanes retire mid-plan.
+  for (const SelfTestPlan& plan :
+       {SelfTestPlan::two_session(48), SelfTestPlan::thorough(48),
+        SelfTestPlan::autonomous(48)}) {
+    const CoverageResult serial = measure_coverage(cs, plan, list);
+    const auto serial_undet = fault_set(serial.undetected);
+    const std::size_t sessions = plan.sessions.size();
+    const std::vector<std::size_t> alive = survivors_per_session(cs, plan, reps);
 
-  for (const unsigned lane_words : kSupportedLaneWords) {
-    for (const CampaignEngine engine :
-         {CampaignEngine::kEvent, CampaignEngine::kFlat}) {
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        for (const bool collapse : {true, false}) {
-          CampaignOptions opt;
-          opt.engine = engine;
-          opt.num_threads = threads;
-          opt.collapse = collapse;
-          opt.lane_words = lane_words;
-          const CampaignResult par = run_fault_campaign(cs, plan, opt, list);
-          EXPECT_EQ(par.raw.total, serial.total);
-          EXPECT_EQ(par.raw.detected, serial.detected)
-              << "engine=" << campaign_engine_name(engine)
-              << " threads=" << threads << " collapse=" << collapse
-              << " lane_words=" << lane_words;
-          EXPECT_EQ(fault_set(par.raw.undetected), serial_undet)
-              << "engine=" << campaign_engine_name(engine)
-              << " threads=" << threads << " collapse=" << collapse
-              << " lane_words=" << lane_words;
-          if (collapse) {
-            EXPECT_LE(par.collapsed_total, par.raw.total);
-            const std::size_t per_run = faults_per_run(lane_words);
-            EXPECT_LE(par.session_runs,
-                      (par.collapsed_total + per_run - 1) / per_run);
-          }
-          // Activity accounting: the flat engine evaluates everything; the
-          // event engine never does more work than flat.
-          EXPECT_GT(par.cycles_simulated, 0u);
-          if (engine == CampaignEngine::kFlat) {
-            EXPECT_DOUBLE_EQ(par.mean_activity(), 1.0);
-          } else {
-            EXPECT_LE(par.mean_activity(), 1.0);
-            EXPECT_GT(par.mean_activity(), 0.0);
+    for (const unsigned lane_words : kSupportedLaneWords) {
+      const std::size_t runs = session_batches(alive, faults_per_run(lane_words));
+      for (const CampaignEngine engine :
+           {CampaignEngine::kEvent, CampaignEngine::kFlat}) {
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+          for (const bool collapse : {true, false}) {
+            CampaignOptions opt;
+            opt.engine = engine;
+            opt.num_threads = threads;
+            opt.collapse = collapse;
+            opt.lane_words = lane_words;
+            const CampaignResult par = run_fault_campaign(cs, plan, opt, list);
+            EXPECT_EQ(par.raw.total, serial.total);
+            EXPECT_EQ(par.raw.detected, serial.detected)
+                << "engine=" << campaign_engine_name(engine)
+                << " threads=" << threads << " collapse=" << collapse
+                << " lane_words=" << lane_words << " sessions=" << sessions;
+            EXPECT_EQ(fault_set(par.raw.undetected), serial_undet)
+                << "engine=" << campaign_engine_name(engine)
+                << " threads=" << threads << " collapse=" << collapse
+                << " lane_words=" << lane_words << " sessions=" << sessions;
+            if (collapse) {
+              EXPECT_LE(par.collapsed_total, par.raw.total);
+              // One run per (session, batch) of that session's survivors.
+              EXPECT_EQ(par.session_runs, runs)
+                  << "lane_words=" << lane_words << " sessions=" << sessions;
+            }
+            // Activity accounting: the flat engine evaluates everything; the
+            // event engine never does more work than flat.
+            EXPECT_GT(par.cycles_simulated, 0u);
+            if (engine == CampaignEngine::kFlat) {
+              EXPECT_DOUBLE_EQ(par.mean_activity(), 1.0);
+            } else {
+              EXPECT_LE(par.mean_activity(), 1.0);
+              EXPECT_GT(par.mean_activity(), 0.0);
+            }
           }
         }
       }
@@ -345,14 +392,15 @@ TEST_P(CampaignEquivalence, BothLaneEnginesMatchSerialOracleAtAllThreadCounts) {
 TEST(Campaign, WiderLanesTakeFewerSessionRuns) {
   const ControllerStructure cs = fig1_for("bbara");
   const SelfTestPlan plan = SelfTestPlan::two_session(48);
+  const std::vector<std::size_t> alive =
+      survivors_per_session(cs, plan, enumerate_stuck_faults(cs.nl));
   std::size_t prev_runs = SIZE_MAX;
   for (const unsigned lane_words : kSupportedLaneWords) {
     CampaignOptions opt;
     opt.lane_words = lane_words;
     opt.collapse = false;
     const CampaignResult r = run_fault_campaign(cs, plan, opt);
-    const std::size_t per_run = faults_per_run(lane_words);
-    EXPECT_EQ(r.session_runs, (r.raw.total + per_run - 1) / per_run);
+    EXPECT_EQ(r.session_runs, session_batches(alive, faults_per_run(lane_words)));
     EXPECT_LE(r.session_runs, prev_runs);
     prev_runs = r.session_runs;
   }
@@ -493,6 +541,67 @@ TEST(Campaign, ExplicitFaultSubsetAndEmptyList) {
   EXPECT_EQ(empty.raw.total, 0u);
   EXPECT_EQ(empty.session_runs, 0u);
   EXPECT_DOUBLE_EQ(empty.coverage(), 1.0);
+}
+
+// --- flat hand-off -----------------------------------------------------------
+//
+// In fig2 the test register T drives block C with fresh patterns every
+// cycle, so the event engine re-evaluates nearly every op (98% on tbk).
+// Every event lane run then hands off to the flat evaluator after its
+// 64-cycle window (LaneCycle's kHandoffWindow).
+
+ControllerStructure tbk_fig2() {
+  const MealyMachine m = load_benchmark("tbk");
+  return build_fig2(encode_fsm(m, natural_encoding(m.num_states())));
+}
+
+TEST(FlatHandoff, BusyEventRunsMatchFlatAndCountEveryFlatCycle) {
+  const ControllerStructure cs = tbk_fig2();
+  CampaignOptions opt;
+  opt.lane_words = 4;
+  opt.engine = CampaignEngine::kFlat;
+  const CampaignResult flat =
+      run_fault_campaign(cs, SelfTestPlan::conventional(256), opt);
+  opt.engine = CampaignEngine::kEvent;
+  const CampaignResult event =
+      run_fault_campaign(cs, SelfTestPlan::conventional(256), opt);
+  // The window alone: the same batches, stopped where the hand-off starts.
+  const CampaignResult window =
+      run_fault_campaign(cs, SelfTestPlan::conventional(64), opt);
+
+  EXPECT_EQ(event.raw.detected, flat.raw.detected);
+  EXPECT_EQ(fault_set(event.raw.undetected), fault_set(flat.raw.undetected));
+  EXPECT_EQ(event.session_runs, flat.session_runs);
+  EXPECT_EQ(event.cycles_simulated, flat.cycles_simulated);
+  ASSERT_EQ(window.session_runs, event.session_runs);
+  EXPECT_GT(window.mean_activity(), 0.3);
+  // Every run handed off, and each of its flat cycles counts num_ops().
+  EXPECT_EQ(event.ops_evaluated,
+            window.ops_evaluated +
+                (event.cycles_simulated - window.cycles_simulated) *
+                    event.ops_per_cycle);
+}
+
+TEST(FlatHandoff, BusyFleetRunsKeepTheirSignatures) {
+  const ControllerStructure cs = tbk_fig2();
+  SelfTestPlan plan = SelfTestPlan::conventional(256);
+  plan.output_misr_width = 8;
+  const auto warm = make_campaign_warm_state(cs, plan.output_misr_width, 4);
+  const FleetDefectSampler sampler = make_defect_sampler(cs, DefectSpec{});
+  FleetShardStats stats[2];
+  const CampaignEngine engines[2] = {CampaignEngine::kEvent, CampaignEngine::kFlat};
+  for (int e = 0; e < 2; ++e) {
+    Budget unlimited;
+    ASSERT_TRUE(run_fleet_shard(cs, plan, *warm, 0xF1EE7, 0, 512, sampler,
+                                engines[e], unlimited, stats[e]));
+  }
+  EXPECT_EQ(stats[0].instances, 512u);
+  EXPECT_EQ(stats[0].po_stream_detected, stats[1].po_stream_detected);
+  EXPECT_EQ(stats[0].any_stream_detected, stats[1].any_stream_detected);
+  EXPECT_EQ(stats[0].misr_detected, stats[1].misr_detected);
+  EXPECT_EQ(stats[0].sig_detected, stats[1].sig_detected);
+  EXPECT_EQ(stats[0].signature_histogram, stats[1].signature_histogram);
+  EXPECT_EQ(stats[0].cycles, stats[1].cycles);
 }
 
 // --- golden coverage regression ----------------------------------------------

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <set>
 
@@ -351,6 +352,45 @@ TEST(Fleet, ZeroBudgetTruncatesWithLabel) {
   EXPECT_TRUE(rep.degradation.degraded);
   EXPECT_EQ(rep.degradation.reason, "work-allowance");
   EXPECT_EQ(rep.degradation.work_done, 0u);
+}
+
+TEST(Fleet, OneBudgetGovernsEveryShardOfAChunk) {
+  // The allowance is one budget per chunk, not per shard: two 32-instance
+  // runs simulate 64 instances per width however many shards there are.
+  const ControllerStructure cs = fleet_structure();
+  FleetOptions opt = small_fleet();
+  opt.curve_cycles.clear();
+  opt.jobs = 1;
+  opt.lane_words = 1;
+  opt.shard_instances = 64;
+  opt.budget = Budget::work_limit(2);
+  const FleetReport rep = run_fleet(cs, opt);
+  ASSERT_EQ(rep.widths.size(), 2u);
+  for (const FleetWidthResult& w : rep.widths) {
+    EXPECT_EQ(w.stats.instances, 64u) << "width " << w.misr_width;
+    EXPECT_EQ(w.stats.session_runs, 2u) << "width " << w.misr_width;
+  }
+  EXPECT_TRUE(rep.degradation.degraded);
+  EXPECT_EQ(rep.degradation.reason, "work-allowance");
+}
+
+TEST(Fleet, TrillionInstanceFleetTruncatesPromptly) {
+  // Memory is per chunk, not per shard, so the 10^12-instance cap costs
+  // nothing up front; a one-run allowance cuts it at once.
+  const ControllerStructure cs = fleet_structure();
+  FleetOptions opt = small_fleet();
+  opt.instances = 1000000000000ULL;
+  opt.jobs = 1;
+  opt.budget = Budget::work_limit(1);
+  const auto t0 = std::chrono::steady_clock::now();
+  const FleetReport rep = run_fleet(cs, opt);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  EXPECT_LT(seconds, 1.0);
+  EXPECT_GT(rep.instances_simulated(), 0u);
+  EXPECT_LT(rep.instances_simulated(), opt.instances);
+  EXPECT_TRUE(rep.degradation.degraded);
+  EXPECT_EQ(rep.degradation.reason, "work-allowance");
 }
 
 TEST(Fleet, ValidateRejectsBadOptions) {
