@@ -92,6 +92,12 @@ int run(const stc::Cli& cli) {
     } else {
       m = load_benchmark(cli.get("machine", "shiftreg"));
     }
+  } catch (const Error& e) {
+    // Malformed contents are a usage error (run_cli exits 2); a file that
+    // cannot be read is not.
+    if (e.code() == ErrorCode::kInvalidInput) throw;
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -55,26 +55,20 @@ std::vector<NetId> build_minimized(Netlist& nl, const MinimizedBlock& mb,
 }
 
 /// The one multi-level routing policy (shared by minimize_for and fig3's
-/// restricted copy): factor the PLA when the multi-output engine ran, or
-/// the covers when they fit the 64-output CubeList bound — an oversized
-/// covers block stays two-level rather than failing.
-void maybe_factor(MinimizedBlock& mb, const Budget& budget) {
+/// restricted copy): factor the block's two-level form -- the PLA when the
+/// multi-output engine ran, the per-output covers on the QM path.
+void factor_block(MinimizedBlock& mb, const Budget& budget) {
   FactorOptions fopt;
   fopt.budget = budget;
   Degradation deg;
-  if (mb.pla) {
-    mb.factored = extract_factored(*mb.pla, fopt, &deg);
-  } else if (mb.covers.size() <= 64) {
-    mb.factored = extract_factored(mb.covers, fopt, &deg);
-  }
+  mb.factored = mb.pla ? extract_factored(*mb.pla, fopt, &deg)
+                       : extract_factored(mb.covers, fopt, &deg);
   if (deg.degraded) mb.degradations.push_back(std::move(deg));
 }
 
 /// Accumulate one block into the structure: its truncation labels, the
 /// two-level cost point always, the factored cost point when extraction
-/// ran. A multi-level build whose block could not be factored (the
-/// >64-output fallback) is recorded rather than silently reported as fully
-/// factored.
+/// ran.
 void add_block_cost(ControllerStructure& cs, const MinimizedBlock& mb) {
   cs.degradations.insert(cs.degradations.end(), mb.degradations.begin(),
                          mb.degradations.end());
@@ -83,8 +77,6 @@ void add_block_cost(ControllerStructure& cs, const MinimizedBlock& mb) {
     if (!cs.logic_ml) cs.logic_ml = LogicCost{};
     *cs.logic_ml += *ml;
     cs.factored_nodes += mb.factored->num_nodes();
-  } else if (cs.tech == Technology::kMultiLevel) {
-    ++cs.ml_fallback_blocks;
   }
 }
 
@@ -117,43 +109,26 @@ void connect_combined(ControllerStructure& cs, const EncodedFsm& enc,
 MinimizedBlock minimize_for(const PlaSpec& spec, const std::vector<TruthTable>& tables,
                             MinimizerKind mk, Technology tech, const Budget& budget) {
   MinimizedBlock mb;
-  mb.tech = tech;
-  mb.covers.reserve(tables.size());
   const std::size_t num_vars = tables.empty() ? spec.num_vars : tables[0].num_vars();
-  EspressoOptions eopt;
-  eopt.budget = budget;
-  const auto collect = [&mb](Degradation&& deg) {
-    if (deg.degraded) mb.degradations.push_back(std::move(deg));
-  };
   // QM's prime enumeration is exact but exponential; hand larger tables
   // to the heuristic.
-  const bool want_heuristic =
-      mk == MinimizerKind::kEspresso ||
-      (mk == MinimizerKind::kAuto && num_vars > 10);
-  if (want_heuristic && !tables.empty() && spec.num_outputs == tables.size()) {
+  if (mk == MinimizerKind::kEspresso || (mk == MinimizerKind::kAuto && num_vars > 10)) {
+    if (spec.num_outputs != tables.size() || spec.num_vars != num_vars)
+      throw std::invalid_argument(
+          "minimize_for: spec has " + std::to_string(spec.num_outputs) + " outputs over " +
+          std::to_string(spec.num_vars) + " variables, tables have " +
+          std::to_string(tables.size()) + " over " + std::to_string(num_vars));
+    EspressoOptions eopt;
+    eopt.budget = budget;
     Degradation deg;
     mb.pla = minimize_espresso_mv(spec, eopt, &deg);
-    collect(std::move(deg));
-    for (std::size_t b = 0; b < spec.num_outputs; ++b)
-      mb.covers.push_back(mb.pla->output_cover(b));
-  } else if (want_heuristic) {
-    // No usable spec for this block (e.g. more outputs than the 64-bit
-    // output part can carry): per-output heuristic, no product sharing.
-    // Each output gets its own copy of the budget (the deadline stays
-    // absolute across them).
-    for (const auto& tt : tables) {
-      Degradation deg;
-      mb.covers.push_back(minimize_espresso(tt, eopt, &deg));
-      collect(std::move(deg));
-    }
+    if (deg.degraded) mb.degradations.push_back(std::move(deg));
   } else {
     // Exact QM on small tables: not budget-governed (bounded and fast).
+    mb.covers.reserve(tables.size());
     for (const auto& tt : tables) mb.covers.push_back(minimize_qm(tt));
   }
-  // Multi-level: greedy algebraic extraction on the minimized two-level
-  // form (the PLA when the multi-output engine ran, the per-output covers
-  // on the QM path).
-  if (tech == Technology::kMultiLevel) maybe_factor(mb, budget);
+  if (tech == Technology::kMultiLevel) factor_block(mb, budget);
   return mb;
 }
 
@@ -169,7 +144,7 @@ MinimizedBlock minimize_combined(const EncodedFsm& enc, MinimizerKind mk,
 ControllerStructure build_fig1(const EncodedFsm& enc, const MinimizedBlock& block) {
   ControllerStructure cs;
   cs.kind = "fig1";
-  cs.tech = block.tech;
+  cs.tech = block.tech();
   Netlist& nl = cs.nl;
 
   cs.pi = add_functional_inputs(nl, enc.input_bits);
@@ -192,7 +167,7 @@ ControllerStructure build_fig1(const EncodedFsm& enc, const MinimizedBlock& bloc
 ControllerStructure build_fig2(const EncodedFsm& enc, const MinimizedBlock& block) {
   ControllerStructure cs;
   cs.kind = "fig2";
-  cs.tech = block.tech;
+  cs.tech = block.tech();
   Netlist& nl = cs.nl;
 
   cs.pi = add_functional_inputs(nl, enc.input_bits);
@@ -226,7 +201,7 @@ ControllerStructure build_fig3(const EncodedFsm& enc, const MinimizedBlock& bloc
                                const Budget& budget) {
   ControllerStructure cs;
   cs.kind = "fig3";
-  cs.tech = block.tech;
+  cs.tech = block.tech();
   Netlist& nl = cs.nl;
 
   cs.pi = add_functional_inputs(nl, enc.input_bits);
@@ -251,13 +226,12 @@ ControllerStructure build_fig3(const EncodedFsm& enc, const MinimizedBlock& bloc
   std::vector<NetId> vars2 = cs.pi;
   vars2.insert(vars2.end(), r2.q.begin(), r2.q.end());
   MinimizedBlock next_mb;
-  next_mb.tech = block.tech;
   if (block.pla) {
     next_mb.pla = restrict_to_low_outputs(*block.pla, enc.state_bits);
   } else {
     next_mb.covers.assign(block.covers.begin(), block.covers.begin() + enc.state_bits);
   }
-  if (block.tech == Technology::kMultiLevel) maybe_factor(next_mb, budget);
+  if (block.factored) factor_block(next_mb, budget);
   add_block_cost(cs, next_mb);
   const auto nets2 = build_minimized(nl, next_mb, vars2);
   for (std::size_t b = 0; b < enc.state_bits; ++b) nl.connect_dff(r1.q[b], nets2[b]);

@@ -62,16 +62,10 @@ struct ControllerStructure {
   std::vector<NetId> feedback_nets; // the R -> C feedback lines (fault target set)
   LogicCost logic;                  // two-level cost of the combinational blocks
                                     // (shared-product PLA cost on the espresso path)
-  /// Factored cost point of the *factored* blocks (set on multi-level
-  /// builds, so one build reports both technology columns of the area
-  /// tables). Blocks that fell back to two-level (see ml_fallback_blocks)
-  /// appear only in `logic`.
+  /// Factored cost point of the blocks (set on multi-level builds, so one
+  /// build reports both technology columns of the area tables).
   std::optional<LogicCost> logic_ml;
   std::size_t factored_nodes = 0;   // intermediate nodes across all blocks
-  /// Blocks a multi-level build could not factor (the >64-output
-  /// per-output-heuristic fallback): these were built two-level, and the
-  /// report renders the technology as "multi_level(partial)".
-  std::size_t ml_fallback_blocks = 0;
   /// Anytime labels of every minimization/factoring stage the build
   /// truncated under its budget (empty = nothing degraded). The netlist
   /// implements the encoded machine exactly in every case -- degradation
@@ -79,23 +73,24 @@ struct ControllerStructure {
   std::vector<Degradation> degradations;
 };
 
-/// One minimized multi-output block. `pla` is set when the cube-calculus
-/// multi-output engine ran (products shared across outputs); the per-output
-/// covers are always available for reporting and the QM build path;
+/// One minimized multi-output block. It carries exactly one two-level
+/// form: `pla` when the cube-calculus multi-output engine ran (products
+/// shared across outputs), the per-output `covers` on the exact QM path.
 /// `factored` is set when the block was routed through algebraic
 /// extraction (Technology::kMultiLevel).
 struct MinimizedBlock {
   std::vector<Cover> covers;
   std::optional<CubeList> pla;
   std::optional<FactoredNetwork> factored;
-  /// Style the block was prepared for. A kMultiLevel block may still lack
-  /// `factored` (the >64-output fallback); structures count it as such.
-  Technology tech = Technology::kTwoLevel;
   /// Anytime labels of the minimization/factoring stages that truncated
   /// work while preparing this block (empty = nothing degraded). Every
   /// structure built from the block carries them.
   std::vector<Degradation> degradations;
 
+  /// Style the block was prepared for: multi-level exactly when factored.
+  Technology tech() const {
+    return factored ? Technology::kMultiLevel : Technology::kTwoLevel;
+  }
   /// Two-level cost point (always available).
   LogicCost cost() const { return pla ? pla_cost(*pla) : block_cost(covers); }
   /// Multi-level cost point (only after extraction).
@@ -108,12 +103,11 @@ struct MinimizedBlock {
 /// Route one block through the configured minimizer: exact per-output QM
 /// for small tables (netlists identical to the historical ones), the
 /// multi-output cube-calculus espresso for everything else. `spec` and
-/// `tables` describe the same functions; when the spec cannot represent
-/// the block (empty, or built for a different output count) the heuristic
-/// path falls back to per-output minimization instead of failing. With
-/// Technology::kMultiLevel the minimized block is additionally run
-/// through greedy kernel/cube extraction (after espresso on the big
-/// blocks, from the per-output covers on the QM path).
+/// `tables` describe the same functions; on the espresso path a spec
+/// whose output or variable count disagrees with `tables` throws
+/// std::invalid_argument. With Technology::kMultiLevel the minimized
+/// block is additionally run through greedy kernel/cube extraction (from
+/// the PLA after espresso, from the per-output covers on the QM path).
 /// The budget governs the espresso rounds (heuristic path) and, on the
 /// multi-level path, the greedy extraction; the exact QM path for small
 /// tables ignores it. Truncations are recorded in the block's

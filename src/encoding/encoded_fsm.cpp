@@ -40,17 +40,13 @@ EncodedFsm encode_fsm(const MealyMachine& fsm, const Encoding& enc) {
 
   e.next_state.assign(e.state_bits, TruthTable(e.num_vars()));
   e.outputs.assign(e.output_bits, TruthTable(e.num_vars()));
-  // The cover-based spec carries its output set in a 64-bit mask; a wider
-  // machine keeps the dense tables only and minimize_for falls back to
-  // per-output minimization.
+  // The spec's output part is a 64-bit mask. It always fits: at least one
+  // input bit leaves at most 19 state bits, plus at most kMaxOutputBits.
   const std::size_t spec_outputs = e.state_bits + e.output_bits;
-  const bool build_spec = spec_outputs <= 64;
-  if (build_spec) {
-    e.spec.num_vars = e.num_vars();
-    e.spec.num_outputs = spec_outputs;
-    e.spec.on = CubeList(e.num_vars(), spec_outputs);
-    e.spec.dc = CubeList(e.num_vars(), spec_outputs);
-  }
+  e.spec.num_vars = e.num_vars();
+  e.spec.num_outputs = spec_outputs;
+  e.spec.on = CubeList(e.num_vars(), spec_outputs);
+  e.spec.dc = CubeList(e.num_vars(), spec_outputs);
   const std::uint64_t all_out = low_mask(spec_outputs);
 
   const auto inv = inverse_codes(enc);
@@ -59,7 +55,7 @@ EncodedFsm encode_fsm(const MealyMachine& fsm, const Encoding& enc) {
 
   for (std::uint64_t code = 0; code < code_span; ++code) {
     const State s = inv[code];
-    if (s == kNoState && build_spec)
+    if (s == kNoState)
       e.spec.dc.add(state_row_cube(code, e.state_bits, e.input_bits), all_out);
     for (std::uint64_t in = 0; in < input_span; ++in) {
       const Minterm m = (code << e.input_bits) | in;
@@ -67,7 +63,7 @@ EncodedFsm encode_fsm(const MealyMachine& fsm, const Encoding& enc) {
         // Unused state code or padding input pattern: full don't care.
         for (auto& t : e.next_state) t.set_dc(m);
         for (auto& t : e.outputs) t.set_dc(m);
-        if (s != kNoState && build_spec)  // unused codes got one whole-row cube above
+        if (s != kNoState)  // unused codes got one whole-row cube above
           e.spec.dc.add(Cube::minterm(m, e.num_vars()), all_out);
         continue;
       }
@@ -80,7 +76,7 @@ EncodedFsm encode_fsm(const MealyMachine& fsm, const Encoding& enc) {
       const std::uint64_t on_mask =
           (next_code & low_mask(e.state_bits)) |
           ((static_cast<std::uint64_t>(out) & low_mask(e.output_bits)) << e.state_bits);
-      if (on_mask && build_spec) e.spec.on.add(Cube::minterm(m, e.num_vars()), on_mask);
+      if (on_mask) e.spec.on.add(Cube::minterm(m, e.num_vars()), on_mask);
     }
   }
   return e;

@@ -27,7 +27,10 @@ struct EncodedFsm {
   /// next-state bits (low) and the output bits (high), plus compact DC
   /// cubes (one whole-row cube per unused state code, one minterm cube per
   /// padding input pattern). This is what the multi-output minimizer
-  /// consumes -- it never touches the dense tables.
+  /// consumes -- it never touches the dense tables. It always fits one
+  /// CubeList: encode_fsm caps num_vars() at 20 and there is at least one
+  /// input bit, so at most 19 state bits join at most kMaxOutputBits
+  /// output bits (51 outputs of the 64 a cube's output part holds).
   PlaSpec spec;
 
   std::size_t num_vars() const { return state_bits + input_bits; }

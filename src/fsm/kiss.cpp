@@ -126,7 +126,7 @@ MealyMachine parse_kiss2(const std::string& text, const KissOptions& options) {
     } else if (tok[0] == ".o") {
       reject_duplicate(seen_o, ".o");
       seen_o = true;
-      no = parse_bounded(arg(), 64, ".o", lineno);
+      no = parse_bounded(arg(), kMaxOutputBits, ".o", lineno);
     } else if (tok[0] == ".s") {
       reject_duplicate(seen_s, ".s");
       seen_s = true;

@@ -33,6 +33,8 @@ struct KissParseError : Error {
 
 /// Parse KISS2 text. Input symbols are the 2^.i binary input vectors
 /// (value = the vector read MSB-first), output symbols the 2^.o vectors.
+/// `.o` is at most kMaxOutputBits (32), the width of an Output; a wider
+/// machine is a KissParseError.
 MealyMachine parse_kiss2(const std::string& text, const KissOptions& options = {});
 
 /// Parse from a file path. A file that cannot be opened raises

@@ -18,6 +18,9 @@ MealyMachine::MealyMachine(std::string name, std::size_t num_states,
       state_names_(num_states) {
   if (num_states == 0 || num_inputs == 0 || num_outputs == 0)
     throw std::invalid_argument("MealyMachine: alphabet sizes must be positive");
+  if (num_outputs > std::size_t{1} << kMaxOutputBits)
+    throw std::invalid_argument("MealyMachine: " + std::to_string(num_outputs) +
+                                " outputs do not fit a 32-bit Output");
   for (State s = 0; s < num_states; ++s) state_names_[s] = "s" + std::to_string(s);
 }
 
@@ -27,6 +30,9 @@ void MealyMachine::set_reset_state(State s) {
 }
 
 void MealyMachine::set_alphabet_bits(std::size_t in_bits, std::size_t out_bits) {
+  if (out_bits > kMaxOutputBits)
+    throw std::invalid_argument("MealyMachine: output_bits " + std::to_string(out_bits) +
+                                " do not fit a 32-bit Output");
   if (in_bits && (std::size_t{1} << in_bits) < num_inputs_)
     throw std::invalid_argument("MealyMachine: input_bits too small");
   if (out_bits && (std::size_t{1} << out_bits) < num_outputs_)

@@ -23,11 +23,18 @@ using Output = std::uint32_t;
 inline constexpr State kNoState = UINT32_MAX;
 inline constexpr Output kNoOutput = UINT32_MAX;
 
+/// Widest output alphabet a machine accepts: every output symbol is an
+/// `Output` bit pattern, so at most 32 output bits (2^32 symbols). The
+/// encoded blocks downstream rely on it (encoding/encoded_fsm.hpp).
+inline constexpr std::size_t kMaxOutputBits = 32;
+
 class MealyMachine {
  public:
   MealyMachine() = default;
 
-  /// Create a machine with unspecified transition/output tables.
+  /// Create a machine with unspecified transition/output tables. Throws
+  /// std::invalid_argument for an empty alphabet or more than
+  /// 2^kMaxOutputBits outputs.
   MealyMachine(std::string name, std::size_t num_states, std::size_t num_inputs,
                std::size_t num_outputs);
 
@@ -43,7 +50,9 @@ class MealyMachine {
 
   /// Bit widths of the binary input/output alphabets, when known (machines
   /// loaded from KISS2). 0 means "symbolic only"; `effective_*_bits()` falls
-  /// back to ceil(log2(alphabet size)).
+  /// back to ceil(log2(alphabet size)). set_alphabet_bits throws
+  /// std::invalid_argument for widths too small for the alphabet or output
+  /// widths above kMaxOutputBits.
   std::size_t input_bits() const { return input_bits_; }
   std::size_t output_bits() const { return output_bits_; }
   void set_alphabet_bits(std::size_t in_bits, std::size_t out_bits);

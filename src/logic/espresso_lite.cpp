@@ -224,7 +224,7 @@ CubeList minimize_espresso_mv(const PlaSpec& spec, const EspressoOptions& option
       truncated = true;
       break;
     }
-    // EXPAND, with a strided deadline/cancel poll per cube. Stopping
+    // EXPAND, with a deadline/cancel poll per cube. Stopping
     // mid-loop is safe: each completed single-cube expansion preserves
     // validity on its own, and the unexpanded tail is still the old cover.
     bool stop = false;

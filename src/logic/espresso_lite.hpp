@@ -24,9 +24,9 @@ namespace stc {
 struct EspressoOptions {
   std::size_t max_iterations = 8;
   /// Anytime governance. One work unit = one EXPAND/IRREDUNDANT/REDUCE
-  /// round; the deadline and the cancel token are additionally polled with
-  /// a strided check per cube inside EXPAND and between OFF-cover
-  /// complements. The valid-partial-result invariant: the cover is a
+  /// round; the deadline and the cancel token are additionally polled
+  /// once per cube inside EXPAND and between OFF-cover complements. The
+  /// valid-partial-result invariant: the cover is a
   /// correct implementation of the spec at EVERY stopping point (the
   /// initial merged ON cover is valid, each individual cube expansion
   /// preserves validity, and IRREDUNDANT/REDUCE run only at round

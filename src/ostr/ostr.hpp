@@ -45,8 +45,8 @@ struct OstrOptions {
   /// Anytime governance (util/budget.hpp). The work allowance caps search
   /// nodes exactly like max_nodes (the effective node cap is the minimum
   /// of the two, split with the same deterministic quotas); the deadline
-  /// and the cancel token are checked with a cheap strided test at every
-  /// frontier pop, on the calling thread and every subtree worker. Node-
+  /// and the cancel token are checked at every frontier pop, on the
+  /// calling thread and every subtree worker. Node-
   /// capped searches stay identical across thread counts; a deadline or a
   /// cancellation stops all workers near-simultaneously, so WHICH nodes
   /// were visited may vary -- the returned best is always a valid

@@ -15,7 +15,6 @@ StructureReport measure_structure(const ControllerStructure& cs,
   StructureReport rep;
   rep.kind = cs.kind;
   rep.technology = technology_name(cs.tech);
-  if (cs.ml_fallback_blocks > 0) rep.technology += "(partial)";
   rep.flipflops = cs.nl.num_dffs();
   rep.area_ge = cs.nl.area_ge();
   rep.depth = cs.nl.depth();

@@ -44,9 +44,7 @@ struct FlowOptions {
 /// Area/delay/testability summary of one structure.
 struct StructureReport {
   std::string kind;
-  /// Technology the netlist was built in: "two_level", "multi_level", or
-  /// "multi_level(partial)" when some block fell back to two-level (the
-  /// >64-output per-output-heuristic path cannot be factored).
+  /// Technology the netlist was built in: "two_level" or "multi_level".
   std::string technology;
   std::size_t flipflops = 0;
   double area_ge = 0.0;

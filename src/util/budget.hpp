@@ -13,7 +13,7 @@
 // or a typed Error(kBudgetExhausted) where no valid partial result can
 // exist. Budgets are value types -- each worker thread takes its own copy
 // (the deadline is absolute and the cancel token shared, so all copies
-// agree on when to stop; the strided clock check stays thread-local).
+// agree on when to stop; the work counter stays thread-local).
 
 #include <atomic>
 #include <chrono>
@@ -71,17 +71,18 @@ class Budget {
   }
   std::uint64_t work_allowance() const { return work_allowance_; }
 
-  /// Hot-loop check: charge `units` of work and report whether the budget
-  /// is exhausted (work must stop at the next safe point). The allowance
-  /// is checked every call; the clock and the cancel token only every
-  /// kStride calls, so a frontier loop can afford one spend() per pop.
+  /// Charge `units` of work and report whether the budget is exhausted
+  /// (work must stop at the next safe point). Every call checks the
+  /// allowance, the cancel token and the deadline, so a stage sees a
+  /// deadline or a cancel at its very next unit, however coarse the units.
+  /// An unlimited budget costs a few compares; a deadline adds one clock
+  /// read.
   bool spend(std::uint64_t units = 1) {
     spent_ += units;
     if (spent_ > work_allowance_) {
       reason_ = "work-allowance";
       return true;
     }
-    if ((++tick_ & (kStride - 1)) != 0) return false;
     return exhausted();
   }
 
@@ -96,14 +97,11 @@ class Budget {
   std::uint64_t work_spent() const { return spent_; }
 
  private:
-  static constexpr std::uint32_t kStride = 256;
-
   std::chrono::steady_clock::time_point deadline_{};
   bool has_deadline_ = false;
   std::uint64_t work_allowance_ = UINT64_MAX;
   std::uint64_t spent_ = 0;
   std::shared_ptr<const CancelToken> cancel_;
-  std::uint32_t tick_ = 0;
   mutable const char* reason_ = "";
 };
 

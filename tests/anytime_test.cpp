@@ -55,6 +55,11 @@ TEST(Budget, ExpiredDeadlineReportsDeadline) {
   Budget b = Budget::deadline_ms(0);
   EXPECT_TRUE(b.exhausted());
   EXPECT_STREQ(b.reason(), "deadline");
+  // The very first spend() sees it: a stage charging coarse units stops
+  // at its next unit.
+  Budget late = Budget::deadline_ms(0);
+  EXPECT_TRUE(late.spend());
+  EXPECT_STREQ(late.reason(), "deadline");
 }
 
 TEST(Budget, HugeDeadlineNeverExpires) {
@@ -93,7 +98,9 @@ TEST(Budget, CancelTokenSharedAcrossCopies) {
   Budget a = Budget().with_cancel(token);
   Budget b = a;  // value copy, shared token
   EXPECT_FALSE(a.exhausted());
+  EXPECT_FALSE(b.spend());
   token->request();
+  EXPECT_TRUE(b.spend(0));  // the first spend() after the cancel
   EXPECT_TRUE(a.exhausted());
   EXPECT_TRUE(b.exhausted());
   EXPECT_STREQ(a.reason(), "cancelled");
@@ -196,6 +203,21 @@ TEST_P(CorpusAnytime, FactoringStaysExactUnderEveryBudget) {
     }
     if (deg.degraded) EXPECT_EQ(deg.stage, "factor");
   }
+}
+
+TEST(AnytimeFactor, ExpiredDeadlineStopsBeforeTheFirstStep) {
+  const MealyMachine m = load_benchmark("bbara");
+  const CubeList pla =
+      minimize_espresso_mv(encode_fsm(m, natural_encoding(m.num_states())).spec);
+  ASSERT_GE(extract_factored(pla).num_nodes(), 2u);  // unbudgeted: several steps
+  FactorOptions opt;
+  opt.budget = Budget::deadline_ms(0);
+  Degradation deg;
+  const FactoredNetwork fn = extract_factored(pla, opt, &deg);
+  EXPECT_TRUE(deg.degraded);
+  EXPECT_EQ(deg.reason, "deadline");
+  EXPECT_EQ(deg.work_done, 0u);
+  EXPECT_EQ(fn.num_nodes(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKissMachines, CorpusAnytime,

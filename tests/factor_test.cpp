@@ -323,31 +323,40 @@ TEST(CostTechnology, MixingTechnologiesInOneAccumulationThrows) {
   EXPECT_THROW(total2 += ml, std::logic_error);
 }
 
-TEST(CostTechnology, Over64OutputBlocksFallBackToTwoLevel) {
-  // The per-output-heuristic path (no usable multi-output spec) can carry
-  // more than 64 covers; such a block cannot be factored and must stay
-  // two-level rather than fail.
-  std::vector<TruthTable> tables;
-  for (int b = 0; b < 70; ++b) {
-    TruthTable t(2);
-    t.set_on(static_cast<Minterm>(b % 4));
-    tables.push_back(t);
-  }
-  const MinimizedBlock mb = minimize_for(PlaSpec{}, tables, MinimizerKind::kEspresso,
-                                         Technology::kMultiLevel);
-  EXPECT_EQ(mb.covers.size(), 70u);
-  EXPECT_FALSE(mb.factored.has_value());
-  EXPECT_FALSE(mb.multilevel_cost().has_value());
+TEST(CostTechnology, MinimizeForRejectsASpecThatDisagreesWithItsTables) {
+  // The espresso path minimizes the spec, so a spec describing other
+  // functions than the tables is a caller error, never a silent detour.
+  std::vector<TruthTable> tables(3, TruthTable(4));
+  for (std::size_t b = 0; b < tables.size(); ++b) tables[b].set_on(static_cast<Minterm>(b));
+  const PlaSpec spec = PlaSpec::from_tables(tables);
+  const MinimizedBlock mb = minimize_for(spec, tables, MinimizerKind::kEspresso);
+  EXPECT_TRUE(mb.pla.has_value());
+  EXPECT_TRUE(mb.covers.empty());  // one two-level form per block
+
+  EXPECT_THROW(minimize_for(PlaSpec{}, tables, MinimizerKind::kEspresso),
+               std::invalid_argument);
+  const std::vector<TruthTable> fewer(tables.begin(), tables.begin() + 2);
+  EXPECT_THROW(minimize_for(spec, fewer, MinimizerKind::kEspresso), std::invalid_argument);
+  const std::vector<TruthTable> wider(3, TruthTable(5));
+  EXPECT_THROW(minimize_for(spec, wider, MinimizerKind::kEspresso), std::invalid_argument);
+  // The exact QM path reads only the tables.
+  EXPECT_EQ(minimize_for(PlaSpec{}, tables, MinimizerKind::kQuineMcCluskey).covers.size(), 3u);
 }
 
-TEST(CostTechnology, PartialFallbackIsVisibleInTheReport) {
-  ControllerStructure cs;
-  cs.kind = "fig1";
-  cs.tech = Technology::kMultiLevel;
-  cs.ml_fallback_blocks = 1;
-  cs.nl.finalize();
-  const StructureReport rep = measure_structure(cs, FlowOptions{});
-  EXPECT_EQ(rep.technology, "multi_level(partial)");
+TEST(CostTechnology, ZeroOutputBlockTakesTheEspressoPath) {
+  // A one-state factor of a pipeline realization has no next-state bits.
+  PlaSpec spec;
+  spec.num_vars = 12;
+  spec.on = CubeList(12, 0);
+  spec.dc = CubeList(12, 0);
+  const MinimizedBlock mb =
+      minimize_for(spec, {}, MinimizerKind::kAuto, Technology::kMultiLevel);
+  ASSERT_TRUE(mb.pla.has_value());
+  EXPECT_EQ(mb.pla->num_cubes(), 0u);
+  ASSERT_TRUE(mb.factored.has_value());
+  EXPECT_EQ(mb.tech(), Technology::kMultiLevel);
+  EXPECT_EQ(mb.cost().literals, 0u);
+  EXPECT_TRUE(mb.degradations.empty());
 }
 
 // --- corpus-wide technology equivalence (the differential harness) -----------

@@ -31,6 +31,10 @@ TEST(Mealy, ZeroAlphabetRejected) {
   EXPECT_THROW(MealyMachine("x", 0, 1, 1), std::invalid_argument);
   EXPECT_THROW(MealyMachine("x", 1, 0, 1), std::invalid_argument);
   EXPECT_THROW(MealyMachine("x", 1, 1, 0), std::invalid_argument);
+  // Every output symbol is a 32-bit Output: 2^32 symbols fit, no more.
+  const std::size_t widest = std::size_t{1} << kMaxOutputBits;
+  EXPECT_NO_THROW(MealyMachine("x", 1, 1, widest));
+  EXPECT_THROW(MealyMachine("x", 1, 1, widest + 1), std::invalid_argument);
 }
 
 TEST(Mealy, RangeChecks) {
@@ -71,6 +75,8 @@ TEST(Mealy, AlphabetBits) {
   EXPECT_EQ(m.effective_input_bits(), 2u);
   EXPECT_EQ(m.effective_output_bits(), 1u);
   EXPECT_THROW(m.set_alphabet_bits(1, 1), std::invalid_argument);  // 2^1 < 4
+  EXPECT_THROW(m.set_alphabet_bits(2, 33), std::invalid_argument);  // > 32-bit Output
+  EXPECT_EQ(m.output_bits(), 1u);  // the rejected calls changed nothing
   MealyMachine n("u", 2, 3, 5);
   EXPECT_EQ(n.effective_input_bits(), 2u);   // ceil(log2 3)
   EXPECT_EQ(n.effective_output_bits(), 3u);  // ceil(log2 5)
@@ -231,6 +237,14 @@ TEST(Kiss, HostileHeaderCountsBoundedBeforeAllocation) {
   EXPECT_THROW(parse_kiss2(".i 1\n.o 1\n.s 2000000\n0 a a 1\n"),
                KissParseError);  // over kMaxStates
   EXPECT_THROW(parse_kiss2(".i 99\n.o 1\n0 a a 1\n"), KissParseError);
+  // An Output holds 32 bits; a wider .o would silently drop the high bits.
+  for (const std::size_t no : {33, 64}) {
+    const std::string bits = "1" + std::string(no - 1, '0');
+    EXPECT_THROW(parse_kiss2(".i 1\n.o " + std::to_string(no) + "\n0 a a " + bits +
+                             "\n1 a a " + bits + "\n"),
+                 KissParseError)
+        << ".o " << no;
+  }
   EXPECT_THROW(parse_kiss2(".i 1\n.o 1\n.s -3\n0 a a 1\n"), KissParseError);
   EXPECT_THROW(parse_kiss2(".i 1\n.o\n0 a a 1\n"), KissParseError);  // no arg
 }
@@ -249,10 +263,20 @@ TEST(Kiss, MissingFileRaisesTypedIoError) {
 }
 
 TEST(Kiss, WriteParseRoundTrip) {
-  const MealyMachine m = parse_kiss2(corpus::kShiftreg);
-  const MealyMachine re = parse_kiss2(write_kiss2(m));
-  EXPECT_TRUE(equivalent(m, re));
-  EXPECT_EQ(re.num_states(), m.num_states());
+  // The widest output alphabet, with its most significant bit set.
+  const std::string msb32 = ".i 1\n.o 32\n0 a b 1" + std::string(31, '0') +
+                            "\n1 a a " + std::string(32, '0') + "\n0 b a " +
+                            std::string(32, '1') + "\n1 b b " + std::string(32, '0') +
+                            "\n.e\n";
+  for (const std::string& text : {std::string(corpus::kShiftreg), msb32}) {
+    const MealyMachine m = parse_kiss2(text);
+    const MealyMachine re = parse_kiss2(write_kiss2(m));
+    EXPECT_TRUE(equivalent(m, re));
+    EXPECT_EQ(re.num_states(), m.num_states());
+  }
+  const MealyMachine wide = parse_kiss2(write_kiss2(parse_kiss2(msb32)));
+  EXPECT_EQ(wide.output(0, 0), 0x80000000u);
+  EXPECT_EQ(wide.output(1, 0), 0xFFFFFFFFu);
 }
 
 TEST(Kiss, RoundTripRandomMachines) {
