@@ -124,7 +124,8 @@ MinimizedBlock minimize_for(const PlaSpec& spec, const std::vector<TruthTable>& 
     mb.pla = minimize_espresso_mv(spec, eopt, &deg);
     if (deg.degraded) mb.degradations.push_back(std::move(deg));
   } else {
-    // Exact QM on small tables: not budget-governed (bounded and fast).
+    // Exact QM on small tables: not budget-governed; its covering search
+    // is bounded by the QmOptions::max_bb_nodes cap instead.
     mb.covers.reserve(tables.size());
     for (const auto& tt : tables) mb.covers.push_back(minimize_qm(tt));
   }

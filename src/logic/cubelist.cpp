@@ -257,17 +257,23 @@ void CubeList::merge_identical_inputs() {
 }
 
 void CubeList::remove_dominated() {
+  const CubeIndex index(*this);
+  std::vector<std::uint64_t> candidates(index.num_words());
   std::vector<MCube> kept;
   kept.reserve(cubes_.size());
   for (std::size_t i = 0; i < cubes_.size(); ++i) {
+    index.dominating(cubes_[i], candidates.data());
     bool dominated = false;
-    for (std::size_t j = 0; j < cubes_.size() && !dominated; ++j) {
-      if (i == j) continue;
-      if (cubes_[j].in.covers(cubes_[i].in) &&
-          (cubes_[j].out & cubes_[i].out) == cubes_[i].out) {
-        // Strict domination, with index tie-break for exact duplicates.
-        const bool equal = cubes_[i].in == cubes_[j].in && cubes_[i].out == cubes_[j].out;
-        if (!equal || j < i) dominated = true;
+    for (std::size_t w = 0; w < candidates.size() && !dominated; ++w) {
+      for (std::uint64_t bits = candidates[w]; bits && !dominated; bits &= bits - 1) {
+        const std::size_t j = w * 64 + static_cast<std::size_t>(count_trailing_zeros64(bits));
+        if (j == i) continue;
+        if (cubes_[j].in.covers(cubes_[i].in) &&
+            (cubes_[j].out & cubes_[i].out) == cubes_[i].out) {
+          // Strict domination, with index tie-break for exact duplicates.
+          const bool equal = cubes_[i].in == cubes_[j].in && cubes_[i].out == cubes_[j].out;
+          if (!equal || j < i) dominated = true;
+        }
       }
     }
     if (!dominated) kept.push_back(cubes_[i]);
@@ -283,6 +289,130 @@ bool CubeList::implements(const std::vector<TruthTable>& tables) const {
     if (!c.implements(tables[b])) return false;
   }
   return true;
+}
+
+// --- CubeIndex ---------------------------------------------------------------
+
+namespace {
+
+/// Number of bit positions up to and including the highest set bit.
+std::size_t bit_width(std::uint64_t x) {
+  std::size_t n = 0;
+  for (; x; x >>= 1) ++n;
+  return n;
+}
+
+std::uint64_t support_of(const std::vector<Cube>& cubes) {
+  std::uint64_t s = 0;
+  for (const Cube& c : cubes) s |= c.care;
+  return s;
+}
+
+std::uint64_t support_of(const CubeList& list) {
+  std::uint64_t s = 0;
+  for (const MCube& m : list.cubes()) s |= m.in.care;
+  return s;
+}
+
+/// Output rows an index over `list` needs: up to the highest output bit
+/// some cube drives.
+std::size_t output_rows(const CubeList& list) {
+  std::uint64_t o = 0;
+  for (const MCube& m : list.cubes()) o |= m.out;
+  return bit_width(o);
+}
+
+}  // namespace
+
+CubeIndex::CubeIndex(std::size_t num_cubes, std::uint64_t support,
+                     std::size_t num_outputs)
+    : words_((num_cubes + 63) / 64), support_(support), all_(words_, ~std::uint64_t{0}) {
+  if (num_cubes % 64 != 0) all_.back() = (std::uint64_t{1} << (num_cubes % 64)) - 1;
+  // Every cube is compatible with every literal until its own literal on
+  // that variable rules out the opposite value (set_cube).
+  const std::size_t num_rows = 2 * bit_width(support);
+  lit_.reserve(num_rows * words_);
+  for (std::size_t r = 0; r < num_rows; ++r) lit_.insert(lit_.end(), all_.begin(), all_.end());
+  out_.assign(num_outputs * words_, 0);
+}
+
+void CubeIndex::set_cube(std::size_t j, const Cube& c) {
+  const std::uint64_t bit = std::uint64_t{1} << (j % 64);
+  for (std::uint64_t rest = c.care; rest; rest &= rest - 1) {
+    const std::size_t v = static_cast<std::size_t>(count_trailing_zeros64(rest));
+    const std::uint64_t opposite = ((c.value >> v) & 1) ^ 1;
+    lit_[(2 * v + opposite) * words_ + j / 64] &= ~bit;
+  }
+}
+
+CubeIndex::CubeIndex(const std::vector<Cube>& cubes)
+    : CubeIndex(cubes.size(), support_of(cubes), 0) {
+  for (std::size_t j = 0; j < cubes.size(); ++j) set_cube(j, cubes[j]);
+}
+
+CubeIndex::CubeIndex(const CubeList& list)
+    : CubeIndex(list.num_cubes(), support_of(list), output_rows(list)) {
+  for (std::size_t j = 0; j < list.num_cubes(); ++j) {
+    const MCube& m = list.cubes()[j];
+    set_cube(j, m.in);
+    for (std::uint64_t rest = m.out; rest; rest &= rest - 1)
+      out_[static_cast<std::size_t>(count_trailing_zeros64(rest)) * words_ + j / 64] |=
+          std::uint64_t{1} << (j % 64);
+  }
+}
+
+void CubeIndex::and_rows(const std::uint64_t* const* rows, std::size_t n,
+                         std::uint64_t* dst) const {
+  for (std::size_t w = 0; w < words_; ++w) {
+    std::uint64_t acc = all_[w];
+    for (std::size_t r = 0; r < n && acc; ++r) acc &= rows[r][w];
+    dst[w] = acc;
+  }
+}
+
+std::size_t CubeIndex::literal_rows(const Cube& c, const std::uint64_t** rows) const {
+  std::size_t n = 0;
+  for (std::uint64_t rest = c.care & support_; rest; rest &= rest - 1) {
+    const std::size_t v = static_cast<std::size_t>(count_trailing_zeros64(rest));
+    rows[n++] = literal_row(v, (c.value >> v) & 1);
+  }
+  return n;
+}
+
+void CubeIndex::intersecting(const Cube& c, std::uint64_t* dst) const {
+  const std::uint64_t* rows[64];
+  and_rows(rows, literal_rows(c, rows), dst);
+}
+
+bool CubeIndex::any_intersecting(const Cube& c) const {
+  const std::uint64_t* rows[64];
+  const std::size_t n = literal_rows(c, rows);
+  for (std::size_t w = 0; w < words_; ++w) {
+    std::uint64_t acc = all_[w];
+    for (std::size_t r = 0; r < n && acc; ++r) acc &= rows[r][w];
+    if (acc) return true;
+  }
+  return false;
+}
+
+void CubeIndex::dominating(const MCube& m, std::uint64_t* dst) const {
+  // A covering cube has no literal where m.in has none, and agrees with
+  // m.in wherever it has one. Variables outside the support constrain
+  // nothing: no indexed cube has a literal there.
+  const std::uint64_t* rows[2 * 64 + 64];
+  std::size_t n = 0;
+  for (std::uint64_t rest = support_; rest; rest &= rest - 1) {
+    const std::size_t v = static_cast<std::size_t>(count_trailing_zeros64(rest));
+    if ((m.in.care >> v) & 1) {
+      rows[n++] = literal_row(v, (m.in.value >> v) & 1);
+    } else {
+      rows[n++] = literal_row(v, 0);
+      rows[n++] = literal_row(v, 1);
+    }
+  }
+  for (std::uint64_t rest = m.out; rest; rest &= rest - 1)
+    rows[n++] = output_row(static_cast<std::size_t>(count_trailing_zeros64(rest)));
+  and_rows(rows, n, dst);
 }
 
 // --- PlaSpec -----------------------------------------------------------------

@@ -121,6 +121,55 @@ class CubeList {
   std::vector<MCube> cubes_;
 };
 
+/// Bit-sliced index over a fixed list of cubes, for all-pairs scans a word
+/// at a time. Cube j is bit j of every row. For each variable v and value
+/// x the literal row holds the cubes compatible with the literal v = x
+/// (no literal on v, or the literal v = x); for each output b the output
+/// row holds the cubes whose output part has bit b. The AND of a cube's
+/// literal rows is then exactly the set of indexed cubes it intersects.
+/// The index is a snapshot: callers that shrink indexed cubes afterwards
+/// still get a superset of the intersecting cubes and must re-check.
+class CubeIndex {
+ public:
+  /// Index over input parts only (no output rows).
+  explicit CubeIndex(const std::vector<Cube>& cubes);
+  /// Index over a multi-output cube list, with one row per output.
+  explicit CubeIndex(const CubeList& list);
+
+  /// Row length in 64-bit words.
+  std::size_t num_words() const { return words_; }
+
+  /// dst[0, num_words()) = the indexed cubes that intersect c.
+  void intersecting(const Cube& c, std::uint64_t* dst) const;
+  /// True iff some indexed cube intersects c.
+  bool any_intersecting(const Cube& c) const;
+  /// dst[0, num_words()) = the indexed cubes whose input part covers m.in
+  /// and whose output part contains m.out. Every output of m.out must be
+  /// driven by some indexed cube (as when m is one of them).
+  void dominating(const MCube& m, std::uint64_t* dst) const;
+
+  /// The cubes driving output b; b must be driven by some indexed cube.
+  const std::uint64_t* output_row(std::size_t b) const { return &out_[b * words_]; }
+
+ private:
+  CubeIndex(std::size_t num_cubes, std::uint64_t support, std::size_t num_outputs);
+  void set_cube(std::size_t j, const Cube& c);
+  const std::uint64_t* literal_row(std::size_t v, std::uint64_t x) const {
+    return &lit_[(2 * v + x) * words_];
+  }
+  /// Fill rows[] with c's literal rows (those of its support variables);
+  /// returns how many.
+  std::size_t literal_rows(const Cube& c, const std::uint64_t** rows) const;
+  /// dst = all_ AND the rows; a word whose AND hits 0 stops early.
+  void and_rows(const std::uint64_t* const* rows, std::size_t n, std::uint64_t* dst) const;
+
+  std::size_t words_ = 0;
+  std::uint64_t support_ = 0;       // variables some indexed cube has a literal on
+  std::vector<std::uint64_t> all_;  // every indexed cube
+  std::vector<std::uint64_t> lit_;  // (2 v + x) x words_, for v below support_'s top bit
+  std::vector<std::uint64_t> out_;  // b x words_
+};
+
 /// Multi-output specification handed to the minimizer: ON and DC cube
 /// lists over the same input space. DC cubes carry output masks too, so
 /// per-output don't-care sets need not coincide.

@@ -7,16 +7,17 @@
 namespace stc {
 namespace {
 
-/// Per-output OFF covers: complement of ON_b u DC_b via unate recursion.
+/// Per-output OFF covers: complement of ON_b u DC_b via unate recursion,
+/// each bit-sliced once into a CubeIndex for EXPAND's disjointness tests.
 /// This is the only place the OFF set is ever computed, and it is a cover,
 /// never a minterm list. The budget is polled between outputs (the unate
 /// recursion for one output is the indivisible step); `*complete` reports
 /// whether every output got its cover -- EXPAND needs all of them, so an
 /// incomplete set means the caller must skip minimization entirely.
-std::vector<Cover> off_covers(const PlaSpec& spec, const Budget& budget,
-                              bool* complete) {
+std::vector<CubeIndex> off_covers(const PlaSpec& spec, const Budget& budget,
+                                  bool* complete) {
   *complete = true;
-  std::vector<Cover> off;
+  std::vector<CubeIndex> off;
   off.reserve(spec.num_outputs);
   for (std::size_t b = 0; b < spec.num_outputs; ++b) {
     if (budget.exhausted()) {
@@ -26,15 +27,9 @@ std::vector<Cover> off_covers(const PlaSpec& spec, const Budget& budget,
     Cover care_b = spec.on.output_cover(b);
     const Cover dc_b = spec.dc.output_cover(b);
     for (const Cube& q : dc_b.cubes()) care_b.add(q);
-    off.push_back(complement_cover(care_b));
+    off.emplace_back(complement_cover(care_b).cubes());
   }
   return off;
-}
-
-bool hits_cover(const Cube& trial, const Cover& cover) {
-  for (const Cube& q : cover.cubes())
-    if (trial.intersects(q)) return true;
-  return false;
 }
 
 /// EXPAND one multi-output cube: drop input literals (LSB first) while the
@@ -42,7 +37,7 @@ bool hits_cover(const Cube& trial, const Cover& cover) {
 /// drives, then raise the output part onto any further output whose OFF
 /// cover the cube avoids (espresso's output-part expansion -- this is what
 /// buys product-term sharing beyond identical ON rows).
-void expand_mcube(MCube& m, const std::vector<Cover>& off, std::size_t num_vars) {
+void expand_mcube(MCube& m, const std::vector<CubeIndex>& off, std::size_t num_vars) {
   for (std::size_t v = 0; v < num_vars; ++v) {
     const std::uint64_t bit = std::uint64_t{1} << v;
     if (!(m.in.care & bit)) continue;
@@ -52,33 +47,30 @@ void expand_mcube(MCube& m, const std::vector<Cover>& off, std::size_t num_vars)
     while (valid && rest) {
       const std::size_t b = static_cast<std::size_t>(count_trailing_zeros64(rest));
       rest &= rest - 1;
-      valid = !hits_cover(trial, off[b]);
+      valid = !off[b].any_intersecting(trial);
     }
     if (valid) m.in = trial;
   }
   for (std::size_t b = 0; b < off.size(); ++b) {
     const std::uint64_t bit = std::uint64_t{1} << b;
     if (m.out & bit) continue;
-    if (!hits_cover(m.in, off[b])) m.out |= bit;
+    if (!off[b].any_intersecting(m.in)) m.out |= bit;
   }
 }
 
 /// Shared scaffolding of IRREDUNDANT / REDUCE: the cofactor, with respect
 /// to cube `idx`, of everything else that drives output b (other active
-/// cubes plus b's don't-care cubes). Built straight into a scratch vector
-/// -- no intermediate cover is materialized in the O(cubes x outputs)
-/// inner loop.
+/// cubes plus b's don't-care cubes). select(idx) ANDs idx's literal rows of
+/// the cube index once; build(b) then visits only the survivors that also
+/// drive b, in ascending index order, and builds straight into a scratch
+/// vector. The index is taken at construction: IRREDUNDANT only clears
+/// output bits and REDUCE only shrinks cubes in place, so its rows are a
+/// superset of the live candidates, and each survivor is re-checked
+/// against the live cube.
 class AbsorbingCofactor {
  public:
   AbsorbingCofactor(const CubeList& f, const PlaSpec& spec)
-      : f_(f), per_output_(spec.num_outputs), dc_per_output_(spec.num_outputs) {
-    for (std::size_t j = 0; j < f.num_cubes(); ++j) {
-      std::uint64_t rest = f.cubes()[j].out;
-      while (rest) {
-        per_output_[static_cast<std::size_t>(count_trailing_zeros64(rest))].push_back(j);
-        rest &= rest - 1;
-      }
-    }
+      : f_(f), index_(f), near_(index_.num_words()), dc_per_output_(spec.num_outputs) {
     for (const MCube& q : spec.dc.cubes()) {
       std::uint64_t rest = q.out;
       while (rest) {
@@ -89,17 +81,28 @@ class AbsorbingCofactor {
     }
   }
 
-  /// Fill `out` with the cofactored absorbing list for (idx, b). Output
-  /// bits may have been cleared since construction; the live mask decides.
-  void build(std::size_t idx, std::size_t b, std::vector<Cube>* out) const {
+  /// Make cube `idx` the one the next build() calls cofactor against.
+  void select(std::size_t idx) {
+    idx_ = idx;
+    index_.intersecting(f_.cubes()[idx].in, near_.data());
+  }
+
+  /// Fill `out` with the cofactored absorbing list for (selected cube, b).
+  /// Output bits may have been cleared since construction; the live mask
+  /// decides.
+  void build(std::size_t b, std::vector<Cube>* out) const {
     out->clear();
-    const Cube& c = f_.cubes()[idx].in;
+    const Cube& c = f_.cubes()[idx_].in;
     const std::uint64_t bit = std::uint64_t{1} << b;
-    for (std::size_t j : per_output_[b]) {
-      if (j == idx || !(f_.cubes()[j].out & bit)) continue;
-      const Cube& q = f_.cubes()[j].in;
-      if (!q.intersects(c)) continue;
-      out->push_back(Cube{q.care & ~c.care, q.value & ~c.care});
+    const std::uint64_t* drives_b = index_.output_row(b);
+    for (std::size_t w = 0; w < near_.size(); ++w) {
+      for (std::uint64_t rest = near_[w] & drives_b[w]; rest; rest &= rest - 1) {
+        const std::size_t j = w * 64 + static_cast<std::size_t>(count_trailing_zeros64(rest));
+        if (j == idx_ || !(f_.cubes()[j].out & bit)) continue;
+        const Cube& q = f_.cubes()[j].in;
+        if (!q.intersects(c)) continue;
+        out->push_back(Cube{q.care & ~c.care, q.value & ~c.care});
+      }
     }
     for (const Cube& q : dc_per_output_[b]) {
       if (!q.intersects(c)) continue;
@@ -109,7 +112,9 @@ class AbsorbingCofactor {
 
  private:
   const CubeList& f_;
-  std::vector<std::vector<std::size_t>> per_output_;
+  const CubeIndex index_;
+  std::vector<std::uint64_t> near_;  // cubes intersecting the selected one
+  std::size_t idx_ = 0;
   std::vector<std::vector<Cube>> dc_per_output_;
 };
 
@@ -125,17 +130,18 @@ void irredundant(CubeList& f, const PlaSpec& spec) {
     return f.cubes()[a].in.num_literals() > f.cubes()[b].in.num_literals();
   });
 
-  const AbsorbingCofactor absorbing(f, spec);
+  AbsorbingCofactor absorbing(f, spec);
   std::vector<Cube> scratch;
   for (std::size_t idx : order) {
     MCube& m = f.cubes()[idx];
+    absorbing.select(idx);
     const std::size_t num_free = f.num_vars() - m.in.num_literals();
     std::uint64_t rest = m.out;
     while (rest) {
       const std::size_t b = static_cast<std::size_t>(count_trailing_zeros64(rest));
       const std::uint64_t bit = rest & (~rest + 1);
       rest &= rest - 1;
-      absorbing.build(idx, b, &scratch);
+      absorbing.build(b, &scratch);
       if (is_tautology_cubes(scratch, num_free)) m.out &= ~bit;
     }
   }
@@ -152,10 +158,11 @@ void irredundant(CubeList& f, const PlaSpec& spec) {
 /// simultaneous variant can drop a minterm from two mutually-redundant
 /// cubes at once.
 void reduce(CubeList& f, const PlaSpec& spec) {
-  const AbsorbingCofactor absorbing(f, spec);
+  AbsorbingCofactor absorbing(f, spec);
   std::vector<Cube> scratch;
   for (std::size_t i = 0; i < f.num_cubes(); ++i) {
     MCube& m = f.cubes()[i];
+    absorbing.select(i);
     // Supercube accumulator over every needed part of every driven output.
     std::uint64_t care_all = ~std::uint64_t{0}, ones = 0, zeros = 0;
     bool any = false;
@@ -163,7 +170,7 @@ void reduce(CubeList& f, const PlaSpec& spec) {
     while (rest) {
       const std::size_t b = static_cast<std::size_t>(count_trailing_zeros64(rest));
       rest &= rest - 1;
-      absorbing.build(i, b, &scratch);
+      absorbing.build(b, &scratch);
       for (const Cube& q : complement_cubes(scratch)) {
         // Map back into the cube's subspace before accumulating.
         const Cube part{q.care | m.in.care, q.value | m.in.value};
@@ -209,7 +216,7 @@ CubeList minimize_espresso_mv(const PlaSpec& spec, const EspressoOptions& option
   }
 
   bool off_complete = true;
-  const std::vector<Cover> off = off_covers(spec, budget, &off_complete);
+  const std::vector<CubeIndex> off = off_covers(spec, budget, &off_complete);
   if (!off_complete) {
     truncated = true;
     label("OFF-cover complement cut short; returned the merged ON cover");

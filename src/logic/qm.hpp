@@ -1,7 +1,8 @@
 #pragma once
 // Quine-McCluskey two-level minimization: prime implicant generation by
-// iterative merging, followed by unate covering (exact branch-and-bound for
-// small tables, greedy with essential extraction otherwise).
+// iterative merging, followed by unate covering. A greedy cover with
+// essential extraction seeds the incumbent; a branch-and-bound over the
+// covering table then improves it, exactly unless the node cap is reached.
 
 #include "logic/cover.hpp"
 
@@ -12,12 +13,12 @@ namespace stc {
 std::vector<Cube> prime_implicants(const TruthTable& tt);
 
 struct QmOptions {
-  /// Upper bound on branch-and-bound nodes before falling back to the
-  /// greedy cover heuristic.
+  /// Upper bound on branch-and-bound nodes. At the cap the search stops and
+  /// returns the best cover found so far (at worst the greedy seed).
   std::size_t max_bb_nodes = 200000;
 };
 
-/// Minimal (or greedily small) SOP cover of tt.
+/// Minimal SOP cover of tt, or the best one found within the node cap.
 Cover minimize_qm(const TruthTable& tt, const QmOptions& options = {});
 
 }  // namespace stc

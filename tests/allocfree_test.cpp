@@ -5,7 +5,8 @@
 // scratch is warm, the cycle loop performs no heap allocation -- so the
 // total allocation count of run_fault_campaign is *independent of the
 // number of BIST cycles* (and of how many batches reuse the scratch). The
-// functional sweep keeps the same property.
+// functional sweep keeps the same property, and QM's covering search
+// allocates independently of how many nodes it visits.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,8 @@
 
 #include "benchdata/iwls93.hpp"
 #include "bist/session.hpp"
+#include "logic/qm.hpp"
+#include "util/rng.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -107,6 +110,32 @@ TEST(FunctionalAllocations, IndependentOfCycleCount) {
     return g_allocations.load() - before;
   };
   EXPECT_EQ(count(24), count(240));
+}
+
+TEST(QmAllocations, IndependentOfNodeCap) {
+  // A random 8-variable table (102 ON minterms) whose branch-and-bound
+  // runs into both caps: the covered rows of every depth live in one
+  // preallocated stack, so 200 times more nodes allocate exactly as often.
+  Rng rng(0x5EED);
+  TruthTable tt(8);
+  for (Minterm m = 0; m < tt.num_minterms(); ++m) {
+    const std::uint64_t u = rng.below(8);
+    if (u < 3) {
+      tt.set_on(m);
+    } else if (u < 4) {
+      tt.set_dc(m);
+    }
+  }
+  ASSERT_EQ(tt.on_count(), 102u);
+  const auto count = [&](std::size_t max_bb_nodes) {
+    QmOptions opt;
+    opt.max_bb_nodes = max_bb_nodes;
+    const std::uint64_t before = g_allocations.load();
+    const Cover c = minimize_qm(tt, opt);
+    EXPECT_TRUE(c.implements(tt));
+    return g_allocations.load() - before;
+  };
+  EXPECT_EQ(count(1000), count(200000));
 }
 
 INSTANTIATE_TEST_SUITE_P(BothLaneEngines, CampaignAllocations,

@@ -1,0 +1,344 @@
+// Structure goldens: the cost figures of every corpus flow and the exact
+// cube lists espresso returns on seeded wide specs, pinned so that a speed
+// change to the two-level minimizers (QM covering, the espresso cube
+// index) or to factoring can be shown to change no choice at all. The
+// CorpusTechEquivalence and SharedBlock suites check functional
+// equivalence; these check that the *same* netlists come out.
+
+#include <gtest/gtest.h>
+
+#include "benchdata/iwls93.hpp"
+#include "logic/espresso_lite.hpp"
+#include "synth/flow.hpp"
+#include "util/rng.hpp"
+
+namespace stc {
+namespace {
+
+// --- corpus flows -------------------------------------------------------------
+
+/// The pinned fields of one StructureReport. Two-level flows report no
+/// factored cost point, so their ml_literals and factored_nodes are 0.
+struct FigGolden {
+  double area_ge;
+  std::size_t depth, cubes, literals, ml_literals, factored_nodes, flipflops;
+};
+
+struct FlowGolden {
+  const char* machine;
+  Technology tech;
+  FigGolden fig[4];  // fig1..fig4
+};
+
+// Default FlowOptions apart from the technology. The s1 multi-level flow
+// is left out: it takes tens of seconds, almost all of it factoring, and
+// SharedBlock already runs it.
+const FlowGolden kFlowGolden[] = {
+    {"bbara", Technology::kTwoLevel,
+     {{540.5, 3, 101, 512, 0, 0, 4},
+      {570.5, 6, 101, 512, 0, 0, 8},
+      {718, 3, 136, 667, 0, 0, 8},
+      {535.5, 3, 100, 507, 0, 0, 4}}},
+    {"bbtas", Technology::kTwoLevel,
+     {{95, 3, 26, 77, 0, 0, 3},
+      {117.5, 6, 26, 77, 0, 0, 6},
+      {153, 3, 39, 119, 0, 0, 6},
+      {214.5, 3, 42, 177, 0, 0, 6}}},
+    {"dk14", Technology::kTwoLevel,
+     {{413, 3, 88, 385, 0, 0, 3},
+      {435.5, 6, 88, 385, 0, 0, 6},
+      {555, 3, 116, 509, 0, 0, 6},
+      {889.5, 3, 137, 836, 0, 0, 6}}},
+    {"dk15", Technology::kTwoLevel,
+     {{206.5, 3, 51, 188, 0, 0, 2},
+      {221.5, 6, 51, 188, 0, 0, 4},
+      {260.5, 3, 63, 231, 0, 0, 4},
+      {428.5, 3, 75, 394, 0, 0, 4}}},
+    {"dk16", Technology::kTwoLevel,
+     {{1075.5, 3, 195, 1036, 0, 0, 5},
+      {1113, 6, 195, 1036, 0, 0, 10},
+      {1777.5, 3, 319, 1706, 0, 0, 10},
+      {483.5, 3, 96, 446, 0, 0, 6}}},
+    {"dk17", Technology::kTwoLevel,
+     {{182, 3, 43, 161, 0, 0, 3},
+      {204.5, 6, 43, 161, 0, 0, 6},
+      {281.5, 3, 64, 244, 0, 0, 6},
+      {456, 3, 76, 414, 0, 0, 6}}},
+    {"dk27", Technology::kTwoLevel,
+     {{59.5, 3, 15, 45, 0, 0, 3},
+      {82, 6, 15, 45, 0, 0, 6},
+      {87, 3, 21, 60, 0, 0, 6},
+      {41, 3, 11, 29, 0, 0, 3}}},
+    {"dk512", Technology::kTwoLevel,
+     {{219, 3, 52, 193, 0, 0, 4},
+      {249, 6, 52, 193, 0, 0, 8},
+      {360.5, 3, 84, 313, 0, 0, 8},
+      {132, 3, 34, 106, 0, 0, 5}}},
+    {"mc", Technology::kTwoLevel,
+     {{176.5, 3, 45, 158, 0, 0, 2},
+      {191.5, 6, 45, 158, 0, 0, 4},
+      {223.5, 3, 54, 194, 0, 0, 4},
+      {408.5, 3, 70, 374, 0, 0, 4}}},
+    {"s1", Technology::kTwoLevel,
+     {{60905.5, 3, 4744, 65634, 0, 0, 5},
+      {60943, 6, 4744, 65634, 0, 0, 10},
+      {94908, 3, 7579, 102450, 0, 0, 10},
+      {116331, 3, 8791, 125076, 0, 0, 10}}},
+    {"shiftreg", Technology::kTwoLevel,
+     {{53.5, 3, 15, 40, 0, 0, 3},
+      {76, 6, 15, 40, 0, 0, 6},
+      {99.5, 3, 27, 73, 0, 0, 6},
+      {12, 0, 4, 4, 0, 0, 3}}},
+    {"tav", Technology::kTwoLevel,
+     {{339, 3, 73, 320, 0, 0, 2},
+      {354, 6, 73, 320, 0, 0, 4},
+      {398, 3, 86, 368, 0, 0, 4},
+      {339, 3, 73, 320, 0, 0, 2}}},
+    {"tbk", Technology::kTwoLevel,
+     {{11330.5, 3, 1299, 12612, 0, 0, 5},
+      {11368, 6, 1299, 12612, 0, 0, 10},
+      {14329, 3, 1699, 15990, 0, 0, 10},
+      {11445.5, 3, 1338, 12418, 0, 0, 5}}},
+    {"paper_fig5", Technology::kTwoLevel,
+     {{28, 3, 8, 20, 0, 0, 2},
+      {43, 6, 8, 20, 0, 0, 4},
+      {48.5, 3, 13, 33, 0, 0, 4},
+      {23.5, 3, 7, 15, 0, 0, 2}}},
+    {"serial_adder", Technology::kTwoLevel,
+     {{21.5, 3, 7, 18, 0, 0, 1},
+      {29, 6, 7, 18, 0, 0, 2},
+      {30.5, 3, 10, 24, 0, 0, 2},
+      {35, 3, 10, 28, 0, 0, 2}}},
+    {"parity4", Technology::kTwoLevel,
+     {{167, 3, 32, 160, 0, 0, 1},
+      {174.5, 6, 32, 160, 0, 0, 2},
+      {252.5, 3, 48, 240, 0, 0, 2},
+      {269, 3, 48, 256, 0, 0, 2}}},
+    {"count10", Technology::kTwoLevel,
+     {{50, 3, 13, 33, 0, 0, 4},
+      {80, 6, 13, 33, 0, 0, 8},
+      {98, 3, 25, 63, 0, 0, 8},
+      {100, 3, 25, 65, 0, 0, 8}}},
+    {"count15", Technology::kTwoLevel,
+     {{67, 3, 17, 47, 0, 0, 4},
+      {97, 6, 17, 47, 0, 0, 8},
+      {131, 3, 33, 90, 0, 0, 8},
+      {134, 3, 33, 93, 0, 0, 8}}},
+    {"shiftreg4", Technology::kTwoLevel,
+     {{16, 0, 5, 5, 0, 0, 4},
+      {46, 3, 5, 5, 0, 0, 8},
+      {32, 0, 9, 9, 0, 0, 8},
+      {16, 0, 5, 5, 0, 0, 4}}},
+    {"bbara", Technology::kMultiLevel,
+     {{270, 7, 101, 512, 303, 47, 4},
+      {300, 10, 101, 512, 303, 47, 8},
+      {378, 7, 136, 667, 412, 64, 8},
+      {303, 7, 100, 507, 342, 59, 4}}},
+    {"bbtas", Technology::kMultiLevel,
+     {{66.5, 5, 26, 77, 63, 6, 3},
+      {89, 8, 26, 77, 63, 6, 6},
+      {104, 6, 39, 119, 94, 11, 6},
+      {118, 7, 42, 177, 115, 22, 6}}},
+    {"dk14", Technology::kMultiLevel,
+     {{219, 6, 88, 385, 247, 35, 3},
+      {241.5, 9, 88, 385, 247, 35, 6},
+      {305, 6, 116, 509, 338, 52, 6},
+      {363.5, 9, 137, 836, 416, 76, 6}}},
+    {"dk15", Technology::kMultiLevel,
+     {{119.5, 6, 51, 188, 132, 16, 2},
+      {134.5, 9, 51, 188, 132, 16, 4},
+      {160, 6, 63, 231, 168, 20, 4},
+      {184.5, 6, 75, 394, 198, 29, 4}}},
+    {"dk16", Technology::kMultiLevel,
+     {{471.5, 7, 195, 1036, 534, 78, 5},
+      {509, 10, 195, 1036, 534, 78, 10},
+      {788, 7, 319, 1706, 893, 139, 10},
+      {284, 7, 96, 446, 304, 44, 6}}},
+    {"dk17", Technology::kMultiLevel,
+     {{112.5, 5, 43, 161, 118, 14, 3},
+      {135, 8, 43, 161, 118, 14, 6},
+      {182, 5, 64, 244, 183, 21, 6},
+      {216, 8, 76, 414, 231, 39, 6}}},
+    {"dk27", Technology::kMultiLevel,
+     {{45, 6, 15, 45, 40, 4, 3},
+      {67.5, 9, 15, 45, 40, 4, 6},
+      {71, 6, 21, 60, 55, 4, 6},
+      {32, 5, 11, 29, 24, 2, 3}}},
+    {"dk512", Technology::kMultiLevel,
+     {{134.5, 5, 52, 193, 140, 17, 4},
+      {164.5, 8, 52, 193, 140, 17, 8},
+      {230, 7, 84, 313, 234, 30, 8},
+      {101, 6, 34, 106, 91, 8, 5}}},
+    {"mc", Technology::kMultiLevel,
+     {{111.5, 6, 45, 158, 123, 15, 2},
+      {126.5, 9, 45, 158, 123, 15, 4},
+      {145, 6, 54, 194, 153, 20, 4},
+      {175.5, 7, 70, 374, 190, 30, 4}}},
+    {"shiftreg", Technology::kMultiLevel,
+     {{46, 4, 15, 40, 38, 2, 3},
+      {68.5, 7, 15, 40, 38, 2, 6},
+      {86, 4, 27, 73, 69, 4, 6},
+      {12, 0, 4, 4, 4, 0, 3}}},
+    {"tav", Technology::kMultiLevel,
+     {{181, 7, 73, 320, 207, 31, 2},
+      {196, 9, 73, 320, 207, 31, 4},
+      {228, 7, 86, 368, 249, 35, 4},
+      {209, 7, 73, 320, 228, 29, 2}}},
+    {"tbk", Technology::kMultiLevel,
+     {{3466.5, 10, 1299, 12612, 4147, 698, 5},
+      {3504, 13, 1299, 12612, 4147, 698, 10},
+      {4541, 10, 1699, 15990, 5415, 912, 10},
+      {3375, 8, 1338, 12418, 4016, 667, 5}}},
+    {"paper_fig5", Technology::kMultiLevel,
+     {{26.5, 3, 8, 20, 20, 0, 2},
+      {41.5, 6, 8, 20, 20, 0, 4},
+      {47, 3, 13, 33, 33, 0, 4},
+      {23.5, 3, 7, 15, 15, 0, 2}}},
+    {"serial_adder", Technology::kMultiLevel,
+     {{21.5, 3, 7, 18, 18, 0, 1},
+      {29, 6, 7, 18, 18, 0, 2},
+      {30.5, 3, 10, 24, 24, 0, 2},
+      {31, 5, 10, 28, 26, 2, 2}}},
+    {"parity4", Technology::kMultiLevel,
+     {{35.5, 6, 32, 160, 38, 7, 1},
+      {43, 6, 32, 160, 38, 7, 2},
+      {65, 7, 48, 240, 66, 11, 2},
+      {87, 8, 48, 256, 88, 14, 2}}},
+    {"count10", Technology::kMultiLevel,
+     {{38.5, 4, 13, 33, 27, 2, 4},
+      {68.5, 7, 13, 33, 27, 2, 8},
+      {76, 4, 25, 63, 52, 4, 8},
+      {79, 4, 25, 65, 55, 4, 8}}},
+    {"count15", Technology::kMultiLevel,
+     {{48.5, 5, 17, 47, 40, 5, 4},
+      {78.5, 8, 17, 47, 40, 5, 8},
+      {94, 5, 33, 90, 76, 10, 8},
+      {97, 5, 33, 93, 79, 10, 8}}},
+    {"shiftreg4", Technology::kMultiLevel,
+     {{16, 0, 5, 5, 5, 0, 4},
+      {46, 3, 5, 5, 5, 0, 8},
+      {32, 0, 9, 9, 9, 0, 8},
+      {16, 0, 5, 5, 5, 0, 4}}},
+};
+
+const FlowGolden* find_golden(const std::string& machine, Technology tech) {
+  for (const FlowGolden& g : kFlowGolden)
+    if (machine == g.machine && tech == g.tech) return &g;
+  return nullptr;
+}
+
+void expect_matches(const StructureReport& r, const FigGolden& g, Technology tech) {
+  SCOPED_TRACE(r.kind);
+  EXPECT_DOUBLE_EQ(r.area_ge, g.area_ge);
+  EXPECT_EQ(r.depth, g.depth);
+  EXPECT_EQ(r.logic.cubes, g.cubes);
+  EXPECT_EQ(r.logic.literals, g.literals);
+  ASSERT_EQ(r.logic_ml.has_value(), tech == Technology::kMultiLevel);
+  EXPECT_EQ(r.logic_ml ? r.logic_ml->literals : 0, g.ml_literals);
+  EXPECT_EQ(r.factored_nodes, g.factored_nodes);
+  EXPECT_EQ(r.flipflops, g.flipflops);
+}
+
+void check_flow(const std::string& machine, Technology tech) {
+  const FlowGolden* g = find_golden(machine, tech);
+  ASSERT_NE(g, nullptr) << "no golden for " << machine;
+  FlowOptions opts;
+  opts.technology = tech;
+  const FlowResult r = run_flow(load_benchmark(machine), opts);
+  const StructureReport* figs[] = {&r.fig1, &r.fig2, &r.fig3, &r.fig4};
+  for (std::size_t k = 0; k < 4; ++k) expect_matches(*figs[k], g->fig[k], tech);
+}
+
+class CorpusStructureGolden : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(CorpusStructureGolden, TwoLevelFiguresAsPinned) {
+  check_flow(GetParam(), Technology::kTwoLevel);
+}
+
+TEST_P(CorpusStructureGolden, MultiLevelFiguresAsPinned) {
+  if (GetParam() == "s1") GTEST_SKIP() << "s1 multi_level is covered by SharedBlock";
+  check_flow(GetParam(), Technology::kMultiLevel);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKissMachines, CorpusStructureGolden,
+                         ::testing::ValuesIn(benchmark_names()),
+                         [](const auto& info) { return info.param; });
+
+// --- espresso on wide random specs --------------------------------------------
+
+/// Random multi-output spec whose every output has more than 64 ON cubes,
+/// so the minimizer's cube-index rows span several 64-bit words. Cubes keep
+/// most variables (each with probability 4/5) so the OFF covers stay large
+/// too.
+PlaSpec wide_random_spec(std::uint64_t seed) {
+  Rng rng(seed);
+  PlaSpec spec;
+  spec.num_vars = 10 + rng.below(4);
+  spec.num_outputs = 3 + rng.below(4);
+  spec.on = CubeList(spec.num_vars, spec.num_outputs);
+  spec.dc = CubeList(spec.num_vars, spec.num_outputs);
+  const std::uint64_t all_out = (std::uint64_t{1} << spec.num_outputs) - 1;
+  const auto random_cube = [&] {
+    std::uint64_t care = 0;
+    for (std::size_t v = 0; v < spec.num_vars; ++v)
+      if (rng.below(5) != 0) care |= std::uint64_t{1} << v;
+    return Cube{care, rng.next() & care};
+  };
+  for (std::size_t k = 0; k < 70 * spec.num_outputs; ++k) {
+    std::uint64_t out = rng.next() & all_out;
+    if (out == 0) out = std::uint64_t{1} << rng.below(spec.num_outputs);
+    spec.on.add(random_cube(), out);
+  }
+  for (std::size_t k = 0; k < 24; ++k) spec.dc.add(random_cube(), rng.next() & all_out);
+  return spec;
+}
+
+/// FNV-1a over the cube list in order: input part, then output part.
+std::uint64_t digest(const CubeList& f) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&](std::uint64_t x) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (x >> (8 * byte)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const MCube& m : f.cubes()) {
+    mix(m.in.care);
+    mix(m.in.value);
+    mix(m.out);
+  }
+  return h;
+}
+
+struct EspressoGolden {
+  std::uint64_t seed;
+  std::size_t cubes, input_literals;
+  std::uint64_t digest;
+};
+
+const EspressoGolden kEspressoGolden[] = {
+    {1, 316, 2529, 0x7ae47930cce1ae9fULL},
+    {2, 347, 3579, 0x392ab387dd5372daULL},
+    {3, 267, 1835, 0xbdd8bbfe316a786fULL},
+    {4, 203, 2066, 0x13f8525c05b6bc3bULL},
+    {5, 196, 1644, 0xef72ac14ef96e714ULL},
+    {6, 372, 3016, 0xd42df7aedea273f6ULL},
+    {7, 332, 3062, 0xdde5dac1890fc628ULL},
+    {8, 346, 3527, 0xd2ad1b94f35ff5e7ULL},
+};
+
+TEST(CorpusStructureGolden, EspressoOnWideSpecsAsPinned) {
+  for (const EspressoGolden& g : kEspressoGolden) {
+    SCOPED_TRACE("seed " + std::to_string(g.seed));
+    const PlaSpec spec = wide_random_spec(g.seed);
+    for (std::size_t b = 0; b < spec.num_outputs; ++b)
+      ASSERT_GT(spec.on.output_cover(b).num_cubes(), 64u) << "output " << b;
+    const CubeList f = minimize_espresso_mv(spec);
+    EXPECT_EQ(f.num_cubes(), g.cubes);
+    EXPECT_EQ(f.num_input_literals(), g.input_literals);
+    EXPECT_EQ(digest(f), g.digest);
+  }
+}
+
+}  // namespace
+}  // namespace stc
