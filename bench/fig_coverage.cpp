@@ -24,7 +24,7 @@
 //   --repeat N    enqueue the job list N times (cache-warm re-runs: every
 //                 repeat after the first is all cache hits, no recompiles)
 //   --cycles N    BIST cycles per session (default 256)
-//   --engine E    campaign engine: event (default), flat, serial
+//   --engine E    campaign engine: event (default) or flat
 //                 (identical detected sets; only the speed differs)
 //   --lanes L     simulation lanes per run: 64 (default), 256 or 512
 //                 (faults per self-test run = lanes - 1; identical
@@ -139,7 +139,7 @@ int run(const Cli& cli) {
 
 int main(int argc, char** argv) {
   return run_cli(argc, argv,
-                 {"all", "jobs N", "repeat N", "cycles N", "engine event|flat|serial",
+                 {"all", "jobs N", "repeat N", "cycles N", "engine event|flat",
                   "lanes 64|256|512", "tech two_level|multi_level", "threads N",
                   "time-budget-ms N"},
                  run);

@@ -6,7 +6,7 @@
 //                           [--watchdog-kill-grace X] [--quiet]
 //       ./stc_daemon submit <spool-dir> --machine NAME [--arch fig1..fig4]
 //                           [--tech two_level|multi_level]
-//                           [--engine event|flat|serial] [--lanes 64|256|512]
+//                           [--engine event|flat] [--lanes 64|256|512]
 //                           [--cycles N] [--minimizer auto|qm|espresso]
 //                           [--no-faultsim] [--budget-ms N] [--count N]
 //                           [--fleet-instances N] [--fleet-widths 8,16,24,40]
@@ -49,7 +49,7 @@ const std::vector<std::string> kFlags = {
     "jobs N", "budget-ms N", "drain", "cache-max-entries N", "max-attempts N",
     "watchdog-grace X", "watchdog-kill-grace X", "max-recoveries N", "quiet",
     "machine NAME", "arch fig1..fig4", "tech two_level|multi_level",
-    "engine event|flat|serial", "lanes 64|256|512", "cycles N", "functional-cycles N",
+    "engine event|flat", "lanes 64|256|512", "cycles N", "functional-cycles N",
     "minimizer auto|qm|espresso", "no-faultsim", "count N", "fleet-instances N",
     "fleet-widths W,W,...", "distribution fault_free|single_uniform|clustered",
     "defect-rate X", "fleet-seed N"};

@@ -3,7 +3,7 @@
 // controller structures -> (optionally) fault simulation.
 //
 // Run:  ./synthesize_benchmark --machine shiftreg [--faultsim] [--threads N]
-//                              [--engine event|flat|serial]
+//                              [--engine event|flat]
 //                              [--lanes 64|256|512]
 //                              [--tech two_level|multi_level]
 //                              [--time-budget-ms N] [--max-nodes N]
@@ -136,7 +136,7 @@ int run(const stc::Cli& cli) {
 int main(int argc, char** argv) {
   return stc::run_cli(argc, argv,
                       {"machine NAME", "kiss FILE", "list", "all", "faultsim",
-                       "threads N", "jobs N", "repeat N", "engine event|flat|serial",
+                       "threads N", "jobs N", "repeat N", "engine event|flat",
                        "lanes 64|256|512", "tech two_level|multi_level", "cycles N",
                        "max-nodes N", "time-budget-ms N"},
                       run);

@@ -347,6 +347,8 @@ void absorb_output_lanes(LaneMisr& misr, const std::uint64_t* values,
 /// state -- across cycles, sessions AND batches, at every lane width
 /// (verified by the allocation-counting hook in tests/allocfree_test.cpp).
 struct CampaignScratch {
+  const ControllerStructure& cs;
+  const PinMap& pins;  // owned by the warm state (or the functional pass)
   CompiledNetlist cn;
   EventScratch ev;
   LaneBank bank_a, bank_b;
@@ -382,7 +384,9 @@ struct CampaignScratch {
   /// it safely.
   CampaignScratch(const ControllerStructure& cs, const CompiledNetlist& proto,
                   std::size_t output_misr_width, const PinMap& pins)
-      : cn(proto),
+      : cs(cs),
+        pins(pins),
+        cn(proto),
         bank_a(cs.nl, cs.reg_a, proto.lane_words()),
         bank_b(cs.nl, cs.reg_b, proto.lane_words()),
         out_misr(output_misr_width, proto.lane_words()),
@@ -423,18 +427,16 @@ constexpr std::size_t kHandoffWindow = 64;
 constexpr std::uint64_t kHandoffPercent = 30;
 
 /// The one place a lane run -- a (session, batch) campaign run, a fleet
-/// run or a functional batch -- evaluates a cycle. Construction starts the
-/// run: the event scratch is invalidated, so the first cycle takes the
-/// full-evaluation path. cycle() evaluates sc.in_lanes / sc.dff_lanes,
-/// counts the cycle and its ops into the scratch (num_ops() per flat
-/// cycle), and polls the budget's clock and cancel token (spend(0)). The
-/// hand-off reads only op counts, so every counter repeats per input.
+/// run or a functional batch -- evaluates a cycle. cycle() evaluates
+/// sc.in_lanes / sc.dff_lanes, counts the cycle and its ops into the
+/// scratch (num_ops() per flat cycle), and polls the budget's clock and
+/// cancel token (spend(0)). One LaneCycle spans one lane run, so the
+/// sessions of a fleet run share one hand-off window. The hand-off reads
+/// only op counts, so every counter repeats per input.
 class LaneCycle {
  public:
   LaneCycle(CampaignScratch& sc, CampaignEngine engine, Budget& budget)
-      : sc_(sc), engine_(engine), budget_(budget) {
-    sc_.cn.reset(sc_.ev);
-  }
+      : sc_(sc), engine_(engine), budget_(budget) {}
 
   /// The W-strided net values of this cycle, or nullptr when the budget
   /// is exhausted and the run must be abandoned.
@@ -466,57 +468,124 @@ class LaneCycle {
   std::uint64_t window_ops_ = 0;
 };
 
-/// Broadcast the input LFSR onto the input lanes. `prev` is the LFSR word
-/// of the previous cycle: only PIs whose bit toggled rewrite their lane
-/// group, and a run starts with prev = ~state() to rewrite them all.
-void drive_inputs(const ControllerStructure& cs, const PinMap& pins,
-                  CampaignScratch& sc, std::uint64_t& prev) {
-  const unsigned W = sc.cn.lane_words();
-  const std::uint64_t word = sc.input_gen.state();
-  const std::uint64_t delta = word ^ prev;
-  prev = word;
-  for (std::size_t k = 0; k < cs.pi.size(); ++k)
-    if ((delta >> k) & 1) {
-      const std::uint64_t bit = sc.input_gen.bit_lanes(k);
-      std::uint64_t* dst = sc.in_lanes.data() + pins.pi_slot[k] * W;
-      for (unsigned w = 0; w < W; ++w) dst[w] = bit;
-    }
-}
+// --- the lane-session loop and its three parameters ----------------------------
+//
+// Stimulus: drive() writes this cycle's input lanes, step() advances.
+// Clocking: deposit() writes the register lanes before the evaluation,
+// clock(values) latches the evaluated values. The observer is a callable
+// on the evaluated values that returns false to end the session early.
 
-/// One session of a campaign lane run over the faults in sc.batch. The
-/// caller has loaded the output MISR lanes with their carried states; the
-/// session leaves its compacting banks and the MISR for the caller's
-/// compare. Returns false when the budget abandoned the run.
-bool run_session_lanes(const ControllerStructure& cs, const SessionSpec& spec,
-                       const PinMap& pins, CampaignScratch& sc,
-                       CampaignEngine engine, Budget& budget) {
-  const unsigned W = sc.cn.lane_words();
-  sc.cn.set_faults(sc.batch);
-  sc.bank_a.reset(spec.role_a, spec.gen_seed);
-  sc.bank_b.reset(spec.role_b, spec.gen_seed * 3 + 1);
-  sc.input_gen.seed(spec.input_seed);
-  std::copy(sc.init_dff_lanes.begin(), sc.init_dff_lanes.end(),
-            sc.dff_lanes.begin());
-  LaneCycle eval(sc, engine, budget);
-  std::uint64_t prev_in = ~sc.input_gen.state();
-  bool completed = true;
-  for (std::size_t cycle = 0; cycle < spec.cycles; ++cycle) {
-    drive_inputs(cs, pins, sc, prev_in);
+/// Campaign and functional stimulus: the input LFSR broadcast onto every
+/// lane, seeded at construction. Only PIs whose bit toggled since the
+/// previous cycle rewrite their lane group; the first cycle rewrites all.
+struct BroadcastInputs {
+  CampaignScratch& sc;
+  std::uint64_t prev;
+
+  BroadcastInputs(CampaignScratch& scratch, std::uint64_t seed) : sc(scratch) {
+    sc.input_gen.seed(seed);
+    prev = ~sc.input_gen.state();
+  }
+  void drive() {
+    const unsigned W = sc.cn.lane_words();
+    const std::uint64_t word = sc.input_gen.state();
+    const std::uint64_t delta = word ^ prev;
+    prev = word;
+    for (std::size_t k = 0; k < sc.pins.pi_slot.size(); ++k)
+      if ((delta >> k) & 1) {
+        const std::uint64_t bit = sc.input_gen.bit_lanes(k);
+        std::uint64_t* dst = sc.in_lanes.data() + sc.pins.pi_slot[k] * W;
+        for (unsigned w = 0; w < W; ++w) dst[w] = bit;
+      }
+  }
+  void step() { sc.input_gen.step(); }
+};
+
+/// Fleet stimulus: per-lane input LFSR rows, seeded per instance by the
+/// caller. Lanes genuinely differ, so every PI row is rewritten each cycle.
+struct LaneInputs {
+  CampaignScratch& sc;
+
+  void drive() {
+    const unsigned W = sc.cn.lane_words();
+    for (std::size_t k = 0; k < sc.pins.pi_slot.size(); ++k) {
+      const std::uint64_t* src = sc.fleet_input_gen.row(k);
+      std::uint64_t* dst = sc.in_lanes.data() + sc.pins.pi_slot[k] * W;
+      for (unsigned w = 0; w < W; ++w) dst[w] = src[w];
+    }
+  }
+  void step() { sc.fleet_input_gen.step(); }
+};
+
+/// Self-test clocking: the two BILBO banks in the session's roles (reset
+/// with its seeds at construction) and the output MISR absorbing the
+/// primary outputs.
+struct BilboClocking {
+  CampaignScratch& sc;
+
+  BilboClocking(CampaignScratch& scratch, const SessionSpec& spec) : sc(scratch) {
+    sc.bank_a.reset(spec.role_a, spec.gen_seed);
+    sc.bank_b.reset(spec.role_b, spec.gen_seed * 3 + 1);
+  }
+  void deposit() {
     sc.bank_a.deposit(sc.dff_lanes.data());
     sc.bank_b.deposit(sc.dff_lanes.data());
+  }
+  void clock(const std::uint64_t* values) {
+    absorb_output_lanes(sc.out_misr, values, sc.cs.po, sc.cn.lane_words());
+    sc.bank_a.clock(values);
+    sc.bank_b.clock(values);
+  }
+};
+
+/// System-mode clocking (the functional pass): every DFF lane is fed back
+/// from its D net.
+struct SystemClocking {
+  CampaignScratch& sc;
+
+  void deposit() {}
+  void clock(const std::uint64_t* values) {
+    const unsigned W = sc.cn.lane_words();
+    for (std::size_t k = 0; k < sc.cn.num_dffs(); ++k)
+      std::copy_n(values + std::size_t{sc.cn.dff_d(k)} * W, W,
+                  sc.dff_lanes.begin() + k * W);
+  }
+};
+
+/// The one lane-session loop: `cycles` cycles over the faults in sc.batch.
+/// Set-up installs the faults, loads the initial DFF lanes and invalidates
+/// the event scratch, so the first cycle takes the full-evaluation path
+/// (the banks and the stimulus were set up by the constructors of
+/// `clocking` and `stimulus`). Each cycle drives the stimulus, deposits the
+/// registers, evaluates, clocks, lets `observe` see the values and steps
+/// the stimulus. Returns false when the budget abandoned the session.
+template <class Stimulus, class Clocking, class Observer>
+bool run_lane_session(CampaignScratch& sc, LaneCycle& eval, std::size_t cycles,
+                      Stimulus&& stimulus, Clocking&& clocking, Observer&& observe) {
+  sc.cn.set_faults(sc.batch);
+  std::copy(sc.init_dff_lanes.begin(), sc.init_dff_lanes.end(),
+            sc.dff_lanes.begin());
+  sc.cn.reset(sc.ev);
+  bool completed = true;
+  for (std::size_t cycle = 0; cycle < cycles; ++cycle) {
+    stimulus.drive();
+    clocking.deposit();
     const std::uint64_t* values = eval.cycle();
     if (values == nullptr) {
       completed = false;
       break;
     }
-    absorb_output_lanes(sc.out_misr, values, cs.po, W);
-    sc.bank_a.clock(values);
-    sc.bank_b.clock(values);
-    sc.input_gen.step();
+    clocking.clock(values);
+    if (!observe(values)) break;
+    stimulus.step();
   }
   sc.cn.clear_faults();
   return completed;
 }
+
+/// Campaign runs observe nothing per cycle: verdicts come from the final
+/// signatures.
+constexpr auto kSignaturesOnly = [](const std::uint64_t*) { return true; };
 
 // Per-(session, role) salts for fleet sub-seed derivation: splitmix64 is a
 // bijection, so for any fixed salt the sub-seeds inherit the instance
@@ -532,13 +601,11 @@ constexpr std::uint64_t kFleetGenBSalt = 0x464c4545542d4742ULL;   // "FLEET-GB"
 /// stream diff, final output-MISR signature diff, and any-signature diff.
 /// Returns false when the budget abandoned the run (the masks are then
 /// meaningless).
-bool run_fleet_lanes(const ControllerStructure& cs, const SelfTestPlan& plan,
-                     const PinMap& pins, CampaignScratch& sc,
+bool run_fleet_lanes(const SelfTestPlan& plan, CampaignScratch& sc,
                      CampaignEngine engine, Budget& budget, std::size_t n_pairs,
                      std::uint64_t base_seed, std::uint64_t first_instance) {
   const unsigned W = sc.cn.lane_words();
   constexpr std::uint64_t kEven = 0x5555555555555555ULL;
-  sc.cn.set_faults(sc.batch);
   sc.out_misr.reset();
   std::fill(sc.fleet_po_stream.begin(), sc.fleet_po_stream.end(), 0);
   std::fill(sc.fleet_d_stream.begin(), sc.fleet_d_stream.end(), 0);
@@ -552,8 +619,7 @@ bool run_fleet_lanes(const ControllerStructure& cs, const SelfTestPlan& plan,
     // final run is short), then overwrite the instance pairs with their
     // derived seeds -- both lanes of a pair get the SAME seed, so the only
     // divergence inside a pair is the injected defect.
-    sc.bank_a.reset(spec.role_a, spec.gen_seed);
-    sc.bank_b.reset(spec.role_b, spec.gen_seed * 3 + 1);
+    BilboClocking clocking(sc, spec);
     sc.fleet_input_gen.reset();
     const std::size_t in_width = sc.fleet_input_gen.width();
     for (std::size_t j = 0; j < n_pairs; ++j) {
@@ -576,46 +642,26 @@ bool run_fleet_lanes(const ControllerStructure& cs, const SelfTestPlan& plan,
         sc.bank_b.load_lane(2 * j + 1, s);
       }
     }
-    std::copy(sc.init_dff_lanes.begin(), sc.init_dff_lanes.end(),
-              sc.dff_lanes.begin());
-    sc.cn.reset(sc.ev);
 
-    for (std::size_t cycle = 0; cycle < spec.cycles; ++cycle) {
-      // Per-lane stimulus: every PI row is rewritten from the lane LFSR
-      // each cycle (no broadcast/delta shortcut -- lanes genuinely differ).
-      for (std::size_t k = 0; k < cs.pi.size(); ++k) {
-        const std::uint64_t* src = sc.fleet_input_gen.row(k);
-        std::uint64_t* dst = sc.in_lanes.data() + pins.pi_slot[k] * W;
-        for (unsigned w = 0; w < W; ++w) dst[w] = src[w];
-      }
-
-      sc.bank_a.deposit(sc.dff_lanes.data());
-      sc.bank_b.deposit(sc.dff_lanes.data());
-      const std::uint64_t* values = eval.cycle();
-      if (values == nullptr) {
-        sc.cn.clear_faults();
-        return false;
-      }
-
-      absorb_output_lanes(sc.out_misr, values, cs.po, W);
-      // Streaming observability: did the defect show on a primary output
-      // THIS cycle? (What an external tester watching the pins would see.)
-      for (NetId net : cs.po) {
+    const auto observe_streams = [&](const std::uint64_t* values) {
+      // Did the defect show on a primary output THIS cycle (what an
+      // external tester watching the pins would see)...
+      for (NetId net : sc.cs.po) {
         const std::uint64_t* src = values + std::size_t{net} * W;
         for (unsigned w = 0; w < W; ++w)
           sc.fleet_po_stream[w] |= (src[w] ^ (src[w] >> 1)) & kEven;
       }
-
-      sc.bank_a.clock(values);
-      sc.bank_b.clock(values);
-      // ...and did it reach a compacting register's D inputs? (clock()
-      // leaves the gathered D rows in place for the pair compare.)
+      // ...and did it reach a compacting register's D inputs? (The banks'
+      // clock() leaves the gathered D rows in place for the pair compare.)
       if (spec.role_a == RegRole::kCompress)
         sc.bank_a.accumulate_pair_d_diff(sc.fleet_d_stream.data());
       if (spec.role_b == RegRole::kCompress && !sc.bank_b.empty())
         sc.bank_b.accumulate_pair_d_diff(sc.fleet_d_stream.data());
-      sc.fleet_input_gen.step();
-    }
+      return true;
+    };
+    if (!run_lane_session(sc, eval, spec.cycles, LaneInputs{sc}, clocking,
+                          observe_streams))
+      return false;
 
     if (spec.role_a == RegRole::kCompress)
       sc.bank_a.accumulate_pair_diff(sc.fleet_any_sig.data());
@@ -625,7 +671,6 @@ bool run_fleet_lanes(const ControllerStructure& cs, const SelfTestPlan& plan,
   sc.out_misr.accumulate_pair_diff(sc.fleet_misr_sig.data());
   for (unsigned w = 0; w < W; ++w)
     sc.fleet_any_sig[w] |= sc.fleet_misr_sig[w];
-  sc.cn.clear_faults();
   return true;
 }
 
@@ -649,31 +694,54 @@ class CampaignWarmState {
         pins_(map_pins(cs)),
         proto_(cs.nl, lane_words) {}
 
-  const ControllerStructure* structure() const { return cs_; }
-  std::size_t misr_width() const { return misr_width_; }
   unsigned lane_words() const { return proto_.lane_words(); }
-  const PinMap& pins() const { return pins_; }
-  const CompiledNetlist& proto() const { return proto_; }
 
-  /// Lease a scratch: reuse a parked one (warm start) or build a fresh one.
-  std::unique_ptr<CampaignScratch> acquire(const ControllerStructure& cs) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!free_.empty()) {
-        std::unique_ptr<CampaignScratch> sc = std::move(free_.back());
-        free_.pop_back();
-        reuses_.fetch_add(1, std::memory_order_relaxed);
-        return sc;
+  /// What differs between this warm state's binding and (cs, misr_width,
+  /// words), or "" when it was built for exactly that tuple.
+  std::string mismatch(const ControllerStructure& cs, std::size_t misr_width,
+                       unsigned words) const {
+    if (cs_ != &cs) return "warm state was built for a different structure object";
+    if (lane_words() != words)
+      return "warm lane_words=" + std::to_string(lane_words()) +
+             " != lane_words=" + std::to_string(words);
+    if (misr_width_ != misr_width)
+      return "warm misr_width=" + std::to_string(misr_width_) +
+             " != plan output_misr_width=" + std::to_string(misr_width);
+    return "";
+  }
+
+  /// A leased scratch: a parked one (warm start) or a fresh one, returned
+  /// to the free-list on destruction -- also when an engine or sampler
+  /// throw unwinds the lane run, so no scratch leaks out of the warm state.
+  class Lease {
+   public:
+    explicit Lease(CampaignWarmState& warm) : warm_(warm) {
+      {
+        std::lock_guard<std::mutex> lock(warm_.mu_);
+        if (!warm_.free_.empty()) {
+          sc_ = std::move(warm_.free_.back());
+          warm_.free_.pop_back();
+          warm_.reuses_.fetch_add(1, std::memory_order_relaxed);
+          return;
+        }
       }
+      warm_.builds_.fetch_add(1, std::memory_order_relaxed);
+      sc_ = std::make_unique<CampaignScratch>(*warm_.cs_, warm_.proto_,
+                                              warm_.misr_width_, warm_.pins_);
     }
-    builds_.fetch_add(1, std::memory_order_relaxed);
-    return std::make_unique<CampaignScratch>(cs, proto_, misr_width_, pins_);
-  }
+    ~Lease() {
+      std::lock_guard<std::mutex> lock(warm_.mu_);
+      warm_.free_.push_back(std::move(sc_));
+    }
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
 
-  void release(std::unique_ptr<CampaignScratch> sc) {
-    std::lock_guard<std::mutex> lock(mu_);
-    free_.push_back(std::move(sc));
-  }
+    CampaignScratch& operator*() const { return *sc_; }
+
+   private:
+    CampaignWarmState& warm_;
+    std::unique_ptr<CampaignScratch> sc_;
+  };
 
   std::size_t reuses() const { return reuses_.load(std::memory_order_relaxed); }
   std::size_t builds() const { return builds_.load(std::memory_order_relaxed); }
@@ -709,16 +777,14 @@ std::size_t campaign_warm_builds(const CampaignWarmState& warm) {
 CampaignEngine parse_campaign_engine(const std::string& name) {
   if (name == "event") return CampaignEngine::kEvent;
   if (name == "flat") return CampaignEngine::kFlat;
-  if (name == "serial") return CampaignEngine::kSerial;
   throw Error(ErrorCode::kInvalidInput, "unknown campaign engine",
-              "engine=" + name + "; expected event|flat|serial");
+              "engine=" + name + "; expected event|flat");
 }
 
 const char* campaign_engine_name(CampaignEngine engine) {
   switch (engine) {
     case CampaignEngine::kEvent: return "event";
     case CampaignEngine::kFlat: return "flat";
-    case CampaignEngine::kSerial: return "serial";
   }
   return "?";
 }
@@ -742,10 +808,9 @@ void CampaignOptions::validate(const SelfTestPlan& plan) const {
   switch (engine) {
     case CampaignEngine::kEvent:
     case CampaignEngine::kFlat:
-    case CampaignEngine::kSerial:
       break;
     default:
-      add("engine must be event, flat or serial; got enum value " +
+      add("engine must be event or flat; got enum value " +
           std::to_string(static_cast<int>(engine)));
       break;
   }
@@ -803,19 +868,8 @@ CampaignResult run_fault_campaign(const ControllerStructure& cs, const SelfTestP
   std::vector<char> rep_detected(reps.size(), 0);
   std::vector<char> rep_simulated(reps.size(), 0);
 
-  if (skip_all) {
-    // Nothing ran; fall through to the (all-unsimulated) accounting.
-  } else if (options.engine == CampaignEngine::kSerial) {
-    Budget bud = options.budget;
-    const Signatures golden = run_self_test(cs, plan);
-    res.session_runs = 1;
-    for (std::size_t i = 0; i < reps.size(); ++i) {
-      if (bud.spend(1)) break;
-      rep_detected[i] = run_self_test(cs, plan, reps[i]) != golden ? 1 : 0;
-      rep_simulated[i] = 1;
-      ++res.session_runs;
-    }
-  } else if (!reps.empty()) {
+  // A skipped campaign falls through to the (all-unsimulated) accounting.
+  if (!skip_all && !reps.empty()) {
     // Warm state (when given) carries the compiled program, the pin map
     // and parked scratch for this exact structure; verify the binding
     // before trusting any of it. Without one, a local warm state compiles
@@ -823,16 +877,8 @@ CampaignResult run_fault_campaign(const ControllerStructure& cs, const SelfTestP
     std::shared_ptr<CampaignWarmState> local_warm;
     CampaignWarmState* warm = options.warm;
     if (warm != nullptr) {
-      std::string mismatch;
-      if (warm->structure() != &cs)
-        mismatch = "warm state was built for a different structure object";
-      else if (warm->lane_words() != options.lane_words)
-        mismatch = "warm lane_words=" + std::to_string(warm->lane_words()) +
-                   " != options lane_words=" + std::to_string(options.lane_words);
-      else if (warm->misr_width() != plan.output_misr_width)
-        mismatch = "warm misr_width=" + std::to_string(warm->misr_width()) +
-                   " != plan output_misr_width=" +
-                   std::to_string(plan.output_misr_width);
+      const std::string mismatch =
+          warm->mismatch(cs, plan.output_misr_width, options.lane_words);
       if (!mismatch.empty())
         throw Error(ErrorCode::kInvalidInput,
                     "run_fault_campaign: incompatible warm state", mismatch);
@@ -841,7 +887,6 @@ CampaignResult run_fault_campaign(const ControllerStructure& cs, const SelfTestP
                                             options.lane_words);
       warm = local_warm.get();
     }
-    const PinMap& pins = warm->pins();
     // Each run simulates one fault per lane, minus the reserved fault-free
     // reference lane 0.
     const std::size_t batch_size = faults_per_run(options.lane_words);
@@ -890,16 +935,8 @@ CampaignResult run_fault_campaign(const ControllerStructure& cs, const SelfTestP
       std::fill(batch_ran.begin(), batch_ran.end(), 0);
       auto chunk_fn = [&](std::size_t c) {
         ChunkTally& tally = chunks[c];
-        // The lease returns to the free-list via RAII so an engine throw
-        // mid-batch (rethrown by run_chunks' exception barrier) does not
-        // leak the scratch out of the warm state.
-        std::unique_ptr<CampaignScratch> leased = warm->acquire(cs);
-        struct LeaseReturn {
-          CampaignWarmState* warm;
-          std::unique_ptr<CampaignScratch>& sc;
-          ~LeaseReturn() { warm->release(std::move(sc)); }
-        } lease_return{warm, leased};
-        CampaignScratch& sc = *leased;
+        const CampaignWarmState::Lease lease(*warm);
+        CampaignScratch& sc = *lease;
         const std::uint64_t cycles0 = sc.cycles;
         const std::uint64_t ops0 = sc.ops;
         for (std::size_t b = c; b < num_batches; b += num_chunks) {
@@ -914,7 +951,10 @@ CampaignResult run_fault_campaign(const ControllerStructure& cs, const SelfTestP
             sc.batch.push_back({reps[rep].net, reps[rep].stuck_value, lane});
             sc.out_misr.load_lane(lane, misr_delta[rep]);
           }
-          if (!run_session_lanes(cs, spec, pins, sc, options.engine, tally.budget))
+          LaneCycle eval(sc, options.engine, tally.budget);
+          if (!run_lane_session(sc, eval, spec.cycles,
+                                BroadcastInputs(sc, spec.input_seed),
+                                BilboClocking(sc, spec), kSignaturesOnly))
             break;
           std::fill(sc.diff_mask.begin(), sc.diff_mask.end(), 0);
           if (spec.role_a == RegRole::kCompress)
@@ -1023,33 +1063,21 @@ bool run_fleet_shard(const ControllerStructure& cs, const SelfTestPlan& plan,
   if (!cs.nl.finalized())
     throw std::logic_error("run_fleet_shard: netlist not finalized");
   std::string problems;
-  if (engine != CampaignEngine::kEvent && engine != CampaignEngine::kFlat)
-    problems = "engine must be event or flat (the serial oracle has no lanes "
-               "to pack instances into)";
-  if (plan.sessions.empty())
-    problems += std::string(problems.empty() ? "" : "; ") + "plan has no sessions";
-  if (warm.structure() != &cs)
-    problems += std::string(problems.empty() ? "" : "; ") +
-                "warm state was built for a different structure object";
-  else if (warm.misr_width() != plan.output_misr_width)
-    problems += std::string(problems.empty() ? "" : "; ") +
-                "warm misr_width=" + std::to_string(warm.misr_width()) +
-                " != plan output_misr_width=" +
-                std::to_string(plan.output_misr_width);
-  if (!sampler)
-    problems += std::string(problems.empty() ? "" : "; ") + "null defect sampler";
+  const auto add = [&problems](const std::string& p) {
+    if (!problems.empty()) problems += "; ";
+    problems += p;
+  };
+  if (plan.sessions.empty()) add("plan has no sessions");
+  // A fleet runs at its warm state's own lane width.
+  const std::string mismatch =
+      warm.mismatch(cs, plan.output_misr_width, warm.lane_words());
+  if (!mismatch.empty()) add(mismatch);
+  if (!sampler) add("null defect sampler");
   if (!problems.empty())
     throw Error(ErrorCode::kInvalidInput, "invalid fleet shard", problems);
 
-  // Lease warm scratch with the campaign's RAII return, so a sampler or
-  // engine throw never leaks the scratch out of the free-list.
-  std::unique_ptr<CampaignScratch> leased = warm.acquire(*warm.structure());
-  struct LeaseReturn {
-    CampaignWarmState* warm;
-    std::unique_ptr<CampaignScratch>& sc;
-    ~LeaseReturn() { warm->release(std::move(sc)); }
-  } lease_return{&warm, leased};
-  CampaignScratch& sc = *leased;
+  const CampaignWarmState::Lease lease(warm);
+  CampaignScratch& sc = *lease;
 
   const unsigned W = sc.cn.lane_words();
   const std::size_t per_run = fleet_instances_per_run(W);
@@ -1075,8 +1103,7 @@ bool run_fleet_shard(const ControllerStructure& cs, const SelfTestPlan& plan,
         sc.batch.push_back(
             {f.net, f.stuck_value, static_cast<unsigned>(2 * j + 1)});
     }
-    if (!run_fleet_lanes(cs, plan, warm.pins(), sc, engine, budget, n,
-                         base_seed, first + done)) {
+    if (!run_fleet_lanes(plan, sc, engine, budget, n, base_seed, first + done)) {
       completed = false;
       break;
     }
@@ -1150,21 +1177,9 @@ CoverageResult measure_functional_coverage(const ControllerStructure& cs,
         sc.batch.push_back({list[begin + j].net, list[begin + j].stuck_value, lane});
         target[lane >> 6] |= std::uint64_t{1} << (lane & 63);
       }
-      sc.cn.set_faults(sc.batch);
-      sc.input_gen.seed(seed);
-      std::copy(sc.init_dff_lanes.begin(), sc.init_dff_lanes.end(),
-                sc.dff_lanes.begin());
       std::fill(sc.diff_mask.begin(), sc.diff_mask.end(), 0);
       LaneCycle eval(sc, CampaignEngine::kEvent, bud);
-      std::uint64_t prev_in = ~sc.input_gen.state();
-      bool completed = true;
-      for (std::size_t cycle = 0; cycle < cycles; ++cycle) {
-        drive_inputs(cs, pins, sc, prev_in);
-        const std::uint64_t* values = eval.cycle();
-        if (values == nullptr) {
-          completed = false;
-          break;
-        }
+      const auto observe_outputs = [&](const std::uint64_t* values) {
         for (NetId net : nl.outputs()) {
           const std::uint64_t* row = values + std::size_t{net} * W;
           const std::uint64_t ref = (row[0] & 1) ? ~std::uint64_t{0} : 0;
@@ -1172,14 +1187,11 @@ CoverageResult measure_functional_coverage(const ControllerStructure& cs,
         }
         std::uint64_t pending = 0;
         for (unsigned w = 0; w < W; ++w) pending |= target[w] & ~sc.diff_mask[w];
-        if (pending == 0) break;
-        for (std::size_t k = 0; k < nl.num_dffs(); ++k)
-          std::copy_n(values + std::size_t{sc.cn.dff_d(k)} * W, W,
-                      sc.dff_lanes.begin() + k * W);
-        sc.input_gen.step();
-      }
-      sc.cn.clear_faults();
-      if (!completed) break;
+        return pending != 0;
+      };
+      if (!run_lane_session(sc, eval, cycles, BroadcastInputs(sc, seed),
+                            SystemClocking{sc}, observe_outputs))
+        break;
       for (std::size_t j = 0; j < n; ++j) {
         const unsigned lane = static_cast<unsigned>(j + 1);
         ++res.simulated;

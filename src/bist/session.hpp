@@ -102,8 +102,8 @@ struct CoverageResult {
 
 /// Serial fault simulation of the full single-stuck-at list (or a caller-
 /// supplied subset) under the plan. One complete self-test run per fault:
-/// exact but slow; kept as the differential-testing oracle for the
-/// bit-parallel engine below.
+/// exact but slow. The serial oracle: the tests and the benchmark's
+/// checks compare the bit-parallel engines below against it.
 CoverageResult measure_coverage(const ControllerStructure& cs, const SelfTestPlan& plan,
                                 std::optional<std::vector<Fault>> faults = std::nullopt);
 
@@ -118,7 +118,7 @@ CoverageResult measure_coverage(const ControllerStructure& cs, const SelfTestPla
 /// its output-MISR lane state into the next session. Detection is
 /// signature-exact: a lane is detected iff any final compacting-register
 /// or output-MISR signature differs from lane 0 — the same criterion as
-/// the serial oracle, so the detected-fault sets are identical by
+/// measure_coverage, so the detected-fault sets are identical by
 /// construction at every width and thread count.
 
 /// Faults simulated per self-test run at a given lane width: one per lane
@@ -139,13 +139,10 @@ enum class CampaignEngine {
   /// Flat 64-lane engine: every gate, every cycle (reference for the
   /// event engine; previous default).
   kFlat,
-  /// One serial self-test per simulated fault (still honors `collapse`);
-  /// the differential-testing oracle.
-  kSerial,
 };
 
-/// Parse "event" / "flat" / "serial" (the --engine flag of the drivers);
-/// throws Error(kInvalidInput) on anything else.
+/// Parse "event" / "flat" (the --engine flag of the drivers); throws
+/// Error(kInvalidInput) on anything else.
 CampaignEngine parse_campaign_engine(const std::string& name);
 const char* campaign_engine_name(CampaignEngine engine);
 
@@ -182,16 +179,15 @@ struct CampaignOptions {
   /// Structural fault collapsing: simulate one representative per
   /// equivalence class (see collapse_faults) and expand the verdicts.
   bool collapse = true;
-  /// Evaluation engine; all three produce identical detected-fault sets.
+  /// Evaluation engine; both produce identical detected-fault sets.
   CampaignEngine engine = CampaignEngine::kEvent;
   /// uint64_t words per lane group: 1, 4 or 8 (64, 256 or 512 simulation
   /// lanes, batching faults_per_run(lane_words) faults per self-test run).
-  /// Validated up front by run_fault_campaign; the serial engine ignores
-  /// it. Results are identical for any supported value.
+  /// Validated up front by run_fault_campaign. Results are identical for
+  /// any supported value.
   unsigned lane_words = 1;
   /// Anytime governance. One work unit = one lane run of one session over
-  /// one batch on the bit-parallel engines (one full self-test of a single
-  /// fault serially), charged per chunk of batches; the clock and the
+  /// one batch, charged per chunk of batches; the clock and the
   /// cancel token are also polled every cycle, and an exhausted budget
   /// abandons the run in flight. Every retired verdict is exact; a fault
   /// that did not finish the plan is unsimulated, so the result reports
@@ -231,14 +227,12 @@ struct CampaignResult {
   std::size_t faults_simulated = 0;
   /// Anytime label: what the budget cut, if anything.
   Degradation degradation;
-  /// Lane runs performed: one per (session, batch) on the bit-parallel
-  /// engines -- the sum over sessions of ceil(survivors / faults_per_run)
-  /// -- and one full self-test per fault plus the reference serially.
+  /// Lane runs performed: one per (session, batch) -- the sum over
+  /// sessions of ceil(survivors / faults_per_run).
   std::size_t session_runs = 0;
 
-  // Activity accounting (bit-parallel engines only; zero on the serial
-  // path). ops_per_cycle is the compiled netlist's combinational op count,
-  // i.e. the cost of one flat evaluation.
+  // Activity accounting. ops_per_cycle is the compiled netlist's
+  // combinational op count, i.e. the cost of one flat evaluation.
   std::uint64_t cycles_simulated = 0;
   std::uint64_t ops_evaluated = 0;
   std::size_t ops_per_cycle = 0;
@@ -251,7 +245,7 @@ struct CampaignResult {
                      static_cast<double>(collapsed_total);
   }
   /// Mean fraction of combinational ops re-evaluated to a fresh value per
-  /// cycle (1.0 for the flat and serial engines). An *event rate*: dense
+  /// cycle (1.0 for the flat engine). An *event rate*: dense
   /// PLA products whose cheap resident-word check confirms the old value
   /// are not counted, so this tracks how quiescent the netlist is, not
   /// the engine's wall-clock cost -- compare campaign wall times for that.

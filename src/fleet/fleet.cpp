@@ -44,8 +44,6 @@ void FleetOptions::validate() const {
   if (shard_instances == 0) problems.push_back("shard_instances must be > 0");
   if (lane_words != 1 && lane_words != 4 && lane_words != 8)
     problems.push_back("lane_words must be 1, 4 or 8");
-  if (engine != CampaignEngine::kEvent && engine != CampaignEngine::kFlat)
-    problems.push_back("fleet runs need a bit-parallel engine (event or flat)");
   if (plan.sessions.empty()) problems.push_back("plan has no sessions");
   if (pool && jobs > 1)
     problems.push_back(

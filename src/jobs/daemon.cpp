@@ -88,8 +88,6 @@ DaemonReport run_daemon(const DaemonOptions& opt, JobCache& cache) {
   }
 
   const std::size_t workers = std::max<std::size_t>(1, opt.jobs);
-  const std::size_t max_inflight =
-      opt.max_inflight == 0 ? workers : opt.max_inflight;
   TaskPool pool(workers);
 
   std::vector<std::shared_ptr<Inflight>> inflight;
@@ -227,7 +225,7 @@ DaemonReport run_daemon(const DaemonOptions& opt, JobCache& cache) {
       // Claim new work (never during shutdown).
       bool claimed_any = false;
       if (!shutdown) {
-        while (inflight.size() < max_inflight) {
+        while (inflight.size() < workers) {
           auto claimed = queue.claim();
           if (!claimed) break;
           claimed_any = true;

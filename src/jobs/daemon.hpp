@@ -10,7 +10,7 @@
 //                 claiming: torn temps cleared, half-retired jobs'
 //                 moves completed, interrupted jobs requeued (poisoned
 //                 to failed/ past max_recoveries);
-//   loop       -- claim up to max_inflight jobs onto the pool; the main
+//   loop       -- claim up to `jobs` jobs onto the pool; the main
 //                 thread alone touches the spool (claims, retirements),
 //                 workers only compute;
 //   retire     -- success -> done/; transient failure with attempts left
@@ -54,10 +54,9 @@ namespace stc {
 
 struct DaemonOptions {
   std::string spool_dir;
-  /// Worker threads of the persistent pool.
+  /// Worker threads of the persistent pool, and the number of jobs
+  /// claimed concurrently.
   std::size_t jobs = 1;
-  /// Jobs claimed concurrently (0 = same as `jobs`).
-  std::size_t max_inflight = 0;
   /// Per-attempt budget for jobs that carry none of their own (< 0 =
   /// unlimited; such jobs are exempt from the watchdog).
   double default_budget_ms = -1.0;

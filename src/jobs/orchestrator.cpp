@@ -216,10 +216,9 @@ CampaignJobResult run_campaign_job(const CampaignJobSpec& spec, JobCache& cache,
         self_test_plan(arch_name(spec.arch), spec.bist_cycles);
 
     // Warm compiled-netlist + scratch for the campaign-driven structures
-    // (the serial oracle engine compiles nothing, fig1 runs no sessions).
+    // (fig1 runs no sessions).
     std::shared_ptr<CampaignWarmState> warm;
-    if (fopt.with_fault_sim && spec.arch != ArchKind::kFig1 &&
-        spec.engine != CampaignEngine::kSerial) {
+    if (fopt.with_fault_sim && spec.arch != ArchKind::kFig1) {
       warm = cache.warm(s, plan.output_misr_width, spec.lane_words,
                         &r.warm_cached);
       fopt.campaign.warm = warm.get();

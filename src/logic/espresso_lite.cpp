@@ -7,6 +7,10 @@
 namespace stc {
 namespace {
 
+/// EXPAND/IRREDUNDANT/REDUCE rounds at most; the fixpoint test usually
+/// stops the loop sooner.
+constexpr std::size_t kMaxRounds = 8;
+
 /// Per-output OFF covers: complement of ON_b u DC_b via unate recursion,
 /// each bit-sliced once into a CubeIndex for EXPAND's disjointness tests.
 /// This is the only place the OFF set is ever computed, and it is a cover,
@@ -197,7 +201,7 @@ CubeList minimize_espresso_mv(const PlaSpec& spec, const EspressoOptions& option
   const auto label = [&](const char* what) {
     if (!degradation) return;
     *degradation = truncation_label("espresso", rounds_done,
-                                    options.max_iterations, truncated,
+                                    kMaxRounds, truncated,
                                     budget.reason(), what);
   };
 
@@ -225,7 +229,7 @@ CubeList minimize_espresso_mv(const PlaSpec& spec, const EspressoOptions& option
 
   CubeList best = f;
   std::size_t best_cost = SIZE_MAX, last_cost = SIZE_MAX;
-  for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
+  for (std::size_t iter = 0; iter < kMaxRounds; ++iter) {
     // One round = one work unit, charged before the round runs.
     if (budget.spend(1)) {
       truncated = true;
@@ -263,7 +267,7 @@ CubeList minimize_espresso_mv(const PlaSpec& spec, const EspressoOptions& option
       break;
     last_cost = cost;
     // REDUCE (perturb for the next round).
-    if (iter + 1 < options.max_iterations) reduce(f, spec);
+    if (iter + 1 < kMaxRounds) reduce(f, spec);
   }
   label("returned the best valid cover reached before the budget expired");
   return best;

@@ -22,7 +22,6 @@
 namespace stc {
 
 struct EspressoOptions {
-  std::size_t max_iterations = 8;
   /// Anytime governance. One work unit = one EXPAND/IRREDUNDANT/REDUCE
   /// round; the deadline and the cancel token are additionally polled
   /// once per cube inside EXPAND and between OFF-cover complements. The

@@ -277,6 +277,20 @@ void FactoredNetwork::check() const {
 
 namespace {
 
+/// Hard cap on extracted intermediate nodes (the greedy loop normally
+/// stops on its own when no divisor saves literals).
+constexpr std::size_t kMaxNodes = std::size_t{1} << 16;
+/// Functions with more cubes than this skip the pairwise co-kernel
+/// enumeration (single-literal co-kernels are always tried).
+constexpr std::size_t kKernelPairCap = 96;
+/// Kernel divisors larger than this are not considered (bounds the
+/// division work per candidate).
+constexpr std::size_t kMaxDivisorCubes = 64;
+/// At most this many kernels per function enter the candidate pool per
+/// enumeration (largest literal mass first): big PLA outputs yield
+/// hundreds of near-identical kernels that all evaluate unprofitable.
+constexpr std::size_t kMaxKernelsPerFunc = 24;
+
 /// The extraction working state: outputs and node definitions live in one
 /// function array (funcs_[b] = output b, funcs_[num_outputs + j] = node j),
 /// with incremental bookkeeping for the cube-divisor search:
@@ -288,7 +302,7 @@ namespace {
 class Extractor {
  public:
   Extractor(const CubeList& pla, const FactorOptions& opt)
-      : num_vars_(pla.num_vars()), num_outputs_(pla.num_outputs()), opt_(opt),
+      : num_vars_(pla.num_vars()), num_outputs_(pla.num_outputs()),
         budget_(opt.budget) {
     std::vector<SopExpr> outs = sops_from_cubelist(pla);
     funcs_ = std::move(outs);
@@ -304,7 +318,7 @@ class Extractor {
     // applied atomically, so stopping between steps (budget) leaves an
     // exactly equivalent network.
     bool changed = true;
-    while (changed && num_nodes() < opt_.max_nodes && !truncated_) {
+    while (changed && num_nodes() < kMaxNodes && !truncated_) {
       changed = false;
       if (cube_phase()) changed = true;
       if (!truncated_ && kernel_phase()) changed = true;
@@ -513,7 +527,7 @@ class Extractor {
   /// Extract the best-value common-cube divisor until none saves literals.
   bool cube_phase() {
     bool any = false;
-    while (num_nodes() < opt_.max_nodes) {
+    while (num_nodes() < kMaxNodes) {
       // One extraction step = one budget unit, charged up front.
       if (budget_.spend(1)) {
         truncated_ = true;
@@ -664,7 +678,7 @@ class Extractor {
     std::map<std::vector<FCube>, PoolEntry> pool;
     std::vector<std::uint64_t> changed;  // per func: round of last rewrite
     std::uint64_t round = 0;
-    while (num_nodes() < opt_.max_nodes) {
+    while (num_nodes() < kMaxNodes) {
       // One kernel round = one budget unit; the enumeration and evaluation
       // loops below additionally poll the deadline (a first round over a
       // big network can take a long time on its own).
@@ -681,23 +695,23 @@ class Extractor {
         if (!dirty_[f]) continue;
         dirty_[f] = false;
         if (funcs_[f].cubes.size() < 2) continue;
-        std::vector<Kernel> ks = enumerate_kernels(funcs_[f], opt_.kernel_pair_cap);
+        std::vector<Kernel> ks = enumerate_kernels(funcs_[f], kKernelPairCap);
         ks.erase(std::remove_if(ks.begin(), ks.end(),
                                 [&](const Kernel& k) {
                                   return k.kernel.cubes.size() < 2 ||
                                          k.kernel.cubes.size() >
-                                             opt_.max_divisor_cubes;
+                                             kMaxDivisorCubes;
                                 }),
                  ks.end());
         // Large functions yield hundreds of kernels; keep the ones with
         // the largest sharing potential (literal mass) to bound the pool.
-        if (ks.size() > opt_.max_kernels_per_func) {
-          std::partial_sort(ks.begin(), ks.begin() + opt_.max_kernels_per_func,
+        if (ks.size() > kMaxKernelsPerFunc) {
+          std::partial_sort(ks.begin(), ks.begin() + kMaxKernelsPerFunc,
                             ks.end(), [](const Kernel& a, const Kernel& b) {
                               return a.kernel.num_literals() >
                                      b.kernel.num_literals();
                             });
-          ks.resize(opt_.max_kernels_per_func);
+          ks.resize(kMaxKernelsPerFunc);
         }
         for (Kernel& k : ks) {
           std::vector<FCube> key = k.kernel.cubes;  // key before the move
@@ -903,7 +917,6 @@ class Extractor {
 
   std::size_t num_vars_;
   std::size_t num_outputs_;
-  FactorOptions opt_;
   Budget budget_;
   bool truncated_ = false;
   std::vector<SopExpr> funcs_;

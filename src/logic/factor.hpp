@@ -161,19 +161,6 @@ struct FactoredNetwork {
 };
 
 struct FactorOptions {
-  /// Hard cap on extracted intermediate nodes (the greedy loop normally
-  /// stops on its own when no divisor saves literals).
-  std::size_t max_nodes = 1 << 16;
-  /// Functions with more cubes than this skip the pairwise co-kernel
-  /// enumeration (single-literal co-kernels are always tried).
-  std::size_t kernel_pair_cap = 96;
-  /// Kernel divisors larger than this are not considered (bounds the
-  /// division work per candidate).
-  std::size_t max_divisor_cubes = 64;
-  /// At most this many kernels per function enter the candidate pool per
-  /// enumeration (largest literal mass first): big PLA outputs yield
-  /// hundreds of near-identical kernels that all evaluate unprofitable.
-  std::size_t max_kernels_per_func = 24;
   /// Anytime governance. One work unit = one greedy extraction step (a
   /// cube-divisor pull or a kernel round); the deadline and the cancel
   /// token are additionally polled inside the kernel enumeration and

@@ -80,19 +80,17 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl, unsigned lane_words) {
   // output of an earlier dense product) are compiled into one contiguous
   // uint16 index stream evaluated sequentially: literal-only products are
   // grouped by fanin count (fixed inner trip counts, no mispredicted
-  // exits), literal-shaped XOR planes follow (parity-heavy netlists would
-  // otherwise fall back to CSR cone evaluation), then product-reading
-  // chains in topo order, and the whole sweep is skipped on cycles where
-  // no product input changed. Requires net ids to fit uint16.
+  // exits), then product-reading chains follow in topo order, and the
+  // whole sweep is skipped on cycles where no product input changed. XOR
+  // gates, which no structure the library builds contains, stay on the
+  // CSR path. Requires net ids to fit uint16.
   dense_.assign(ops_.size(), 0);
   is_dense_input_.assign(num_nets_, 0);
-  std::vector<std::uint32_t> main_ops, xor_ops, chain_ops;  // topo order
+  std::vector<std::uint32_t> main_ops, chain_ops;  // topo order
   if (num_nets_ <= UINT16_MAX + 1) {
     for (std::size_t i = 0; i < ops_.size(); ++i) {
       const Op& op = ops_[i];
-      if ((op.type != GateType::kAnd && op.type != GateType::kXor) ||
-          op.fanin_count < 2)
-        continue;
+      if (op.type != GateType::kAnd || op.fanin_count < 2) continue;
       bool ok = true, chained = false;
       for (std::uint32_t k = 0; ok && k < op.fanin_count; ++k) {
         const NetId f = fanins_[op.fanin_begin + k];
@@ -100,13 +98,7 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl, unsigned lane_words) {
         // by another dense product is NOT a slab literal -- the reader has
         // to go through the chained (values[]-reading) path, which runs
         // after the producer's commit, or it would AND a stale term word.
-        // XOR planes have no chained path: a dense-product fanin keeps the
-        // XOR in the CSR graph (its readers are scheduled past the sweep).
         if (op_of_net_[f] != kNoOp && dense_[op_of_net_[f]]) {
-          if (op.type == GateType::kXor) {
-            ok = false;
-            break;
-          }
           chained = true;
           continue;
         }
@@ -115,24 +107,19 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl, unsigned lane_words) {
       }
       if (!ok) continue;
       dense_[i] = 1;
-      if (op.type == GateType::kXor)
-        xor_ops.push_back(static_cast<std::uint32_t>(i));
-      else
-        (chained ? chain_ops : main_ops).push_back(static_cast<std::uint32_t>(i));
+      (chained ? chain_ops : main_ops).push_back(static_cast<std::uint32_t>(i));
     }
   }
-  num_xor_ops_ = xor_ops.size();
   // Literal slab: one term slot per distinct net read by a literal-only
-  // product or XOR plane, ordered by descending read count (frequent
-  // literals share low slots, which maximizes node reuse below).
+  // product, ordered by descending read count (frequent literals share low
+  // slots, which maximizes node reuse below).
   {
     std::vector<std::uint32_t> reads(num_nets_, 0);
-    for (const auto* list : {&main_ops, &xor_ops})
-      for (std::uint32_t op_idx : *list) {
-        const Op& op = ops_[op_idx];
-        for (std::uint32_t k = 0; k < op.fanin_count; ++k)
-          ++reads[fanins_[op.fanin_begin + k]];
-      }
+    for (std::uint32_t op_idx : main_ops) {
+      const Op& op = ops_[op_idx];
+      for (std::uint32_t k = 0; k < op.fanin_count; ++k)
+        ++reads[fanins_[op.fanin_begin + k]];
+    }
     for (NetId n = 0; n < num_nets_; ++n)
       if (reads[n] > 0) slab_net_.push_back(n);
     // std::sort with an explicit NetId tie-break (slab_net_ starts in
@@ -150,8 +137,7 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl, unsigned lane_words) {
   // term list, fold consecutive term pairs into deduplicated (a & b) nodes,
   // and repeat until the lists stop shrinking or the id space / node budget
   // is exhausted. Exact by associativity: internal nodes are not nets, so
-  // they never carry fault masks. (XOR planes read raw slab slots only --
-  // the node table is AND-combined.)
+  // they never carry fault masks.
   std::vector<std::vector<std::uint16_t>> terms(main_ops.size());
   for (std::size_t p = 0; p < main_ops.size(); ++p) {
     const Op& op = ops_[main_ops[p]];
@@ -207,39 +193,27 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl, unsigned lane_words) {
   }
 
   // Emit products grouped by final term count (sequential stream per group).
-  const auto emit_groups = [&](const std::vector<std::uint32_t>& op_list,
-                               const std::vector<std::vector<std::uint16_t>>& lists,
-                               std::vector<DenseGroup>& groups) {
-    std::vector<std::uint32_t> order(op_list.size());
+  {
+    std::vector<std::uint32_t> order(main_ops.size());
     for (std::size_t p = 0; p < order.size(); ++p) order[p] = static_cast<std::uint32_t>(p);
     std::sort(order.begin(), order.end(),
               [&](std::uint32_t a, std::uint32_t b) {
-                return lists[a].size() != lists[b].size()
-                           ? lists[a].size() < lists[b].size()
+                return terms[a].size() != terms[b].size()
+                           ? terms[a].size() < terms[b].size()
                            : a < b;
               });
     for (std::size_t i = 0; i < order.size();) {
-      const std::uint32_t width = static_cast<std::uint32_t>(lists[order[i]].size());
+      const std::uint32_t width = static_cast<std::uint32_t>(terms[order[i]].size());
       std::size_t j = i;
-      while (j < order.size() && lists[order[j]].size() == width) {
-        dense_out_.push_back(ops_[op_list[order[j]]].out);
-        dense_prog_.insert(dense_prog_.end(), lists[order[j]].begin(),
-                           lists[order[j]].end());
+      while (j < order.size() && terms[order[j]].size() == width) {
+        dense_out_.push_back(ops_[main_ops[order[j]]].out);
+        dense_prog_.insert(dense_prog_.end(), terms[order[j]].begin(),
+                           terms[order[j]].end());
         ++j;
       }
-      groups.push_back({static_cast<std::uint32_t>(j - i), width});
+      dense_groups_.push_back({static_cast<std::uint32_t>(j - i), width});
       i = j;
     }
-  };
-  emit_groups(main_ops, terms, dense_groups_);
-  {
-    std::vector<std::vector<std::uint16_t>> xterms(xor_ops.size());
-    for (std::size_t p = 0; p < xor_ops.size(); ++p) {
-      const Op& op = ops_[xor_ops[p]];
-      for (std::uint32_t k = 0; k < op.fanin_count; ++k)
-        xterms[p].push_back(slot_of[fanins_[op.fanin_begin + k]]);
-    }
-    emit_groups(xor_ops, xterms, xor_groups_);
   }
   for (NetId n : slab_net_) is_dense_input_[n] = 1;
   // Chained products read values[] directly: their stream entries are net

@@ -29,10 +29,9 @@
 //     a per-level bucket queue. PLA products (ANDs over literal-shaped
 //     fanins) are compiled into a separate dense sweep -- factored through
 //     a shared AND-node table, grouped by term count, evaluated as one
-//     sequential pass and skipped whenever no product input changed -- and
-//     literal-shaped XOR planes run in the same sweep; wide ORs keep
-//     incremental active-fanin sets (see DESIGN.md, "Event-driven fault
-//     simulation" and "Wide-lane fault simulation"). Bit-identical to
+//     sequential pass and skipped whenever no product input changed; wide
+//     ORs keep incremental active-fanin sets (see DESIGN.md, "Event-driven
+//     fault simulation" and "Wide-lane fault simulation"). Bit-identical to
 //     evaluate() by construction: any state the scheduler cannot trust
 //     (fresh scratch, set_faults / clear_faults since the last call) falls
 //     back to one full evaluation.
@@ -189,9 +188,6 @@ struct EventScratch {
   std::uint64_t cycles = 0;         // evaluate_event() calls
   std::uint64_t full_evals = 0;     // calls that took the reset path
   std::uint64_t ops_evaluated = 0;  // op evaluations performed (see above)
-  std::uint64_t net_events = 0;     // net word groups that changed value
-
-  void reset_counters() { cycles = full_evals = ops_evaluated = net_events = 0; }
 };
 
 class CompiledNetlist {
@@ -211,19 +207,6 @@ class CompiledNetlist {
   /// Combinational ops per full evaluation (the event engine's activity
   /// denominator).
   std::size_t num_ops() const { return ops_.size(); }
-  /// Combinational levels of the compiled program.
-  std::size_t num_levels() const { return num_levels_; }
-  /// Ops compiled into the dense PLA-product sweep (AND + XOR + chained).
-  std::size_t num_dense_ops() const { return dense_out_.size(); }
-  /// XOR planes admitted into the dense sweep.
-  std::size_t num_dense_xor_ops() const { return num_xor_ops_; }
-  /// Shared AND nodes in the dense term table.
-  std::size_t num_dense_nodes() const { return node_a_.size(); }
-  /// Literal slab slots feeding the dense term table.
-  std::size_t num_dense_literals() const { return slab_net_.size(); }
-  /// Total term references in the dense product programs (the sweep's load
-  /// count; compare against the flat engine's total fanin count).
-  std::size_t num_dense_terms() const { return dense_prog_.size(); }
 
   /// D-input net of flip-flop k (dffs() order), for clocking.
   NetId dff_d(std::size_t k) const { return dff_d_[k]; }
@@ -248,9 +231,9 @@ class CompiledNetlist {
   /// word groups (inputs/DFFs) are diffed against the previous cycle; only
   /// ops in the fanout cones of changed nets are re-evaluated, popped level
   /// by level, and a cone dies out as soon as a recomputed word group
-  /// equals its old value (glitch suppression). PLA products and literal
-  /// XOR planes run in the dense sweep instead, skipped entirely on cycles
-  /// where no product input changed. Falls back to one full evaluation when
+  /// equals its old value (glitch suppression). PLA products run in the
+  /// dense sweep instead, skipped entirely on cycles where no product
+  /// input changed. Falls back to one full evaluation when
   /// the scratch is fresh, reset() was called, or the fault masks changed
   /// -- which makes the result bit-identical to evaluate() by construction.
   void evaluate_event(const std::uint64_t* input_lanes,
@@ -317,15 +300,12 @@ class CompiledNetlist {
   // literal net slab_net_[t], slot num_slab_+j holds node_a_[j] & node_b_[j]
   // (ids always smaller, so one sequential pass evaluates the table).
   // Products are grouped by final term count (fixed trip counts), followed
-  // by literal-shaped XOR planes (same slot space, XOR-combined), followed
   // by product-reading ("chained") products in topo order whose stream
   // entries are raw net ids instead of term slots.
   std::vector<std::uint8_t> dense_;            // per op: member of the sweep
   std::vector<std::uint32_t> slab_net_;        // term slot -> literal net
   std::vector<std::uint16_t> node_a_, node_b_; // shared AND nodes
   std::vector<DenseGroup> dense_groups_;       // AND products
-  std::vector<DenseGroup> xor_groups_;         // XOR planes
-  std::size_t num_xor_ops_ = 0;
   std::vector<std::uint32_t> dense_out_;       // output net per dense op
   std::vector<std::uint32_t> dense_chain_width_;  // per chained op
   std::vector<std::uint16_t> dense_prog_;      // term slots, then chain net ids

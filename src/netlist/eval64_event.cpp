@@ -80,13 +80,6 @@ void CompiledNetlist::refresh_dense(EventScratch& s) const {
         for (unsigned w = 0; w < W; ++w) v[w] &= T[std::size_t{t[k]} * W + w];
       for (unsigned w = 0; w < W; ++w) s.dense_val[j * W + w] = v[w];
     }
-  for (const DenseGroup& g : xor_groups_)
-    for (std::uint32_t i = 0; i < g.count; ++i, ++j, t += g.width) {
-      for (unsigned w = 0; w < W; ++w) v[w] = 0;
-      for (std::uint32_t k = 0; k < g.width; ++k)
-        for (unsigned w = 0; w < W; ++w) v[w] ^= T[std::size_t{t[k]} * W + w];
-      for (unsigned w = 0; w < W; ++w) s.dense_val[j * W + w] = v[w];
-    }
   for (const std::uint32_t width : dense_chain_width_) {
     for (unsigned w = 0; w < W; ++w) v[w] = ~std::uint64_t{0};
     for (std::uint32_t k = 0; k < width; ++k)
@@ -127,7 +120,6 @@ void CompiledNetlist::evaluate_event_impl(const std::uint64_t* input_lanes,
     std::uint64_t* cur = vals + std::size_t{n} * W;
     const bool was_nz = lanes::any<W>(cur);
     lanes::copy<W>(cur, w);
-    ++s.net_events;
     dense_input_changed |= is_dense_input_[n] != 0;
     for (std::uint32_t i = sor_offset_[n]; i < sor_offset_[n + 1]; ++i) {
       const std::uint32_t e = sor_edge_[i];
@@ -328,15 +320,6 @@ void CompiledNetlist::evaluate_event_impl(const std::uint64_t* input_lanes,
             finish(j, v);
           }
           break;
-      }
-    }
-    // Literal-shaped XOR planes: same slot space, XOR-combined.
-    for (const DenseGroup& g : xor_groups_) {
-      for (std::uint32_t i = 0; i < g.count; ++i, ++j, t += g.width) {
-        lanes::fill<W>(v, 0);
-        for (std::uint32_t k = 0; k < g.width; ++k)
-          lanes::xor_in<W>(v, T + std::size_t{t[k]} * W);
-        finish(j, v);
       }
     }
     for (const std::uint32_t width : dense_chain_width_) {

@@ -171,18 +171,15 @@ struct TaskRun {
       offer(mk, kappa);
     }
 
-    if (w.opt.extended_candidates) {
-      // Completion of the paper's candidate set (see DESIGN.md): the
-      // Theorem-2 interval around the Mm-pair contains symmetric pairs
-      // whose components are strictly *between* the evaluated endpoints
-      // (e.g. product machines where M(kappa) over-coarsens past epsilon
-      // but an intermediate pi works). Greedily coarsen (m(kappa), kappa)
-      // inside the validity region. Gated to small machines or nodes that
-      // just improved the task incumbent, to keep large searches fast.
-      if (w.fsm.num_states() <= 12 || improved) {
-        greedy_coarsen(mk, kappa);
-      }
-    }
+    // Completion of the paper's candidate set (see DESIGN.md, "Algorithm
+    // completion"): the paper's procedure only scores the Mm endpoints,
+    // but the Theorem-2 interval around the Mm-pair contains symmetric
+    // pairs whose components are strictly *between* them (e.g. product
+    // machines where M(kappa) over-coarsens past epsilon but an
+    // intermediate pi works). Greedily coarsen (m(kappa), kappa) inside
+    // the validity region. Gated to small machines or nodes that just
+    // improved the task incumbent, to keep large searches fast.
+    if (w.fsm.num_states() <= 12 || improved) greedy_coarsen(mk, kappa);
     return true;
   }
 

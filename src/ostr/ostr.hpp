@@ -56,12 +56,6 @@ struct OstrOptions {
   /// Use cost criterion (ii) as tie-break; when false, the first solution
   /// with minimal (i) wins (ablation bench).
   bool balance_tiebreak = true;
-  /// Also evaluate the coarser symmetric pairs inside each Theorem-2
-  /// interval (pi -> M(tau) / tau -> M(pi) climb). The paper's procedure
-  /// only scores the Mm endpoints (M(kappa), kappa) and (m(kappa), kappa),
-  /// which misses strictly cheaper pairs on product-structured machines;
-  /// see DESIGN.md "Algorithm completion". Off = paper-faithful mode.
-  bool extended_candidates = true;
   /// Collect every improving solution (for reporting/ablation).
   bool keep_history = false;
   /// Threads for the top-level subtree fan-out. 0 or 1 = run everything

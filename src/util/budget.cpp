@@ -97,13 +97,4 @@ std::string render_degradation(const Degradation& d) {
   return out;
 }
 
-std::string render_degradations(const std::vector<Degradation>& ds) {
-  std::string out;
-  for (const Degradation& d : ds) {
-    const std::string line = render_degradation(d);
-    if (!line.empty()) out += line + "\n";
-  }
-  return out;
-}
-
 }  // namespace stc

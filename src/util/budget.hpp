@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 namespace stc {
 
@@ -128,8 +127,5 @@ Degradation truncation_label(std::string stage, std::uint64_t done,
 /// One line, e.g. "espresso degraded (deadline): 3/8 rounds -- returned
 /// best cover so far". Returns "" for a non-degraded record.
 std::string render_degradation(const Degradation& d);
-
-/// All degraded entries rendered one per line (empty string when none).
-std::string render_degradations(const std::vector<Degradation>& ds);
 
 }  // namespace stc

@@ -181,10 +181,9 @@ TEST(EventEvaluator, XorConesPropagateExactly) {
 }
 
 TEST(EventEvaluator, GlitchSuppressionKillsConeWhenWordReturnsToOldValue) {
-  // x = XOR(a, b) is a literal XOR plane, so it lives in the dense sweep:
-  // toggling a and b together leaves its raw word group unchanged and the
-  // cheap resident-group compare skips it without counting an evaluation
-  // -- and without waking the cone below it.
+  // x = XOR(a, b) sits in CSR level 0: toggling a and b together makes
+  // its re-evaluated word group equal the old one, so the commit is
+  // suppressed and the cone below it never wakes.
   Netlist nl;
   const NetId a = nl.add_input("a");
   const NetId b = nl.add_input("b");
@@ -196,7 +195,6 @@ TEST(EventEvaluator, GlitchSuppressionKillsConeWhenWordReturnsToOldValue) {
   nl.finalize();
 
   CompiledNetlist cn(nl);
-  ASSERT_EQ(cn.num_dense_xor_ops(), 1u);  // x; y reads the deep net w
   EventScratch ev;
   std::vector<std::uint64_t> in = {0, 0};
   std::vector<std::uint64_t> flat(nl.num_nets(), 0);
@@ -207,10 +205,10 @@ TEST(EventEvaluator, GlitchSuppressionKillsConeWhenWordReturnsToOldValue) {
     in[1] = ~in[1];  // a and b toggle together: x glitches back to old value
     const std::uint64_t before = ev.ops_evaluated;
     cn.evaluate_event(in.data(), nullptr, ev);
-    // y is recomputed to a fresh value (it reads `a` directly); x's group
-    // is confirmed unchanged by the sweep and w -- behind the suppressed
-    // glitch -- never wakes at all.
-    EXPECT_EQ(ev.ops_evaluated - before, 1u) << "cycle " << c;
+    // x is re-evaluated and suppressed, y is recomputed to a fresh value
+    // (it reads `a` directly), and w -- behind the suppressed glitch --
+    // never wakes at all.
+    EXPECT_EQ(ev.ops_evaluated - before, 2u) << "cycle " << c;
     cn.evaluate(in.data(), nullptr, flat.data());
     for (NetId id = 0; id < nl.num_nets(); ++id)
       ASSERT_EQ(ev.values[id], flat[id]) << "net " << id;
@@ -218,9 +216,9 @@ TEST(EventEvaluator, GlitchSuppressionKillsConeWhenWordReturnsToOldValue) {
 }
 
 TEST(EventEvaluator, CsrGlitchSuppressionForXorReadingADenseProduct) {
-  // s = XOR(p, c) reads the dense product p = AND(a, b), so it stays in
-  // the CSR path (a dense-producer fanin would read a stale term word from
-  // the slab). With b held at 1, p mirrors a; toggling a and c together
+  // s = XOR(p, c) reads the dense product p = AND(a, b); like every XOR it
+  // runs on the CSR path, woken by p's commit in the dense sweep. With b
+  // held at 1, p mirrors a; toggling a and c together
   // leaves s = p XOR c unchanged, so the recomputed word group equals the
   // old one and the cone below s (w) must not be re-evaluated.
   Netlist nl;
@@ -236,7 +234,6 @@ TEST(EventEvaluator, CsrGlitchSuppressionForXorReadingADenseProduct) {
   nl.finalize();
 
   CompiledNetlist cn(nl);
-  EXPECT_EQ(cn.num_dense_xor_ops(), 0u);  // s and y read non-literal fanins
   EventScratch ev;
   std::vector<std::uint64_t> in = {0, ~std::uint64_t{0}, 0};  // b = 1
   std::vector<std::uint64_t> flat(nl.num_nets(), 0);

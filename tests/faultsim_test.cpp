@@ -463,17 +463,6 @@ INSTANTIATE_TEST_SUITE_P(AllKissMachines, CampaignEquivalence,
                          ::testing::ValuesIn(benchmark_names()),
                          [](const auto& info) { return info.param; });
 
-TEST(Campaign, SerialFallbackEngineAgreesToo) {
-  const ControllerStructure cs = fig1_for("dk27");
-  const SelfTestPlan plan = SelfTestPlan::two_session(48);
-  CampaignOptions opt;
-  opt.engine = CampaignEngine::kSerial;
-  const CampaignResult slow = run_fault_campaign(cs, plan, opt);
-  const CampaignResult fast = run_fault_campaign(cs, plan);
-  EXPECT_EQ(slow.raw.detected, fast.raw.detected);
-  EXPECT_EQ(fault_set(slow.raw.undetected), fault_set(fast.raw.undetected));
-}
-
 TEST(Campaign, Fig4PipelineMatchesSerialOracle) {
   const ControllerStructure cs = fig4_for("dk27");
   const SelfTestPlan plan = SelfTestPlan::two_session(64);
