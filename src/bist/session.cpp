@@ -5,7 +5,6 @@
 #include <mutex>
 #include <stdexcept>
 
-#include "bist/lfsr.hpp"
 #include "jobs/scheduler.hpp"
 #include "netlist/eval64.hpp"
 #include "util/error.hpp"
@@ -17,12 +16,12 @@ namespace stc {
 SelfTestPlan SelfTestPlan::two_session(std::size_t cycles_per_session) {
   SelfTestPlan plan;
   SessionSpec s1;
-  s1.role_a = RegRole::kGenerate;
-  s1.role_b = RegRole::kCompress;
+  s1.role_a = BilboMode::kGenerate;
+  s1.role_b = BilboMode::kCompress;
   s1.cycles = cycles_per_session;
   SessionSpec s2;
-  s2.role_a = RegRole::kCompress;
-  s2.role_b = RegRole::kGenerate;
+  s2.role_a = BilboMode::kCompress;
+  s2.role_b = BilboMode::kGenerate;
   s2.cycles = cycles_per_session;
   s2.input_seed = 0xCAFE;
   s2.gen_seed = 0x3;
@@ -44,34 +43,50 @@ SelfTestPlan SelfTestPlan::thorough(std::size_t cycles_per_session) {
 
 SelfTestPlan SelfTestPlan::autonomous(std::size_t cycles_per_session) {
   SelfTestPlan plan = two_session(cycles_per_session);
-  plan.sessions[0].role_a = RegRole::kSystem;
-  plan.sessions[1].role_b = RegRole::kSystem;
+  plan.sessions[0].role_a = BilboMode::kSystem;
+  plan.sessions[1].role_b = BilboMode::kSystem;
   return plan;
 }
 
 SelfTestPlan SelfTestPlan::conventional(std::size_t cycles) {
   SelfTestPlan plan;
   SessionSpec s;
-  s.role_a = RegRole::kCompress;  // R compresses the next-state lines
-  s.role_b = RegRole::kGenerate;  // T generates patterns into C
+  s.role_a = BilboMode::kCompress;  // R compresses the next-state lines
+  s.role_b = BilboMode::kGenerate;  // T generates patterns into C
   s.cycles = cycles;
   plan.sessions = {s};
   return plan;
 }
 
+std::string plan_problems(const SelfTestPlan& plan) {
+  std::string problems = plan.sessions.empty() ? "plan has no sessions" : "";
+  if (plan.output_misr_width == 0 || plan.output_misr_width > 64) {
+    if (!problems.empty()) problems += "; ";
+    problems += "plan output_misr_width must be in [1, 64]; got " +
+                std::to_string(plan.output_misr_width);
+  }
+  return problems;
+}
+
 namespace {
 
-/// One register bank reconfigured per role for a session.
+/// The state a session bank starts from: a generating bank starts from
+/// `seed`, tested for zero BEFORE the width mask (a seed whose low bits
+/// are all zero starts the register at 0, and the generator's zero escape
+/// takes it from there); every other bank starts from 0. Unlike
+/// Bilbo::seed, which masks first -- changing this rule would change which
+/// faults are detected.
+std::uint64_t bank_start(BilboMode mode, std::uint64_t seed) {
+  return mode == BilboMode::kGenerate ? (seed == 0 ? 1 : seed) : 0;
+}
+
+/// One register bank clocked in one mode for a session.
 class Bank {
  public:
-  Bank(const Netlist& nl, const std::vector<std::size_t>& dff_idx, RegRole role,
+  Bank(const Netlist& nl, const std::vector<std::size_t>& dff_idx, BilboMode mode,
        std::uint64_t seed)
-      : nl_(nl), idx_(dff_idx), role_(role), reg_(idx_.empty() ? 1 : idx_.size()) {
-    if (role_ == RegRole::kGenerate) {
-      reg_.load(seed == 0 ? 1 : seed);
-    } else {
-      reg_.load(0);
-    }
+      : nl_(nl), idx_(dff_idx), mode_(mode), reg_(idx_.empty() ? 1 : idx_.size()) {
+    reg_.load(bank_start(mode, seed));
   }
 
   bool empty() const { return idx_.empty(); }
@@ -91,26 +106,13 @@ class Bank {
       const NetId dn = nl_.gate(q).fanins[0];
       if (net_values[dn]) d |= std::uint64_t{1} << k;
     }
-    switch (role_) {
-      case RegRole::kGenerate:
-        reg_.clock(BilboMode::kGenerate);
-        break;
-      case RegRole::kCompress:
-        reg_.clock(BilboMode::kCompress, d);
-        break;
-      case RegRole::kSystem:
-        reg_.clock(BilboMode::kSystem, d);
-        break;
-      case RegRole::kHold:
-        reg_.clock(BilboMode::kHold);
-        break;
-    }
+    reg_.clock(mode_, d);
   }
 
  private:
   const Netlist& nl_;
   std::vector<std::size_t> idx_;
-  RegRole role_;
+  BilboMode mode_;
   Bilbo reg_;
 };
 
@@ -151,7 +153,7 @@ PinMap map_pins(const ControllerStructure& cs) {
 /// single-absorb path silently discarded outputs beyond the MISR width
 /// and beyond bit 63.) For machines with <= width observed outputs this
 /// performs exactly one absorb per cycle with the same value as before.
-void absorb_outputs(Misr& misr, const std::vector<bool>& values,
+void absorb_outputs(Bilbo& misr, const std::vector<bool>& values,
                     const std::vector<NetId>& po) {
   const std::size_t w = misr.width();
   std::uint64_t chunk = 0;
@@ -159,13 +161,13 @@ void absorb_outputs(Misr& misr, const std::vector<bool>& values,
   for (NetId net : po) {
     if (values[net]) chunk |= std::uint64_t{1} << j;
     if (++j == w) {
-      misr.absorb(chunk);
+      misr.clock(BilboMode::kCompress, chunk);
       chunk = 0;
       j = 0;
       ++absorbed;
     }
   }
-  if (j > 0 || absorbed == 0) misr.absorb(chunk);
+  if (j > 0 || absorbed == 0) misr.clock(BilboMode::kCompress, chunk);
 }
 
 }  // namespace
@@ -174,12 +176,15 @@ Signatures run_self_test(const ControllerStructure& cs, const SelfTestPlan& plan
                          std::optional<Fault> fault) {
   const Netlist& nl = cs.nl;
   if (!nl.finalized()) throw std::logic_error("run_self_test: netlist not finalized");
+  const std::string problems = plan_problems(plan);
+  if (!problems.empty())
+    throw Error(ErrorCode::kInvalidInput, "invalid self-test plan", problems);
   const NetId fnet = fault ? fault->net : kNoNet;
   const bool fval = fault ? fault->stuck_value : false;
   const PinMap pins = map_pins(cs);
 
   Signatures sigs;
-  Misr out_misr(plan.output_misr_width);
+  Bilbo out_misr(plan.output_misr_width);
   std::vector<bool> in(nl.num_inputs(), false);
   std::vector<bool> values;  // scratch reused across cycles and sessions
 
@@ -188,11 +193,12 @@ Signatures run_self_test(const ControllerStructure& cs, const SelfTestPlan& plan
     Bank bank_b(nl, cs.reg_b, spec.role_b, spec.gen_seed * 3 + 1);
     // The input generator is wider than the input count so that narrow
     // interfaces (1-2 bits) still see a long pseudo-random sequence.
-    Lfsr input_gen(std::max<std::size_t>(8, cs.pi.size()), spec.input_seed);
+    Bilbo input_gen(std::max<std::size_t>(8, cs.pi.size()));
+    input_gen.seed(spec.input_seed);
 
     Netlist::SimState state = nl.initial_state();
     for (std::size_t cycle = 0; cycle < spec.cycles; ++cycle) {
-      // Drive primary inputs from the input LFSR; assert test_mode.
+      // Drive primary inputs from the input generator; assert test_mode.
       std::fill(in.begin(), in.end(), false);
       for (std::size_t k = 0; k < cs.pi.size(); ++k)
         in[pins.pi_slot[k]] = input_gen.bit(k);
@@ -206,15 +212,15 @@ Signatures run_self_test(const ControllerStructure& cs, const SelfTestPlan& plan
 
       bank_a.clock(values);
       bank_b.clock(values);
-      input_gen.step();
+      input_gen.clock(BilboMode::kGenerate);
     }
 
     // Record the compacting banks' final signatures.
-    if (spec.role_a == RegRole::kCompress) sigs.register_sigs.push_back(bank_a.value());
-    if (spec.role_b == RegRole::kCompress && !bank_b.empty())
+    if (spec.role_a == BilboMode::kCompress) sigs.register_sigs.push_back(bank_a.value());
+    if (spec.role_b == BilboMode::kCompress && !bank_b.empty())
       sigs.register_sigs.push_back(bank_b.value());
   }
-  sigs.output_sig = out_misr.signature();
+  sigs.output_sig = out_misr.state();
   return sigs;
 }
 
@@ -241,20 +247,10 @@ CoverageResult measure_coverage(const ControllerStructure& cs, const SelfTestPla
 
 namespace {
 
-BilboMode mode_of(RegRole role) {
-  switch (role) {
-    case RegRole::kGenerate: return BilboMode::kGenerate;
-    case RegRole::kCompress: return BilboMode::kCompress;
-    case RegRole::kSystem: return BilboMode::kSystem;
-    case RegRole::kHold: break;
-  }
-  return BilboMode::kHold;
-}
-
 /// Netlist glue around the lane-sliced LaneBilbo (bist/bilbo.hpp): maps
 /// the bank's bit rows onto the structure's DFF slots and gathers each
 /// bit's D-input net from the evaluated values. Constructed once per
-/// worker; reset() reconfigures role and seed per session with no heap
+/// worker; reset() reconfigures mode and seed per session with no heap
 /// traffic.
 class LaneBank {
  public:
@@ -265,9 +261,9 @@ class LaneBank {
       d_net_[k] = nl.gate(nl.dffs()[idx[k]]).fanins[0];
   }
 
-  void reset(RegRole role, std::uint64_t seed) {
-    role_ = role;
-    reg_.reset(role == RegRole::kGenerate ? (seed == 0 ? 1 : seed) : 0);
+  void reset(BilboMode mode, std::uint64_t seed) {
+    mode_ = mode;
+    reg_.reset(bank_start(mode, seed));
   }
 
   bool empty() const { return idx_->empty(); }
@@ -294,7 +290,7 @@ class LaneBank {
         for (unsigned w = 0; w < W; ++w) d[w] = src[w];
       }
     }
-    reg_.clock(mode_of(role_));
+    reg_.clock(mode_);
   }
 
   /// OR into `diff` (W words) the lanes whose contents differ from lane 0.
@@ -316,28 +312,34 @@ class LaneBank {
  private:
   const std::vector<std::size_t>* idx_;
   unsigned lane_words_;
-  RegRole role_ = RegRole::kHold;
+  BilboMode mode_ = BilboMode::kHold;
   std::vector<NetId> d_net_;
   LaneBilbo reg_;
 };
 
-/// Gather the observed primary outputs into the lane MISR's chunk rows
-/// with the same width-sized compaction as the scalar absorb_outputs.
-void absorb_output_lanes(LaneMisr& misr, const std::uint64_t* values,
+/// Gather the observed primary outputs into the lane MISR's D rows with
+/// the same width-sized compaction as the scalar absorb_outputs: a last
+/// chunk that fills only j rows absorbs 0 in rows j and up.
+void absorb_output_lanes(LaneBilbo& misr, const std::uint64_t* values,
                          const std::vector<NetId>& po, unsigned W) {
   const std::size_t width = misr.width();
   std::size_t j = 0, absorbed = 0;
   for (NetId net : po) {
-    const std::uint64_t* src = values + std::size_t{net} * W;
-    std::uint64_t* row = misr.chunk_row(j);
-    for (unsigned w = 0; w < W; ++w) row[w] = src[w];
+    std::copy_n(values + std::size_t{net} * W, W, misr.d_row(j));
     if (++j == width) {
-      misr.absorb(j);
+      misr.clock(BilboMode::kCompress);
       j = 0;
       ++absorbed;
     }
   }
-  if (j > 0 || absorbed == 0) misr.absorb(j);
+  if (j > 0 || absorbed == 0) {
+    // Rows j and up must absorb 0. Only rows an earlier full chunk of this
+    // cycle wrote hold a value: no row at or past the output count is ever
+    // written, so it keeps the 0 it was constructed with.
+    for (std::size_t k = j; k < std::min(width, po.size()); ++k)
+      std::fill_n(misr.d_row(k), W, 0);
+    misr.clock(BilboMode::kCompress);
+  }
 }
 
 /// Everything one campaign worker needs across fault batches: the compiled
@@ -352,8 +354,8 @@ struct CampaignScratch {
   CompiledNetlist cn;
   EventScratch ev;
   LaneBank bank_a, bank_b;
-  LaneMisr out_misr;
-  Lfsr input_gen;
+  LaneBilbo out_misr;
+  Bilbo input_gen;
   std::vector<std::uint64_t> in_lanes;        // W words per input slot
   std::vector<std::uint64_t> dff_lanes;       // W words per DFF
   std::vector<std::uint64_t> init_dff_lanes;
@@ -366,7 +368,7 @@ struct CampaignScratch {
   // Fleet extras (run_fleet_shard only; idle in campaign use). Sized at
   // construction so fleet runs stay allocation-free in the steady state
   // just like campaign batches.
-  LaneLfsr fleet_input_gen;                    // per-lane input sequences
+  LaneBilbo fleet_input_gen;                   // per-lane input sequences
   std::vector<std::uint64_t> fleet_po_stream;  // pair masks, W words each:
   std::vector<std::uint64_t> fleet_d_stream;   //   even bit 2j = pair j
   std::vector<std::uint64_t> fleet_misr_sig;
@@ -475,8 +477,8 @@ class LaneCycle {
 // clock(values) latches the evaluated values. The observer is a callable
 // on the evaluated values that returns false to end the session early.
 
-/// Campaign and functional stimulus: the input LFSR broadcast onto every
-/// lane, seeded at construction. Only PIs whose bit toggled since the
+/// Campaign and functional stimulus: the input generator broadcast onto
+/// every lane, seeded at construction. Only PIs whose bit toggled since the
 /// previous cycle rewrite their lane group; the first cycle rewrites all.
 struct BroadcastInputs {
   CampaignScratch& sc;
@@ -493,16 +495,16 @@ struct BroadcastInputs {
     prev = word;
     for (std::size_t k = 0; k < sc.pins.pi_slot.size(); ++k)
       if ((delta >> k) & 1) {
-        const std::uint64_t bit = sc.input_gen.bit_lanes(k);
+        const std::uint64_t bit = ((word >> k) & 1) ? ~std::uint64_t{0} : 0;
         std::uint64_t* dst = sc.in_lanes.data() + sc.pins.pi_slot[k] * W;
         for (unsigned w = 0; w < W; ++w) dst[w] = bit;
       }
   }
-  void step() { sc.input_gen.step(); }
+  void step() { sc.input_gen.clock(BilboMode::kGenerate); }
 };
 
-/// Fleet stimulus: per-lane input LFSR rows, seeded per instance by the
-/// caller. Lanes genuinely differ, so every PI row is rewritten each cycle.
+/// Fleet stimulus: per-lane input generator rows, seeded per instance by
+/// the caller. Lanes genuinely differ, so every PI row is rewritten each cycle.
 struct LaneInputs {
   CampaignScratch& sc;
 
@@ -514,7 +516,7 @@ struct LaneInputs {
       for (unsigned w = 0; w < W; ++w) dst[w] = src[w];
     }
   }
-  void step() { sc.fleet_input_gen.step(); }
+  void step() { sc.fleet_input_gen.clock(BilboMode::kGenerate); }
 };
 
 /// Self-test clocking: the two BILBO banks in the session's roles (reset
@@ -606,7 +608,7 @@ bool run_fleet_lanes(const SelfTestPlan& plan, CampaignScratch& sc,
                      std::uint64_t base_seed, std::uint64_t first_instance) {
   const unsigned W = sc.cn.lane_words();
   constexpr std::uint64_t kEven = 0x5555555555555555ULL;
-  sc.out_misr.reset();
+  sc.out_misr.reset(0);
   std::fill(sc.fleet_po_stream.begin(), sc.fleet_po_stream.end(), 0);
   std::fill(sc.fleet_d_stream.begin(), sc.fleet_d_stream.end(), 0);
   std::fill(sc.fleet_misr_sig.begin(), sc.fleet_misr_sig.end(), 0);
@@ -616,26 +618,27 @@ bool run_fleet_lanes(const SelfTestPlan& plan, CampaignScratch& sc,
   for (std::size_t si = 0; si < plan.sessions.size(); ++si) {
     const SessionSpec& spec = plan.sessions[si];
     // Broadcast defaults first (also covers the unused tail lanes when the
-    // final run is short), then overwrite the instance pairs with their
-    // derived seeds -- both lanes of a pair get the SAME seed, so the only
-    // divergence inside a pair is the injected defect.
+    // final run is short: they carry no instance, and the input generator
+    // takes them out of 0 on the first clock), then overwrite the instance
+    // pairs with their derived seeds -- both lanes of a pair get the SAME
+    // seed, so the only divergence inside a pair is the injected defect.
     BilboClocking clocking(sc, spec);
-    sc.fleet_input_gen.reset();
+    sc.fleet_input_gen.reset(0);
     const std::size_t in_width = sc.fleet_input_gen.width();
     for (std::size_t j = 0; j < n_pairs; ++j) {
       const std::uint64_t key =
           fleet_instance_key(base_seed, first_instance + j);
       const std::uint64_t in_state =
           nonzero_lfsr_state(splitmix64(key ^ (kFleetInputSalt + si)), in_width);
-      sc.fleet_input_gen.seed_lane(2 * j, in_state);
-      sc.fleet_input_gen.seed_lane(2 * j + 1, in_state);
-      if (spec.role_a == RegRole::kGenerate && !sc.bank_a.empty()) {
+      sc.fleet_input_gen.load_lane(2 * j, in_state);
+      sc.fleet_input_gen.load_lane(2 * j + 1, in_state);
+      if (spec.role_a == BilboMode::kGenerate && !sc.bank_a.empty()) {
         const std::uint64_t s = nonzero_lfsr_state(
             splitmix64(key ^ (kFleetGenASalt + si)), sc.bank_a.width());
         sc.bank_a.load_lane(2 * j, s);
         sc.bank_a.load_lane(2 * j + 1, s);
       }
-      if (spec.role_b == RegRole::kGenerate && !sc.bank_b.empty()) {
+      if (spec.role_b == BilboMode::kGenerate && !sc.bank_b.empty()) {
         const std::uint64_t s = nonzero_lfsr_state(
             splitmix64(key ^ (kFleetGenBSalt + si)), sc.bank_b.width());
         sc.bank_b.load_lane(2 * j, s);
@@ -653,9 +656,9 @@ bool run_fleet_lanes(const SelfTestPlan& plan, CampaignScratch& sc,
       }
       // ...and did it reach a compacting register's D inputs? (The banks'
       // clock() leaves the gathered D rows in place for the pair compare.)
-      if (spec.role_a == RegRole::kCompress)
+      if (spec.role_a == BilboMode::kCompress)
         sc.bank_a.accumulate_pair_d_diff(sc.fleet_d_stream.data());
-      if (spec.role_b == RegRole::kCompress && !sc.bank_b.empty())
+      if (spec.role_b == BilboMode::kCompress && !sc.bank_b.empty())
         sc.bank_b.accumulate_pair_d_diff(sc.fleet_d_stream.data());
       return true;
     };
@@ -663,9 +666,9 @@ bool run_fleet_lanes(const SelfTestPlan& plan, CampaignScratch& sc,
                           observe_streams))
       return false;
 
-    if (spec.role_a == RegRole::kCompress)
+    if (spec.role_a == BilboMode::kCompress)
       sc.bank_a.accumulate_pair_diff(sc.fleet_any_sig.data());
-    if (spec.role_b == RegRole::kCompress && !sc.bank_b.empty())
+    if (spec.role_b == BilboMode::kCompress && !sc.bank_b.empty())
       sc.bank_b.accumulate_pair_diff(sc.fleet_any_sig.data());
   }
   sc.out_misr.accumulate_pair_diff(sc.fleet_misr_sig.data());
@@ -824,10 +827,8 @@ void CampaignOptions::validate(const SelfTestPlan& plan) const {
         "pool oversubscribes every core -- size the shared pool with the "
         "orchestrator's --jobs flag instead; got num_threads = " +
         std::to_string(num_threads));
-  if (plan.sessions.empty()) add("plan has no sessions");
-  if (plan.output_misr_width == 0 || plan.output_misr_width > 64)
-    add("plan output_misr_width must be in [1, 64]; got " +
-        std::to_string(plan.output_misr_width));
+  const std::string plan_bad = plan_problems(plan);
+  if (!plan_bad.empty()) add(plan_bad);
   if (!problems.empty())
     throw Error(ErrorCode::kInvalidInput, "invalid fault campaign options",
                 problems);
@@ -944,7 +945,7 @@ CampaignResult run_fault_campaign(const ControllerStructure& cs, const SelfTestP
           const std::size_t begin = b * batch_size;
           const std::size_t end = std::min(survivors.size(), begin + batch_size);
           sc.batch.clear();
-          sc.out_misr.reset();
+          sc.out_misr.reset(0);
           for (std::size_t i = begin; i < end; ++i) {
             const std::size_t rep = survivors[i];
             const unsigned lane = static_cast<unsigned>(i - begin + 1);
@@ -957,12 +958,12 @@ CampaignResult run_fault_campaign(const ControllerStructure& cs, const SelfTestP
                                 BilboClocking(sc, spec), kSignaturesOnly))
             break;
           std::fill(sc.diff_mask.begin(), sc.diff_mask.end(), 0);
-          if (spec.role_a == RegRole::kCompress)
+          if (spec.role_a == BilboMode::kCompress)
             sc.bank_a.accumulate_diff(sc.diff_mask.data());
-          if (spec.role_b == RegRole::kCompress && !sc.bank_b.empty())
+          if (spec.role_b == BilboMode::kCompress && !sc.bank_b.empty())
             sc.bank_b.accumulate_diff(sc.diff_mask.data());
           if (last) sc.out_misr.accumulate_diff(sc.diff_mask.data());
-          const std::uint64_t ref = sc.out_misr.lane_signature(0);
+          const std::uint64_t ref = sc.out_misr.lane_state(0);
           for (std::size_t i = begin; i < end; ++i) {
             const std::size_t rep = survivors[i];
             const unsigned lane = static_cast<unsigned>(i - begin + 1);
@@ -972,7 +973,7 @@ CampaignResult run_fault_campaign(const ControllerStructure& cs, const SelfTestP
             } else if (last) {
               rep_simulated[rep] = 1;
             } else {
-              misr_delta[rep] = sc.out_misr.lane_signature(lane) ^ ref;
+              misr_delta[rep] = sc.out_misr.lane_state(lane) ^ ref;
             }
           }
           batch_ran[b] = 1;
@@ -1067,7 +1068,8 @@ bool run_fleet_shard(const ControllerStructure& cs, const SelfTestPlan& plan,
     if (!problems.empty()) problems += "; ";
     problems += p;
   };
-  if (plan.sessions.empty()) add("plan has no sessions");
+  const std::string plan_bad = plan_problems(plan);
+  if (!plan_bad.empty()) add(plan_bad);
   // A fleet runs at its warm state's own lane width.
   const std::string mismatch =
       warm.mismatch(cs, plan.output_misr_width, warm.lane_words());
@@ -1127,7 +1129,7 @@ bool run_fleet_shard(const ControllerStructure& cs, const SelfTestPlan& plan,
       st.aliases += (po && !misr) ? 1 : 0;
       st.escapes += (any_stream && !sig) ? 1 : 0;
       if (sc.fleet_defective[j])
-        ++st.signature_histogram[sc.out_misr.lane_signature(2 * j + 1) & 63];
+        ++st.signature_histogram[sc.out_misr.lane_state(2 * j + 1) & 63];
     }
     done += n;
   }

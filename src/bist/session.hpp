@@ -1,38 +1,38 @@
 #pragma once
 // Two-session built-in self-test execution on a controller structure.
 //
-// During a session every register bank plays one role:
-//   * kGenerate -- BILBO in LFSR mode: autonomous patterns, D ignored;
-//   * kCompress -- BILBO in MISR mode: state <- feedback(state) XOR D;
+// During a session every register bank is a BILBO clocked in one mode:
+//   * kGenerate -- LFSR mode: autonomous patterns, D ignored;
+//   * kCompress -- MISR mode: state <- feedback(state) XOR D;
 //   * kSystem   -- plain register (used by the autonomous-transition
 //                  variant, paper ref [14], where system transitions act
-//                  as pattern generator).
-// Primary inputs are driven by a dedicated input LFSR; primary outputs
-// are compacted into an output MISR. A fault is detected when any final
-// signature (register banks + output MISR) differs from the fault-free
-// run. The paper's pipeline scheme is: session 1 = R1 generates / R2
-// compresses, session 2 = the converse.
+//                  as pattern generator);
+//   * kHold     -- keep state.
+// Primary inputs are driven by a dedicated input BILBO in generate mode;
+// primary outputs are compacted into an output BILBO in compress mode (the
+// output MISR). A fault is detected when any final signature (register
+// banks + output MISR) differs from the fault-free run. The paper's
+// pipeline scheme is: session 1 = R1 generates / R2 compresses, session 2
+// = the converse.
 
 #include <array>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "bist/architectures.hpp"
 #include "bist/bilbo.hpp"
-#include "bist/misr.hpp"
 #include "util/budget.hpp"
 
 namespace stc {
 
 class TaskPool;  // jobs/scheduler.hpp
 
-enum class RegRole { kGenerate, kCompress, kSystem, kHold };
-
 struct SessionSpec {
-  RegRole role_a = RegRole::kGenerate;  // reg_a of the structure
-  RegRole role_b = RegRole::kCompress;  // reg_b (ignored if absent)
+  BilboMode role_a = BilboMode::kGenerate;  // reg_a of the structure
+  BilboMode role_b = BilboMode::kCompress;  // reg_b (ignored if absent)
   std::size_t cycles = 256;
   std::uint64_t input_seed = 0x5EED;
   std::uint64_t gen_seed = 0x1;
@@ -63,6 +63,13 @@ struct SelfTestPlan {
   static SelfTestPlan thorough(std::size_t cycles_per_session = 256);
 };
 
+/// The one plan check of every engine -- the serial oracle, the campaign,
+/// the fleet shard and the fleet options: what makes `plan` unrunnable (no
+/// sessions; an output MISR width outside [1, 64]), "; "-joined, or ""
+/// for a runnable plan. Each caller reports it in its own
+/// Error(kInvalidInput) next to its own checks.
+std::string plan_problems(const SelfTestPlan& plan);
+
 struct Signatures {
   std::vector<std::uint64_t> register_sigs;  // per session: compacting bank
   std::uint64_t output_sig = 0;
@@ -73,7 +80,8 @@ struct Signatures {
   bool operator!=(const Signatures& o) const { return !(*this == o); }
 };
 
-/// Run the plan on the structure with an optional injected fault.
+/// Run the plan on the structure with an optional injected fault. Throws
+/// Error(kInvalidInput) listing plan_problems() for an unrunnable plan.
 Signatures run_self_test(const ControllerStructure& cs, const SelfTestPlan& plan,
                          std::optional<Fault> fault = std::nullopt);
 
@@ -103,7 +111,8 @@ struct CoverageResult {
 /// Serial fault simulation of the full single-stuck-at list (or a caller-
 /// supplied subset) under the plan. One complete self-test run per fault:
 /// exact but slow. The serial oracle: the tests and the benchmark's
-/// checks compare the bit-parallel engines below against it.
+/// checks compare the bit-parallel engines below against it. Rejects an
+/// unrunnable plan like run_self_test.
 CoverageResult measure_coverage(const ControllerStructure& cs, const SelfTestPlan& plan,
                                 std::optional<std::vector<Fault>> faults = std::nullopt);
 
@@ -284,7 +293,7 @@ inline constexpr std::size_t fleet_instances_per_run(unsigned lane_words) {
 /// and per-(session, role) sub-seeds derived from the key stay distinct
 /// across instances too. Width-w register states are then folded onto
 /// [1, 2^w - 1] via nonzero_lfsr_state, so derivation can never trip the
-/// zero-seed coercion in Lfsr::seed.
+/// zero-seed coercion of Bilbo::seed.
 std::uint64_t fleet_instance_key(std::uint64_t base_seed, std::uint64_t instance);
 
 /// Sample the defect set of one chip instance into `out` (append; the

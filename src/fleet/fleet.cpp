@@ -36,15 +36,20 @@ void FleetOptions::validate() const {
   std::vector<std::string> problems;
   if (instances == 0) problems.push_back("instances must be > 0");
   if (misr_widths.empty()) problems.push_back("misr_widths must be non-empty");
-  for (std::size_t w : misr_widths)
-    if (w < 1 || w > 64) {
-      problems.push_back("every MISR width must be in [1, 64]");
-      break;
-    }
+  // The one plan check, at every width the sweep runs the plan with (each
+  // entry replaces output_misr_width); a problem two widths share is
+  // listed once.
+  SelfTestPlan swept = plan;
+  for (std::size_t w : misr_widths) {
+    swept.output_misr_width = w;
+    const std::string bad = plan_problems(swept);
+    if (!bad.empty() &&
+        std::find(problems.begin(), problems.end(), bad) == problems.end())
+      problems.push_back(bad);
+  }
   if (shard_instances == 0) problems.push_back("shard_instances must be > 0");
   if (lane_words != 1 && lane_words != 4 && lane_words != 8)
     problems.push_back("lane_words must be 1, 4 or 8");
-  if (plan.sessions.empty()) problems.push_back("plan has no sessions");
   if (pool && jobs > 1)
     problems.push_back(
         "pool-owned fleets must keep jobs == 1 (the scheduler owns the "

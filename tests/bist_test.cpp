@@ -1,4 +1,6 @@
-// Tests for the BIST primitives: LFSR, MISR, BILBO, fault enumeration.
+// Tests for the BIST primitives: the BILBO register in its generate (LFSR),
+// compress (MISR), system and hold modes, the lane-sliced BILBO against
+// the scalar one, and fault enumeration.
 
 #include <gtest/gtest.h>
 
@@ -6,20 +8,32 @@
 
 #include "bist/bilbo.hpp"
 #include "bist/faults.hpp"
-#include "bist/lfsr.hpp"
-#include "bist/misr.hpp"
+#include "util/rng.hpp"
 
 namespace stc {
 namespace {
 
-// --- LFSR ---------------------------------------------------------------------
+// --- generate mode (LFSR) ------------------------------------------------------
+
+/// Clocks a generate-mode register takes to return to its current state
+/// (walks the cycle; use only for small widths).
+std::uint64_t period(Bilbo reg) {
+  const std::uint64_t start = reg.state();
+  std::uint64_t n = 0;
+  do {
+    reg.clock(BilboMode::kGenerate);
+    ++n;
+  } while (reg.state() != start);
+  return n;
+}
 
 class LfsrPeriod : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(LfsrPeriod, PrimitivePolynomialGivesFullPeriod) {
   const std::size_t w = GetParam();
-  Lfsr lfsr(w, 1);
-  EXPECT_EQ(lfsr.period(), (std::uint64_t{1} << w) - 1) << "width " << w;
+  Bilbo lfsr(w);
+  lfsr.seed(1);
+  EXPECT_EQ(period(lfsr), (std::uint64_t{1} << w) - 1) << "width " << w;
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, LfsrPeriod,
@@ -27,84 +41,88 @@ INSTANTIATE_TEST_SUITE_P(Widths, LfsrPeriod,
                                            14, 15, 16));
 
 TEST(Lfsr, VisitsAllNonzeroStates) {
-  Lfsr lfsr(4, 1);
+  Bilbo lfsr(4);
+  lfsr.seed(1);
   std::set<std::uint64_t> seen;
   for (int k = 0; k < 15; ++k) {
     seen.insert(lfsr.state());
-    lfsr.step();
+    lfsr.clock(BilboMode::kGenerate);
   }
   EXPECT_EQ(seen.size(), 15u);
   EXPECT_FALSE(seen.count(0));
 }
 
 TEST(Lfsr, ZeroSeedCoerced) {
-  Lfsr lfsr(5, 0);
+  Bilbo lfsr(5);
+  // The coercion is not silent: seed() reports it, so callers can detect
+  // that 0 and 1 alias.
+  EXPECT_TRUE(lfsr.seed(0));
   EXPECT_NE(lfsr.state(), 0u);
-  // The coercion is no longer silent: seed() reports it and the query
-  // remembers it, so callers can detect that 0 and 1 alias.
-  EXPECT_TRUE(lfsr.last_seed_coerced());
   EXPECT_FALSE(lfsr.seed(1));
-  EXPECT_FALSE(lfsr.last_seed_coerced());
   EXPECT_TRUE(lfsr.seed(0));
   EXPECT_TRUE(lfsr.seed(std::uint64_t{1} << 5));  // masked to zero -> coerced
 }
 
 TEST(Lfsr, BadParametersThrow) {
-  EXPECT_THROW(Lfsr(0, 1), std::invalid_argument);
-  EXPECT_THROW(Lfsr(65, 1), std::invalid_argument);
-  EXPECT_THROW(Lfsr(4, {3, 2}, 1), std::invalid_argument);   // missing top tap
-  EXPECT_THROW(Lfsr(4, {4, 9}, 1), std::invalid_argument);   // tap > width
+  EXPECT_THROW(Bilbo(0), std::invalid_argument);
+  EXPECT_THROW(Bilbo(65), std::invalid_argument);
   EXPECT_THROW(primitive_taps(0), std::invalid_argument);
   EXPECT_THROW(primitive_taps(65), std::invalid_argument);
 }
 
-TEST(Lfsr, NonPrimitivePolynomialShorterPeriod) {
-  // x^4 + x^2 + 1 = (x^2+x+1)^2 is not primitive: period divides 6.
-  Lfsr lfsr(4, {4, 2}, 1);
-  EXPECT_LT(lfsr.period(), 15u);
-}
-
 TEST(Lfsr, DeterministicSequence) {
-  Lfsr a(8, 0xAB), b(8, 0xAB);
-  for (int k = 0; k < 50; ++k) EXPECT_EQ(a.step(), b.step());
+  Bilbo a(8), b(8);
+  a.seed(0xAB);
+  b.seed(0xAB);
+  for (int k = 0; k < 50; ++k) {
+    a.clock(BilboMode::kGenerate);
+    b.clock(BilboMode::kGenerate);
+    EXPECT_EQ(a.state(), b.state());
+  }
 }
 
-// --- MISR ---------------------------------------------------------------------
+// --- compress mode (MISR) -------------------------------------------------------
 
 TEST(Misr, ZeroInputsFollowLfsrRecurrence) {
-  Misr misr(6, 1);
-  Lfsr lfsr(6, 1);
-  for (int k = 0; k < 30; ++k) EXPECT_EQ(misr.absorb(0), lfsr.step());
+  Bilbo misr(6, 1);
+  Bilbo lfsr(6);
+  lfsr.seed(1);
+  for (int k = 0; k < 30; ++k) {
+    misr.clock(BilboMode::kCompress, 0);
+    lfsr.clock(BilboMode::kGenerate);
+    EXPECT_EQ(misr.state(), lfsr.state());
+  }
 }
 
 TEST(Misr, DifferentStreamsDifferentSignatures) {
-  Misr a(16), b(16);
+  Bilbo a(16), b(16);
   for (int k = 0; k < 32; ++k) {
-    a.absorb(static_cast<std::uint64_t>(k));
-    b.absorb(static_cast<std::uint64_t>(k ^ (k == 7 ? 1 : 0)));  // one flipped bit
+    a.clock(BilboMode::kCompress, static_cast<std::uint64_t>(k));
+    // One flipped bit.
+    b.clock(BilboMode::kCompress, static_cast<std::uint64_t>(k ^ (k == 7 ? 1 : 0)));
   }
-  EXPECT_NE(a.signature(), b.signature());
+  EXPECT_NE(a.state(), b.state());
 }
 
 TEST(Misr, SingleBitErrorNeverAliases) {
   // A single injected error can never produce the fault-free signature
   // (linearity: the error syndrome is a nonzero state evolved linearly).
   for (int pos = 0; pos < 20; ++pos) {
-    Misr good(8), bad(8);
+    Bilbo good(8), bad(8);
     for (int k = 0; k < 25; ++k) {
       const std::uint64_t v = static_cast<std::uint64_t>(37 * k + 11) & 0xFF;
-      good.absorb(v);
-      bad.absorb(k == pos ? v ^ 0x10 : v);
+      good.clock(BilboMode::kCompress, v);
+      bad.clock(BilboMode::kCompress, k == pos ? v ^ 0x10 : v);
     }
-    EXPECT_NE(good.signature(), bad.signature()) << "error at " << pos;
+    EXPECT_NE(good.state(), bad.state()) << "error at " << pos;
   }
 }
 
 TEST(Misr, ResetClearsState) {
-  Misr m(8, 0x5A);
-  m.absorb(0xFF);
-  m.reset(0x5A);
-  EXPECT_EQ(m.signature(), 0x5Au);
+  Bilbo m(8, 0x5A);
+  m.clock(BilboMode::kCompress, 0xFF);
+  m.load(0x5A);
+  EXPECT_EQ(m.state(), 0x5Au);
 }
 
 // --- BILBO --------------------------------------------------------------------
@@ -115,15 +133,6 @@ TEST(Bilbo, SystemModeLoadsParallelInput) {
   EXPECT_EQ(b.state(), 0b1010u);
 }
 
-TEST(Bilbo, GenerateModeMatchesLfsr) {
-  Bilbo b(5, 1);
-  Lfsr l(5, 1);
-  for (int k = 0; k < 20; ++k) {
-    b.clock(BilboMode::kGenerate);
-    EXPECT_EQ(b.state(), l.step());
-  }
-}
-
 TEST(Bilbo, GenerateWidth1Toggles) {
   Bilbo b(1, 0);
   b.clock(BilboMode::kGenerate);
@@ -132,29 +141,101 @@ TEST(Bilbo, GenerateWidth1Toggles) {
   EXPECT_EQ(b.state(), 0u);
 }
 
-TEST(Bilbo, CompressModeMatchesMisr) {
-  Bilbo b(6, 0);
-  Misr m(6, 0);
-  for (int k = 0; k < 20; ++k) {
-    const std::uint64_t v = static_cast<std::uint64_t>(k * 13) & 0x3F;
-    b.clock(BilboMode::kCompress, v);
-    EXPECT_EQ(b.state(), m.absorb(v));
-  }
-}
-
-TEST(Bilbo, ShiftModeScans) {
-  Bilbo b(3, 0);
-  b.clock(BilboMode::kShift, 0, true);
-  b.clock(BilboMode::kShift, 0, false);
-  b.clock(BilboMode::kShift, 0, true);
-  EXPECT_EQ(b.state(), 0b101u);
-  EXPECT_TRUE(b.scan_out());
-}
-
 TEST(Bilbo, HoldKeepsState) {
   Bilbo b(4, 0b0110);
   b.clock(BilboMode::kHold, 0b1111);
   EXPECT_EQ(b.state(), 0b0110u);
+}
+
+// --- lane-sliced BILBO against the scalar one -------------------------------------
+
+/// One lane-sliced register beside 64*W scalar ones, every lane fed the
+/// same random loads and D bits. Pairs (2j, 2j+1) share their load and
+/// their D bits half the time and some lanes copy lane 0's load, so every
+/// diff mask sees lanes that agree as well as lanes that differ.
+class LaneVsScalar {
+ public:
+  LaneVsScalar(std::size_t width, unsigned lane_words, std::uint64_t seed)
+      : w_(width), W_(lane_words), rng_(seed), lanes_(width, lane_words) {
+    const std::uint64_t mask = width == 64 ? ~0ull : (1ull << width) - 1;
+    lanes_.reset(rng_.next());
+    std::uint64_t pair_value = 0;
+    for (std::size_t l = 0; l < 64u * W_; ++l) {
+      std::uint64_t v = rng_.next() & mask;
+      if (rng_.chance(0.125)) v = 0;  // the generator's fixed point
+      if (l % 2 == 1 && rng_.chance(0.5)) v = pair_value;
+      if (l > 0 && rng_.chance(0.125)) v = regs_[0].state();
+      pair_value = v;
+      lanes_.load_lane(l, v);
+      regs_.emplace_back(width, v);
+    }
+  }
+
+  /// Fill the D rows, clock both sides in `mode` and compare every lane
+  /// and every diff mask with its per-lane counterpart.
+  void clock(BilboMode mode) {
+    constexpr std::uint64_t kEven = 0x5555555555555555ull;
+    std::vector<std::uint64_t> d(64u * W_, 0);  // per-lane D values
+    for (std::size_t k = 0; k < w_; ++k)
+      for (unsigned x = 0; x < W_; ++x) {
+        std::uint64_t r = rng_.next();
+        const std::uint64_t same = rng_.next() & kEven;  // pairs that agree
+        r = (((r & kEven) | ((r & kEven) << 1)) & (same | same << 1)) |
+            (r & ~(same | same << 1));
+        lanes_.d_row(k)[x] = r;
+        for (unsigned b = 0; b < 64; ++b) d[x * 64 + b] |= ((r >> b) & 1) << k;
+      }
+    std::uint64_t want_pair_d[8] = {};
+    for (std::size_t l = 0; l < 64u * W_; l += 2)
+      if (d[l] != d[l + 1]) want_pair_d[l / 64] |= 1ull << (l % 64);
+
+    lanes_.clock(mode);
+    std::uint64_t want_diff[8] = {}, want_pair[8] = {};
+    for (std::size_t l = 0; l < 64u * W_; ++l) {
+      regs_[l].clock(mode, d[l]);
+      ASSERT_EQ(lanes_.lane_state(l), regs_[l].state()) << "lane " << l;
+      if (regs_[l].state() != regs_[0].state()) want_diff[l / 64] |= 1ull << (l % 64);
+      if (l % 2 == 1 && regs_[l].state() != regs_[l - 1].state())
+        want_pair[l / 64] |= 1ull << ((l - 1) % 64);
+    }
+    std::uint64_t diff[8] = {}, pair[8] = {}, pair_d[8] = {};
+    lanes_.accumulate_diff(diff);
+    lanes_.accumulate_pair_diff(pair);
+    lanes_.accumulate_pair_d_diff(pair_d);
+    for (unsigned x = 0; x < W_; ++x) {
+      EXPECT_EQ(diff[x], want_diff[x]) << "word " << x;
+      EXPECT_EQ(pair[x], want_pair[x]) << "word " << x;
+      EXPECT_EQ(pair_d[x], want_pair_d[x]) << "word " << x;
+    }
+  }
+
+  Rng& rng() { return rng_; }
+
+ private:
+  std::size_t w_;
+  unsigned W_;
+  Rng rng_;
+  LaneBilbo lanes_;
+  std::vector<Bilbo> regs_;
+};
+
+TEST(LaneBilbo, EveryLaneAndDiffMaskMatchesScalarBilbo) {
+  constexpr BilboMode kModes[] = {BilboMode::kSystem, BilboMode::kGenerate,
+                                  BilboMode::kCompress, BilboMode::kHold};
+  std::uint64_t seed = 1;
+  for (std::size_t w : {1u, 2u, 8u, 16u, 64u})
+    for (unsigned W : {1u, 4u, 8u}) {
+      // Each mode on its own, then a random mode per clock.
+      for (int mode = 0; mode <= 4; ++mode) {
+        SCOPED_TRACE(::testing::Message()
+                     << "width " << w << " lane_words " << W << " mode " << mode);
+        LaneVsScalar run(w, W, seed++);
+        for (int k = 0; k < 40; ++k) {
+          run.clock(mode < 4 ? kModes[mode] : kModes[run.rng().below(4)]);
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
+    }
 }
 
 // --- fault enumeration -----------------------------------------------------------

@@ -110,10 +110,10 @@ INSTANTIATE_TEST_SUITE_P(Machines, CorpusLattice,
 TEST(SessionPlans, TwoSessionSwapsRoles) {
   const auto plan = SelfTestPlan::two_session(100);
   ASSERT_EQ(plan.sessions.size(), 2u);
-  EXPECT_EQ(plan.sessions[0].role_a, RegRole::kGenerate);
-  EXPECT_EQ(plan.sessions[0].role_b, RegRole::kCompress);
-  EXPECT_EQ(plan.sessions[1].role_a, RegRole::kCompress);
-  EXPECT_EQ(plan.sessions[1].role_b, RegRole::kGenerate);
+  EXPECT_EQ(plan.sessions[0].role_a, BilboMode::kGenerate);
+  EXPECT_EQ(plan.sessions[0].role_b, BilboMode::kCompress);
+  EXPECT_EQ(plan.sessions[1].role_a, BilboMode::kCompress);
+  EXPECT_EQ(plan.sessions[1].role_b, BilboMode::kGenerate);
   EXPECT_EQ(plan.sessions[0].cycles, 100u);
   // Distinct seeds between sessions.
   EXPECT_NE(plan.sessions[0].input_seed, plan.sessions[1].input_seed);
@@ -122,16 +122,16 @@ TEST(SessionPlans, TwoSessionSwapsRoles) {
 TEST(SessionPlans, ConventionalHasSingleSession) {
   const auto plan = SelfTestPlan::conventional(64);
   ASSERT_EQ(plan.sessions.size(), 1u);
-  EXPECT_EQ(plan.sessions[0].role_b, RegRole::kGenerate);  // T generates
-  EXPECT_EQ(plan.sessions[0].role_a, RegRole::kCompress);  // R compresses
+  EXPECT_EQ(plan.sessions[0].role_b, BilboMode::kGenerate);  // T generates
+  EXPECT_EQ(plan.sessions[0].role_a, BilboMode::kCompress);  // R compresses
 }
 
 TEST(SessionPlans, AutonomousUsesSystemTransitions) {
   const auto plan = SelfTestPlan::autonomous(64);
   ASSERT_EQ(plan.sessions.size(), 2u);
-  EXPECT_EQ(plan.sessions[0].role_a, RegRole::kSystem);
-  EXPECT_EQ(plan.sessions[0].role_b, RegRole::kCompress);
-  EXPECT_EQ(plan.sessions[1].role_b, RegRole::kSystem);
+  EXPECT_EQ(plan.sessions[0].role_a, BilboMode::kSystem);
+  EXPECT_EQ(plan.sessions[0].role_b, BilboMode::kCompress);
+  EXPECT_EQ(plan.sessions[1].role_b, BilboMode::kSystem);
 }
 
 TEST(SessionPlans, ThoroughHasFourReSeededSessions) {

@@ -11,7 +11,6 @@
 #include <set>
 
 #include "benchdata/iwls93.hpp"
-#include "bist/lfsr.hpp"
 #include "bist/session.hpp"
 #include "netlist/eval64.hpp"
 #include "util/rng.hpp"

@@ -303,8 +303,8 @@ std::vector<std::size_t> survivors_per_session(const ControllerStructure& cs,
     // run_self_test records one signature per compacting bank of the
     // session (an empty reg_b records none).
     const std::size_t n_sigs =
-        (spec.role_a == RegRole::kCompress ? 1 : 0) +
-        (spec.role_b == RegRole::kCompress && !cs.reg_b.empty() ? 1 : 0);
+        (spec.role_a == BilboMode::kCompress ? 1 : 0) +
+        (spec.role_b == BilboMode::kCompress && !cs.reg_b.empty() ? 1 : 0);
     for (std::size_t i = 0; i < faults.size(); ++i)
       for (std::size_t k = first_sig; k < first_sig + n_sigs; ++k)
         if (sigs[i].register_sigs[k] != golden.register_sigs[k]) retired[i] = 1;
@@ -445,6 +445,39 @@ TEST(Campaign, ValidateReportsAllInvalidFieldsAtOnce) {
   }
 }
 
+TEST(Campaign, OracleAndKernelRejectTheSameBadPlans) {
+  // One plan check: the serial oracle and the lane kernel both answer an
+  // unrunnable plan with a typed error, never a silent 0 or a bare throw.
+  const ControllerStructure cs = fig1_for("dk27");
+  SelfTestPlan no_sessions;
+  SelfTestPlan width0 = SelfTestPlan::two_session(16);
+  width0.output_misr_width = 0;
+  SelfTestPlan width65 = SelfTestPlan::two_session(16);
+  width65.output_misr_width = 65;
+  const std::pair<SelfTestPlan, std::string> cases[] = {
+      {no_sessions, "plan has no sessions"},
+      {width0, "plan output_misr_width must be in [1, 64]; got 0"},
+      {width65, "plan output_misr_width must be in [1, 64]; got 65"},
+  };
+  for (const auto& [plan, expected] : cases) {
+    const std::string& name = expected;
+    EXPECT_EQ(plan_problems(plan), expected);
+    for (const bool oracle : {true, false}) {
+      try {
+        if (oracle)
+          measure_coverage(cs, plan);
+        else
+          run_fault_campaign(cs, plan);
+        ADD_FAILURE() << name << " accepted by the " << (oracle ? "oracle" : "kernel");
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kInvalidInput) << name;
+        EXPECT_NE(e.context().find(expected), std::string::npos)
+            << name << ": " << e.context();
+      }
+    }
+  }
+}
+
 TEST(Campaign, LaneWordsFromLanesMapsDriverFlag) {
   EXPECT_EQ(lane_words_from_lanes(64), 1u);
   EXPECT_EQ(lane_words_from_lanes(256), 4u);
@@ -483,6 +516,24 @@ TEST(Campaign, AutonomousAndThoroughPlansMatchSerialOracle) {
     const CampaignResult par = run_fault_campaign(cs, plan);
     EXPECT_EQ(par.raw.detected, serial.detected);
     EXPECT_EQ(fault_set(par.raw.undetected), fault_set(serial.undetected));
+  }
+}
+
+TEST(Campaign, PartialOutputChunksMatchSerialOracle) {
+  // More observed outputs than MISR bits, in a count the width does not
+  // divide: every cycle ends on a partial output chunk, whose unused MISR
+  // rows must absorb 0 in the lane kernel as in the oracle. Narrow MISRs
+  // alias often, so a stray row value shows up as a changed verdict.
+  const ControllerStructure cs = fig1_for("dk14");
+  ASSERT_EQ(cs.po.size() % 2, 1u);
+  for (const std::size_t width : {2u, 3u, 4u}) {
+    SelfTestPlan plan = SelfTestPlan::two_session(48);
+    plan.output_misr_width = width;
+    const CoverageResult serial = measure_coverage(cs, plan);
+    const CampaignResult par = run_fault_campaign(cs, plan);
+    EXPECT_EQ(par.raw.detected, serial.detected) << "width " << width;
+    EXPECT_EQ(fault_set(par.raw.undetected), fault_set(serial.undetected))
+        << "width " << width;
   }
 }
 

@@ -16,8 +16,7 @@
 #include <cmath>
 #include <set>
 
-#include "bist/lfsr.hpp"
-#include "bist/misr.hpp"
+#include "bist/bilbo.hpp"
 #include "fleet/fleet.hpp"
 #include "jobs/orchestrator.hpp"
 #include "jobs/queue.hpp"
@@ -114,10 +113,8 @@ TEST(FleetLfsr, TapsCoverEveryWidthUpTo64) {
     }
     EXPECT_TRUE(has_leading) << "width " << w;
     // Every width must instantiate the whole register family.
-    EXPECT_NO_THROW({ Lfsr lfsr(w); (void)lfsr; }) << "width " << w;
-    EXPECT_NO_THROW({ Misr misr(w); (void)misr; }) << "width " << w;
-    EXPECT_NO_THROW({ LaneMisr lm(w, 1); (void)lm; }) << "width " << w;
-    EXPECT_NO_THROW({ LaneLfsr ll(w, 1); (void)ll; }) << "width " << w;
+    EXPECT_NO_THROW({ Bilbo reg(w); (void)reg; }) << "width " << w;
+    EXPECT_NO_THROW({ LaneBilbo lanes(w, 1); (void)lanes; }) << "width " << w;
   }
   EXPECT_THROW(primitive_taps(0), std::invalid_argument);
   EXPECT_THROW(primitive_taps(65), std::invalid_argument);
@@ -137,13 +134,14 @@ TEST(FleetLfsr, FullPeriodOnSampledWidths) {
   // Empirical maximal-period walk: exactly 2^w - 1 steps return to the
   // seed state. Walking the 33..64 widths is out of test budget (2^33+
   // steps); the irreducibility check above covers those algebraically.
-  for (unsigned w : {1u, 2u, 3u, 5u, 8u, 11u, 16u, 20u}) {
-    Lfsr lfsr(w);
+  // (A 1-bit generator toggles: Bilbo.GenerateWidth1Toggles.)
+  for (unsigned w : {2u, 3u, 5u, 8u, 11u, 16u, 20u}) {
+    Bilbo lfsr(w);
     lfsr.seed(1);
     const std::uint64_t period = (w == 64) ? ~0ULL : ((1ULL << w) - 1);
     std::uint64_t steps = 0;
     do {
-      lfsr.step();
+      lfsr.clock(BilboMode::kGenerate);
       ++steps;
     } while (lfsr.state() != 1 && steps <= period);
     EXPECT_EQ(steps, period) << "width " << w;
@@ -164,14 +162,13 @@ TEST(FleetSeeds, InstanceKeysCollisionFree) {
 
 TEST(FleetSeeds, DerivedStatesNeverCoerced) {
   for (std::size_t w : {1u, 2u, 8u, 16u, 33u, 48u, 64u}) {
-    Lfsr lfsr(w);
+    Bilbo lfsr(w);
     for (std::uint64_t i = 0; i < 2000; ++i) {
       const std::uint64_t s =
           nonzero_lfsr_state(fleet_instance_key(0xF1EE7, i), w);
       ASSERT_GE(s, 1u);
       if (w < 64) ASSERT_LT(s, 1ULL << w);
       EXPECT_FALSE(lfsr.seed(s)) << "width " << w << " instance " << i;
-      EXPECT_FALSE(lfsr.last_seed_coerced());
     }
   }
   EXPECT_THROW(nonzero_lfsr_state(1, 0), std::invalid_argument);
@@ -193,21 +190,21 @@ TEST(MisrAliasing, ConvergesToTwoToMinusK) {
     // alias count stays large enough for a tight interval.
     const std::uint64_t trials = k == 4 ? 40000 : k == 8 ? 100000 : 400000;
     std::uint64_t aliases = 0;
-    Misr ref(k), dut(k);
+    Bilbo ref(k), dut(k);
     for (std::uint64_t t = 0; t < trials; ++t) {
-      ref.reset();
-      dut.reset();
+      ref.load(0);
+      dut.load(0);
       bool any_error = false;
       for (int cycle = 0; cycle < 24; ++cycle) {
         const std::uint64_t in = rng.next();
         std::uint64_t err = rng.chance(0.3) ? rng.next() : 0;
         err &= (k == 64) ? ~0ULL : ((1ULL << k) - 1);
         any_error |= err != 0;
-        ref.absorb(in);
-        dut.absorb(in ^ err);
+        ref.clock(BilboMode::kCompress, in);
+        dut.clock(BilboMode::kCompress, in ^ err);
       }
       if (!any_error) continue;  // not an error stream; nothing to alias
-      if (ref.signature() == dut.signature()) ++aliases;
+      if (ref.state() == dut.state()) ++aliases;
     }
     const double p = std::ldexp(1.0, -static_cast<int>(k));
     const WilsonInterval ci = wilson_interval(aliases, trials);
@@ -406,6 +403,11 @@ TEST(Fleet, ValidateRejectsBadOptions) {
     EXPECT_EQ(e.code(), ErrorCode::kInvalidInput);
     EXPECT_NE(e.context().find("instances"), std::string::npos);
     EXPECT_NE(e.context().find("lane_words"), std::string::npos);
+    // The plan check names every out-of-range sweep width.
+    EXPECT_NE(e.context().find("output_misr_width must be in [1, 64]; got 0"),
+              std::string::npos);
+    EXPECT_NE(e.context().find("output_misr_width must be in [1, 64]; got 70"),
+              std::string::npos);
   }
 }
 

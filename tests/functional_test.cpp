@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "benchdata/iwls93.hpp"
-#include "bist/lfsr.hpp"
 #include "bist/session.hpp"
 
 namespace stc {
@@ -30,7 +29,8 @@ CoverageResult scalar_functional_coverage(const ControllerStructure& cs,
   const auto run_trace = [&](std::optional<Fault> fault) {
     const NetId fnet = fault ? fault->net : kNoNet;
     const bool fval = fault ? fault->stuck_value : false;
-    Lfsr gen(std::max<std::size_t>(8, cs.pi.size()), seed);
+    Bilbo gen(std::max<std::size_t>(8, cs.pi.size()));
+    gen.seed(seed);
     Netlist::SimState state = nl.initial_state();
     std::vector<bool> trace;
     for (std::size_t cycle = 0; cycle < cycles; ++cycle) {
@@ -38,7 +38,7 @@ CoverageResult scalar_functional_coverage(const ControllerStructure& cs,
       for (std::size_t k = 0; k < cs.pi.size(); ++k) in[pi_slot[k]] = gen.bit(k);
       nl.step(in, state, values, outs, fnet, fval);
       trace.insert(trace.end(), outs.begin(), outs.end());
-      gen.step();
+      gen.clock(BilboMode::kGenerate);
     }
     return trace;
   };

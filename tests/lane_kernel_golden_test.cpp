@@ -116,23 +116,21 @@ std::uint64_t histogram_digest(const FleetShardStats& st) {
   return h;
 }
 
-TEST(LaneKernelGolden, Dk27Fig4Fleet4096) {
-  const ControllerStructure cs = build_for("dk27", 4, Technology::kTwoLevel);
-  const FleetRow rows[] = {
-      {8, 4096, 4096, 4096, 4096, 4087, 4087, 9, 9, 128, 65536, 0xca1824a86ce3b16dull},
-      {16, 4096, 4096, 4096, 4096, 4096, 4096, 0, 0, 128, 65536, 0x5f57a6215b54ab91ull},
-      {24, 4096, 4096, 4096, 4096, 4096, 4096, 0, 0, 128, 65536, 0x3331c2cfad5a09bdull},
-      {40, 4096, 4096, 4096, 4096, 4096, 4096, 0, 0, 128, 65536, 0x2731cbee17406707ull},
-  };
+/// Run a lane_words-1 fleet of `instances` over the rows' MISR widths on
+/// both engines and check every row.
+template <std::size_t N>
+void expect_fleet(const ControllerStructure& cs, std::uint64_t instances,
+                  const FleetRow (&rows)[N]) {
   for (const CampaignEngine engine : {CampaignEngine::kEvent, CampaignEngine::kFlat}) {
     FleetOptions opt;
-    opt.instances = 4096;
-    opt.misr_widths = {8, 16, 24, 40};
+    opt.instances = instances;
+    opt.misr_widths.clear();
+    for (const FleetRow& row : rows) opt.misr_widths.push_back(row.misr_width);
     opt.curve_cycles.clear();
     opt.engine = engine;
     const FleetReport rep = run_fleet(cs, opt);
-    ASSERT_EQ(rep.widths.size(), std::size(rows));
-    for (std::size_t i = 0; i < rep.widths.size(); ++i) {
+    ASSERT_EQ(rep.widths.size(), N);
+    for (std::size_t i = 0; i < N; ++i) {
       const FleetShardStats& st = rep.widths[i].stats;
       const FleetRow got{rep.widths[i].misr_width, st.instances, st.defective,
                          st.po_stream_detected, st.any_stream_detected,
@@ -159,6 +157,28 @@ TEST(LaneKernelGolden, Dk27Fig4Fleet4096) {
       EXPECT_EQ(got.histogram_digest, want.histogram_digest) << msg.str();
     }
   }
+}
+
+TEST(LaneKernelGolden, Dk27Fig4Fleet4096) {
+  const ControllerStructure cs = build_for("dk27", 4, Technology::kTwoLevel);
+  const FleetRow rows[] = {
+      {8, 4096, 4096, 4096, 4096, 4087, 4087, 9, 9, 128, 65536, 0xca1824a86ce3b16dull},
+      {16, 4096, 4096, 4096, 4096, 4096, 4096, 0, 0, 128, 65536, 0x5f57a6215b54ab91ull},
+      {24, 4096, 4096, 4096, 4096, 4096, 4096, 0, 0, 128, 65536, 0x3331c2cfad5a09bdull},
+      {40, 4096, 4096, 4096, 4096, 4096, 4096, 0, 0, 128, 65536, 0x2731cbee17406707ull},
+  };
+  expect_fleet(cs, 4096, rows);
+}
+
+// 1000 = 31 * 32 + 8 instances: the last run fills 8 of its 32 lane pairs,
+// so its tail lanes carry no chip instance and must not move a count.
+TEST(LaneKernelGolden, Dk27Fig4Fleet1000PartialRun) {
+  const ControllerStructure cs = build_for("dk27", 4, Technology::kTwoLevel);
+  const FleetRow rows[] = {
+      {8, 1000, 1000, 1000, 1000, 999, 999, 1, 1, 32, 16384, 0x8d70d85602a89061ull},
+      {16, 1000, 1000, 1000, 1000, 1000, 1000, 0, 0, 32, 16384, 0x158fb22c3a4cdab3ull},
+  };
+  expect_fleet(cs, 1000, rows);
 }
 
 // --- functional pass ------------------------------------------------------------
