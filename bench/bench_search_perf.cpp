@@ -64,23 +64,6 @@ void RegisterCorpusBenches() {
   }
 }
 
-// --- thread fan-out ----------------------------------------------------------
-
-void BM_OstrThreads(benchmark::State& state) {
-  const MealyMachine m = load_benchmark("tbk");
-  OstrOptions opts;
-  opts.max_nodes = 100000;
-  opts.num_threads = static_cast<std::size_t>(state.range(0));
-  OstrResult res;
-  for (auto _ : state) {
-    res = solve_ostr(m, opts);
-    benchmark::DoNotOptimize(res.best.flipflops);
-  }
-  report_solve(state, res);
-}
-BENCHMARK(BM_OstrThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
 // --- synthetic scaling -------------------------------------------------------
 
 void BM_OstrRandom(benchmark::State& state) {

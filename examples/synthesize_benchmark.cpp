@@ -64,7 +64,7 @@ int run(const stc::Cli& cli) {
     sw.job = job;
     sw.jobs = cli.get_count("jobs", hardware_threads(), 4096);
     sw.repeat = cli.get_count("repeat", 1, 1000);
-    sw.ostr_max_nodes = cli.get_count("max-nodes", 2000000);
+    sw.ostr_max_nodes = cli.get_count("max-nodes", kJobOstrMaxNodes);
     sw.techs = {job.tech};
     sw.job_budget_ms = static_cast<double>(cli.get_int("time-budget-ms", -1));
     sw.cancel = install_sigint_cancel();
@@ -105,7 +105,7 @@ int run(const stc::Cli& cli) {
 
   FlowOptions opts;
   opts.with_fault_sim = job.with_fault_sim;
-  opts.ostr.max_nodes = cli.get_count("max-nodes", 2000000);
+  opts.ostr.max_nodes = cli.get_count("max-nodes", kJobOstrMaxNodes);
   opts.bist_cycles = job.bist_cycles;
   opts.campaign.num_threads = cli.get_count("threads", hardware_threads(), 4096);
   opts.campaign.engine = job.engine;

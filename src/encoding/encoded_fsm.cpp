@@ -1,9 +1,24 @@
 #include "encoding/encoded_fsm.hpp"
 
 #include <stdexcept>
+#include <string>
+
+#include "util/error.hpp"
 
 namespace stc {
 namespace {
+
+/// Dense truth tables hold 2^vars minterms per bit; beyond this many
+/// variables a block is refused as input the flow cannot take.
+constexpr std::size_t kMaxDenseVars = 20;
+
+void check_dense_vars(const char* where, std::size_t vars) {
+  if (vars > kMaxDenseVars)
+    throw Error(ErrorCode::kInvalidInput,
+                std::string(where) + ": too many variables for dense tables",
+                "vars=" + std::to_string(vars) +
+                    "; limit=" + std::to_string(kMaxDenseVars));
+}
 
 /// Map a code back to its state id, or kNoState for unused patterns.
 std::vector<State> inverse_codes(const Encoding& enc) {
@@ -35,8 +50,7 @@ EncodedFsm encode_fsm(const MealyMachine& fsm, const Encoding& enc) {
   e.input_bits = fsm.effective_input_bits();
   e.output_bits = fsm.effective_output_bits();
   e.reset_code = enc.code_of(fsm.reset_state());
-  if (e.num_vars() > 20)
-    throw std::invalid_argument("encode_fsm: too many variables for dense tables");
+  check_dense_vars("encode_fsm", e.num_vars());
 
   e.next_state.assign(e.state_bits, TruthTable(e.num_vars()));
   e.outputs.assign(e.output_bits, TruthTable(e.num_vars()));
@@ -94,8 +108,7 @@ EncodedFactor encode_factor(const std::vector<State>& table, std::size_t num_inp
   e.in_state_bits = dom.width;
   e.out_state_bits = rng.width;
   e.input_bits = input_bits;
-  if (e.num_vars() > 20)
-    throw std::invalid_argument("encode_factor: too many variables");
+  check_dense_vars("encode_factor", e.num_vars());
   e.next_state.assign(e.out_state_bits, TruthTable(e.num_vars()));
   e.spec.num_vars = e.num_vars();
   e.spec.num_outputs = e.out_state_bits;
@@ -137,8 +150,7 @@ EncodedLambda encode_lambda(const std::vector<Output>& lambda, std::size_t n1,
   e.s2_bits = enc2.width;
   e.input_bits = input_bits;
   e.output_bits = output_bits;
-  if (e.num_vars() > 20)
-    throw std::invalid_argument("encode_lambda: too many variables");
+  check_dense_vars("encode_lambda", e.num_vars());
   e.outputs.assign(output_bits, TruthTable(e.num_vars()));
   e.spec.num_vars = e.num_vars();
   e.spec.num_outputs = output_bits;

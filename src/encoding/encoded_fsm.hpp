@@ -36,8 +36,10 @@ struct EncodedFsm {
   std::size_t num_vars() const { return state_bits + input_bits; }
 };
 
-/// Build the truth tables for `fsm` under `enc`. Unused state codes (and,
-/// for one-hot, all non-code patterns) become don't-cares in every table.
+/// Build the truth tables for `fsm` under `enc`. Unused state codes become
+/// don't-cares in every table. encode_fsm, encode_factor and encode_lambda
+/// throw Error(kInvalidInput) with context "vars=N; limit=20" when a block
+/// has more than 20 variables.
 EncodedFsm encode_fsm(const MealyMachine& fsm, const Encoding& enc);
 
 /// Encoded form of one half-machine of a pipeline realization:

@@ -1,9 +1,7 @@
 #include "encoding/encoding.hpp"
 
 #include <algorithm>
-#include "util/bitvec.hpp"
 #include <set>
-#include <stdexcept>
 
 #include "partition/partition.hpp"
 
@@ -24,152 +22,6 @@ Encoding natural_encoding(std::size_t num_states) {
   e.codes.resize(num_states);
   for (std::size_t k = 0; k < num_states; ++k) e.codes[k] = k;
   return e;
-}
-
-Encoding gray_encoding(std::size_t num_states) {
-  Encoding e;
-  e.width = std::max<std::size_t>(1, ceil_log2(num_states));
-  e.codes.resize(num_states);
-  for (std::size_t k = 0; k < num_states; ++k) e.codes[k] = k ^ (k >> 1);
-  return e;
-}
-
-Encoding pair_encoding(const Partition& pi, const Partition& tau) {
-  if (pi.size() != tau.size())
-    throw std::invalid_argument("pair_encoding: partition size mismatch");
-  if (!pi.meet(tau).is_identity())
-    throw std::invalid_argument("pair_encoding: pi meet tau must be identity");
-  const std::size_t w1 = std::max<std::size_t>(1, pi.code_bits());
-  const std::size_t w2 = std::max<std::size_t>(1, tau.code_bits());
-  Encoding e;
-  e.width = w1 + w2;
-  e.codes.resize(pi.size());
-  for (std::size_t s = 0; s < pi.size(); ++s)
-    e.codes[s] = (static_cast<std::uint64_t>(pi.block_of(s)) << w2) |
-                 static_cast<std::uint64_t>(tau.block_of(s));
-  return e;
-}
-
-Encoding one_hot_encoding(std::size_t num_states) {
-  if (num_states > 64)
-    throw std::invalid_argument("one_hot_encoding: too many states");
-  Encoding e;
-  e.width = num_states;
-  e.codes.resize(num_states);
-  for (std::size_t k = 0; k < num_states; ++k) e.codes[k] = std::uint64_t{1} << k;
-  return e;
-}
-
-namespace {
-
-/// MUSTANG-style affinity: +1 per shared (input, successor), +1 per shared
-/// predecessor (any inputs).
-std::vector<std::vector<double>> affinity_matrix(const MealyMachine& fsm) {
-  const std::size_t n = fsm.num_states();
-  std::vector<std::vector<double>> w(n, std::vector<double>(n, 0.0));
-  for (State s = 0; s < n; ++s) {
-    for (State t = static_cast<State>(s + 1); t < n; ++t) {
-      double a = 0.0;
-      for (Input i = 0; i < fsm.num_inputs(); ++i)
-        if (fsm.next(s, i) == fsm.next(t, i)) a += 1.0;
-      w[s][t] += a;
-      w[t][s] += a;
-    }
-  }
-  // Shared-predecessor affinity: states appearing as successors of the
-  // same state (under different inputs) attract each other.
-  for (State p = 0; p < n; ++p) {
-    for (Input i = 0; i < fsm.num_inputs(); ++i) {
-      for (Input j = static_cast<Input>(i + 1); j < fsm.num_inputs(); ++j) {
-        const State a = fsm.next(p, i), b = fsm.next(p, j);
-        if (a != b) {
-          w[a][b] += 1.0;
-          w[b][a] += 1.0;
-        }
-      }
-    }
-  }
-  return w;
-}
-
-double objective(const std::vector<std::vector<double>>& w,
-                 const std::vector<std::uint64_t>& codes) {
-  double total = 0.0;
-  for (std::size_t s = 0; s < codes.size(); ++s)
-    for (std::size_t t = s + 1; t < codes.size(); ++t)
-      total += w[s][t] * static_cast<double>(popcount64(codes[s] ^ codes[t]));
-  return total;
-}
-
-}  // namespace
-
-double encoding_objective(const MealyMachine& fsm, const Encoding& enc) {
-  return objective(affinity_matrix(fsm), enc.codes);
-}
-
-Encoding greedy_adjacency_encoding(const MealyMachine& fsm, std::size_t restarts,
-                                   std::uint64_t seed) {
-  const std::size_t n = fsm.num_states();
-  const auto w = affinity_matrix(fsm);
-  const std::size_t width = std::max<std::size_t>(1, ceil_log2(n));
-  const std::size_t num_codes = std::size_t{1} << width;
-
-  Encoding best = natural_encoding(n);
-  double best_obj = objective(w, best.codes);
-
-  Rng rng(seed);
-  for (std::size_t r = 0; r < std::max<std::size_t>(1, restarts); ++r) {
-    // Greedy placement in random state order: each state takes the free
-    // code minimizing weighted distance to already-placed neighbours.
-    std::vector<State> order(n);
-    for (std::size_t k = 0; k < n; ++k) order[k] = static_cast<State>(k);
-    rng.shuffle(order);
-
-    std::vector<std::uint64_t> codes(n, UINT64_MAX);
-    std::vector<bool> used(num_codes, false);
-    for (State s : order) {
-      double best_cost = 1e300;
-      std::uint64_t best_code = 0;
-      for (std::uint64_t c = 0; c < num_codes; ++c) {
-        if (used[c]) continue;
-        double cost = 0.0;
-        for (std::size_t t = 0; t < n; ++t)
-          if (codes[t] != UINT64_MAX)
-            cost += w[s][t] * static_cast<double>(popcount64(c ^ codes[t]));
-        if (cost < best_cost) {
-          best_cost = cost;
-          best_code = c;
-        }
-      }
-      codes[s] = best_code;
-      used[best_code] = true;
-    }
-
-    // Local improvement: pairwise swaps while they help.
-    bool improved = true;
-    while (improved) {
-      improved = false;
-      for (std::size_t a = 0; a < n; ++a) {
-        for (std::size_t b = a + 1; b < n; ++b) {
-          const double before = objective(w, codes);
-          std::swap(codes[a], codes[b]);
-          if (objective(w, codes) + 1e-12 < before) {
-            improved = true;
-          } else {
-            std::swap(codes[a], codes[b]);
-          }
-        }
-      }
-    }
-
-    const double obj = objective(w, codes);
-    if (obj < best_obj) {
-      best_obj = obj;
-      best.codes = codes;
-      best.width = width;
-    }
-  }
-  return best;
 }
 
 }  // namespace stc

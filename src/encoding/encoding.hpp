@@ -2,18 +2,13 @@
 // State assignment: mapping symbolic states to binary codes.
 //
 // The paper's flow applies "state coding and logic minimization" to the
-// constructed realization; this module provides the coding step. Natural,
-// Gray and one-hot are deterministic baselines; the greedy-adjacency
-// encoder is a light-weight MUSTANG-style heuristic (states that share
-// successors/predecessors get close codes so the next-state logic cubes
-// merge).
+// constructed realization; this module provides the coding step. Every
+// flow codes states naturally (state k -> binary k, minimal width).
 
 #include <cstdint>
 #include <vector>
 
 #include "fsm/mealy.hpp"
-#include "partition/partition.hpp"
-#include "util/rng.hpp"
 
 namespace stc {
 
@@ -32,32 +27,5 @@ struct Encoding {
 
 /// Minimal-width binary coding: state k -> k.
 Encoding natural_encoding(std::size_t num_states);
-
-/// Minimal-width coding along the binary-reflected Gray sequence.
-Encoding gray_encoding(std::size_t num_states);
-
-/// One bit per state.
-Encoding one_hot_encoding(std::size_t num_states);
-
-/// Greedy adjacency-driven minimal-width coding with random restarts.
-/// Affinity(s,t) grows when s,t share a successor under the same input or
-/// share a predecessor; codes are assigned so high-affinity pairs differ
-/// in few bits. Deterministic for a fixed seed.
-Encoding greedy_adjacency_encoding(const MealyMachine& fsm, std::size_t restarts = 8,
-                                   std::uint64_t seed = 1);
-
-/// Total weighted Hamming distance of an encoding under the affinity
-/// matrix (the objective greedy_adjacency_encoding minimizes); exposed
-/// for tests and the encoding ablation bench.
-double encoding_objective(const MealyMachine& fsm, const Encoding& enc);
-
-/// Structured coding induced by a partition pair: state s maps to the
-/// concatenation (pi-block code, tau-block code) with widths
-/// pi.code_bits() / tau.code_bits() (minimum 1 bit each so registers stay
-/// non-degenerate). This is exactly the register split of the paper's
-/// Theorem-1 realization (R1 holds [s]pi, R2 holds [s]tau). Requires
-/// pi meet tau = identity so the codes are distinct; throws
-/// std::invalid_argument otherwise.
-Encoding pair_encoding(const Partition& pi, const Partition& tau);
 
 }  // namespace stc

@@ -26,6 +26,7 @@
 #include "bist/session.hpp"
 #include "fleet/defects.hpp"
 #include "util/budget.hpp"
+#include "util/rng.hpp"
 
 namespace stc {
 
@@ -68,6 +69,8 @@ struct FleetOptions {
   /// Empty curve_cycles or curve_instances == 0 skips the curve.
   std::vector<std::size_t> curve_cycles = {4, 8, 16, 32, 64, 128, 256};
   std::uint64_t curve_instances = 4096;
+  /// Root of the per-instance seeds: instance k draws from splitmix64 of
+  /// base_seed and k (util/rng.hpp).
   std::uint64_t base_seed = 0xF1EE7;
   DefectSpec defects;
   /// Anytime governance: one work unit = one packed self-test run,

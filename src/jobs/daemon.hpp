@@ -67,7 +67,7 @@ struct DaemonOptions {
   double watchdog_kill_grace = 4.0;
   /// Main-loop poll interval when idle (ms).
   double poll_ms = 20.0;
-  std::uint64_t ostr_max_nodes = 2000000;
+  std::uint64_t ostr_max_nodes = kJobOstrMaxNodes;
   /// recover(): crash-looping jobs are poisoned past this many recoveries.
   std::uint64_t max_recoveries = 3;
   /// JobCache LRU bound for the convenience overload (0 = unbounded).

@@ -24,6 +24,10 @@ namespace stc {
 
 class Cli;
 
+/// OSTR node cap of every job-path flow: sweeps, daemon jobs and the
+/// synthesize_benchmark --max-nodes default.
+inline constexpr std::uint64_t kJobOstrMaxNodes = 2000000;
+
 /// One orchestrated unit of work.
 struct CampaignJobSpec {
   std::string machine;
@@ -120,7 +124,7 @@ struct SweepOptions {
   /// Per-job wall-clock budget in ms (< 0 = none). The deadline starts
   /// when the job starts, so queueing delay is never charged to a job.
   double job_budget_ms = -1.0;
-  std::uint64_t ostr_max_nodes = 2000000;
+  std::uint64_t ostr_max_nodes = kJobOstrMaxNodes;
   /// Cooperative cancellation (Ctrl-C): queued jobs drain as 'skipped'
   /// labeled rows, running jobs truncate via their budget, and the report
   /// aggregates whatever completed.
@@ -181,7 +185,7 @@ CorpusReport run_corpus_sweep(const SweepOptions& opt, JobCache& cache,
 CampaignJobResult run_campaign_job(const CampaignJobSpec& spec, JobCache& cache,
                                    const Budget& budget = {},
                                    TaskPool* pool = nullptr,
-                                   std::uint64_t ostr_max_nodes = 2000000);
+                                   std::uint64_t ostr_max_nodes = kJobOstrMaxNodes);
 
 // --- retry policy (the daemon's failure taxonomy) ---------------------------
 
@@ -224,7 +228,7 @@ JobAttemptOutcome run_campaign_job_with_retry(
     double attempt_budget_ms = -1.0,
     std::shared_ptr<const CancelToken> cancel = nullptr,
     TaskPool* pool = nullptr,
-    std::uint64_t ostr_max_nodes = 2000000);
+    std::uint64_t ostr_max_nodes = kJobOstrMaxNodes);
 
 /// Failed rows that should fail a CI gate: everything except
 /// kBudgetExhausted (budget-labeled rows are valid anytime results -- the

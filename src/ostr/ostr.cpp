@@ -1,13 +1,11 @@
 #include "ostr/ostr.hpp"
 
-#include <atomic>
+#include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <memory>
 #include <stdexcept>
 
 #include "fsm/minimize.hpp"
-#include "jobs/scheduler.hpp"
 
 namespace stc {
 
@@ -46,39 +44,26 @@ std::uint64_t pack_cost(std::size_t ff, double balance) {
   return (static_cast<std::uint64_t>(ff) << 32) | bits;
 }
 
-/// Best-solution bound shared by all workers (lock-free CAS-min).
-struct SharedBound {
-  std::atomic<std::uint64_t> packed{UINT64_MAX};
-
-  void offer(std::uint64_t v) {
-    std::uint64_t cur = packed.load(std::memory_order_relaxed);
-    while (v < cur &&
-           !packed.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
-  std::uint64_t load() const { return packed.load(std::memory_order_relaxed); }
-};
-
 /// Outcome of one independent unit of search (the identity root, or one
-/// top-level subtree). Results are merged in task order, which makes the
-/// final best independent of how tasks were scheduled onto threads.
+/// top-level subtree). Results are merged in task order, so the final best
+/// does not depend on which budget round last ran a task.
 struct TaskResult {
   bool has_best = false;
   OstrSolution best;
-  std::vector<OstrSolution> history;
   std::uint64_t nodes = 0;
   std::uint64_t pruned = 0;
   std::uint64_t seen = 0;
   bool exhausted = true;
 };
 
-/// Per-worker state: a private interner plus the interned search anchors.
-/// Ids are store-relative, so everything a task touches lives here.
-struct WorkerCtx {
+/// Search state shared by all tasks: the caller's interner, the interned
+/// search anchors and the best cost found by any task so far.
+struct SearchCtx {
   const MealyMachine& fsm;
   const OstrOptions& opt;
   PartitionStore& store;
-  SharedBound& bound;
+  /// Packed cost (pack_cost) of the best solution any task has found.
+  std::uint64_t bound = UINT64_MAX;
   PartitionId eps_id;
   PartitionId identity_id;
   std::vector<PartitionId> basis_ids;
@@ -89,10 +74,9 @@ struct WorkerCtx {
   /// folded into the deterministic node quotas instead, see run_search).
   Budget budget;
 
-  WorkerCtx(const MealyMachine& f, const OstrOptions& o, PartitionStore& s,
-            const Partition& eps, const std::vector<Partition>& basis,
-            SharedBound& b)
-      : fsm(f), opt(o), store(s), bound(b), budget(o.budget) {
+  SearchCtx(const MealyMachine& f, const OstrOptions& o, PartitionStore& s,
+            const Partition& eps, const std::vector<Partition>& basis)
+      : fsm(f), opt(o), store(s), budget(o.budget) {
     budget.with_work(UINT64_MAX);
     eps_id = store.intern(eps);
     identity_id = store.identity_id(fsm.num_states());
@@ -113,16 +97,16 @@ struct WorkerCtx {
 /// One task: the iterative DFS over a single top-level subtree (or the
 /// identity root alone), with a task-local incumbent seeded at the trivial
 /// doubling solution. Candidate generation depends only on the task and
-/// the machine -- never on other tasks or timing -- which is what makes
-/// multi-threaded runs return the same cost as single-threaded ones.
+/// the machine -- never on other tasks -- so a task restarted in a later
+/// budget round retraces its earlier prefix exactly.
 struct TaskRun {
-  WorkerCtx& w;
+  SearchCtx& w;
   std::uint64_t quota;
   TaskResult res;
   OstrSolution incumbent;  // starts as the doubling solution
   bool improved = false;   // reset per node; gates greedy_coarsen
 
-  TaskRun(WorkerCtx& ctx, std::uint64_t q, const OstrSolution& doubling)
+  TaskRun(SearchCtx& ctx, std::uint64_t q, const OstrSolution& doubling)
       : w(ctx), quota(q), incumbent(doubling) {}
 
   void offer(PartitionId pi, PartitionId tau) {
@@ -142,8 +126,7 @@ struct TaskRun {
     improved = true;
     res.has_best = true;
     res.best = incumbent;
-    if (w.opt.keep_history) res.history.push_back(incumbent);
-    w.bound.offer(pack_cost(ff, bal));
+    w.bound = std::min(w.bound, pack_cost(ff, bal));
   }
 
   /// Examine the node kappa; returns false if (by Lemma 1) the subtree
@@ -266,10 +249,9 @@ struct TaskRun {
 /// Deterministic node quota for the task at position `rank` of the current
 /// round's active list: geometric in the rank (subtree k ranges over basis
 /// indices > k, so its node count upper bound halves with each k), floored
-/// so deep tasks always get a share. Quotas depend only on (budget, rank)
-/// -- never on how other tasks were scheduled -- which keeps budgeted
-/// searches identical across thread counts. Tasks that hit their quota are
-/// re-run in a later round with the leftover budget redistributed (see
+/// so deep tasks always get a share. Quotas depend only on (budget, rank),
+/// which makes budgeted searches reproducible. Tasks that hit their quota
+/// are re-run in a later round with the leftover budget redistributed (see
 /// run_search), so a generous global budget is never stranded on small
 /// subtrees.
 std::uint64_t task_quota(std::uint64_t budget, std::size_t rank) {
@@ -278,7 +260,7 @@ std::uint64_t task_quota(std::uint64_t budget, std::size_t rank) {
 }
 
 OstrResult run_search(const MealyMachine& fsm, const OstrOptions& opt,
-                      PartitionStore& caller_store) {
+                      PartitionStore& store) {
   const Partition eps = state_equivalence(fsm);
   const std::vector<Partition> basis = mm_basis(fsm);
   const std::size_t num_tasks = basis.size();
@@ -287,7 +269,7 @@ OstrResult run_search(const MealyMachine& fsm, const OstrOptions& opt,
   out.stats.num_states = fsm.num_states();
   out.stats.basis_size = num_tasks;
 
-  const PartitionStore::Stats caller_before = caller_store.stats();
+  const PartitionStore::Stats store_before = store.stats();
 
   // The trivial doubling solution (identity, identity) always exists and
   // seeds every incumbent.
@@ -295,12 +277,9 @@ OstrResult run_search(const MealyMachine& fsm, const OstrOptions& opt,
   const OstrSolution doubling = make_solution(id, id);
   out.best = doubling;
 
-  SharedBound bound;
-  bound.offer(pack_cost(doubling.flipflops, doubling.balance));
-
   // Nothing can beat (ceil_log2(|S/eps|), 0): s1*s2 >= |meet blocks| >=
-  // |eps blocks| and balance >= 0. Once the shared bound reaches this
-  // floor, remaining tasks cannot improve the cost and may be skipped.
+  // |eps blocks| and balance >= 0. Once the bound reaches this floor,
+  // remaining tasks cannot improve the cost and may be skipped.
   const std::uint64_t floor_packed = pack_cost(ceil_log2(eps.num_blocks()), 0.0);
   const auto reached_floor = [&](std::uint64_t b) {
     return opt.balance_tiebreak ? b <= floor_packed
@@ -308,8 +287,8 @@ OstrResult run_search(const MealyMachine& fsm, const OstrOptions& opt,
   };
 
   // The budget's work allowance caps nodes exactly like max_nodes; fold
-  // them into one effective cap so the deterministic quota machinery (and
-  // its thread-count invariance) governs both.
+  // them into one effective cap so the deterministic quota machinery
+  // governs both.
   const std::uint64_t max_nodes =
       std::min<std::uint64_t>(opt.max_nodes, opt.budget.work_allowance());
 
@@ -322,33 +301,28 @@ OstrResult run_search(const MealyMachine& fsm, const OstrOptions& opt,
 
   if (max_nodes == 0) {
     out.stats.exhausted = false;
-    out.stats.cache = caller_store.stats().delta(caller_before);
+    out.stats.cache = store.stats().delta(store_before);
     label_degraded(opt.budget);
     return out;
   }
 
-  WorkerCtx main_ctx(fsm, opt, caller_store, eps, basis, bound);
+  SearchCtx ctx(fsm, opt, store, eps, basis);
+  ctx.bound = pack_cost(doubling.flipflops, doubling.balance);
 
-  // Root node (kappa = identity) on the calling thread.
-  TaskRun root_run(main_ctx, 1, doubling);
+  // Root node (kappa = identity).
+  TaskRun root_run(ctx, 1, doubling);
   const bool root_viable = root_run.run_root();
   TaskResult root_res = std::move(root_run.res);
 
   std::vector<TaskResult> task_results(num_tasks);
-  PartitionStore::Stats worker_cache;
 
   if (!root_viable && opt.prune) {
     ++root_res.pruned;  // Lemma 1 cuts the entire tree at the root
   } else if (num_tasks > 0) {
-    const std::size_t num_chunks =
-        std::max<std::size_t>(1, std::min(opt.num_threads, num_tasks));
-
     // Budget rounds: every round hands the still-unfinished tasks
     // deterministic geometric quotas from the remaining budget; tasks that
     // hit their quota are restarted next round with a bigger share (their
     // already-visited prefix replays through the memo tables cheaply).
-    // Round boundaries are barriers, so the schedule never leaks into the
-    // results: any thread count produces the same per-task outcome.
     std::uint64_t budget = max_nodes - 1;
     std::vector<std::size_t> active(num_tasks);
     for (std::size_t k = 0; k < num_tasks; ++k) active[k] = k;
@@ -359,21 +333,6 @@ OstrResult run_search(const MealyMachine& fsm, const OstrOptions& opt,
       for (const auto& b : basis)
         if (!b.is_identity()) out.stats.exhausted = false;
     }
-
-    // Chunk w owns context w. A one-chunk search runs on main_ctx (the
-    // caller's store); wider ones give every chunk a private store, which
-    // persists across budget rounds so a restarted task's replayed prefix
-    // really does hit the memo tables.
-    std::vector<std::unique_ptr<PartitionStore>> worker_stores;
-    std::vector<std::unique_ptr<WorkerCtx>> worker_ctxs;
-    if (num_chunks > 1) {
-      for (std::size_t w = 0; w < num_chunks; ++w) {
-        worker_stores.push_back(std::make_unique<PartitionStore>(&fsm));
-        worker_ctxs.push_back(std::make_unique<WorkerCtx>(
-            fsm, opt, *worker_stores[w], eps, basis, bound));
-      }
-    }
-    const std::unique_ptr<TaskPool> pool = make_private_pool(num_chunks);
 
     for (int round = 0; round < kMaxRounds && !active.empty() && budget > 0;
          ++round) {
@@ -392,19 +351,14 @@ OstrResult run_search(const MealyMachine& fsm, const OstrOptions& opt,
       if (run_tasks.empty()) break;
       active = run_tasks;
 
-      // Chunks claim tasks in rank order until the round is drained or the
-      // shared bound reaches the floor (the optimum is already in hand).
-      std::atomic<std::size_t> next_rank{0};
-      run_chunks(pool.get(), num_chunks, [&](std::size_t w) {
-        WorkerCtx& ctx = num_chunks > 1 ? *worker_ctxs[w] : main_ctx;
-        for (;;) {
-          const std::size_t rank = next_rank.fetch_add(1, std::memory_order_relaxed);
-          if (rank >= active.size() || reached_floor(bound.load())) break;
-          TaskRun t(ctx, quotas[rank], doubling);
-          t.run_subtree(active[rank]);
-          task_results[active[rank]] = std::move(t.res);
-        }
-      });
+      // Run the tasks in rank order until the round is drained or the
+      // bound reaches the floor (the optimum is already in hand).
+      for (std::size_t rank = 0;
+           rank < active.size() && !reached_floor(ctx.bound); ++rank) {
+        TaskRun t(ctx, quotas[rank], doubling);
+        t.run_subtree(active[rank]);
+        task_results[active[rank]] = std::move(t.res);
+      }
 
       // Deterministic accounting: every node visited this round (including
       // replayed prefixes of restarted tasks) draws down the budget.
@@ -416,13 +370,11 @@ OstrResult run_search(const MealyMachine& fsm, const OstrOptions& opt,
       }
       budget = spent >= budget ? 0 : budget - spent;
       active = std::move(still_active);
-      if (reached_floor(bound.load())) break;
+      if (reached_floor(ctx.bound)) break;
       // Deadline/cancellation: restarting truncated tasks cannot make
       // progress once the wall-clock budget is gone.
-      if (main_ctx.budget.exhausted()) break;
+      if (ctx.budget.exhausted()) break;
     }
-
-    for (const auto& store : worker_stores) worker_cache += store->stats();
   }
 
   // Deterministic merge in task order (root first): the earliest task with
@@ -432,28 +384,18 @@ OstrResult run_search(const MealyMachine& fsm, const OstrOptions& opt,
     out.stats.nodes_pruned += r.pruned;
     out.stats.solutions_seen += r.seen;
     out.stats.exhausted = out.stats.exhausted && r.exhausted;
-    if (opt.keep_history) {
-      for (auto& sol : r.history) {
-        if (sol.better_than(out.best, opt.balance_tiebreak)) {
-          out.best = sol;
-          out.history.push_back(std::move(sol));
-        }
-      }
-    } else if (r.has_best &&
-               r.best.better_than(out.best, opt.balance_tiebreak)) {
+    if (r.has_best && r.best.better_than(out.best, opt.balance_tiebreak))
       out.best = std::move(r.best);
-    }
   };
   absorb(root_res);
   for (auto& r : task_results) absorb(r);
 
   // A bound at the problem floor certifies optimality even when some task
   // was truncated: the answer is final, so the search counts as exhausted.
-  if (reached_floor(bound.load())) out.stats.exhausted = true;
+  if (reached_floor(ctx.bound)) out.stats.exhausted = true;
 
-  out.stats.cache = caller_store.stats().delta(caller_before);
-  out.stats.cache += worker_cache;
-  label_degraded(main_ctx.budget);
+  out.stats.cache = store.stats().delta(store_before);
+  label_degraded(ctx.budget);
   return out;
 }
 

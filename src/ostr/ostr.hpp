@@ -17,11 +17,10 @@
 // PartitionIds (see partition/store.hpp). Each child kappa is one memoized
 // join of the parent kappa with a basis element; all m/M/meet/refines
 // queries hit the store's memo tables. The top-level subtrees (one per
-// basis element) are independent tasks with deterministic node quotas, so
-// OstrOptions::num_threads > 1 fans them across run_chunks chunks on a
-// private TaskPool and returns the same optimal cost as the
-// single-threaded search (see DESIGN.md "Interner architecture" for the
-// determinism argument).
+// basis element) are independent tasks, run on the calling thread in
+// rounds of deterministic geometric node quotas and merged in task order,
+// so a node-capped search always visits the same nodes and returns the
+// same pair (see DESIGN.md "Deterministic quota rounds").
 
 #include <cstdint>
 #include <optional>
@@ -39,32 +38,21 @@ struct OstrOptions {
   bool prune = true;
   /// Abort after visiting (approximately) this many search-tree nodes
   /// (paper: "timeout" for tbk). The budget is split across the top-level
-  /// subtrees with deterministic geometric quotas, so results do not depend
-  /// on thread count; the best solution found so far is returned.
+  /// subtrees with deterministic geometric quotas, so a capped search is
+  /// reproducible; the best solution found so far is returned.
   std::uint64_t max_nodes = 5'000'000;
   /// Anytime governance (util/budget.hpp). The work allowance caps search
   /// nodes exactly like max_nodes (the effective node cap is the minimum
   /// of the two, split with the same deterministic quotas); the deadline
-  /// and the cancel token are checked at every frontier pop, on the
-  /// calling thread and every subtree worker. Node-
-  /// capped searches stay identical across thread counts; a deadline or a
-  /// cancellation stops all workers near-simultaneously, so WHICH nodes
-  /// were visited may vary -- the returned best is always a valid
-  /// symmetric pair (the doubling solution exists at budget zero), and
-  /// the result is labeled via OstrResult::degradation.
+  /// and the cancel token are checked at every frontier pop. Node-capped
+  /// searches are reproducible; under a deadline or a cancellation WHICH
+  /// nodes were visited depends on timing -- the returned best is always
+  /// a valid symmetric pair (the doubling solution exists at budget zero),
+  /// and the result is labeled via OstrResult::degradation.
   Budget budget;
   /// Use cost criterion (ii) as tie-break; when false, the first solution
   /// with minimal (i) wins (ablation bench).
   bool balance_tiebreak = true;
-  /// Collect every improving solution (for reporting/ablation).
-  bool keep_history = false;
-  /// Threads for the top-level subtree fan-out. 0 or 1 = run everything
-  /// on the calling thread with the caller's store. Above 1, that many
-  /// chunks run on a private TaskPool(num_threads - 1) plus the calling
-  /// thread; chunks share an atomic best-solution bound and each owns a
-  /// private PartitionStore. The returned best cost ((i),(ii)) is
-  /// identical for every thread count.
-  std::size_t num_threads = 1;
 };
 
 /// One candidate solution of problem OSTR.
@@ -87,15 +75,14 @@ struct OstrStats {
   std::uint64_t nodes_pruned = 0;      // subtree roots cut by Lemma 1
   std::uint64_t solutions_seen = 0;    // candidate symmetric pairs evaluated
   bool exhausted = true;               // false if max_nodes hit
-  /// Interner/memo counters aggregated over all worker stores (deltas for
-  /// this solve when an external long-lived store was supplied).
+  /// Interner/memo counters of the search's store (deltas for this solve
+  /// when an external long-lived store was supplied).
   PartitionStore::Stats cache;
 };
 
 struct OstrResult {
   OstrSolution best;                   // never absent: doubling always works
   OstrStats stats;
-  std::vector<OstrSolution> history;   // improving sequence, if requested
   /// Anytime label: degraded == !stats.exhausted, with the budget's reason
   /// ("work-allowance" covers the max_nodes cap too) and the node counts.
   Degradation degradation;
@@ -106,9 +93,8 @@ struct OstrResult {
 OstrResult solve_ostr(const MealyMachine& fsm, const OstrOptions& options = {});
 
 /// Same, but reuse a caller-owned interner (one per machine across a whole
-/// synthesis flow). The store must be bound to `fsm`. Used by one-chunk
-/// searches (num_threads <= 1); wider searches give every chunk a private
-/// store.
+/// synthesis flow). The store must be bound to `fsm`; the search interns
+/// into it and reports its counter deltas in OstrStats::cache.
 OstrResult solve_ostr(const MealyMachine& fsm, const OstrOptions& options,
                       PartitionStore& store);
 

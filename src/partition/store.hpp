@@ -87,15 +87,6 @@ class PartitionStore {
   struct Stats {
     std::uint64_t interned = 0;  // distinct partitions in the pool
     OpStats join, meet, refines, m_op, M_op;
-    Stats& operator+=(const Stats& o) {
-      interned += o.interned;
-      join += o.join;
-      meet += o.meet;
-      refines += o.refines;
-      m_op += o.m_op;
-      M_op += o.M_op;
-      return *this;
-    }
     /// Counter deltas since `earlier` (for per-run reporting on a
     /// long-lived store). `interned` stays absolute.
     Stats delta(const Stats& earlier) const {

@@ -2,8 +2,8 @@
 // Deterministic pseudo-random number generation for reproducible experiments.
 //
 // All stochastic components of the library (synthetic benchmark generators,
-// randomized co-simulation, random restarts in the encoder) draw from Rng so
-// that every experiment in EXPERIMENTS.md is exactly repeatable from a seed.
+// randomized co-simulation, fleet seeds and defects) draw from Rng so that
+// every experiment in EXPERIMENTS.md is exactly repeatable from a seed.
 
 #include <cstdint>
 #include <vector>

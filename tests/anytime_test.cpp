@@ -257,18 +257,6 @@ TEST(AnytimeOstr, FlipflopsMonotoneInNodeAllowance) {
   }
 }
 
-TEST(AnytimeOstr, WorkAllowanceDeterministicAcrossThreadCounts) {
-  const MealyMachine m = load_benchmark("dk27");
-  OstrOptions opt;
-  opt.budget = Budget::work_limit(200);
-  const OstrResult one = solve_ostr(m, opt);
-  opt.num_threads = 4;
-  const OstrResult four = solve_ostr(m, opt);
-  EXPECT_EQ(one.best.flipflops, four.best.flipflops);
-  EXPECT_EQ(one.best.s1, four.best.s1);
-  EXPECT_EQ(one.best.s2, four.best.s2);
-}
-
 // --- fault campaigns: truncation and cancellation ----------------------------
 
 ControllerStructure fig1_of(const std::string& name) {

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include "util/bitvec.hpp"
+#include <string>
 
 #include "encoding/encoded_fsm.hpp"
 #include "fsm/generate.hpp"
+#include "fsm/kiss.hpp"
+#include "util/error.hpp"
 
 namespace stc {
 namespace {
@@ -17,51 +19,6 @@ TEST(Encoding, NaturalIsValidMinimalWidth) {
   EXPECT_EQ(e.code_of(4), 4u);
 }
 
-TEST(Encoding, GrayAdjacentCodesDifferInOneBit) {
-  const Encoding e = gray_encoding(8);
-  EXPECT_TRUE(e.valid());
-  for (std::size_t k = 1; k < 8; ++k)
-    EXPECT_EQ(popcount64(e.codes[k] ^ e.codes[k - 1]), 1) << k;
-}
-
-TEST(Encoding, PairEncodingConcatenatesBlockCodes) {
-  // The Figure-6 pair of the paper's example: pi = {0,1}{2,3},
-  // tau = {0,3}{1,2}; codes are (pi-block << 1) | tau-block.
-  const auto pi = Partition::from_blocks(4, {{0, 1}, {2, 3}});
-  const auto tau = Partition::from_blocks(4, {{0, 3}, {1, 2}});
-  const Encoding e = pair_encoding(pi, tau);
-  EXPECT_EQ(e.width, 2u);
-  EXPECT_TRUE(e.valid());
-  EXPECT_EQ(e.code_of(0), 0b00u);
-  EXPECT_EQ(e.code_of(1), 0b01u);
-  EXPECT_EQ(e.code_of(2), 0b11u);
-  EXPECT_EQ(e.code_of(3), 0b10u);
-}
-
-TEST(Encoding, PairEncodingRejectsNonSeparatingPairs) {
-  // meet = {0,1}{2,3} != identity: states 0 and 1 would share a code.
-  const auto pi = Partition::from_blocks(4, {{0, 1}, {2, 3}});
-  EXPECT_THROW(pair_encoding(pi, pi), std::invalid_argument);
-  EXPECT_THROW(pair_encoding(pi, Partition::identity(3)), std::invalid_argument);
-}
-
-TEST(Encoding, PairEncodingIdentityFactorsKeepMinimumWidth) {
-  // A universal factor still gets one bit so the register is realizable.
-  const auto id = Partition::identity(4);
-  const auto uni = Partition::universal(4);
-  const Encoding e = pair_encoding(id, uni);
-  EXPECT_EQ(e.width, 3u);  // 2 bits for pi, forced 1 bit for tau
-  EXPECT_TRUE(e.valid());
-}
-
-TEST(Encoding, OneHotShape) {
-  const Encoding e = one_hot_encoding(6);
-  EXPECT_EQ(e.width, 6u);
-  EXPECT_TRUE(e.valid());
-  for (auto c : e.codes) EXPECT_EQ(popcount64(c), 1);
-  EXPECT_THROW(one_hot_encoding(65), std::invalid_argument);
-}
-
 TEST(Encoding, ValidRejectsDuplicatesAndOverflow) {
   Encoding e;
   e.width = 2;
@@ -69,25 +26,6 @@ TEST(Encoding, ValidRejectsDuplicatesAndOverflow) {
   EXPECT_FALSE(e.valid());
   e.codes = {0, 1, 4};  // 4 needs 3 bits
   EXPECT_FALSE(e.valid());
-}
-
-TEST(Encoding, GreedyBeatsOrMatchesNaturalObjective) {
-  for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    const MealyMachine m = random_mealy(seed, 8, 2, 2);
-    const Encoding nat = natural_encoding(8);
-    const Encoding greedy = greedy_adjacency_encoding(m, 4, seed);
-    EXPECT_TRUE(greedy.valid());
-    EXPECT_EQ(greedy.width, nat.width);
-    EXPECT_LE(encoding_objective(m, greedy), encoding_objective(m, nat))
-        << "seed " << seed;
-  }
-}
-
-TEST(Encoding, GreedyDeterministicForSeed) {
-  const MealyMachine m = random_mealy(3, 7, 2, 2);
-  const Encoding a = greedy_adjacency_encoding(m, 4, 9);
-  const Encoding b = greedy_adjacency_encoding(m, 4, 9);
-  EXPECT_EQ(a.codes, b.codes);
 }
 
 // --- encoded machine tables ----------------------------------------------------
@@ -136,6 +74,45 @@ TEST(EncodedFsm, MismatchedEncodingRejected) {
   Encoding bad = natural_encoding(4);
   bad.codes[1] = bad.codes[0];
   EXPECT_THROW(encode_fsm(m, bad), std::invalid_argument);
+}
+
+/// Expect `fn` to throw Error(kInvalidInput) naming the variable count.
+template <typename Fn>
+void expect_too_many_vars(const Fn& fn, const std::string& context) {
+  try {
+    fn();
+    ADD_FAILURE() << "a block over 20 variables must be refused";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidInput) << e.what();
+    EXPECT_EQ(e.context(), context) << e.what();
+  }
+}
+
+TEST(EncodedFsm, TooManyVariablesIsInvalidInput) {
+  // A valid KISS2 machine: 19 input bits plus 2 state bits = 21 variables.
+  const MealyMachine m = parse_kiss2(
+      ".i 19\n.o 1\n.s 3\n.r a\n"
+      "------------------- a b 1\n"
+      "------------------- b c 0\n"
+      "------------------- c a 1\n.e\n");
+  expect_too_many_vars([&] { encode_fsm(m, natural_encoding(3)); },
+                       "vars=21; limit=20");
+}
+
+TEST(EncodedFactor, TooManyVariablesIsInvalidInput) {
+  // 1 domain bit + 20 input bits.
+  const std::vector<State> table{0, 1, 1, 0};
+  expect_too_many_vars(
+      [&] { encode_factor(table, 2, 20, natural_encoding(2), natural_encoding(2)); },
+      "vars=21; limit=20");
+}
+
+TEST(EncodedLambda, TooManyVariablesIsInvalidInput) {
+  // 1 + 1 register bits + 19 input bits.
+  const std::vector<Output> lambda(2 * 2 * 2, 0);
+  const Encoding e1 = natural_encoding(2), e2 = natural_encoding(2);
+  expect_too_many_vars([&] { encode_lambda(lambda, 2, 2, 2, 19, 1, e1, e2); },
+                       "vars=21; limit=20");
 }
 
 TEST(EncodedFactor, FactorTableRoundTrip) {
