@@ -6,7 +6,6 @@
 #include "ostr/ostr.hpp"
 #include "util/error.hpp"
 #include "util/faultpoint.hpp"
-#include "util/hash.hpp"
 
 namespace stc {
 
@@ -29,181 +28,174 @@ ArchKind parse_arch(const std::string& name) {
               "arch=" + name + "; expected fig1..fig4");
 }
 
-std::size_t JobCache::StructKeyHash::operator()(const StructKey& k) const {
-  std::uint64_t h = kFnvOffset;
-  h = fnv1a_u64(h, k.fingerprint);
-  h = fnv1a_u64(h, static_cast<std::uint64_t>(k.arch));
-  h = fnv1a_u64(h, static_cast<std::uint64_t>(k.tech));
-  h = fnv1a_u64(h, static_cast<std::uint64_t>(k.minimizer));
-  return static_cast<std::size_t>(h);
+namespace {
+
+// A truncation that depends on when the builder stopped, not on what it
+// asked for: the artifact is only valid for that builder's budget.
+bool cut_short(const Degradation& d) {
+  return d.degraded && (d.reason == "deadline" || d.reason == "cancelled");
+}
+bool cut_short(const std::vector<Degradation>& labels) {
+  return std::any_of(labels.begin(), labels.end(),
+                     [](const Degradation& d) { return cut_short(d); });
+}
+bool cut_short(const JobCache::MachineEntry&) { return false; }
+bool cut_short(const JobCache::OstrEntry& o) { return cut_short(o.ostr.degradation); }
+bool cut_short(const MinimizedBlock& b) { return cut_short(b.degradations); }
+bool cut_short(const JobCache::StructureEntry& s) { return cut_short(s.cs.degradations); }
+bool cut_short(const CampaignWarmState&) { return false; }
+
+/// Budget-bound: cut short, or built under a work allowance (whose units
+/// each stage counts its own way, so the result is that budget's alone).
+template <typename T>
+bool budget_bound(const T& artifact, const Budget& budget) {
+  return budget.work_allowance() != UINT64_MAX || cut_short(artifact);
 }
 
-std::size_t JobCache::WarmKeyHash::operator()(const WarmKey& k) const {
-  std::uint64_t h = kFnvOffset;
-  h = fnv1a_u64(h, reinterpret_cast<std::uintptr_t>(k.structure));
-  h = fnv1a_u64(h, k.lane_words);
-  h = fnv1a_u64(h, k.misr_width);
-  return static_cast<std::size_t>(h);
+}  // namespace
+
+template <typename T, typename Build>
+std::shared_ptr<T> JobCache::build_once(Slot<T>& slot, const Budget& budget, Counter hits,
+                                        Counter misses, bool* hit, Build build) {
+  std::lock_guard<std::mutex> lock(slot.mu);
+  std::shared_ptr<T> v = slot.shared;
+  if (!v && slot.tagged && slot.tag.same_limits(budget)) v = slot.tagged;
+  {
+    std::lock_guard<std::mutex> stats_lock(mu_);
+    ++(stats_.*(v ? hits : misses));
+  }
+  if (hit != nullptr) *hit = v != nullptr;
+  if (v) return v;
+  // A build that throws publishes nothing: the slot stays as it was, so a
+  // retried job rebuilds cleanly (and counts a miss again).
+  v = build();
+  std::lock_guard<std::mutex> publish(mu_);
+  if (budget_bound(*v, budget)) {
+    slot.tagged = v;
+    slot.tag = budget;
+  } else {
+    slot.shared = v;
+    slot.tagged.reset();  // never served again
+  }
+  return v;
+}
+
+template <typename Map, typename Key>
+typename Map::mapped_type JobCache::slot_of(Map& map, const Key& key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto& s = map[key];
+  if (!s) s = std::make_shared<typename Map::mapped_type::element_type>();
+  s->last_use = ++lru_tick_;
+  auto slot = s;
+  evict_locked();
+  return slot;
 }
 
 std::shared_ptr<JobCache::MachineEntry> JobCache::machine(
     const std::string& name,
     const std::function<MealyMachine(const std::string&)>& loader, bool* hit) {
-  std::shared_ptr<Slot<MachineEntry>> slot;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto& s = machines_[name];
-    if (!s) {
-      s = std::make_shared<Slot<MachineEntry>>();
-      ++stats_.machine_misses;
-      if (hit != nullptr) *hit = false;
-    } else {
-      ++stats_.machine_hits;
-      if (hit != nullptr) *hit = true;
-    }
-    slot = s;
-  }
-  std::lock_guard<std::mutex> build(slot->build_mu);
-  if (!slot->built) {
-    // Injection site: an armed failure surfaces as Error(kIo) before any
-    // state is published -- the slot stays unbuilt, so a retried job
-    // rebuilds cleanly (the recovery behavior the fault suite asserts).
-    fault_point("cache.machine.build");
-    auto e = std::make_shared<MachineEntry>();
-    e->fsm = loader(name);
-    e->fsm.validate();
-    e->fingerprint = machine_fingerprint(e->fsm);
-    e->encoded = encode_fsm(e->fsm, natural_encoding(e->fsm.num_states()));
-    slot->value = std::move(e);
-    slot->built = true;
-  }
-  return slot->value;
+  return build_once(*slot_of(machines_, name), Budget(), &JobCacheStats::machine_hits,
+                    &JobCacheStats::machine_misses, hit, [&] {
+                      // Injection site: an armed failure surfaces as
+                      // Error(kIo) before anything is published.
+                      fault_point("cache.machine.build");
+                      auto e = std::make_shared<MachineEntry>();
+                      e->fsm = loader(name);
+                      e->fsm.validate();
+                      e->fingerprint = machine_fingerprint(e->fsm);
+                      e->encoded = encode_fsm(e->fsm, natural_encoding(e->fsm.num_states()));
+                      return e;
+                    });
 }
 
-void JobCache::ensure_ostr(MachineEntry& m, const OstrOptions& options) {
-  std::lock_guard<std::mutex> lock(m.ostr_mu);
-  if (m.ostr_built) {
-    std::lock_guard<std::mutex> stats_lock(mu_);
-    ++stats_.ostr_hits;
-    return;
-  }
-  m.ostr = solve_ostr(m.fsm, options);
-  m.realization = build_realization(m.fsm, m.ostr.best.pi, m.ostr.best.tau);
-  m.verification = verify_realization(m.fsm, m.realization);
-  m.ostr_built = true;
-  std::lock_guard<std::mutex> stats_lock(mu_);
-  ++stats_.ostr_misses;
+std::shared_ptr<const JobCache::OstrEntry> JobCache::ensure_ostr(MachineEntry& m,
+                                                                 const OstrOptions& options) {
+  return build_once(m.ostr, options.budget, &JobCacheStats::ostr_hits,
+                    &JobCacheStats::ostr_misses, nullptr, [&] {
+                      auto e = std::make_shared<OstrEntry>();
+                      e->ostr = solve_ostr(m.fsm, options);
+                      e->realization =
+                          build_realization(m.fsm, e->ostr.best.pi, e->ostr.best.tau);
+                      e->verification = verify_realization(m.fsm, e->realization);
+                      return e;
+                    });
 }
 
-const MinimizedBlock& JobCache::block(MachineEntry& m, MinimizerKind minimizer,
-                                      Technology tech, const Budget& budget) {
-  MachineEntry::BlockSlot& slot = m.blocks.at(static_cast<std::size_t>(minimizer) * 2 +
-                                              static_cast<std::size_t>(tech));
-  std::lock_guard<std::mutex> lock(slot.mu);
-  const bool hit = slot.built;
-  if (!hit) {
-    slot.block = minimize_combined(m.encoded, minimizer, tech, budget);
-    slot.built = true;
-  }
-  std::lock_guard<std::mutex> stats_lock(mu_);
-  ++(hit ? stats_.block_hits : stats_.block_misses);
-  return slot.block;
+std::shared_ptr<const MinimizedBlock> JobCache::block(MachineEntry& m, MinimizerKind minimizer,
+                                                      Technology tech, const Budget& budget) {
+  return build_once(
+      m.blocks.at(static_cast<std::size_t>(minimizer) * 2 + static_cast<std::size_t>(tech)),
+      budget, &JobCacheStats::block_hits, &JobCacheStats::block_misses, nullptr, [&] {
+        return std::make_shared<MinimizedBlock>(
+            minimize_combined(m.encoded, minimizer, tech, budget));
+      });
 }
 
 std::shared_ptr<JobCache::StructureEntry> JobCache::structure(
     const std::shared_ptr<MachineEntry>& m, ArchKind arch, Technology tech,
     MinimizerKind minimizer, const OstrOptions& ostr_options,
     const Budget& budget, bool* hit) {
-  const StructKey key{m->fingerprint, arch, tech, minimizer};
-  std::shared_ptr<Slot<StructureEntry>> slot;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto& s = structures_[key];
-    if (!s) {
-      s = std::make_shared<Slot<StructureEntry>>();
-      ++stats_.structure_misses;
-      if (hit != nullptr) *hit = false;
-    } else {
-      ++stats_.structure_hits;
-      if (hit != nullptr) *hit = true;
-    }
-    s->last_use = ++lru_tick_;
-    slot = s;
-    evict_locked();
-  }
-  std::lock_guard<std::mutex> build(slot->build_mu);
-  if (!slot->built) {
-    fault_point("cache.structure.build");
-    auto e = std::make_shared<StructureEntry>();
-    switch (arch) {
-      case ArchKind::kFig1:
-        e->cs = build_fig1(m->encoded, block(*m, minimizer, tech, budget));
-        break;
-      case ArchKind::kFig2:
-        e->cs = build_fig2(m->encoded, block(*m, minimizer, tech, budget));
-        break;
-      case ArchKind::kFig3:
-        e->cs = build_fig3(m->encoded, block(*m, minimizer, tech, budget), budget);
-        break;
-      case ArchKind::kFig4:
-        ensure_ostr(*m, ostr_options);
-        e->cs = build_fig4(m->fsm, m->realization, minimizer, tech, budget);
-        break;
-    }
-    slot->value = std::move(e);
-    slot->built = true;
-  }
-  return slot->value;
+  return build_once(*slot_of(structures_, StructKey{m->fingerprint, arch, tech, minimizer}), budget, &JobCacheStats::structure_hits,
+                    &JobCacheStats::structure_misses, hit, [&] {
+                      fault_point("cache.structure.build");
+                      auto e = std::make_shared<StructureEntry>();
+                      if (arch == ArchKind::kFig4) {
+                        const auto o = ensure_ostr(*m, ostr_options);
+                        e->cs = build_fig4(m->fsm, o->realization, minimizer, tech, budget);
+                        if (o->ostr.degradation.degraded)
+                          e->cs.degradations.insert(e->cs.degradations.begin(),
+                                                    o->ostr.degradation);
+                      } else {
+                        const auto b = block(*m, minimizer, tech, budget);
+                        e->cs = arch == ArchKind::kFig1   ? build_fig1(m->encoded, *b)
+                                : arch == ArchKind::kFig2 ? build_fig2(m->encoded, *b)
+                                                          : build_fig3(m->encoded, *b, budget);
+                      }
+                      e->tagged = budget_bound(*e, budget);
+                      return e;
+                    });
 }
 
 std::shared_ptr<CampaignWarmState> JobCache::warm(
     const std::shared_ptr<StructureEntry>& s, std::size_t output_misr_width,
     unsigned lane_words, bool* hit) {
-  const WarmKey key{s.get(), lane_words, output_misr_width};
-  std::shared_ptr<Slot<CampaignWarmState>> slot;
-  {
+  if (s->tagged) {
+    // The next budget-bound build of its key may free this structure, and
+    // a warm entry keyed on its address would then outlive it.
     std::lock_guard<std::mutex> lock(mu_);
-    auto& w = warms_[key];
-    if (!w) {
-      w = std::make_shared<Slot<CampaignWarmState>>();
-      ++stats_.warm_misses;
-      if (hit != nullptr) *hit = false;
-    } else {
-      ++stats_.warm_hits;
-      if (hit != nullptr) *hit = true;
-    }
-    w->last_use = ++lru_tick_;
-    slot = w;
-    evict_locked();
+    ++stats_.warm_misses;
+    if (hit != nullptr) *hit = false;
+    return make_campaign_warm_state(s->cs, output_misr_width, lane_words);
   }
-  std::lock_guard<std::mutex> build(slot->build_mu);
-  if (!slot->built) {
-    slot->value = make_campaign_warm_state(s->cs, output_misr_width, lane_words);
-    slot->built = true;
-    std::lock_guard<std::mutex> lock(mu_);
-    all_warms_.push_back(slot->value);
-  }
-  return slot->value;
+  const WarmKey key{reinterpret_cast<std::uintptr_t>(s.get()), lane_words, output_misr_width};
+  return build_once(*slot_of(warms_, key), Budget(), &JobCacheStats::warm_hits,
+                    &JobCacheStats::warm_misses, hit, [&] {
+                      auto w = make_campaign_warm_state(s->cs, output_misr_width, lane_words);
+                      std::lock_guard<std::mutex> lock(mu_);
+                      all_warms_.push_back(w);
+                      return w;
+                    });
 }
 
 void JobCache::evict_locked() {
   if (max_entries_ == 0) return;
   while (structures_.size() + warms_.size() > max_entries_) {
     // Warm entries go first: cheapest to rebuild, and a structure may only
-    // leave once nothing compiled points into it. Pinned = value leased
-    // outside the cache (use_count beyond our own references: the slot
-    // plus, for warms, the all_warms_ stats list).
+    // leave once nothing compiled points into it. Pinned = a caller holds
+    // the slot (it is being looked up or built) or leases its value
+    // (use_count beyond our own references: the slot plus, for warms, the
+    // all_warms_ stats list).
     auto wv = warms_.end();
     for (auto it = warms_.begin(); it != warms_.end(); ++it) {
       const auto& slot = it->second;
-      if (!slot->built || slot->value.use_count() > 2) continue;
+      if (slot.use_count() > 1 || !slot->shared || slot->shared.use_count() > 2) continue;
       if (wv == warms_.end() || slot->last_use < wv->second->last_use) wv = it;
     }
     if (wv != warms_.end()) {
       // Keep the monotonic scratch counter before the state is destroyed.
-      evicted_scratch_reuses_ += campaign_warm_reuses(*wv->second->value);
+      evicted_scratch_reuses_ += campaign_warm_reuses(*wv->second->shared);
       all_warms_.erase(std::remove(all_warms_.begin(), all_warms_.end(),
-                                   wv->second->value),
+                                   wv->second->shared),
                        all_warms_.end());
       warms_.erase(wv);
       ++stats_.warm_evictions;
@@ -212,19 +204,15 @@ void JobCache::evict_locked() {
     auto sv = structures_.end();
     for (auto it = structures_.begin(); it != structures_.end(); ++it) {
       const auto& slot = it->second;
-      if (!slot->built || slot->value.use_count() > 1) continue;
+      if (slot.use_count() > 1 || (!slot->shared && !slot->tagged) ||
+          slot->shared.use_count() > 1 || slot->tagged.use_count() > 1)
+        continue;
       // A warm entry keyed on this structure still exists (it was pinned,
       // or younger): the compiled program references the structure's
       // netlist, so the structure must stay.
-      bool referenced = false;
-      for (const auto& [wk, ws] : warms_) {
-        (void)ws;
-        if (wk.structure == slot->value.get()) {
-          referenced = true;
-          break;
-        }
-      }
-      if (referenced) continue;
+      const auto address = reinterpret_cast<std::uintptr_t>(slot->shared.get());
+      const auto w = warms_.lower_bound(WarmKey{address, 0, 0});
+      if (w != warms_.end() && std::get<0>(w->first) == address) continue;
       if (sv == structures_.end() || slot->last_use < sv->second->last_use)
         sv = it;
     }

@@ -1,47 +1,43 @@
 #pragma once
-// Content-keyed artifact cache for campaign jobs.
-//
-// Four levels, each keyed on everything that determines its artifact and
+// Content-keyed artifact cache: the one build path of the Section-2 flow,
+// shared by sweeps, daemon and fleet jobs, and private to each run_flow.
+// Five levels, each keyed on everything that determines its artifact and
 // nothing else (see DESIGN.md "Cache keying and invalidation"):
 //
 //   machine    name -> { MealyMachine, fingerprint, EncodedFsm }
-//              plus lazily the OSTR result / realization / verification
-//              (only fig4 jobs pay for the search);
+//   ostr       machine entry -> OSTR result, realization, verification
 //   block      (machine entry, minimizer, tech) -> the combined block C
-//              (espresso + factoring), built lazily and shared by the
-//              fig1-fig3 structures of that machine;
-//   structure  (fingerprint, arch, tech, minimizer) -> built
-//              ControllerStructure;
+//              (espresso + factoring) of the fig1-fig3 structures
+//   structure  (content fingerprint, arch, tech, minimizer) -> built
+//              ControllerStructure
 //   warm       (structure identity, lane_words, MISR width) -> compiled
-//              lane program + scratch free-list (bist/session warm state).
+//              lane program + scratch free-list (bist/session warm state)
 //
-// The structure key uses the machine's CONTENT fingerprint, not its name:
-// identical machines share entries however they were loaded, and a
-// same-named but different machine can never collide. Entries are
-// immutable once built (there is no invalidation to get wrong: a new
-// machine content is a new key); eviction or a process restart is the
-// only flush.
+// Every level keeps one build-once rule (build_once). A caller is served
+// what is already built for its key (a hit) or builds it under its own
+// budget (a miss). An artifact truncated by a deadline or a cancel, or
+// built under a work allowance, is budget-bound: it goes in the key's one
+// tagged slot and is served only under a budget with the same limits
+// (Budget::same_limits), until the next budget-bound build replaces it.
+// Everything else -- complete artifacts, and OSTR's deterministic
+// max_nodes cap -- is shared with every caller and immutable; eviction or
+// a process restart is the only flush. Blocks and OSTR entries live in
+// their machine entry and are never evicted.
 //
-// Blocks live in their machine entry and are never evicted: a bounded
-// cache that drops a fig1-fig3 structure rebuilds it from the kept block.
-//
-// Long-lived (daemon) use: max_entries bounds the structure + warm maps
-// with LRU eviction of UNPINNED entries -- an entry currently leased by a
-// running job (its shared_ptr is held outside the cache) is never evicted,
-// and warm entries are always evicted before (and together with) the
-// structure they point into, so no compiled program can dangle. 0 =
-// unbounded (the one-shot drivers' default). Eviction counters are
-// reported in stats().
-//
-// Thread-safe: concurrent jobs requesting the same entry serialize on a
-// per-entry build mutex -- exactly one builds, the rest wait and count a
-// hit. All counters are monotonic; stats() may be read while jobs run.
+// max_entries bounds the structure + warm maps (0 = unbounded) with LRU
+// eviction of unpinned slots: none held by a caller or leased outside the
+// cache, and warm entries go before the structure they point into. A
+// tagged structure gets an uncached warm state, since it may be replaced.
+// Thread-safe; counters are monotonic and stats() may be read while jobs
+// run.
 
 #include <array>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -86,30 +82,35 @@ struct JobCacheStats {
 
 class JobCache {
  public:
+  /// One key's artifacts: the value shared with every caller, and at most
+  /// one budget-bound value with the budget it was built under (its tag).
+  /// Written under `mu` and the cache's map mutex; see build_once().
+  template <typename T>
+  struct Slot {
+    std::mutex mu;
+    std::shared_ptr<T> shared;
+    std::shared_ptr<T> tagged;
+    Budget tag;
+    std::uint64_t last_use = 0;  // LRU stamp of map entries, updated under mu_
+  };
+
+  struct OstrEntry {
+    OstrResult ostr;
+    Realization realization;  // from the best OSTR solution
+    VerifyReport verification;
+  };
+
   struct MachineEntry {
     MealyMachine fsm;
     std::uint64_t fingerprint = 0;
     EncodedFsm encoded;  // natural encoding, shared by fig1-fig3 builds
-
-    // OSTR artifacts, built lazily under ostr_mu (fig4 only).
-    std::mutex ostr_mu;
-    bool ostr_built = false;
-    OstrResult ostr;
-    Realization realization;
-    VerifyReport verification;
-
-    // Combined blocks of `encoded` (fig1-fig3), one slot per (minimizer,
-    // tech), each built lazily under its own mutex (see block()).
-    struct BlockSlot {
-      std::mutex mu;
-      bool built = false;
-      MinimizedBlock block;
-    };
-    std::array<BlockSlot, 3 * 2> blocks;  // [minimizer][tech]
+    Slot<OstrEntry> ostr;
+    std::array<Slot<MinimizedBlock>, 3 * 2> blocks;  // [minimizer][tech]
   };
 
   struct StructureEntry {
     ControllerStructure cs;  // stable address: warm states point at it
+    bool tagged = false;     // budget-bound: served only under its budget
   };
 
   /// `max_entries` bounds structures + warms together (0 = unbounded).
@@ -122,28 +123,28 @@ class JobCache {
   /// Load + encode a corpus machine (or any machine via `loader`); cached
   /// by name, fingerprinted on first load. The returned pointer is stable
   /// for the cache's lifetime. `hit` (when given) reports whether the
-  /// entry pre-existed -- the per-job cache flags of the corpus report.
+  /// entry was already built -- the per-job cache flags of the corpus
+  /// report.
   std::shared_ptr<MachineEntry> machine(
       const std::string& name,
       const std::function<MealyMachine(const std::string&)>& loader =
           [](const std::string& n) { return load_benchmark(n); },
       bool* hit = nullptr);
 
-  /// OSTR + realization + verification for a machine, computed once under
-  /// `options` by the first caller (later callers reuse it regardless of
-  /// their own options -- budget included; see DESIGN.md).
-  void ensure_ostr(MachineEntry& m, const OstrOptions& options);
+  /// OSTR + realization + verification for a machine, searched under
+  /// `options`. The entry is keyed on the machine only: every caller of
+  /// one cache passes the same node cap.
+  std::shared_ptr<const OstrEntry> ensure_ostr(MachineEntry& m, const OstrOptions& options);
 
   /// The combined block of `m.encoded` for (minimizer, tech), minimized
-  /// (and factored) once by the first caller under its `budget`; later
-  /// callers reuse it regardless of their own budget. The reference stays
-  /// valid while `m` lives.
-  const MinimizedBlock& block(MachineEntry& m, MinimizerKind minimizer,
-                              Technology tech, const Budget& budget);
+  /// (and factored) under `budget`.
+  std::shared_ptr<const MinimizedBlock> block(MachineEntry& m, MinimizerKind minimizer,
+                                              Technology tech, const Budget& budget);
 
-  /// Build (or fetch) one controller structure; fig1-fig3 are built from
-  /// block(). `budget` governs only the first build; the cached artifact
-  /// is returned bit-identically to every later caller.
+  /// Build (or fetch) one controller structure under `budget`; fig1-fig3
+  /// are built from block(), fig4 from ensure_ostr(), with the OSTR label
+  /// first when the search was truncated. A fig4 lookup is tagged with
+  /// `budget`, so `ostr_options.budget` should set the same limits.
   std::shared_ptr<StructureEntry> structure(const std::shared_ptr<MachineEntry>& m,
                                             ArchKind arch, Technology tech,
                                             MinimizerKind minimizer,
@@ -156,7 +157,7 @@ class JobCache {
   /// width): callers pass plan.output_misr_width, and because the warm
   /// state cannot consume anything else from a plan (its constructor does
   /// not see one), plans differing in sessions/cycles/seeds share entries
-  /// safely.
+  /// safely. A tagged structure gets a fresh, uncached warm state.
   std::shared_ptr<CampaignWarmState> warm(const std::shared_ptr<StructureEntry>& s,
                                           std::size_t output_misr_width,
                                           unsigned lane_words,
@@ -165,58 +166,37 @@ class JobCache {
   JobCacheStats stats() const;
 
  private:
-  struct StructKey {
-    std::uint64_t fingerprint;
-    ArchKind arch;
-    Technology tech;
-    MinimizerKind minimizer;
-    bool operator==(const StructKey& o) const {
-      return fingerprint == o.fingerprint && arch == o.arch && tech == o.tech &&
-             minimizer == o.minimizer;
-    }
-  };
-  struct StructKeyHash {
-    std::size_t operator()(const StructKey& k) const;
-  };
-  struct WarmKey {
-    const StructureEntry* structure;
-    unsigned lane_words;
-    std::size_t misr_width;
-    bool operator==(const WarmKey& o) const {
-      return structure == o.structure && lane_words == o.lane_words &&
-             misr_width == o.misr_width;
-    }
-  };
-  struct WarmKeyHash {
-    std::size_t operator()(const WarmKey& k) const;
-  };
+  using StructKey = std::tuple<std::uint64_t, ArchKind, Technology, MinimizerKind>;
+  using WarmKey = std::tuple<std::uintptr_t, unsigned, std::size_t>;  // structure address
 
-  template <typename Entry>
-  struct Slot {
-    std::mutex build_mu;
-    bool built = false;
-    std::shared_ptr<Entry> value;
-    std::uint64_t last_use = 0;  // LRU stamp, updated under mu_
-  };
+  using Counter = std::size_t JobCacheStats::*;
+
+  /// The build-once rule of every level: serve `slot`'s shared value, or
+  /// its tagged value when `budget` sets the tag's limits (a hit), or else
+  /// build() under the slot's mutex (a miss) and publish the result --
+  /// tagged when budget-bound, shared otherwise.
+  template <typename T, typename Build>
+  std::shared_ptr<T> build_once(Slot<T>& slot, const Budget& budget, Counter hits,
+                                Counter misses, bool* hit, Build build);
+
+  /// The map slot of `key`, created on first use and stamped for the LRU.
+  template <typename Map, typename Key>
+  typename Map::mapped_type slot_of(Map& map, const Key& key);
 
   /// Evict LRU unpinned entries until the structure+warm maps fit
   /// max_entries_ (call with mu_ held). Warm entries go first; a structure
   /// is only evicted once no warm entry points into it.
   void evict_locked();
 
-  mutable std::mutex mu_;  // guards the maps and the counters
+  mutable std::mutex mu_;  // guards the maps, the counters and slot publication
   std::size_t max_entries_ = 0;
   std::uint64_t lru_tick_ = 0;
   /// scratch_reuses accumulated by warm states evicted from all_warms_
   /// (the counter is monotonic even across evictions).
   std::size_t evicted_scratch_reuses_ = 0;
   std::unordered_map<std::string, std::shared_ptr<Slot<MachineEntry>>> machines_;
-  std::unordered_map<StructKey, std::shared_ptr<Slot<StructureEntry>>,
-                     StructKeyHash>
-      structures_;
-  std::unordered_map<WarmKey, std::shared_ptr<Slot<CampaignWarmState>>,
-                     WarmKeyHash>
-      warms_;
+  std::map<StructKey, std::shared_ptr<Slot<StructureEntry>>> structures_;
+  std::map<WarmKey, std::shared_ptr<Slot<CampaignWarmState>>> warms_;
   std::vector<std::shared_ptr<CampaignWarmState>> all_warms_;  // for stats
   JobCacheStats stats_;
 };

@@ -2,6 +2,8 @@
 
 #include <chrono>
 
+#include "jobs/cache.hpp"
+
 namespace stc {
 
 SelfTestPlan self_test_plan(const std::string& kind, std::size_t bist_cycles) {
@@ -74,32 +76,21 @@ StructureReport measure_structure(const ControllerStructure& cs,
 }
 
 FlowResult run_flow(const MealyMachine& fsm, const FlowOptions& options) {
-  fsm.validate();
-  FlowResult res;
+  // A private cache: the flow builds through the same code as every job.
+  JobCache cache;
+  const auto m = cache.machine("flow", [&fsm](const std::string&) { return fsm; });
   // The flow-level budget, when set, overrides each stage's own budget
   // (the deadline is absolute, so later stages see only what remains).
-  OstrOptions ostr_opt = options.ostr;
-  if (!options.budget.is_unlimited()) ostr_opt.budget = options.budget;
-  // One interner per machine: the OSTR search (and any later partition
-  // work on this machine) shares a single partition universe + memo set.
-  PartitionStore store(&fsm);
-  res.ostr = solve_ostr(fsm, ostr_opt, store);
-  res.realization = build_realization(fsm, res.ostr.best.pi, res.ostr.best.tau);
-  res.verification = verify_realization(fsm, res.realization);
-
-  const Encoding enc = natural_encoding(fsm.num_states());
-  const EncodedFsm encoded = encode_fsm(fsm, enc);
-
-  // Figs. 1-3 share one combinational block: minimize (and factor) it once.
-  const MinimizedBlock block = minimize_combined(encoded, options.minimizer,
-                                                 options.technology, options.budget);
-  res.fig1 = measure_structure(build_fig1(encoded, block), options);
-  res.fig2 = measure_structure(build_fig2(encoded, block), options);
-  res.fig3 = measure_structure(build_fig3(encoded, block, options.budget), options);
-  res.fig4 = measure_structure(
-      build_fig4(fsm, res.realization, options.minimizer, options.technology,
-                 options.budget),
-      options);
+  OstrOptions ostr = options.ostr;
+  if (!options.budget.is_unlimited()) ostr.budget = options.budget;
+  const auto o = cache.ensure_ostr(*m, ostr);
+  FlowResult res{o->ostr, o->realization, o->verification, {}, {}, {}, {}};
+  StructureReport* figs[] = {&res.fig1, &res.fig2, &res.fig3, &res.fig4};
+  for (ArchKind arch : {ArchKind::kFig1, ArchKind::kFig2, ArchKind::kFig3, ArchKind::kFig4})
+    *figs[static_cast<int>(arch)] = measure_structure(
+        cache.structure(m, arch, options.technology, options.minimizer, ostr, options.budget)
+            ->cs,
+        options);
   return res;
 }
 

@@ -5,6 +5,8 @@
 //   3. state coding + two-level logic minimization,
 //   4. emit the four controller structures (Figs. 1-4) as netlists,
 //   5. (optionally) run the two-session self-test and fault simulation.
+// run_flow takes steps 1-4 as lookups on a private JobCache (jobs/cache),
+// the build path the sweeps and daemon jobs use, and measures step 5 here.
 
 #include <optional>
 

@@ -69,6 +69,12 @@ class Budget {
     return !has_deadline_ && work_allowance_ == UINT64_MAX && !cancel_;
   }
   std::uint64_t work_allowance() const { return work_allowance_; }
+  /// Whether `o` sets the same deadline, allowance and cancel token (the
+  /// work already spent is not compared).
+  bool same_limits(const Budget& o) const {
+    return has_deadline_ == o.has_deadline_ && deadline_ == o.deadline_ &&
+           work_allowance_ == o.work_allowance_ && cancel_ == o.cancel_;
+  }
 
   /// Charge `units` of work and report whether the budget is exhausted
   /// (work must stop at the next safe point). Every call checks the

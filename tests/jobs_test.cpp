@@ -27,6 +27,7 @@
 #include "jobs/orchestrator.hpp"
 #include "netlist/export.hpp"
 #include "util/error.hpp"
+#include "util/faultpoint.hpp"
 
 namespace stc {
 namespace {
@@ -306,7 +307,7 @@ TEST(JobCacheBlock, ConcurrentRequestsBuildOnce) {
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < got.size(); ++t)
     threads.emplace_back([&, t] {
-      got[t] = &cache.block(*m, MinimizerKind::kAuto, Technology::kMultiLevel, Budget());
+      got[t] = cache.block(*m, MinimizerKind::kAuto, Technology::kMultiLevel, Budget()).get();
     });
   for (auto& th : threads) th.join();
   for (const MinimizedBlock* b : got) EXPECT_EQ(b, got[0]);
@@ -314,7 +315,7 @@ TEST(JobCacheBlock, ConcurrentRequestsBuildOnce) {
   EXPECT_EQ(st.block_misses, 1u);
   EXPECT_EQ(st.block_hits, 3u);
   // Another (minimizer, tech) is a separate block.
-  EXPECT_NE(&cache.block(*m, MinimizerKind::kAuto, Technology::kTwoLevel, Budget()), got[0]);
+  EXPECT_NE(cache.block(*m, MinimizerKind::kAuto, Technology::kTwoLevel, Budget()).get(), got[0]);
   EXPECT_EQ(cache.stats().block_misses, 2u);
 }
 
@@ -363,6 +364,177 @@ TEST(JobCacheBlock, EvictedStructuresRebuildFromTheKeptBlock) {
   EXPECT_EQ(st.structure_hits, 1u);
   EXPECT_EQ(st.block_misses, 1u);
   EXPECT_EQ(st.block_hits, 6u);
+}
+
+// --- JobCache: hit accounting and the fig4 OSTR label -----------------------
+
+CampaignJobSpec synthesis_job(const std::string& machine, ArchKind arch, Technology tech) {
+  CampaignJobSpec s;
+  s.machine = machine;
+  s.arch = arch;
+  s.tech = tech;
+  s.with_fault_sim = false;
+  return s;
+}
+
+TEST(JobCache, RetryAfterAnInjectedBuildFailureCountsAMiss) {
+  const CampaignJobSpec spec = synthesis_job("dk27", ArchKind::kFig2, Technology::kTwoLevel);
+  for (const std::string point : {"cache.machine.build", "cache.structure.build"}) {
+    SCOPED_TRACE(point);
+    faultpoints::reset();
+    faultpoints::arm(point, FaultSpec{});  // the first build fails once
+    JobCache cache;
+    const CampaignJobResult failed = run_campaign_job(spec, cache);
+    EXPECT_TRUE(failed.failed());
+    EXPECT_EQ(failed.error_code, ErrorCode::kIo);
+    const CampaignJobResult retry = run_campaign_job(spec, cache);
+    ASSERT_FALSE(retry.failed()) << retry.error;
+    // The retry built what the failure left unbuilt: a miss, not a hit.
+    const JobCacheStats st = cache.stats();
+    if (point == "cache.machine.build") {
+      EXPECT_FALSE(retry.machine_cached);
+      EXPECT_EQ(st.machine_hits, 0u);
+      EXPECT_EQ(st.machine_misses, 2u);
+    } else {
+      EXPECT_TRUE(retry.machine_cached);
+      EXPECT_FALSE(retry.structure_cached);
+      EXPECT_EQ(st.structure_hits, 0u);
+      EXPECT_EQ(st.structure_misses, 2u);
+    }
+  }
+  faultpoints::reset();
+}
+
+TEST(JobCache, Fig4CarriesTheOstrTruncationLabel) {
+  const CampaignJobSpec spec = synthesis_job("dk16", ArchKind::kFig4, Technology::kMultiLevel);
+  // The job node cap truncates dk16's search: fig4 says so first.
+  JobCache capped;
+  const CampaignJobResult r = run_campaign_job(spec, capped);
+  ASSERT_FALSE(r.failed()) << r.error;
+  ASSERT_FALSE(r.report.degradations.empty());
+  EXPECT_EQ(r.report.degradations.front().stage, "ostr");
+  EXPECT_EQ(r.report.degradations.front().reason, "work-allowance");
+  // An expired deadline cuts the search first, then the fig4 logic.
+  JobCache cut;
+  const CampaignJobResult d = run_campaign_job(spec, cut, Budget::deadline_ms(0));
+  ASSERT_FALSE(d.failed()) << d.error;
+  ASSERT_GE(d.report.degradations.size(), 2u);
+  EXPECT_EQ(d.report.degradations.front().stage, "ostr");
+  EXPECT_EQ(d.report.degradations.front().reason, "deadline");
+  // run_flow reports the same label on its fig4.
+  FlowOptions opts;
+  opts.ostr.max_nodes = kJobOstrMaxNodes;
+  const FlowResult flow = run_flow(load_benchmark("dk16"), opts);
+  ASSERT_FALSE(flow.fig4.degradations.empty());
+  EXPECT_EQ(flow.fig4.degradations.front().detail, flow.ostr.degradation.detail);
+}
+
+// --- JobCache: budget-bound artifacts stay with their budget ----------------
+
+void expect_same_report(const StructureReport& a, const StructureReport& b) {
+  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.technology, b.technology);
+  EXPECT_EQ(a.flipflops, b.flipflops);
+  EXPECT_EQ(a.area_ge, b.area_ge);
+  EXPECT_EQ(a.depth, b.depth);
+  EXPECT_EQ(a.logic.cubes, b.logic.cubes);
+  EXPECT_EQ(a.logic.literals, b.logic.literals);
+  ASSERT_EQ(a.logic_ml.has_value(), b.logic_ml.has_value());
+  if (a.logic_ml) EXPECT_EQ(a.logic_ml->literals, b.logic_ml->literals);
+  EXPECT_EQ(a.factored_nodes, b.factored_nodes);
+  ASSERT_EQ(a.degradations.size(), b.degradations.size());
+  for (std::size_t k = 0; k < a.degradations.size(); ++k) {
+    EXPECT_EQ(a.degradations[k].stage, b.degradations[k].stage);
+    EXPECT_EQ(a.degradations[k].reason, b.degradations[k].reason);
+    EXPECT_EQ(a.degradations[k].detail, b.degradations[k].detail);
+  }
+}
+
+TEST(JobCachePublish, ExpiredDeadlineJobLeavesNothingForAnUnbudgetedJob) {
+  for (const CampaignJobSpec& spec :
+       {synthesis_job("bbara", ArchKind::kFig2, Technology::kMultiLevel),
+        synthesis_job("dk16", ArchKind::kFig4, Technology::kMultiLevel)}) {
+    SCOPED_TRACE(spec.machine + "/" + arch_name(spec.arch));
+    JobCache shared, fresh;
+    const CampaignJobResult cut = run_campaign_job(spec, shared, Budget::deadline_ms(0));
+    ASSERT_FALSE(cut.failed()) << cut.error;
+    ASSERT_FALSE(cut.report.degradations.empty());
+    const CampaignJobResult after = run_campaign_job(spec, shared);
+    const CampaignJobResult alone = run_campaign_job(spec, fresh);
+    ASSERT_FALSE(after.failed()) << after.error;
+    EXPECT_FALSE(after.structure_cached);
+    expect_same_report(after.report, alone.report);
+  }
+}
+
+TEST(JobCachePublish, OneBudgetSharesATruncatedBlock) {
+  JobCache cache;
+  auto m = cache.machine("bbara");
+  const auto lookup = [&](ArchKind arch, const Budget& budget) {
+    bool hit = false;
+    cache.structure(m, arch, Technology::kMultiLevel, MinimizerKind::kAuto, OstrOptions{},
+                    budget, &hit);
+    return hit;
+  };
+  // One budget copy (run_flow's case): one truncated block for figs. 1-3,
+  // and its structures are served again under that budget only.
+  const Budget expired = Budget::deadline_ms(0);
+  for (ArchKind arch : {ArchKind::kFig1, ArchKind::kFig2, ArchKind::kFig3})
+    EXPECT_FALSE(lookup(arch, expired));
+  EXPECT_EQ(cache.stats().block_misses, 1u);
+  EXPECT_EQ(cache.stats().block_hits, 2u);
+  EXPECT_TRUE(lookup(ArchKind::kFig2, expired));
+  EXPECT_FALSE(lookup(ArchKind::kFig2, Budget::deadline_ms(0)));
+
+  // Distinct expired budgets build the block each time.
+  const std::size_t before = cache.stats().block_misses;
+  for (int k = 0; k < 3; ++k) {
+    const auto b = cache.block(*m, MinimizerKind::kAuto, Technology::kMultiLevel,
+                               Budget::deadline_ms(0));
+    ASSERT_FALSE(b->degradations.empty());
+    EXPECT_EQ(b->degradations.front().reason, "deadline");
+  }
+  EXPECT_EQ(cache.stats().block_misses, before + 3);
+
+  // An unbudgeted lookup builds the complete block, which then serves
+  // every caller, whatever its budget.
+  const auto full = cache.block(*m, MinimizerKind::kAuto, Technology::kMultiLevel, Budget());
+  EXPECT_TRUE(full->degradations.empty());
+  EXPECT_EQ(cache.stats().block_misses, before + 4);
+  const std::size_t hits = cache.stats().block_hits;
+  EXPECT_EQ(cache.block(*m, MinimizerKind::kAuto, Technology::kMultiLevel, Budget()), full);
+  EXPECT_EQ(cache.block(*m, MinimizerKind::kAuto, Technology::kMultiLevel, expired), full);
+  EXPECT_EQ(cache.stats().block_hits, hits + 2);
+  EXPECT_EQ(cache.stats().block_misses, before + 4);
+}
+
+TEST(JobCachePublish, ConcurrentDistinctBudgetsOnOneKey) {
+  JobCache cache(4);
+  auto m = cache.machine("dk14");
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::shared_ptr<JobCache::StructureEntry>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      // Distinct allowances: distinct tags, so no thread serves another.
+      const Budget budget = Budget::work_limit(t);
+      got[t] = cache.structure(m, ArchKind::kFig2, Technology::kMultiLevel,
+                               MinimizerKind::kAuto, OstrOptions{}, budget);
+      bool hit = true;
+      cache.warm(got[t], 8, 1, &hit);
+      EXPECT_FALSE(hit);
+    });
+  for (auto& th : threads) th.join();
+  for (const auto& s : got) {
+    EXPECT_TRUE(s->tagged);
+    EXPECT_GT(s->cs.nl.area_ge(), 0.0);
+  }
+  const JobCacheStats st = cache.stats();
+  EXPECT_EQ(st.structure_misses, kThreads);
+  EXPECT_EQ(st.structure_hits, 0u);
+  EXPECT_EQ(st.block_misses, kThreads);
+  EXPECT_EQ(st.warm_misses, kThreads);
+  EXPECT_EQ(st.warm_hits, 0u);
 }
 
 // --- Corpus sweep: determinism and serial equivalence -----------------------
