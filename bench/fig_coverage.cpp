@@ -19,20 +19,17 @@
 // Options:
 //   --all         sweep the WHOLE KISS corpus x fig1-fig4 x
 //                 two_level+multi_level in one command (aggregated report)
-//   --jobs N      scheduler workers (default: hardware concurrency;
+//   --jobs N      worker threads of the scheduler and of the dk27
+//                 coverage series (default: hardware concurrency;
 //                 results are identical for any value)
 //   --repeat N    enqueue the job list N times (cache-warm re-runs: every
 //                 repeat after the first is all cache hits, no recompiles)
 //   --cycles N    BIST cycles per session (default 256)
-//   --engine E    campaign engine: event (default) or flat
-//                 (identical detected sets; only the speed differs)
 //   --lanes L     simulation lanes per run: 64 (default), 256 or 512
 //                 (faults per self-test run = lanes - 1; identical
 //                 detected sets at every width)
 //   --tech T      implementation technology: two_level (default) or
 //                 multi_level (ignored under --all, which sweeps both)
-//   --threads N   threads of the dk27 coverage series (default: hardware
-//                 concurrency; identical results at any value)
 //   --time-budget-ms N
 //                 anytime wall-clock budget per JOB (the deadline starts
 //                 when the job starts). Truncated stages are labeled.
@@ -54,19 +51,17 @@ namespace {
 
 using namespace stc;
 
-void coverage_series(CampaignEngine engine, unsigned lane_words,
-                     const std::shared_ptr<CancelToken>& cancel, long budget_ms,
-                     std::size_t threads) {
+void coverage_series(unsigned lane_words, const std::shared_ptr<CancelToken>& cancel,
+                     long budget_ms, std::size_t threads) {
   // Coverage vs test length for the pipeline structure (series data).
   std::printf("Pipeline (fig4) coverage vs cycles per session, machine dk27 "
-              "(%zu threads, %s engine):\n", threads, campaign_engine_name(engine));
+              "(%zu threads):\n", threads);
   const MealyMachine m = load_benchmark("dk27");
   const OstrResult ostr = solve_ostr(m);
   const Realization real = build_realization(m, ostr.best.pi, ostr.best.tau);
   const ControllerStructure fig4 = build_fig4(m, real);
   CampaignOptions copt;
   copt.num_threads = threads;
-  copt.engine = engine;
   copt.lane_words = lane_words;
   copt.budget.with_cancel(cancel);
   if (budget_ms >= 0)
@@ -87,8 +82,7 @@ int run(const Cli& cli) {
   // bad value is one typed error before any synthesis work starts.
   CampaignJobSpec job;
   set_job_flags(job, cli,
-                {{"engine", "engine"}, {"tech", "tech"}, {"lanes", "lanes"},
-                 {"cycles", "bist_cycles"}});
+                {{"tech", "tech"}, {"lanes", "lanes"}, {"cycles", "bist_cycles"}});
 
   const auto cancel = install_sigint_cancel();
   const long budget_ms = cli.get_int("time-budget-ms", -1);
@@ -108,11 +102,11 @@ int run(const Cli& cli) {
   sw.job_budget_ms = static_cast<double>(budget_ms);
   sw.cancel = cancel;
 
-  std::printf("Corpus sweep: %s, engine %s, %zu lanes, %zu jobs%s\n",
+  std::printf("Corpus sweep: %s, %zu lanes, %zu jobs%s\n",
               all ? "full KISS corpus x fig1-fig4 x two_level+multi_level"
                   : "paper set x fig1-fig4",
-              campaign_engine_name(job.engine), 64 * (std::size_t)job.lane_words,
-              sw.jobs, sw.repeat > 1 ? " (repeated)" : "");
+              64 * (std::size_t)job.lane_words, sw.jobs,
+              sw.repeat > 1 ? " (repeated)" : "");
   std::printf("%s\n", corpus_row_header().c_str());
   JobCache cache;
   const CorpusReport rep =
@@ -128,10 +122,8 @@ int run(const Cli& cli) {
 
   // The dk27 series stays a focused single-structure study; skip it for
   // the corpus-wide sweep (and once cancellation has been requested).
-  if (!all && !(cancel && cancel->requested())) {
-    const std::size_t threads = cli.get_count("threads", hardware_threads(), 4096);
-    coverage_series(job.engine, job.lane_words, cancel, budget_ms, threads);
-  }
+  if (!all && !(cancel && cancel->requested()))
+    coverage_series(job.lane_words, cancel, budget_ms, sw.jobs);
   return 0;
 }
 
@@ -139,8 +131,7 @@ int run(const Cli& cli) {
 
 int main(int argc, char** argv) {
   return run_cli(argc, argv,
-                 {"all", "jobs N", "repeat N", "cycles N", "engine event|flat",
-                  "lanes 64|256|512", "tech two_level|multi_level", "threads N",
-                  "time-budget-ms N"},
+                 {"all", "jobs N", "repeat N", "cycles N", "lanes 64|256|512",
+                  "tech two_level|multi_level", "time-budget-ms N"},
                  run);
 }

@@ -10,7 +10,7 @@
 //      lines -- the fault class the paper highlights as undetected in the
 //      conventional scheme (drawback (3) of Section 1).
 //
-// Run:  ./selftest_demo [--machine shiftreg] [--cycles 256] [--threads 1]
+// Run:  ./selftest_demo [--machine shiftreg] [--cycles 256] [--jobs 1]
 
 #include <cstdio>
 
@@ -27,7 +27,7 @@ int run(const stc::Cli& cli) {
   // Campaigns run on the bit-parallel engine (63 faults per session run);
   // the detected sets are identical to the serial per-fault oracle.
   CampaignOptions copt;
-  copt.num_threads = cli.get_count("threads", 1, 4096);
+  copt.num_threads = cli.get_count("jobs", 1, 4096);
 
   MealyMachine m;
   try {
@@ -89,5 +89,5 @@ int run(const stc::Cli& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return stc::run_cli(argc, argv, {"machine NAME", "cycles N", "threads N"}, run);
+  return stc::run_cli(argc, argv, {"machine NAME", "cycles N", "jobs N"}, run);
 }

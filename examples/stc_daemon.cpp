@@ -6,8 +6,8 @@
 //                           [--watchdog-kill-grace X] [--quiet]
 //       ./stc_daemon submit <spool-dir> --machine NAME [--arch fig1..fig4]
 //                           [--tech two_level|multi_level]
-//                           [--engine event|flat] [--lanes 64|256|512]
-//                           [--cycles N] [--minimizer auto|qm|espresso]
+//                           [--lanes 64|256|512] [--cycles N]
+//                           [--minimizer auto|qm|espresso]
 //                           [--no-faultsim] [--budget-ms N] [--count N]
 //                           [--fleet-instances N] [--fleet-widths 8,16,24,40]
 //                           [--distribution fault_free|single_uniform|clustered]
@@ -30,7 +30,9 @@
 // (util/faultpoint) in the child -- the crash-recovery tests drive serve
 // through injected torn writes, rename crashes, and wedged jobs.
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "benchdata/iwls93.hpp"
@@ -49,10 +51,23 @@ const std::vector<std::string> kFlags = {
     "jobs N", "budget-ms N", "drain", "cache-max-entries N", "max-attempts N",
     "watchdog-grace X", "watchdog-kill-grace X", "max-recoveries N", "quiet",
     "machine NAME", "arch fig1..fig4", "tech two_level|multi_level",
-    "engine event|flat", "lanes 64|256|512", "cycles N", "functional-cycles N",
+    "lanes 64|256|512", "cycles N", "functional-cycles N",
     "minimizer auto|qm|espresso", "no-faultsim", "count N", "fleet-instances N",
     "fleet-widths W,W,...", "distribution fault_free|single_uniform|clustered",
     "defect-rate X", "fleet-seed N"};
+
+/// Value of `--flag` as a finite number (fractions allowed), or `fallback`
+/// when absent; anything else throws Error(kInvalidInput) naming the flag.
+double get_number(const stc::Cli& cli, const std::string& flag, double fallback) {
+  if (!cli.has(flag)) return fallback;
+  const std::string text = cli.get(flag, "");
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || !std::isfinite(v))
+    throw stc::Error(stc::ErrorCode::kInvalidInput, "expected a finite number",
+                     "flag=--" + flag + "; value=" + text);
+  return v;
+}
 
 int cmd_serve(const stc::Cli& cli, const std::string& spool) {
   using namespace stc;
@@ -63,9 +78,9 @@ int cmd_serve(const stc::Cli& cli, const std::string& spool) {
   opt.drain = cli.has("drain");
   opt.cache_max_entries = cli.get_count("cache-max-entries", 0, 1'000'000);
   opt.retry.max_attempts = cli.get_count("max-attempts", 3, 1000);
-  opt.watchdog_grace = static_cast<double>(cli.get_int("watchdog-grace", 2));
-  opt.watchdog_kill_grace =
-      static_cast<double>(cli.get_int("watchdog-kill-grace", 4));
+  // Multipliers of the budget; run_daemon requires 0 < grace <= kill grace.
+  opt.watchdog_grace = get_number(cli, "watchdog-grace", 2.0);
+  opt.watchdog_kill_grace = get_number(cli, "watchdog-kill-grace", 4.0);
   opt.max_recoveries = cli.get_count("max-recoveries", 3, 1000);
   opt.shutdown = install_sigint_cancel();
   if (!cli.has("quiet")) {
@@ -96,7 +111,7 @@ int cmd_submit(const stc::Cli& cli, const std::string& spool) {
   // --fleet-instances > 0 spools a deployment simulation.
   set_job_flags(job.spec, cli,
                 {{"machine", "machine"}, {"arch", "arch"}, {"tech", "tech"},
-                 {"engine", "engine"}, {"lanes", "lanes"}, {"cycles", "bist_cycles"},
+                 {"lanes", "lanes"}, {"cycles", "bist_cycles"},
                  {"functional-cycles", "functional_cycles"}, {"minimizer", "minimizer"},
                  {"fleet-instances", "fleet_instances"}, {"fleet-widths", "fleet_widths"},
                  {"distribution", "fleet_distribution"},

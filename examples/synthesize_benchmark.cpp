@@ -2,8 +2,7 @@
 // OSTR -> realization -> encoding -> logic minimization -> the four
 // controller structures -> (optionally) fault simulation.
 //
-// Run:  ./synthesize_benchmark --machine shiftreg [--faultsim] [--threads N]
-//                              [--engine event|flat]
+// Run:  ./synthesize_benchmark --machine shiftreg [--faultsim] [--jobs N]
 //                              [--lanes 64|256|512]
 //                              [--tech two_level|multi_level]
 //                              [--time-budget-ms N] [--max-nodes N]
@@ -11,17 +10,19 @@
 //       ./synthesize_benchmark --kiss path/to/machine.kiss2
 //       ./synthesize_benchmark --list
 //
+// --jobs sets the worker threads (default: hardware concurrency; results
+// are identical at any value): of the fault campaigns for one machine, of
+// the shared pool under --all.
+//
 // --all synthesizes the WHOLE corpus (every machine x fig1-fig4 x the
 // selected --tech) as CampaignJobs on the jobs/ work-stealing scheduler:
-// --jobs sizes the shared pool (results identical at any value), the keyed
-// artifact cache deduplicates builds (--repeat 2 demonstrates all-hit
-// re-runs), and one aggregated corpus report closes the run.
+// the keyed artifact cache deduplicates builds (--repeat 2 demonstrates
+// all-hit re-runs), and one aggregated corpus report closes the run.
 //
 // With --faultsim the per-structure report includes campaign wall time and
-// (event engine) the mean per-cycle activity ratio. With --tech
-// multi_level the combinational blocks are algebraically factored
-// (simulation-equivalent) and the report shows both the two-level PLA and
-// the factored cost points.
+// the mean per-cycle activity ratio. With --tech multi_level the
+// combinational blocks are algebraically factored (simulation-equivalent)
+// and the report shows both the two-level PLA and the factored cost points.
 //
 // Anytime operation: --time-budget-ms bounds the wall time of the whole
 // flow (OSTR, minimization, factoring, fault campaigns), --max-nodes caps
@@ -55,22 +56,21 @@ int run(const stc::Cli& cli) {
 
   CampaignJobSpec job;
   set_job_flags(job, cli,
-                {{"engine", "engine"}, {"lanes", "lanes"}, {"tech", "tech"},
-                 {"cycles", "bist_cycles"}});
+                {{"lanes", "lanes"}, {"tech", "tech"}, {"cycles", "bist_cycles"}});
   job.with_fault_sim = cli.has("faultsim");
+  const std::size_t jobs = cli.get_count("jobs", hardware_threads(), 4096);
 
   if (cli.has("all")) {
     SweepOptions sw;  // empty machine list = the full corpus
     sw.job = job;
-    sw.jobs = cli.get_count("jobs", hardware_threads(), 4096);
+    sw.jobs = jobs;
     sw.repeat = cli.get_count("repeat", 1, 1000);
     sw.ostr_max_nodes = cli.get_count("max-nodes", kJobOstrMaxNodes);
     sw.techs = {job.tech};
     sw.job_budget_ms = static_cast<double>(cli.get_int("time-budget-ms", -1));
     sw.cancel = install_sigint_cancel();
 
-    std::printf("Corpus synthesis sweep: %zu jobs, engine %s%s\n", sw.jobs,
-                campaign_engine_name(sw.job.engine),
+    std::printf("Corpus synthesis sweep: %zu jobs%s\n", sw.jobs,
                 sw.job.with_fault_sim ? ", fault simulation on" : "");
     std::printf("%s\n", corpus_row_header().c_str());
     JobCache cache;
@@ -107,8 +107,7 @@ int run(const stc::Cli& cli) {
   opts.with_fault_sim = job.with_fault_sim;
   opts.ostr.max_nodes = cli.get_count("max-nodes", kJobOstrMaxNodes);
   opts.bist_cycles = job.bist_cycles;
-  opts.campaign.num_threads = cli.get_count("threads", hardware_threads(), 4096);
-  opts.campaign.engine = job.engine;
+  opts.campaign.num_threads = jobs;
   opts.campaign.lane_words = job.lane_words;
   opts.technology = job.tech;
 
@@ -136,8 +135,8 @@ int run(const stc::Cli& cli) {
 int main(int argc, char** argv) {
   return stc::run_cli(argc, argv,
                       {"machine NAME", "kiss FILE", "list", "all", "faultsim",
-                       "threads N", "jobs N", "repeat N", "engine event|flat",
-                       "lanes 64|256|512", "tech two_level|multi_level", "cycles N",
-                       "max-nodes N", "time-budget-ms N"},
+                       "jobs N", "repeat N", "lanes 64|256|512",
+                       "tech two_level|multi_level", "cycles N", "max-nodes N",
+                       "time-budget-ms N"},
                       run);
 }

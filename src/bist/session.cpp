@@ -777,21 +777,6 @@ std::size_t campaign_warm_builds(const CampaignWarmState& warm) {
   return warm.builds();
 }
 
-CampaignEngine parse_campaign_engine(const std::string& name) {
-  if (name == "event") return CampaignEngine::kEvent;
-  if (name == "flat") return CampaignEngine::kFlat;
-  throw Error(ErrorCode::kInvalidInput, "unknown campaign engine",
-              "engine=" + name + "; expected event|flat");
-}
-
-const char* campaign_engine_name(CampaignEngine engine) {
-  switch (engine) {
-    case CampaignEngine::kEvent: return "event";
-    case CampaignEngine::kFlat: return "flat";
-  }
-  return "?";
-}
-
 unsigned lane_words_from_lanes(std::uint64_t lanes) {
   if (lanes % 64 == 0 && lanes <= 512 &&
       lane_words_supported(static_cast<unsigned>(lanes / 64)))

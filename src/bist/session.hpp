@@ -141,19 +141,19 @@ inline constexpr std::size_t faults_per_run(unsigned lane_words) {
 /// naming the value given and the accepted ones.
 unsigned lane_words_from_lanes(std::uint64_t lanes);
 
+/// The lane kernel's evaluator pin -- not a user option: no job spec,
+/// spool key or driver flag selects it. Every evaluator yields identical
+/// verdicts; the equivalence suites, goldens and benches pin each one.
 enum class CampaignEngine {
-  /// Event-driven 64-lane engine: resident net words, fanout-cone
-  /// scheduling, only changed cones re-evaluated per cycle (default).
+  /// The kernel's own policy: event-driven (resident net words,
+  /// fanout-cone scheduling, only changed cones re-evaluated per cycle),
+  /// handing a lane run off to flat when its first cycles show high
+  /// activity (DESIGN.md "Lane retirement and the flat hand-off").
   kEvent,
-  /// Flat 64-lane engine: every gate, every cycle (reference for the
-  /// event engine; previous default).
+  /// Pin the flat evaluator: every gate, every cycle (the event
+  /// evaluator's reference).
   kFlat,
 };
-
-/// Parse "event" / "flat" (the --engine flag of the drivers); throws
-/// Error(kInvalidInput) on anything else.
-CampaignEngine parse_campaign_engine(const std::string& name);
-const char* campaign_engine_name(CampaignEngine engine);
 
 /// Warm per-structure campaign state: the compiled lane program plus a
 /// free-list of per-worker scratch (lane buffers, banks, event residency).
@@ -188,7 +188,9 @@ struct CampaignOptions {
   /// Structural fault collapsing: simulate one representative per
   /// equivalence class (see collapse_faults) and expand the verdicts.
   bool collapse = true;
-  /// Evaluation engine; both produce identical detected-fault sets.
+  /// Evaluator pin for the suites and benches that compare evaluators;
+  /// kEvent (the default) leaves the choice to the kernel. Both produce
+  /// identical detected-fault sets.
   CampaignEngine engine = CampaignEngine::kEvent;
   /// uint64_t words per lane group: 1, 4 or 8 (64, 256 or 512 simulation
   /// lanes, batching faults_per_run(lane_words) faults per self-test run).
@@ -247,12 +249,6 @@ struct CampaignResult {
   std::size_t ops_per_cycle = 0;
 
   double coverage() const { return raw.coverage(); }
-  double collapsed_coverage() const {
-    return collapsed_total == 0
-               ? 1.0
-               : static_cast<double>(collapsed_detected) /
-                     static_cast<double>(collapsed_total);
-  }
   /// Mean fraction of combinational ops re-evaluated to a fresh value per
   /// cycle (1.0 for the flat engine). An *event rate*: dense
   /// PLA products whose cheap resident-word check confirms the old value
@@ -335,11 +331,12 @@ struct FleetShardStats {
 /// Simulate chip instances [first, first + count) of a fleet in packed
 /// runs of fleet_instances_per_run(W), leasing scratch from `warm` (which
 /// must be bound to (cs, plan.output_misr_width, W)), and fold their counts
-/// into `stats`. The budget is charged one unit per self-test run and its
-/// clock polled every cycle; it is taken by reference so one copy can
-/// govern many shards. Returns false when the budget cut the shard: the
-/// cut run and the instances after it stay unsimulated, every completed
-/// run's counts are exact.
+/// into `stats`. `engine` is the evaluator pin of CampaignOptions::engine
+/// (run_fleet passes kEvent). The budget is charged one unit per self-test
+/// run and its clock polled every cycle; it is taken by reference so one
+/// copy can govern many shards. Returns false when the budget cut the
+/// shard: the cut run and the instances after it stay unsimulated, every
+/// completed run's counts are exact.
 bool run_fleet_shard(const ControllerStructure& cs, const SelfTestPlan& plan,
                      CampaignWarmState& warm, std::uint64_t base_seed,
                      std::uint64_t first, std::uint64_t count,

@@ -94,7 +94,8 @@ FleetShardStats run_fleet_pass(const ControllerStructure& cs,
                  const std::uint64_t first = s * per_shard;
                  const std::uint64_t count = std::min(per_shard, instances - first);
                  if (!run_fleet_shard(cs, plan, warm, opt.base_seed, first, count,
-                                      sampler, opt.engine, bud, chunk_stats[c]))
+                                      sampler, CampaignEngine::kEvent, bud,
+                                      chunk_stats[c]))
                    break;
                }
              });

@@ -60,7 +60,6 @@ struct FleetOptions {
   /// calling thread.
   std::size_t jobs = 1;
   unsigned lane_words = 1;
-  CampaignEngine engine = CampaignEngine::kEvent;
   /// Plan template; output_misr_width is overridden per sweep entry and
   /// session cycles per curve point.
   SelfTestPlan plan = SelfTestPlan::two_session(256);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <thread>
 #include <vector>
 
@@ -70,6 +71,13 @@ DaemonReport run_daemon(const DaemonOptions& opt) {
 }
 
 DaemonReport run_daemon(const DaemonOptions& opt, JobCache& cache) {
+  // A grace <= 0 (or NaN) would cancel every budgeted job on its first poll.
+  if (!(opt.watchdog_grace > 0.0 && std::isfinite(opt.watchdog_kill_grace) &&
+        opt.watchdog_kill_grace >= opt.watchdog_grace))
+    throw Error(ErrorCode::kInvalidInput,
+                "watchdog graces must be finite, grace > 0 and kill grace >= grace",
+                strprintf("watchdog_grace=%g; watchdog_kill_grace=%g",
+                          opt.watchdog_grace, opt.watchdog_kill_grace));
   const auto t0 = std::chrono::steady_clock::now();
   const auto log = [&opt](const std::string& line) {
     if (opt.log) opt.log(line);

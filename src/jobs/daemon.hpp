@@ -63,6 +63,8 @@ struct DaemonOptions {
   /// Watchdog thresholds, as multiples of budget_ms * retry.max_attempts:
   /// past `grace` the job's cancel token is requested, past `kill_grace`
   /// the job is abandoned as failed-stuck. Both require a finite budget.
+  /// run_daemon rejects (kInvalidInput) any but finite
+  /// 0 < watchdog_grace <= watchdog_kill_grace.
   double watchdog_grace = 2.0;
   double watchdog_kill_grace = 4.0;
   /// Main-loop poll interval when idle (ms).

@@ -84,7 +84,11 @@ void assign_job_field(CampaignJobSpec& s, const std::string& key,
   if (key == "machine") s.machine = v;
   else if (key == "arch") s.arch = parse_arch(v);
   else if (key == "tech") s.tech = parse_technology(v);
-  else if (key == "engine") s.engine = parse_campaign_engine(v);
+  // Retired: spool files from before the lane kernel picked its own
+  // evaluator carry `engine = event|flat`. The key sets nothing.
+  else if (key == "engine") {
+    if (v != "event" && v != "flat") throw invalid("event|flat (a retired key)");
+  }
   else if (key == "lanes")
     s.lane_words = lane_words_from_lanes(parse_bounded(v, 0, UINT64_MAX));
   else if (key == "bist_cycles") s.bist_cycles = parse_bounded(v, 1, kMaxCycles);
@@ -116,7 +120,6 @@ std::string render_job_fields(const CampaignJobSpec& spec) {
   std::string out = "machine = " + spec.machine + "\n";
   out += std::string("arch = ") + arch_name(spec.arch) + "\n";
   out += std::string("tech = ") + technology_name(spec.tech) + "\n";
-  out += std::string("engine = ") + campaign_engine_name(spec.engine) + "\n";
   out += "lanes = " + std::to_string(64u * spec.lane_words) + "\n";
   out += "bist_cycles = " + std::to_string(spec.bist_cycles) + "\n";
   out += "functional_cycles = " + std::to_string(spec.functional_cycles) + "\n";
@@ -206,7 +209,6 @@ CampaignJobResult run_campaign_job(const CampaignJobSpec& spec, JobCache& cache,
     fopt.bist_cycles = spec.bist_cycles;
     fopt.functional_cycles = spec.functional_cycles;
     fopt.budget = budget;
-    fopt.campaign.engine = spec.engine;
     fopt.campaign.lane_words = spec.lane_words;
     // Scheduler-owned: inner parallelism goes through the shared pool (or
     // stays serial when there is none) -- never a nested per-campaign pool.
@@ -231,7 +233,6 @@ CampaignJobResult run_campaign_job(const CampaignJobSpec& spec, JobCache& cache,
       flo.instances = spec.fleet_instances;
       flo.misr_widths = spec.fleet_widths;
       flo.lane_words = spec.lane_words;
-      flo.engine = spec.engine;
       flo.plan = plan;
       flo.base_seed = spec.fleet_seed;
       flo.defects.model = spec.fleet_distribution;

@@ -348,20 +348,6 @@ std::optional<JobQueue::Claimed> JobQueue::claim() {
   return std::nullopt;
 }
 
-bool JobQueue::has_deferred() const {
-  const std::uint64_t now = unix_now_ms();
-  for (const std::string& id : list_ids(pending_)) {
-    try {
-      const std::string path = pending_ + "/" + id + ".job";
-      if (parse_spool_job(read_file(path), path).not_before_unix_ms > now)
-        return true;
-    } catch (const Error&) {
-      continue;
-    }
-  }
-  return false;
-}
-
 void JobQueue::retire(const Claimed& c, SpoolResult r, const std::string& dir) {
   r.id = c.job.id;
   // Publish the result FIRST, move the job file second. A crash between

@@ -105,10 +105,6 @@ class JobQueue {
   /// Returns nullopt when nothing is eligible.
   std::optional<Claimed> claim();
 
-  /// True when pending/ has at least one entry whose not_before is still
-  /// in the future (claim() returned nullopt but work will appear).
-  bool has_deferred() const;
-
   /// Retire a claimed job: publish the result, then move the job file.
   void complete(const Claimed& c, SpoolResult r);  // -> done/
   void fail(const Claimed& c, SpoolResult r);      // -> failed/

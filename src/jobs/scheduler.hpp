@@ -127,7 +127,7 @@ void run_chunks(TaskPool* pool, std::size_t n,
 std::unique_ptr<TaskPool> make_private_pool(std::size_t threads);
 
 /// The number of hardware threads, at least 1: the default width of the
-/// drivers' --jobs/--threads flags and of FleetOptions::jobs = 0.
+/// drivers' --jobs flags and of FleetOptions::jobs = 0.
 std::size_t hardware_threads();
 
 }  // namespace stc

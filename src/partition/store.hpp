@@ -44,9 +44,6 @@ class PartitionStore {
   std::size_t size() const { return pool_.size(); }
 
   PartitionId identity_id(std::size_t n) { return intern(Partition::identity(n)); }
-  PartitionId universal_id(std::size_t n) {
-    return intern(Partition::universal(n));
-  }
 
   /// Memoized lattice join (transitive closure of the union).
   PartitionId join(PartitionId a, PartitionId b);

@@ -27,10 +27,9 @@ struct FlowOptions {
   bool with_fault_sim = false;       // fault simulation is the expensive part
   std::size_t bist_cycles = 256;     // per session
   std::size_t functional_cycles = 512;
-  /// Options of the campaign engine used for the BIST structures
-  /// (figs. 2-4): event-driven by default, selectable via
-  /// CampaignOptions::engine; every engine produces the identical
-  /// detected-fault set, they only differ in speed.
+  /// Options of the fault campaigns of the BIST structures (figs. 2-4).
+  /// The lane kernel picks its evaluator; every evaluator produces the
+  /// identical detected-fault set.
   CampaignOptions campaign;
   /// Whole-flow anytime budget. When set (not unlimited) it is handed to
   /// EVERY governed stage -- the OSTR search, each structure's espresso

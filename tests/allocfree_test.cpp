@@ -18,6 +18,7 @@
 #include "bist/session.hpp"
 #include "logic/qm.hpp"
 #include "util/rng.hpp"
+#include "engine_names.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -69,7 +70,7 @@ TEST_P(CampaignAllocations, IndependentOfCycleCount) {
   const std::uint64_t long_run = count_campaign_allocs(cs, 240, engine, false);
   EXPECT_EQ(short_run, long_run)
       << "campaign allocations must not scale with BIST cycles (engine "
-      << campaign_engine_name(engine) << ")";
+      << engine_name(engine) << ")";
 }
 
 TEST_P(CampaignAllocations, IndependentOfLaneWords) {
@@ -86,7 +87,7 @@ TEST_P(CampaignAllocations, IndependentOfLaneWords) {
         count_campaign_allocs(cs, 48, engine, false, lane_words);
     EXPECT_EQ(narrow, wide)
         << "campaign allocations must not scale with lane words (engine "
-        << campaign_engine_name(engine) << ", W=" << lane_words << ")";
+        << engine_name(engine) << ", W=" << lane_words << ")";
   }
 }
 
@@ -95,7 +96,7 @@ TEST_P(CampaignAllocations, StableAcrossRepeatedCampaigns) {
   const CampaignEngine engine = GetParam();
   const std::uint64_t first = count_campaign_allocs(cs, 48, engine, true);
   const std::uint64_t second = count_campaign_allocs(cs, 48, engine, true);
-  EXPECT_EQ(first, second) << campaign_engine_name(engine);
+  EXPECT_EQ(first, second) << engine_name(engine);
 }
 
 TEST(FunctionalAllocations, IndependentOfCycleCount) {
@@ -143,7 +144,7 @@ INSTANTIATE_TEST_SUITE_P(BothLaneEngines, CampaignAllocations,
                                            CampaignEngine::kFlat),
                          [](const auto& info) {
                            return std::string(
-                               campaign_engine_name(info.param));
+                               engine_name(info.param));
                          });
 
 }  // namespace

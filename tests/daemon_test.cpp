@@ -7,6 +7,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <limits>
 #include <memory>
 #include <thread>
 
@@ -157,6 +159,56 @@ TEST_F(DaemonTest, DrainModeRunsEveryJobAndExits) {
     EXPECT_GE(r->coverage, 0.0);  // faultsim ran
     EXPECT_GT(r->total_faults, 0u);
   }
+}
+
+TEST_F(DaemonTest, SpoolJobWithRetiredEngineKeyDrainsToDone) {
+  // Written while the evaluator was a job option: the retired `engine`
+  // line sets nothing and the job runs as any other.
+  TempSpool spool;
+  const std::string id = "0000000000000001-00001-0000";
+  JobQueue q(spool.path);
+  {
+    std::ofstream os(spool.path + "/pending/" + id + ".job");
+    os << "# stc job spec\nmachine = shiftreg\narch = fig2\ntech = two_level\n"
+          "engine = flat\nlanes = 64\nbist_cycles = 64\nfunctional_cycles = 512\n"
+          "minimizer = auto\nfaultsim = 1\nbudget_ms = -1.000\nattempts = 0\n"
+          "recoveries = 0\nnot_before_unix_ms = 0\n";
+  }
+  DaemonOptions opt;
+  opt.spool_dir = spool.path;
+  opt.drain = true;
+  opt.retry = fast_retry();
+  const DaemonReport rep = run_daemon(opt);
+  EXPECT_EQ(rep.jobs_done, 1u);
+  EXPECT_EQ(q.list_done(), std::vector<std::string>{id});
+  const auto r = q.result(id);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->status, "done");
+  EXPECT_GT(r->total_faults, 0u);
+}
+
+TEST_F(DaemonTest, WatchdogMultipliersMustBePositiveAndOrdered) {
+  // A grace <= 0 would cancel every budgeted job on its first poll.
+  TempSpool spool;
+  JobQueue(spool.path).submit(fast_job());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [grace, kill] : {std::pair{0.0, 4.0}, std::pair{-1.0, 4.0},
+                                    std::pair{nan, 4.0}, std::pair{2.0, inf},
+                                    std::pair{2.0, 1.5}}) {
+    DaemonOptions opt;
+    opt.spool_dir = spool.path;
+    opt.drain = true;
+    opt.watchdog_grace = grace;
+    opt.watchdog_kill_grace = kill;
+    try {
+      run_daemon(opt);
+      ADD_FAILURE() << "grace " << grace << ", kill grace " << kill << " accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidInput);
+    }
+  }
+  EXPECT_EQ(JobQueue(spool.path).scan().pending, 1u);  // nothing was claimed
 }
 
 TEST_F(DaemonTest, DaemonRetriesTransientFailuresInProcess) {

@@ -14,6 +14,7 @@
 #include "bist/session.hpp"
 #include "netlist/eval64.hpp"
 #include "util/rng.hpp"
+#include "engine_names.hpp"
 
 namespace stc {
 namespace {
@@ -308,9 +309,9 @@ TEST(EventEvaluator, FaultsOnPrimaryInputAndDffOutputNets) {
     opt.engine = engine;
     const CampaignResult par = run_fault_campaign(cs, plan, opt, list);
     EXPECT_EQ(par.raw.detected, serial.detected)
-        << campaign_engine_name(engine);
+        << engine_name(engine);
     EXPECT_EQ(fault_set(par.raw.undetected), fault_set(serial.undetected))
-        << campaign_engine_name(engine);
+        << engine_name(engine);
   }
 }
 

@@ -23,6 +23,7 @@
 #include "ostr/ostr.hpp"
 #include "synth/flow.hpp"
 #include "util/rng.hpp"
+#include "engine_names.hpp"
 
 namespace stc {
 namespace {
@@ -469,9 +470,9 @@ void expect_campaign_parity(const ControllerStructure& cs, std::size_t cycles) {
       const CampaignResult par = run_fault_campaign(cs, plan, opt, list);
       EXPECT_EQ(par.raw.total, serial.total);
       EXPECT_EQ(par.raw.detected, serial.detected)
-          << campaign_engine_name(engine) << " threads=" << threads;
+          << engine_name(engine) << " threads=" << threads;
       EXPECT_EQ(fault_set(par.raw.undetected), serial_undet)
-          << campaign_engine_name(engine) << " threads=" << threads;
+          << engine_name(engine) << " threads=" << threads;
     }
   }
 }

@@ -16,6 +16,7 @@
 #include "ostr/ostr.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "engine_names.hpp"
 
 namespace stc {
 namespace {
@@ -360,11 +361,11 @@ TEST_P(CampaignEquivalence, BothLaneEnginesMatchSerialOracleAtAllThreadCounts) {
             const CampaignResult par = run_fault_campaign(cs, plan, opt, list);
             EXPECT_EQ(par.raw.total, serial.total);
             EXPECT_EQ(par.raw.detected, serial.detected)
-                << "engine=" << campaign_engine_name(engine)
+                << "engine=" << engine_name(engine)
                 << " threads=" << threads << " collapse=" << collapse
                 << " lane_words=" << lane_words << " sessions=" << sessions;
             EXPECT_EQ(fault_set(par.raw.undetected), serial_undet)
-                << "engine=" << campaign_engine_name(engine)
+                << "engine=" << engine_name(engine)
                 << " threads=" << threads << " collapse=" << collapse
                 << " lane_words=" << lane_words << " sessions=" << sessions;
             if (collapse) {

@@ -21,6 +21,7 @@
 #include "jobs/orchestrator.hpp"
 #include "jobs/queue.hpp"
 #include "util/rng.hpp"
+#include "engine_names.hpp"
 
 namespace stc {
 namespace {
@@ -275,15 +276,27 @@ TEST(Fleet, BitIdenticalAcrossJobsAndShardSizes) {
 }
 
 TEST(Fleet, EnginesAgree) {
+  // run_fleet leaves the evaluator to the kernel; one run_fleet_shard over
+  // the same [0, N) instances with each evaluator pinned must reproduce its
+  // per-width aggregates (bit-identical for any shard partition).
   const ControllerStructure cs = fleet_structure();
-  FleetOptions ev = small_fleet();
-  ev.curve_cycles.clear();
-  FleetOptions fl = ev;
-  fl.engine = CampaignEngine::kFlat;
-  const FleetReport a = run_fleet(cs, ev);
-  const FleetReport b = run_fleet(cs, fl);
-  for (std::size_t i = 0; i < a.widths.size(); ++i)
-    expect_same_stats(a.widths[i].stats, b.widths[i].stats, "engine");
+  FleetOptions opt = small_fleet();
+  opt.curve_cycles.clear();
+  const FleetReport rep = run_fleet(cs, opt);
+  ASSERT_EQ(rep.widths.size(), opt.misr_widths.size());
+  const FleetDefectSampler sampler = make_defect_sampler(cs, opt.defects);
+  for (const CampaignEngine engine : {CampaignEngine::kEvent, CampaignEngine::kFlat}) {
+    for (const FleetWidthResult& w : rep.widths) {
+      SelfTestPlan plan = opt.plan;
+      plan.output_misr_width = w.misr_width;
+      const auto warm = make_campaign_warm_state(cs, w.misr_width, opt.lane_words);
+      Budget unlimited;
+      FleetShardStats st;
+      ASSERT_TRUE(run_fleet_shard(cs, plan, *warm, opt.base_seed, 0, opt.instances,
+                                  sampler, engine, unlimited, st));
+      expect_same_stats(w.stats, st, engine_name(engine));
+    }
+  }
 }
 
 TEST(Fleet, WidePackingMatchesSingleWord) {

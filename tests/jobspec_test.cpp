@@ -47,7 +47,6 @@ CampaignJobSpec full_spec() {
   s.machine = "dk27";
   s.arch = ArchKind::kFig3;
   s.tech = Technology::kMultiLevel;
-  s.engine = CampaignEngine::kFlat;
   s.lane_words = 8;
   s.bist_cycles = 1'000'000;
   s.functional_cycles = 1;
@@ -65,7 +64,6 @@ void expect_same_spec(const CampaignJobSpec& a, const CampaignJobSpec& b) {
   EXPECT_EQ(a.machine, b.machine);
   EXPECT_EQ(a.arch, b.arch);
   EXPECT_EQ(a.tech, b.tech);
-  EXPECT_EQ(a.engine, b.engine);
   EXPECT_EQ(a.lane_words, b.lane_words);
   EXPECT_EQ(a.bist_cycles, b.bist_cycles);
   EXPECT_EQ(a.functional_cycles, b.functional_cycles);
@@ -100,25 +98,24 @@ CampaignJobSpec reparse(const CampaignJobSpec& spec, std::size_t* keys) {
 TEST(JobSpec, EveryKeyRoundTrips) {
   std::size_t keys = 0;
   expect_same_spec(reparse(full_spec(), &keys), full_spec());
-  EXPECT_EQ(keys, 14u);
+  EXPECT_EQ(keys, 13u);
 
-  // A non-fleet job renders (and needs) only the nine campaign keys.
+  // A non-fleet job renders (and needs) only the eight campaign keys.
   CampaignJobSpec plain;
   plain.machine = "shiftreg";
   plain.arch = ArchKind::kFig4;
   plain.lane_words = 4;
   expect_same_spec(reparse(plain, &keys), plain);
-  EXPECT_EQ(keys, 9u);
+  EXPECT_EQ(keys, 8u);
 
-  for (const auto& [arch, tech, engine, minimizer, model] :
-       {std::tuple{ArchKind::kFig1, Technology::kTwoLevel, CampaignEngine::kEvent,
-                   MinimizerKind::kAuto, DefectModel::kSingleUniform},
-        std::tuple{ArchKind::kFig2, Technology::kMultiLevel, CampaignEngine::kFlat,
+  for (const auto& [arch, tech, minimizer, model] :
+       {std::tuple{ArchKind::kFig1, Technology::kTwoLevel, MinimizerKind::kAuto,
+                   DefectModel::kSingleUniform},
+        std::tuple{ArchKind::kFig2, Technology::kMultiLevel,
                    MinimizerKind::kEspresso, DefectModel::kClustered}}) {
     CampaignJobSpec s = full_spec();
     s.arch = arch;
     s.tech = tech;
-    s.engine = engine;
     s.minimizer = minimizer;
     s.fleet_distribution = model;
     expect_same_spec(reparse(s, &keys), s);
@@ -139,7 +136,6 @@ TEST(JobSpec, SpoolFormatIsByteStable) {
             "machine = dk27\n"
             "arch = fig3\n"
             "tech = multi_level\n"
-            "engine = flat\n"
             "lanes = 512\n"
             "bist_cycles = 1000000\n"
             "functional_cycles = 1\n"
@@ -162,7 +158,6 @@ TEST(JobSpec, SpoolFormatIsByteStable) {
             "machine = dk27\n"
             "arch = fig1\n"
             "tech = two_level\n"
-            "engine = event\n"
             "lanes = 64\n"
             "bist_cycles = 256\n"
             "functional_cycles = 512\n"
@@ -172,6 +167,36 @@ TEST(JobSpec, SpoolFormatIsByteStable) {
             "attempts = 0\n"
             "recoveries = 0\n"
             "not_before_unix_ms = 0\n");
+}
+
+/// A spool file as written while the evaluator was a job option: every
+/// one carried an `engine = event|flat` line after `tech`.
+std::string spool_text_with(const std::string& engine_line) {
+  return "# stc job spec\n"
+         "machine = shiftreg\n"
+         "arch = fig2\n"
+         "tech = two_level\n" +
+         engine_line +
+         "lanes = 64\n"
+         "bist_cycles = 64\n"
+         "functional_cycles = 512\n"
+         "minimizer = auto\n"
+         "faultsim = 1\n"
+         "budget_ms = -1.000\n"
+         "attempts = 0\n"
+         "recoveries = 0\n"
+         "not_before_unix_ms = 0\n";
+}
+
+TEST(JobSpec, RetiredEngineKeyParsesAsNoOp) {
+  const SpoolJob without = parse_spool_job(spool_text_with(""), "new.job");
+  for (const char* line : {"engine = event\n", "engine = flat\n"}) {
+    const SpoolJob with = parse_spool_job(spool_text_with(line), "old.job");
+    expect_same_spec(with.spec, without.spec);
+    EXPECT_EQ(render_spool_job(with), render_spool_job(without)) << line;
+  }
+  // Nothing writes the key any more.
+  EXPECT_EQ(render_spool_job(without).find("engine"), std::string::npos);
 }
 
 TEST(JobSpec, BoundaryValuesAreAccepted) {
@@ -204,8 +229,8 @@ const std::vector<std::pair<std::string, std::string>>& rejected() {
       {"machine", ""},
       {"arch", "fig9"},
       {"tech", "three_level"},
-      {"engine", "quantum"},
-      {"engine", "serial"},  // retired: measure_coverage is the one serial oracle
+      {"engine", "quantum"},  // the retired key still takes only event|flat
+      {"engine", "serial"},  // measure_coverage is the one serial oracle
       {"minimizer", "magic"},
       {"fleet_distribution", "bogus"},
       {"lanes", "4294967360"},  // used to wrap to 64
@@ -385,7 +410,9 @@ TEST(JobSpec, SubmitRejectsMalformedFlagsWithExitTwo) {
   for (const std::vector<std::string>& flags :
        {std::vector<std::string>{"--defect-rate", "abc"},
         std::vector<std::string>{"--lanes", "4294967360"},
-        std::vector<std::string>{"--fleet-widths", "8,x"}}) {
+        std::vector<std::string>{"--fleet-widths", "8,x"},
+        // The lane kernel picks its evaluator: no driver takes --engine.
+        std::vector<std::string>{"--engine", "flat"}}) {
     TempSpool spool;
     std::vector<std::string> all = {"--machine", "dk27"};
     all.insert(all.end(), flags.begin(), flags.end());

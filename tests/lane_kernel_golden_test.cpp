@@ -5,6 +5,8 @@
 // CampaignEquivalence and FunctionalEquivalence check the verdicts against
 // the serial references; these also pin session_runs, cycles_simulated,
 // ops_evaluated (which the flat hand-off reads) and every fleet counter.
+// Every row runs with each evaluator pinned (CampaignOptions::engine and
+// run_fleet_shard's engine argument; kEvent is the kernel's own policy).
 // A failing row prints its actual values in the table's own layout.
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include "fleet/fleet.hpp"
 #include "ostr/ostr.hpp"
 #include "util/hash.hpp"
+#include "engine_names.hpp"
 
 namespace stc {
 namespace {
@@ -56,8 +59,10 @@ struct CampaignRow {
 
 void expect_campaign(const ControllerStructure& cs, const SelfTestPlan& plan,
                      const CampaignRow& want) {
+  const std::string engine = want.engine;
+  ASSERT_TRUE(engine == "event" || engine == "flat") << engine;
   CampaignOptions opt;
-  opt.engine = parse_campaign_engine(want.engine);
+  opt.engine = engine == "flat" ? CampaignEngine::kFlat : CampaignEngine::kEvent;
   opt.lane_words = want.lane_words;
   const CampaignResult r = run_fault_campaign(cs, plan, opt);
   std::ostringstream got;
@@ -116,34 +121,34 @@ std::uint64_t histogram_digest(const FleetShardStats& st) {
   return h;
 }
 
-/// Run a lane_words-1 fleet of `instances` over the rows' MISR widths on
-/// both engines and check every row.
+/// Run instances [0, instances) of a lane_words-1 fleet under the default
+/// FleetOptions plan, seeds and defects, as one run_fleet_shard per row's
+/// MISR width on each evaluator, and check every row. run_fleet's
+/// aggregates equal these for any shard partition.
 template <std::size_t N>
 void expect_fleet(const ControllerStructure& cs, std::uint64_t instances,
                   const FleetRow (&rows)[N]) {
+  const FleetOptions defaults;
+  const FleetDefectSampler sampler = make_defect_sampler(cs, defaults.defects);
   for (const CampaignEngine engine : {CampaignEngine::kEvent, CampaignEngine::kFlat}) {
-    FleetOptions opt;
-    opt.instances = instances;
-    opt.misr_widths.clear();
-    for (const FleetRow& row : rows) opt.misr_widths.push_back(row.misr_width);
-    opt.curve_cycles.clear();
-    opt.engine = engine;
-    const FleetReport rep = run_fleet(cs, opt);
-    ASSERT_EQ(rep.widths.size(), N);
-    for (std::size_t i = 0; i < N; ++i) {
-      const FleetShardStats& st = rep.widths[i].stats;
-      const FleetRow got{rep.widths[i].misr_width, st.instances, st.defective,
+    for (const FleetRow& want : rows) {
+      SelfTestPlan plan = defaults.plan;
+      plan.output_misr_width = want.misr_width;
+      const auto warm = make_campaign_warm_state(cs, want.misr_width, 1);
+      Budget unlimited;
+      FleetShardStats st;
+      ASSERT_TRUE(run_fleet_shard(cs, plan, *warm, defaults.base_seed, 0, instances,
+                                  sampler, engine, unlimited, st));
+      const FleetRow got{want.misr_width, st.instances, st.defective,
                          st.po_stream_detected, st.any_stream_detected,
                          st.misr_detected, st.sig_detected, st.aliases, st.escapes,
                          st.session_runs, st.cycles, histogram_digest(st)};
       std::ostringstream msg;
-      msg << campaign_engine_name(engine) << " actual: {" << got.misr_width << ", "
+      msg << engine_name(engine) << " actual: {" << got.misr_width << ", "
           << got.instances << ", " << got.defective << ", " << got.po_stream << ", "
           << got.any_stream << ", " << got.misr << ", " << got.sig << ", "
           << got.aliases << ", " << got.escapes << ", " << got.session_runs << ", "
           << got.cycles << ", 0x" << std::hex << got.histogram_digest << "ull}";
-      const FleetRow& want = rows[i];
-      EXPECT_EQ(got.misr_width, want.misr_width) << msg.str();
       EXPECT_EQ(got.instances, want.instances) << msg.str();
       EXPECT_EQ(got.defective, want.defective) << msg.str();
       EXPECT_EQ(got.po_stream, want.po_stream) << msg.str();
