@@ -1,14 +1,19 @@
-// Structure goldens: the cost figures of every corpus flow and the exact
-// cube lists espresso returns on seeded wide specs, pinned so that a speed
-// change to the two-level minimizers (QM covering, the espresso cube
-// index) or to factoring can be shown to change no choice at all. The
+// Structure goldens: the cost figures of every corpus flow, the exact
+// cube lists espresso returns on seeded wide specs and the exact networks
+// algebraic extraction returns, pinned so that a speed change to the
+// two-level minimizers (QM covering, the espresso cube index) or to
+// factoring can be shown to change no choice at all. The
 // CorpusTechEquivalence and SharedBlock suites check functional
 // equivalence; these check that the *same* netlists come out.
 
 #include <gtest/gtest.h>
 
 #include "benchdata/iwls93.hpp"
+#include "bist/architectures.hpp"
+#include "encoding/encoding.hpp"
 #include "logic/espresso_lite.hpp"
+#include "logic/factor.hpp"
+#include "structure_golden.hpp"
 #include "synth/flow.hpp"
 #include "util/rng.hpp"
 
@@ -17,22 +22,15 @@ namespace {
 
 // --- corpus flows -------------------------------------------------------------
 
-/// The pinned fields of one StructureReport. Two-level flows report no
-/// factored cost point, so their ml_literals and factored_nodes are 0.
-struct FigGolden {
-  double area_ge;
-  std::size_t depth, cubes, literals, ml_literals, factored_nodes, flipflops;
-};
-
 struct FlowGolden {
   const char* machine;
   Technology tech;
   FigGolden fig[4];  // fig1..fig4
 };
 
-// Default FlowOptions apart from the technology. The s1 multi-level flow
-// is left out: it takes tens of seconds, almost all of it factoring, and
-// SharedBlock already runs it.
+// Default FlowOptions apart from the technology. The s1 multi-level row
+// is kS1MultiLevelGolden: SharedBlock checks it against the flow it
+// already runs.
 const FlowGolden kFlowGolden[] = {
     {"bbara", Technology::kTwoLevel,
      {{540.5, 3, 101, 512, 0, 0, 4},
@@ -227,18 +225,6 @@ const FlowGolden* find_golden(const std::string& machine, Technology tech) {
   return nullptr;
 }
 
-void expect_matches(const StructureReport& r, const FigGolden& g, Technology tech) {
-  SCOPED_TRACE(r.kind);
-  EXPECT_DOUBLE_EQ(r.area_ge, g.area_ge);
-  EXPECT_EQ(r.depth, g.depth);
-  EXPECT_EQ(r.logic.cubes, g.cubes);
-  EXPECT_EQ(r.logic.literals, g.literals);
-  ASSERT_EQ(r.logic_ml.has_value(), tech == Technology::kMultiLevel);
-  EXPECT_EQ(r.logic_ml ? r.logic_ml->literals : 0, g.ml_literals);
-  EXPECT_EQ(r.factored_nodes, g.factored_nodes);
-  EXPECT_EQ(r.flipflops, g.flipflops);
-}
-
 void check_flow(const std::string& machine, Technology tech) {
   const FlowGolden* g = find_golden(machine, tech);
   ASSERT_NE(g, nullptr) << "no golden for " << machine;
@@ -256,7 +242,7 @@ TEST_P(CorpusStructureGolden, TwoLevelFiguresAsPinned) {
 }
 
 TEST_P(CorpusStructureGolden, MultiLevelFiguresAsPinned) {
-  if (GetParam() == "s1") GTEST_SKIP() << "s1 multi_level is covered by SharedBlock";
+  if (GetParam() == "s1") GTEST_SKIP() << "s1 multi_level is pinned by SharedBlock's own run";
   check_flow(GetParam(), Technology::kMultiLevel);
 }
 
@@ -293,21 +279,30 @@ PlaSpec wide_random_spec(std::uint64_t seed) {
   return spec;
 }
 
+/// FNV-1a over 64-bit words, least significant byte first.
+class Fnv1a {
+ public:
+  void mix(std::uint64_t x) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h_ ^= (x >> (8 * byte)) & 0xff;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
 /// FNV-1a over the cube list in order: input part, then output part.
 std::uint64_t digest(const CubeList& f) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&](std::uint64_t x) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (x >> (8 * byte)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  };
+  Fnv1a h;
   for (const MCube& m : f.cubes()) {
-    mix(m.in.care);
-    mix(m.in.value);
-    mix(m.out);
+    h.mix(m.in.care);
+    h.mix(m.in.value);
+    h.mix(m.out);
   }
-  return h;
+  return h.value();
 }
 
 struct EspressoGolden {
@@ -337,6 +332,133 @@ TEST(CorpusStructureGolden, EspressoOnWideSpecsAsPinned) {
     EXPECT_EQ(f.num_cubes(), g.cubes);
     EXPECT_EQ(f.num_input_literals(), g.input_literals);
     EXPECT_EQ(digest(f), g.digest);
+  }
+}
+
+// --- algebraic extraction -----------------------------------------------------
+
+/// FNV-1a over a factored network: every node, then every output, each as
+/// its cube count followed by every cube's length and literals in order.
+std::uint64_t digest(const FactoredNetwork& fn) {
+  Fnv1a h;
+  const auto mix_sop = [&](const SopExpr& s) {
+    h.mix(s.cubes.size());
+    for (const FCube& c : s.cubes) {
+      h.mix(c.size());
+      for (LitId l : c) h.mix(l);
+    }
+  };
+  h.mix(fn.nodes.size());
+  for (const SopExpr& s : fn.nodes) mix_sop(s);
+  h.mix(fn.outputs.size());
+  for (const SopExpr& s : fn.outputs) mix_sop(s);
+  return h.value();
+}
+
+struct FactorGoldenRow {
+  const char* name;
+  std::size_t nodes, literals;
+  std::uint64_t digest;
+};
+
+void expect_network(const FactoredNetwork& fn, const FactorGoldenRow& g) {
+  EXPECT_EQ(fn.num_nodes(), g.nodes);
+  EXPECT_EQ(fn.num_literals(), g.literals);
+  EXPECT_EQ(digest(fn), g.digest)
+      << "actual row: {\"" << g.name << "\", " << fn.num_nodes() << ", "
+      << fn.num_literals() << ", 0x" << std::hex << digest(fn) << "ULL}";
+}
+
+// Each corpus machine's combined fig1-fig3 block (natural encoding),
+// forced through espresso so that every machine, QM-sized or not, feeds
+// extraction a multi-output PLA. s1 is left out: its block alone takes
+// seconds to factor.
+const FactorGoldenRow kFactorCorpusGolden[] = {
+    {"bbara", 58, 352, 0x8aa4c1dc50b420aaULL},
+    {"bbtas", 9, 72, 0x3bb55d4489e65753ULL},
+    {"dk14", 55, 286, 0x886d549d15400893ULL},
+    {"dk15", 28, 142, 0x67c063b4f5eb3eaeULL},
+    {"dk16", 120, 634, 0xb0f4d8491d8f7de4ULL},
+    {"dk17", 25, 143, 0x32eff4d12d1615baULL},
+    {"dk27", 6, 45, 0x47e53492587c27aaULL},
+    {"dk512", 32, 163, 0xca2e29991bc971ccULL},
+    {"mc", 27, 153, 0x90f06b1762583175ULL},
+    {"shiftreg", 3, 38, 0xa197ff375a3d48c9ULL},
+    {"tav", 41, 228, 0x6b86e6f35fb96677ULL},
+    {"tbk", 698, 4147, 0x831df90a2ad84fb4ULL},
+    {"paper_fig5", 0, 20, 0xe0abca97a15e8742ULL},
+    {"serial_adder", 0, 18, 0x10dbfe8c74665122ULL},
+    {"parity4", 7, 38, 0x85407befb13e7264ULL},
+    {"count10", 2, 27, 0xc12f4cd0d999aaa4ULL},
+    {"count15", 5, 40, 0xb952a3920d0d44c0ULL},
+    {"shiftreg4", 0, 5, 0x1475dced4fa34b28ULL},
+};
+
+class FactorGolden : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(FactorGolden, CorpusBlockAsPinned) {
+  const std::string& name = GetParam();
+  const FactorGoldenRow* g = nullptr;
+  for (const FactorGoldenRow& row : kFactorCorpusGolden)
+    if (name == row.name) g = &row;
+  const MealyMachine m = load_benchmark(name);
+  const EncodedFsm enc = encode_fsm(m, natural_encoding(m.num_states()));
+  const MinimizedBlock block =
+      minimize_combined(enc, MinimizerKind::kEspresso, Technology::kTwoLevel);
+  const FactoredNetwork fn = extract_factored(block.pla.value());
+  ASSERT_NE(g, nullptr) << "no golden; actual row: {\"" << name << "\", "
+                        << fn.num_nodes() << ", " << fn.num_literals() << ", 0x"
+                        << std::hex << digest(fn) << "ULL}";
+  expect_network(fn, *g);
+}
+
+std::vector<std::string> factor_corpus() {
+  std::vector<std::string> names;
+  for (const std::string& n : benchmark_names())
+    if (n != "s1") names.push_back(n);
+  return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKissMachinesButS1, FactorGolden,
+                         ::testing::ValuesIn(factor_corpus()),
+                         [](const auto& info) { return info.param; });
+
+/// Random multi-output PLA over 12-14 variables: 5-7 outputs, 160-220
+/// cubes each keeping a variable with probability 1/2 and feeding one to
+/// three outputs. Unminimized, so it carries many shared kernels.
+CubeList random_factor_pla(std::uint64_t seed) {
+  Rng rng(seed);
+  const std::size_t num_vars = 12 + rng.below(3);
+  const std::size_t num_outputs = 5 + rng.below(3);
+  CubeList pla(num_vars, num_outputs);
+  const std::size_t num_cubes = 160 + rng.below(61);
+  for (std::size_t k = 0; k < num_cubes; ++k) {
+    std::uint64_t care = 0;
+    for (std::size_t v = 0; v < num_vars; ++v)
+      if (rng.below(2) != 0) care |= std::uint64_t{1} << v;
+    std::uint64_t out = 0;
+    for (std::size_t n = 1 + rng.below(3); n > 0; --n)
+      out |= std::uint64_t{1} << rng.below(num_outputs);
+    pla.add(Cube{care, rng.next() & care}, out);
+  }
+  return pla;
+}
+
+const FactorGoldenRow kFactorRandomGolden[] = {
+    {"seed 1", 258, 1276, 0xbafceaaefe92f508ULL},
+    {"seed 2", 240, 1147, 0x232dce4bcd8b7492ULL},
+    {"seed 3", 248, 1231, 0x842459dbbcfd549bULL},
+    {"seed 4", 221, 1052, 0x766b3e93a0e635a7ULL},
+    {"seed 5", 239, 1180, 0x7c946dd773527b42ULL},
+    {"seed 6", 225, 1098, 0xafca4a20960225a9ULL},
+};
+
+TEST(FactorGolden, RandomPlasAsPinned) {
+  std::uint64_t seed = 0;
+  for (const FactorGoldenRow& g : kFactorRandomGolden) {
+    SCOPED_TRACE(g.name);
+    const FactoredNetwork fn = extract_factored(random_factor_pla(++seed));
+    expect_network(fn, g);
   }
 }
 
