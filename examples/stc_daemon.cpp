@@ -1,6 +1,6 @@
 // stcd -- the durable BIST-synthesis daemon over a file-backed job spool.
 //
-// Run:  ./stc_daemon serve  <spool-dir> [--jobs N] [--budget-ms N]
+// Run:  ./stc_daemon serve  <spool-dir> [--jobs N] [--budget-ms MS]
 //                           [--drain] [--cache-max-entries N]
 //                           [--max-attempts N] [--watchdog-grace X]
 //                           [--watchdog-kill-grace X] [--quiet]
@@ -8,7 +8,7 @@
 //                           [--tech two_level|multi_level]
 //                           [--lanes 64|256|512] [--cycles N]
 //                           [--minimizer auto|qm|espresso]
-//                           [--no-faultsim] [--budget-ms N] [--count N]
+//                           [--no-faultsim] [--budget-ms MS] [--count N]
 //                           [--fleet-instances N] [--fleet-widths 8,16,24,40]
 //                           [--distribution fault_free|single_uniform|clustered]
 //                           [--defect-rate X] [--fleet-seed N]
@@ -16,6 +16,8 @@
 //
 // submit's job flags go through the spool's set_job_field, bounds included:
 // counts are whole base-10 integers, and a bad value exits 2 unsubmitted.
+// --budget-ms takes fractional milliseconds (as the spool's budget_ms
+// does) on serve and submit alike; a negative or missing value exits 2.
 //
 // serve claims jobs from <spool-dir>/pending, runs them on one persistent
 // pool + artifact cache, and retires them into done/ or failed/ with a
@@ -48,7 +50,7 @@ const char kOperands[] = "serve|submit|status <spool-dir>";
 
 /// Flags of serve and submit (status takes none).
 const std::vector<std::string> kFlags = {
-    "jobs N", "budget-ms N", "drain", "cache-max-entries N", "max-attempts N",
+    "jobs N", "budget-ms MS", "drain", "cache-max-entries N", "max-attempts N",
     "watchdog-grace X", "watchdog-kill-grace X", "max-recoveries N", "quiet",
     "machine NAME", "arch fig1..fig4", "tech two_level|multi_level",
     "lanes 64|256|512", "cycles N", "functional-cycles N",
@@ -69,12 +71,23 @@ double get_number(const stc::Cli& cli, const std::string& flag, double fallback)
   return v;
 }
 
+/// --budget-ms in milliseconds, fractions allowed as in the spool's
+/// budget_ms; -1 (no budget) when absent. A negative value throws
+/// Error(kInvalidInput) naming the flag.
+double get_budget_ms(const stc::Cli& cli) {
+  const double ms = get_number(cli, "budget-ms", -1.0);
+  if (cli.has("budget-ms") && ms < 0.0)
+    throw stc::Error(stc::ErrorCode::kInvalidInput, "expected a budget >= 0 ms",
+                     "flag=--budget-ms; value=" + cli.get("budget-ms", ""));
+  return ms;
+}
+
 int cmd_serve(const stc::Cli& cli, const std::string& spool) {
   using namespace stc;
   DaemonOptions opt;
   opt.spool_dir = spool;
   opt.jobs = cli.get_count("jobs", 1, 4096);
-  opt.default_budget_ms = static_cast<double>(cli.get_int("budget-ms", -1));
+  opt.default_budget_ms = get_budget_ms(cli);
   opt.drain = cli.has("drain");
   opt.cache_max_entries = cli.get_count("cache-max-entries", 0, 1'000'000);
   opt.retry.max_attempts = cli.get_count("max-attempts", 3, 1000);
@@ -119,7 +132,7 @@ int cmd_submit(const stc::Cli& cli, const std::string& spool) {
   if (job.spec.machine.empty())
     throw Error(ErrorCode::kInvalidInput, "submit requires --machine");
   job.spec.with_fault_sim = !cli.has("no-faultsim");
-  job.budget_ms = static_cast<double>(cli.get_int("budget-ms", -1));
+  job.budget_ms = get_budget_ms(cli);
 
   JobQueue queue(spool);
   const std::size_t count = cli.get_count("count", 1, 1'000'000);

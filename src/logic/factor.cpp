@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <map>
-#include <queue>
-#include <set>
 #include <stdexcept>
-#include <unordered_map>
+#include <unordered_set>
 
 namespace stc {
 namespace {
@@ -46,6 +44,19 @@ std::vector<FCube> cubeset_intersection(const std::vector<FCube>& a,
                         std::back_inserter(out));
   return out;
 }
+
+/// FNV-1a over a cube list's literals, each cube closed by a separator
+/// that no literal id takes.
+struct CubeSetHash {
+  std::size_t operator()(const std::vector<FCube>& cubes) const {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const FCube& c : cubes) {
+      for (LitId l : c) h = (h ^ l) * 0x100000001b3ULL;
+      h = (h ^ 0xFFFFFFFFu) * 0x100000001b3ULL;
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
 
 }  // namespace
 
@@ -161,40 +172,80 @@ DivisionResult divide(const SopExpr& f, const SopExpr& d) {
 
 // --- kernels -----------------------------------------------------------------
 
-std::vector<Kernel> enumerate_kernels(const SopExpr& f, std::size_t pair_cap) {
+namespace {
+
+/// enumerate_kernels(f, pair_cap) without the kernels of more than
+/// `max_cubes` cubes. A kernel has one cube per occurrence of its
+/// co-kernel candidate in f, so a larger one is skipped before any of its
+/// cubes is built; the kernels kept come in the same order.
+std::vector<Kernel> kernels_up_to(const SopExpr& f, std::size_t pair_cap,
+                                  std::size_t max_cubes) {
   std::vector<Kernel> out;
   if (f.cubes.size() < 2) return out;
 
+  // Occurrences of every literal: (literal, index of a cube using it),
+  // grouped by literal with the cube indices ascending.
+  std::vector<std::pair<LitId, std::uint32_t>> occ;
+  for (std::uint32_t i = 0; i < f.cubes.size(); ++i)
+    for (LitId l : f.cubes[i]) occ.emplace_back(l, i);
+  std::sort(occ.begin(), occ.end());
+  const auto occurrences = [&](LitId l) {
+    return std::equal_range(occ.begin(), occ.end(), std::make_pair(l, std::uint32_t{0}),
+                            [](const auto& a, const auto& b) { return a.first < b.first; });
+  };
+
   // Co-kernel cube candidates: single literals used by >= 2 cubes, pairwise
   // cube intersections (small functions only), and the empty cube (which
-  // yields f itself when f is cube-free).
-  std::set<FCube> candidates;
-  candidates.insert(FCube{});  // NOT insert({}): that is the empty init-list
-  {
-    std::unordered_map<LitId, std::size_t> lit_count;
-    for (const FCube& c : f.cubes)
-      for (LitId l : c) ++lit_count[l];
-    for (const auto& [lit, count] : lit_count)
-      if (count >= 2) candidates.insert({lit});
-  }
+  // yields f itself when f is cube-free). Tried in ascending order, each
+  // once.
+  std::vector<FCube> candidates;
+  candidates.emplace_back();
+  for (std::size_t i = 0; i + 1 < occ.size(); ++i)
+    if (occ[i].first == occ[i + 1].first && (i == 0 || occ[i - 1].first != occ[i].first))
+      candidates.push_back({occ[i].first});
   if (f.cubes.size() <= pair_cap) {
     // Only >= 2-literal cubes can contribute a multi-literal co-kernel;
     // a pair involving a 1-literal cube intersects to at most that
     // literal, which the single-literal candidates above already cover.
+    FCube inter;
     for (std::size_t i = 0; i < f.cubes.size(); ++i) {
       if (f.cubes[i].size() < 2) continue;
       for (std::size_t j = i + 1; j < f.cubes.size(); ++j) {
         if (f.cubes[j].size() < 2) continue;
-        FCube inter = cube_intersection(f.cubes[i], f.cubes[j]);
-        if (!inter.empty()) candidates.insert(std::move(inter));
+        inter.clear();
+        std::set_intersection(f.cubes[i].begin(), f.cubes[i].end(), f.cubes[j].begin(),
+                              f.cubes[j].end(), std::back_inserter(inter));
+        if (!inter.empty()) candidates.push_back(inter);
       }
     }
   }
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
 
-  std::set<std::vector<FCube>> seen_kernels;
+  // Kernels already returned, as indices into `out`, hashed by their cubes.
+  const auto kernel_hash = [&](std::size_t k) { return CubeSetHash()(out[k].kernel.cubes); };
+  const auto same_kernel = [&](std::size_t a, std::size_t b) {
+    return out[a].kernel.cubes == out[b].kernel.cubes;
+  };
+  std::unordered_set<std::size_t, decltype(kernel_hash), decltype(same_kernel)> seen(
+      16, kernel_hash, same_kernel);
+  std::vector<std::uint32_t> matches;
   for (const FCube& ck : candidates) {
-    std::vector<FCube> q = quotient_by_cube(f, ck);
-    if (q.size() < 2) continue;
+    // The cubes of f that ck divides, from the occurrences of its first
+    // literal.
+    matches.clear();
+    if (ck.empty()) {
+      for (std::uint32_t i = 0; i < f.cubes.size(); ++i) matches.push_back(i);
+    } else {
+      const auto range = occurrences(ck[0]);
+      for (auto it = range.first; it != range.second; ++it)
+        if (ck.size() == 1 || cube_includes(f.cubes[it->second], ck))
+          matches.push_back(it->second);
+    }
+    if (matches.size() < 2 || matches.size() > max_cubes) continue;
+    std::vector<FCube> q;
+    q.reserve(matches.size());
+    for (std::uint32_t i : matches) q.push_back(cube_difference(f.cubes[i], ck));
     // Make the quotient cube-free; the divided-out cube joins the co-kernel.
     const FCube cc = common_cube(q);
     Kernel k;
@@ -202,10 +253,16 @@ std::vector<Kernel> enumerate_kernels(const SopExpr& f, std::size_t pair_cap) {
     k.kernel.cubes.reserve(q.size());
     for (const FCube& c : q) k.kernel.cubes.push_back(cube_difference(c, cc));
     std::sort(k.kernel.cubes.begin(), k.kernel.cubes.end());
-    if (!seen_kernels.insert(k.kernel.cubes).second) continue;
     out.push_back(std::move(k));
+    if (!seen.insert(out.size() - 1).second) out.pop_back();
   }
   return out;
+}
+
+}  // namespace
+
+std::vector<Kernel> enumerate_kernels(const SopExpr& f, std::size_t pair_cap) {
+  return kernels_up_to(f, pair_cap, SIZE_MAX);
 }
 
 // --- FactoredNetwork ---------------------------------------------------------
@@ -291,14 +348,171 @@ constexpr std::size_t kMaxDivisorCubes = 64;
 /// hundreds of near-identical kernels that all evaluate unprofitable.
 constexpr std::size_t kMaxKernelsPerFunc = 24;
 
+/// Max-queue of (count, key) entries kept as one key max-heap per count.
+/// It pops exactly the sequence a std::priority_queue of (count, key)
+/// pairs pops over the same multiset of entries: the highest count first,
+/// the highest key among equal counts, and a duplicated entry once per
+/// copy. Each push and pop touches only the heap of one count.
+class PairQueue {
+ public:
+  bool empty() const { return size_ == 0; }
+
+  void push(std::uint32_t count, std::uint64_t key) {
+    if (count >= heaps_.size()) heaps_.resize(count + 1);
+    std::vector<std::uint64_t>& h = heaps_[count];
+    h.push_back(key);
+    std::push_heap(h.begin(), h.end());
+    top_ = std::max(top_, count);
+    ++size_;
+  }
+
+  /// Remove and return the largest entry; the queue must not be empty.
+  std::pair<std::uint32_t, std::uint64_t> pop() {
+    while (heaps_[top_].empty()) --top_;
+    std::vector<std::uint64_t>& h = heaps_[top_];
+    std::pop_heap(h.begin(), h.end());
+    const std::uint64_t key = h.back();
+    h.pop_back();
+    --size_;
+    return {top_, key};
+  }
+
+ private:
+  std::vector<std::vector<std::uint64_t>> heaps_;  // by count
+  std::uint32_t top_ = 0;  // no entry has a higher count
+  std::size_t size_ = 0;
+};
+
+/// Occurrence count per 2-literal key in an open-addressing table. Keys
+/// are never 0 (the first literal of a pair is the smaller one), so 0
+/// marks an empty slot; a key whose count fell back to 0 keeps its slot
+/// and reads as absent.
+class PairCounts {
+ public:
+  PairCounts() : slots_(std::size_t{1} << kInitialBits) {}
+
+  std::uint32_t get(std::uint64_t key) const {
+    for (std::size_t i = home(key);; i = (i + 1) & mask()) {
+      if (slots_[i].key == key) return slots_[i].count;
+      if (slots_[i].key == 0) return 0;
+    }
+  }
+
+  /// Add `delta` to the count of `key`; returns the new count.
+  std::uint32_t add(std::uint64_t key, int delta) {
+    std::size_t i = home(key);
+    while (slots_[i].key != key && slots_[i].key != 0) i = (i + 1) & mask();
+    if (slots_[i].key == 0) {
+      if (2 * (used_ + 1) > slots_.size()) {
+        grow();
+        return add(key, delta);
+      }
+      slots_[i].key = key;
+      ++used_;
+    }
+    slots_[i].count = static_cast<std::uint32_t>(static_cast<int>(slots_[i].count) + delta);
+    return slots_[i].count;
+  }
+
+ private:
+  struct Slot {
+    std::uint64_t key = 0;
+    std::uint32_t count = 0;
+  };
+
+  std::size_t mask() const { return slots_.size() - 1; }
+  /// Fibonacci hashing: the top `bits_` bits of key * 2^64 / phi.
+  std::size_t home(std::uint64_t key) const {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> (64 - bits_));
+  }
+  void grow() {
+    std::vector<Slot> old(2 * slots_.size());
+    old.swap(slots_);
+    ++bits_;
+    for (const Slot& s : old) {
+      if (s.key == 0) continue;
+      std::size_t i = home(s.key);
+      while (slots_[i].key != 0) i = (i + 1) & mask();
+      slots_[i] = s;
+    }
+  }
+
+  static constexpr unsigned kInitialBits = 12;
+  std::vector<Slot> slots_;  // 2^bits_ slots, at most half used
+  unsigned bits_ = kInitialBits;
+  std::size_t used_ = 0;
+};
+
+/// A cube's signature: one bit per literal -- the literal's own bit below
+/// 64, a hashed one above -- ORed over the cube. A cube whose signature
+/// lacks a bit of another's cannot include it.
+std::uint64_t cube_sig(const FCube& c) {
+  std::uint64_t sig = 0;
+  for (LitId l : c)
+    sig |= std::uint64_t{1} << (l < 64 ? l : (l * 0x9E3779B97F4A7C15ULL) >> 58);
+  return sig;
+}
+
+/// Per-literal bit rows over cube slots (the CubeIndex idiom): every live
+/// cube holds one slot, and bit s of row l is set iff the cube in slot s
+/// contains literal l. The cubes containing a set of literals are the AND
+/// of their rows. A released slot has all its bits clear.
+class SlotRows {
+ public:
+  explicit SlotRows(std::size_t num_rows) : num_rows_(num_rows) {}
+
+  std::size_t num_words() const { return words_; }
+  const std::uint64_t* row(std::size_t r) const { return &bits_[r * words_]; }
+
+  std::uint32_t alloc() {
+    if (!free_.empty()) {
+      const std::uint32_t s = free_.back();
+      free_.pop_back();
+      return s;
+    }
+    if (next_ == 64 * words_) grow();
+    return next_++;
+  }
+  void release(std::uint32_t s) { free_.push_back(s); }
+
+  void set(std::size_t r, std::uint32_t s) {
+    bits_[r * words_ + s / 64] |= std::uint64_t{1} << (s % 64);
+  }
+  void clear(std::size_t r, std::uint32_t s) {
+    bits_[r * words_ + s / 64] &= ~(std::uint64_t{1} << (s % 64));
+  }
+
+ private:
+  void grow() {
+    const std::size_t words = std::max<std::size_t>(1, 2 * words_);
+    std::vector<std::uint64_t> bits(num_rows_ * words, 0);
+    for (std::size_t r = 0; r < num_rows_; ++r)
+      std::copy(bits_.begin() + r * words_, bits_.begin() + (r + 1) * words_,
+                bits.begin() + r * words);
+    bits_.swap(bits);
+    words_ = words;
+  }
+
+  std::size_t num_rows_;
+  std::size_t words_ = 0;
+  std::vector<std::uint64_t> bits_;  // num_rows_ x words_
+  std::uint32_t next_ = 0;           // slots below it have been handed out
+  std::vector<std::uint32_t> free_;
+};
+
 /// The extraction working state: outputs and node definitions live in one
 /// function array (funcs_[b] = output b, funcs_[num_outputs + j] = node j),
-/// with incremental bookkeeping for the cube-divisor search:
-///   * pair_count_ / pair_heap_ -- global occurrence counts of 2-literal
-///     sub-cubes, max-heap with lazy invalidation;
-///   * lit_cubes_ -- literal -> cube references, also lazily stale: entries
+/// with incremental bookkeeping, all of it current after every rewrite:
+///   * pair_count_ / pair_queue_ -- global occurrence counts of 2-literal
+///     sub-cubes, a max-queue with lazy invalidation;
+///   * input_rows_ / slots_ -- input literal -> the cubes containing it, as
+///     bit rows over cube slots;
+///   * node_refs_ -- node literal -> cube references, lazily stale: entries
 ///     are validated against the function generation and actual membership
-///     before use.
+///     before use;
+///   * lit_funcs_ / max_width_ -- literal -> the functions using it, and
+///     each function's widest cube: the kernel search's candidate filter;
+///   * sigs_ -- each cube's cube_sig, the division scans' prefilter.
 class Extractor {
  public:
   Extractor(const CubeList& pla, const FactorOptions& opt)
@@ -308,7 +522,14 @@ class Extractor {
     funcs_ = std::move(outs);
     gen_.assign(funcs_.size(), 0);
     dirty_.assign(funcs_.size(), true);
-    for (std::uint32_t f = 0; f < funcs_.size(); ++f) register_func(f);
+    max_width_.assign(funcs_.size(), 0);
+    slots_.resize(funcs_.size());
+    sigs_.resize(funcs_.size());
+    lit_funcs_.resize(2 * num_vars_);
+    for (std::uint32_t f = 0; f < funcs_.size(); ++f) {
+      register_func(f);
+      for (const FCube& c : funcs_[f].cubes) add_uses(f, c, +1);
+    }
   }
 
   FactoredNetwork run() {
@@ -338,6 +559,12 @@ class Extractor {
     std::uint32_t gen;
   };
 
+  /// One entry of a literal's function list.
+  struct FuncUses {
+    std::uint32_t func;
+    std::uint32_t uses;  // cubes of func containing the literal
+  };
+
   std::size_t num_nodes() const { return funcs_.size() - num_outputs_; }
   LitId lit_of_node(std::size_t j) const { return node_lit(num_vars_, j); }
   std::size_t func_of_node(std::size_t j) const { return num_outputs_ + j; }
@@ -354,50 +581,133 @@ class Extractor {
     return funcs_[r.func].cubes[r.idx];
   }
 
+  /// Count the 2-literal sub-cubes of c in (delta +1) or out (-1); a
+  /// count reaching 2 or more on the way in queues the pair at it.
   void add_pairs(const FCube& c, int delta) {
     for (std::size_t i = 0; i < c.size(); ++i)
       for (std::size_t j = i + 1; j < c.size(); ++j) {
         const std::uint64_t key = pair_key(c[i], c[j]);
-        auto it = pair_count_.find(key);
-        if (it == pair_count_.end()) it = pair_count_.emplace(key, 0).first;
-        it->second = static_cast<std::uint32_t>(
-            static_cast<int>(it->second) + delta);
-        if (it->second == 0) {
-          pair_count_.erase(it);
-        } else if (delta > 0 && it->second >= 2) {
-          pair_heap_.push({it->second, key});
-        }
+        const std::uint32_t count = pair_count_.add(key, delta);
+        if (delta > 0 && count >= 2) pair_queue_.push(count, key);
       }
   }
 
-  /// Register every cube of a function (fresh generation).
-  void register_func(std::uint32_t f) {
-    const std::uint32_t g = gen_[f];
-    for (std::uint32_t i = 0; i < funcs_[f].cubes.size(); ++i) {
-      const FCube& c = funcs_[f].cubes[i];
-      for (LitId l : c) lit_cubes_[l].push_back({f, i, g});
-      add_pairs(c, +1);
+  /// Count the cube c of function f in (delta +1) or out of (-1) the
+  /// function lists of its literals.
+  void add_uses(std::uint32_t f, const FCube& c, int delta) {
+    for (LitId l : c) {
+      std::vector<FuncUses>& v = lit_funcs_[l];
+      auto it = std::lower_bound(
+          v.begin(), v.end(), f,
+          [](const FuncUses& u, std::uint32_t g) { return u.func < g; });
+      if (delta > 0) {
+        if (it != v.end() && it->func == f) {
+          ++it->uses;
+        } else {
+          v.insert(it, FuncUses{f, 1});
+        }
+      } else if (--it->uses == 0) {
+        v.erase(it);
+      }
     }
   }
 
-  /// Replace one cube in place (cube-divisor substitution): removed
-  /// literals leave stale index entries behind; `fresh` literals (never
-  /// seen in this cube before) are indexed.
-  void rewrite_cube(const CubeRef& r, FCube next, LitId fresh) {
+  void update_max_width(std::uint32_t f) {
+    std::uint32_t w = 0;
+    for (const FCube& c : funcs_[f].cubes)
+      w = std::max(w, static_cast<std::uint32_t>(c.size()));
+    max_width_[f] = w;
+  }
+
+  /// Register every cube of a function (fresh generation); the caller
+  /// counts its literal uses.
+  void register_func(std::uint32_t f) {
+    const std::uint32_t g = gen_[f];
+    slots_[f].resize(funcs_[f].cubes.size());
+    sigs_[f].resize(funcs_[f].cubes.size());
+    for (std::uint32_t i = 0; i < funcs_[f].cubes.size(); ++i) {
+      const FCube& c = funcs_[f].cubes[i];
+      sigs_[f][i] = cube_sig(c);
+      const std::uint32_t slot = input_rows_.alloc();
+      slots_[f][i] = slot;
+      if (slot >= slot_cube_.size()) slot_cube_.resize(slot + 1);
+      slot_cube_[slot] = {f, i};
+      for (LitId l : c) {
+        if (is_node_lit(l, num_vars_)) {
+          node_refs_[node_of_lit(l, num_vars_)].push_back({f, i, g});
+        } else {
+          input_rows_.set(l, slot);
+        }
+      }
+      add_pairs(c, +1);
+    }
+    update_max_width(f);
+  }
+
+  /// Drop the input literals of `lits` from the row bits of cube (f, i).
+  void clear_input_bits(std::uint32_t f, std::uint32_t i, const FCube& lits) {
+    for (LitId l : lits)
+      if (!is_node_lit(l, num_vars_)) input_rows_.clear(l, slots_[f][i]);
+  }
+
+  /// Rewrite one cube c to (c \ divisor) + x in place (cube-divisor
+  /// substitution; divisor is a subset of c and x a fresh node literal, the
+  /// largest id). The bookkeeping ends as if c were counted out and the new
+  /// cube counted in, but touches only what changes: a pair that stays
+  /// keeps its count and is queued again at it, as counting it out and
+  /// back in would; pairs with a divisor literal are counted out, pairs
+  /// with x counted in. The divisor's node literals leave stale entries in
+  /// node_refs_; x is indexed.
+  void rewrite_cube(const CubeRef& r, const FCube& divisor, LitId x) {
     FCube& cur = funcs_[r.func].cubes[r.idx];
-    add_pairs(cur, -1);
-    lit_cubes_[fresh].push_back({r.func, r.idx, r.gen});
+    FCube next;
+    next.reserve(cur.size() - divisor.size() + 1);
+    std::set_difference(cur.begin(), cur.end(), divisor.begin(), divisor.end(),
+                        std::back_inserter(next));
+    for (std::size_t i = 0; i < cur.size(); ++i) {
+      const bool keep_i = !std::binary_search(divisor.begin(), divisor.end(), cur[i]);
+      for (std::size_t j = i + 1; j < cur.size(); ++j) {
+        const std::uint64_t key = pair_key(cur[i], cur[j]);
+        if (keep_i && !std::binary_search(divisor.begin(), divisor.end(), cur[j])) {
+          const std::uint32_t count = pair_count_.get(key);
+          if (count >= 2) pair_queue_.push(count, key);
+        } else {
+          pair_count_.add(key, -1);
+        }
+      }
+    }
+    for (LitId l : next) {
+      const std::uint64_t key = pair_key(l, x);
+      const std::uint32_t count = pair_count_.add(key, +1);
+      if (count >= 2) pair_queue_.push(count, key);
+    }
+    add_uses(r.func, divisor, -1);
+    add_uses(r.func, FCube{x}, +1);
+    clear_input_bits(r.func, r.idx, divisor);
+    node_refs_[node_of_lit(x, num_vars_)].push_back({r.func, r.idx, r.gen});
+    const bool was_widest = cur.size() == max_width_[r.func];
+    next.push_back(x);
     cur = std::move(next);
-    add_pairs(cur, +1);
+    sigs_[r.func][r.idx] = cube_sig(cur);
+    if (was_widest) update_max_width(r.func);
     dirty_[r.func] = true;
   }
 
   /// Replace a whole function (kernel substitution): bump the generation so
   /// every old index entry goes stale, then re-register.
   void rebuild_func(std::uint32_t f, std::vector<FCube> next) {
-    for (const FCube& c : funcs_[f].cubes) add_pairs(c, -1);
     std::sort(next.begin(), next.end());
     next.erase(std::unique(next.begin(), next.end()), next.end());
+    // Uses count the new cubes in before the old ones out, so a literal
+    // the function keeps never leaves (and re-enters) its function list.
+    for (const FCube& c : next) add_uses(f, c, +1);
+    for (std::uint32_t i = 0; i < funcs_[f].cubes.size(); ++i) {
+      const FCube& c = funcs_[f].cubes[i];
+      add_pairs(c, -1);
+      add_uses(f, c, -1);
+      clear_input_bits(f, i, c);
+      input_rows_.release(slots_[f][i]);
+    }
     funcs_[f].cubes = std::move(next);
     ++gen_[f];
     register_func(f);
@@ -411,7 +721,14 @@ class Extractor {
     funcs_.back().cubes = std::move(def);
     gen_.push_back(0);
     dirty_.push_back(true);
+    max_width_.push_back(0);
+    slots_.emplace_back();
+    sigs_.emplace_back();
+    // The node's own literal joins the literal space.
+    node_refs_.resize(num_nodes());
+    lit_funcs_.resize(2 * (num_vars_ + num_nodes()));
     register_func(f);
+    for (const FCube& c : funcs_[f].cubes) add_uses(f, c, +1);
     return f;
   }
 
@@ -453,27 +770,32 @@ class Extractor {
   }
 
   /// All current cubes containing every literal of `c` (c non-empty).
-  /// Valid entries are unique per literal list (one entry per cube per
-  /// generation), so no deduplication is needed.
   std::vector<CubeRef> cubes_containing(const FCube& c) {
-    // Scan the shortest literal index list.
-    LitId best = c[0];
-    std::size_t best_size = SIZE_MAX;
-    for (LitId l : c) {
-      auto it = lit_cubes_.find(l);
-      const std::size_t sz = it == lit_cubes_.end() ? 0 : it->second.size();
-      if (sz < best_size) {
-        best_size = sz;
-        best = l;
-      }
-    }
     std::vector<CubeRef> out;
-    auto it = lit_cubes_.find(best);
-    if (it == lit_cubes_.end()) return out;
-    for (const CubeRef& r : it->second) {
-      if (!ref_valid(r)) continue;
-      if (!cube_includes(ref_cube(r), c)) continue;
-      out.push_back(r);
+    // With a node literal in c, scan the shortest node reference list. Its
+    // valid entries are unique (one per cube per generation), so no
+    // deduplication is needed.
+    const std::vector<CubeRef>* list = nullptr;
+    for (LitId l : c)
+      if (is_node_lit(l, num_vars_)) {
+        const std::vector<CubeRef>& refs = node_refs_[node_of_lit(l, num_vars_)];
+        if (!list || refs.size() < list->size()) list = &refs;
+      }
+    if (list) {
+      for (const CubeRef& r : *list)
+        if (ref_valid(r) && cube_includes(ref_cube(r), c)) out.push_back(r);
+      return out;
+    }
+    // Input literals only: the AND of their rows.
+    for (std::size_t w = 0; w < input_rows_.num_words(); ++w) {
+      std::uint64_t acc = ~std::uint64_t{0};
+      for (std::size_t k = 0; k < c.size() && acc; ++k) acc &= input_rows_.row(c[k])[w];
+      for (; acc; acc &= acc - 1) {
+        const std::uint32_t slot =
+            static_cast<std::uint32_t>(64 * w + __builtin_ctzll(acc));
+        const auto [f, i] = slot_cube_[slot];
+        out.push_back({f, i, gen_[f]});
+      }
     }
     return out;
   }
@@ -495,12 +817,19 @@ class Extractor {
     std::vector<CubeRef> occ = cubes_containing(pair);
     if (occ.size() < 2) return cand;
 
-    std::vector<FCube> occ_cubes;
-    occ_cubes.reserve(occ.size());
-    for (const CubeRef& r : occ) occ_cubes.push_back(ref_cube(r));
-    const FCube grown = common_cube(occ_cubes);
+    // Common cube of the occurrences, narrowed in place; it keeps the pair.
+    FCube grown = ref_cube(occ[0]);
+    for (std::size_t i = 1; i < occ.size() && grown.size() > 2; ++i) {
+      const FCube& c = ref_cube(occ[i]);
+      grown.erase(std::remove_if(grown.begin(), grown.end(),
+                                 [&](LitId l) {
+                                   return !std::binary_search(c.begin(), c.end(), l);
+                                 }),
+                  grown.end());
+    }
 
-    for (const FCube* divisor : {&pair, &grown}) {
+    const FCube* const divisors[] = {&pair, &grown};
+    for (const FCube* divisor : divisors) {
       if (divisor->size() < 2) continue;
       std::vector<CubeRef> targets =
           divisor == &pair ? occ : cubes_containing(*divisor);
@@ -533,23 +862,21 @@ class Extractor {
         truncated_ = true;
         break;
       }
-      // Pop the top candidate pairs (lazy heap: entries are revalidated
+      // Pop the top candidate pairs (lazy queue: entries are revalidated
       // against the live count).
       constexpr std::size_t kProbe = 16;
       std::vector<std::pair<std::uint32_t, std::uint64_t>> probed;
       CubeCandidate best;
-      while (probed.size() < kProbe && !pair_heap_.empty()) {
-        const auto top = pair_heap_.top();
-        pair_heap_.pop();
-        auto it = pair_count_.find(top.second);
-        if (it == pair_count_.end()) continue;
-        if (it->second != top.first) {
+      while (probed.size() < kProbe && !pair_queue_.empty()) {
+        const auto top = pair_queue_.pop();
+        const std::uint32_t live = pair_count_.get(top.second);
+        if (live == 0) continue;
+        if (live != top.first) {
           // Stale entry. Increments push fresh entries, so a higher live
           // count is already represented; a *dropped* count is not
           // (decrements don't push) and is re-inserted here so a pair
           // falling back to a still-profitable count stays reachable.
-          if (it->second >= 2 && it->second < top.first)
-            pair_heap_.push({it->second, top.second});
+          if (live >= 2 && live < top.first) pair_queue_.push(live, top.second);
           continue;
         }
         probed.push_back(top);
@@ -558,7 +885,7 @@ class Extractor {
             static_cast<LitId>(top.second & 0xFFFFFFFFu));
         if (cand.value > best.value) best = std::move(cand);
       }
-      for (const auto& p : probed) pair_heap_.push(p);
+      for (const auto& p : probed) pair_queue_.push(p.first, p.second);
       if (best.value <= 0) break;
 
       // One AND node for the divisor; every occurrence drops the divisor's
@@ -568,9 +895,7 @@ class Extractor {
       for (const CubeRef& r : best.targets) {
         if (!ref_valid(r) || !cube_includes(ref_cube(r), best.divisor))
           continue;  // the new node's own def is not among the targets
-        FCube next = cube_difference(ref_cube(r), best.divisor);
-        next.push_back(x);  // x is the largest id: stays sorted
-        rewrite_cube(r, std::move(next), x);
+        rewrite_cube(r, best.divisor, x);
       }
       any = true;
     }
@@ -585,79 +910,118 @@ class Extractor {
     SopExpr remainder;
   };
 
-  /// Literal -> sorted list of functions whose current cubes use it.
-  /// Rebuilt once per kernel round (O(total literals)); the support
-  /// intersection below is what keeps candidate evaluation from dividing
-  /// every function in the network.
-  using LitFuncIndex = std::unordered_map<LitId, std::vector<std::uint32_t>>;
-
-  LitFuncIndex build_lit_func_index(std::vector<std::uint32_t>* max_width) const {
-    LitFuncIndex index;
-    max_width->assign(funcs_.size(), 0);
-    for (std::uint32_t f = 0; f < funcs_.size(); ++f) {
-      for (const FCube& c : funcs_[f].cubes) {
-        (*max_width)[f] = std::max((*max_width)[f],
-                                   static_cast<std::uint32_t>(c.size()));
-        for (LitId l : c) {
-          auto& v = index[l];
-          if (v.empty() || v.back() != f) v.push_back(f);
-        }
-      }
+  /// Does divide(funcs_[g], d) have a nonempty quotient? If so, adds its
+  /// cube and literal counts to *q_cubes and *q_lits. Builds neither the
+  /// quotient cubes nor the remainder: the quotient is
+  /// { c \ d0 : d0 subset of c } narrowed by each further divisor cube dc
+  /// to the members q with q u dc a cube of g and q disjoint from dc --
+  /// the intersection divide() takes, since g's cubes are distinct.
+  bool quotient_sizes(std::uint32_t g, const SopExpr& d, long* q_cubes, long* q_lits) {
+    const std::vector<FCube>& f = funcs_[g].cubes;
+    const std::vector<std::uint64_t>& sig = sigs_[g];
+    const FCube& d0 = d.cubes[0];
+    const std::uint64_t sig0 = cube_sig(d0);
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < f.size(); ++i) {
+      if ((sig[i] & sig0) != sig0 || !cube_includes(f[i], d0)) continue;
+      const FCube& c = f[i];
+      if (n == q_buf_.size()) q_buf_.emplace_back();
+      FCube& q = q_buf_[n++];
+      q.clear();
+      std::set_difference(c.begin(), c.end(), d0.begin(), d0.end(),
+                          std::back_inserter(q));
     }
-    return index;
+    q_live_.clear();
+    for (std::size_t i = 0; i < n; ++i) q_live_.push_back(&q_buf_[i]);
+    const auto by_cube = [](const FCube* a, const FCube* b) { return *a < *b; };
+    std::sort(q_live_.begin(), q_live_.end(), by_cube);
+    for (std::size_t k = 1; k < d.cubes.size() && !q_live_.empty(); ++k) {
+      const FCube& dc = d.cubes[k];
+      const std::uint64_t sig_dc = cube_sig(dc);
+      q_hit_.assign(q_live_.size(), 0);
+      for (std::size_t i = 0; i < f.size(); ++i) {
+        if ((sig[i] & sig_dc) != sig_dc || !cube_includes(f[i], dc)) continue;
+        const FCube& c = f[i];
+        q_diff_.clear();
+        std::set_difference(c.begin(), c.end(), dc.begin(), dc.end(),
+                            std::back_inserter(q_diff_));
+        auto it = std::lower_bound(q_live_.begin(), q_live_.end(), &q_diff_, by_cube);
+        if (it != q_live_.end() && **it == q_diff_) q_hit_[it - q_live_.begin()] = 1;
+      }
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < q_live_.size(); ++i)
+        if (q_hit_[i]) q_live_[kept++] = q_live_[i];
+      q_live_.resize(kept);
+    }
+    if (q_live_.empty()) return false;
+    *q_cubes += static_cast<long>(q_live_.size());
+    for (const FCube* q : q_live_) *q_lits += static_cast<long>(q->size());
+    return true;
   }
 
   /// Candidate value: substituting divisor d into g = q*d + r turns
   /// cubes(d)*lits(q) + cubes(q)*lits(d) product literals into
   /// lits(q) + cubes(q), and the node definition itself costs lits(d).
-  long evaluate_kernel(const SopExpr& d, const LitFuncIndex& index,
-                       const std::vector<std::uint32_t>& max_width,
-                       std::vector<KernelTarget>* targets,
+  /// Without `targets` (the scan over the pool) only the quotient sizes
+  /// are computed; with it (the winner) every divided function is listed
+  /// with its quotient and remainder.
+  long evaluate_kernel(const SopExpr& d, std::vector<KernelTarget>* targets,
                        std::vector<std::uint32_t>* watched = nullptr) {
     std::uint32_t d_width = 0;
     for (const FCube& c : d.cubes)
       d_width = std::max(d_width, static_cast<std::uint32_t>(c.size()));
     // A function divisible by d must use every literal of d's support
     // (each divisor cube has to be a subset of one of its cubes), so the
-    // candidate set is the intersection of the per-literal function lists.
+    // candidate set is the intersection of the per-literal function lists,
+    // narrowed from the shortest one.
     FCube support;
     for (const FCube& c : d.cubes)
       support.insert(support.end(), c.begin(), c.end());
     std::sort(support.begin(), support.end());
     support.erase(std::unique(support.begin(), support.end()), support.end());
     if (support.empty()) return 0;
+    LitId shortest = support[0];
+    for (LitId l : support)
+      if (lit_funcs_[l].size() < lit_funcs_[shortest].size()) shortest = l;
     std::vector<std::uint32_t> funcs;
-    for (std::size_t i = 0; i < support.size(); ++i) {
-      auto it = index.find(support[i]);
-      if (it == index.end()) return 0;
-      if (i == 0) {
-        funcs = it->second;
-      } else {
-        std::vector<std::uint32_t> next;
-        std::set_intersection(funcs.begin(), funcs.end(), it->second.begin(),
-                              it->second.end(), std::back_inserter(next));
-        funcs = std::move(next);
-      }
+    funcs.reserve(lit_funcs_[shortest].size());
+    for (const FuncUses& u : lit_funcs_[shortest]) funcs.push_back(u.func);
+    for (LitId l : support) {
       if (funcs.empty()) return 0;
+      if (l == shortest) continue;
+      const std::vector<FuncUses>& list = lit_funcs_[l];
+      std::size_t kept = 0, j = 0;
+      for (std::uint32_t f : funcs) {
+        while (j < list.size() && list[j].func < f) ++j;
+        if (j < list.size() && list[j].func == f) funcs[kept++] = f;
+      }
+      funcs.resize(kept);
     }
+    if (funcs.empty()) return 0;
     if (watched) *watched = funcs;
 
     const long d_cubes = static_cast<long>(d.cubes.size());
     const long d_lits = static_cast<long>(d.num_literals());
     long value = -d_lits;
+    bool divides_any = false;
     for (std::uint32_t g : funcs) {
       // Every divisor cube must fit inside some cube of g.
-      if (d_width > max_width[g]) continue;
+      if (d_width > max_width_[g]) continue;
       if (is_node_func(g) && cone_reaches(support, g)) continue;
-      DivisionResult div = divide(funcs_[g], d);
-      if (div.quotient.cubes.empty()) continue;
-      const long q_cubes = static_cast<long>(div.quotient.cubes.size());
-      const long q_lits = static_cast<long>(div.quotient.num_literals());
-      value += d_cubes * q_lits + q_cubes * d_lits - q_lits - q_cubes;
-      if (targets)
+      long q_cubes = 0, q_lits = 0;
+      if (targets) {
+        DivisionResult div = divide(funcs_[g], d);
+        if (div.quotient.cubes.empty()) continue;
+        q_cubes = static_cast<long>(div.quotient.cubes.size());
+        q_lits = static_cast<long>(div.quotient.num_literals());
         targets->push_back({g, std::move(div.quotient), std::move(div.remainder)});
+      } else if (!quotient_sizes(g, d, &q_cubes, &q_lits)) {
+        continue;
+      }
+      divides_any = true;
+      value += d_cubes * q_lits + q_cubes * d_lits - q_lits - q_cubes;
     }
-    return targets && targets->empty() ? 0 : value;
+    return targets && !divides_any ? 0 : value;
   }
 
   /// Extract the best-value kernel divisor until none saves literals.
@@ -695,14 +1059,8 @@ class Extractor {
         if (!dirty_[f]) continue;
         dirty_[f] = false;
         if (funcs_[f].cubes.size() < 2) continue;
-        std::vector<Kernel> ks = enumerate_kernels(funcs_[f], kKernelPairCap);
-        ks.erase(std::remove_if(ks.begin(), ks.end(),
-                                [&](const Kernel& k) {
-                                  return k.kernel.cubes.size() < 2 ||
-                                         k.kernel.cubes.size() >
-                                             kMaxDivisorCubes;
-                                }),
-                 ks.end());
+        std::vector<Kernel> ks =
+            kernels_up_to(funcs_[f], kKernelPairCap, kMaxDivisorCubes);
         // Large functions yield hundreds of kernels; keep the ones with
         // the largest sharing potential (literal mass) to bound the pool.
         if (ks.size() > kMaxKernelsPerFunc) {
@@ -721,8 +1079,6 @@ class Extractor {
 
       if (truncated_) break;
 
-      std::vector<std::uint32_t> max_width;
-      const LitFuncIndex index = build_lit_func_index(&max_width);
       changed.resize(funcs_.size(), 0);
       long best_value = 0;
       const std::vector<FCube>* best = nullptr;
@@ -737,7 +1093,7 @@ class Extractor {
           stale = stale || changed[f] >= e.eval_round;
         if (stale) {
           e.watched.clear();
-          e.value = evaluate_kernel(e.expr, index, max_width, nullptr, &e.watched);
+          e.value = evaluate_kernel(e.expr, nullptr, &e.watched);
           e.eval_round = round;
           if (e.value <= 0) {
             it = pool.erase(it);
@@ -755,8 +1111,7 @@ class Extractor {
       // Re-evaluate the winner collecting quotients, then rewrite.
       std::vector<KernelTarget> targets;
       const SopExpr divisor = pool.find(*best)->second.expr;
-      if (evaluate_kernel(divisor, index, max_width, &targets) <= 0 ||
-          targets.empty()) {
+      if (evaluate_kernel(divisor, &targets) <= 0 || targets.empty()) {
         pool.erase(divisor.cubes);
         continue;
       }
@@ -922,12 +1277,23 @@ class Extractor {
   std::vector<SopExpr> funcs_;
   std::vector<std::uint32_t> gen_;
   std::vector<bool> dirty_;
-  std::unordered_map<std::uint64_t, std::uint32_t> pair_count_;
-  std::priority_queue<std::pair<std::uint32_t, std::uint64_t>> pair_heap_;
-  std::unordered_map<LitId, std::vector<CubeRef>> lit_cubes_;
+  PairCounts pair_count_;
+  PairQueue pair_queue_;
+  SlotRows input_rows_{2 * num_vars_};             // rows by input LitId
+  std::vector<std::vector<std::uint32_t>> slots_;  // by function: cube -> slot
+  std::vector<std::vector<std::uint64_t>> sigs_;   // by function: cube_sig per cube
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> slot_cube_;  // (func, cube)
+  std::vector<std::vector<CubeRef>> node_refs_;    // by node
+  std::vector<std::vector<FuncUses>> lit_funcs_;   // by LitId, ascending func
+  std::vector<std::uint32_t> max_width_;           // by function
   std::vector<std::uint32_t> reach_seen_;
   std::vector<std::uint32_t> reach_stack_;
   std::uint32_t reach_stamp_ = 0;
+  // quotient_sizes scratch
+  std::vector<FCube> q_buf_;
+  std::vector<const FCube*> q_live_;
+  std::vector<char> q_hit_;
+  FCube q_diff_;
 };
 
 }  // namespace

@@ -40,7 +40,11 @@ std::string Cli::get(const std::string& name, const std::string& fallback) const
 
 long Cli::get_int(const std::string& name, long fallback) const {
   auto it = options_.find(name);
-  if (it == options_.end() || it->second.empty()) return fallback;
+  if (it == options_.end()) return fallback;
+  if (it->second.empty())
+    throw Error(ErrorCode::kInvalidInput,
+                "missing value for --" + name + ": expected a base-10 integer",
+                "flag=--" + name);
   const char* text = it->second.c_str();
   char* end = nullptr;
   errno = 0;
@@ -55,7 +59,7 @@ long Cli::get_int(const std::string& name, long fallback) const {
 
 std::size_t Cli::get_count(const std::string& name, std::size_t fallback,
                            std::size_t max) const {
-  if (get(name, "").empty()) return fallback;
+  if (!has(name)) return fallback;
   const long value = get_int(name, 0);
   if (value < 0 || static_cast<unsigned long>(value) > max)
     throw Error(ErrorCode::kInvalidInput,

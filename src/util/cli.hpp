@@ -21,15 +21,17 @@ class Cli {
   /// Value of `--name`, or `fallback` when absent.
   std::string get(const std::string& name, const std::string& fallback) const;
 
-  /// Integer value of `--name`, or `fallback` when absent or empty. The
-  /// whole value must be one base-10 integer that fits a long: trailing
-  /// characters ("64x") or overflow throw Error(kInvalidInput) naming the
-  /// flag (drivers exit 2 with its message).
+  /// Integer value of `--name`, or `fallback` when absent. The whole
+  /// value must be one base-10 integer that fits a long: a missing value
+  /// ("--cycles" with nothing after it), trailing characters ("64x") or
+  /// overflow throw Error(kInvalidInput) naming the flag (drivers exit 2
+  /// with its message).
   long get_int(const std::string& name, long fallback) const;
 
-  /// Count value of `--name` in [0, max], or `fallback` when absent or
-  /// empty. A negative or larger value throws Error(kInvalidInput) naming
-  /// the flag instead of wrapping around to a huge unsigned count.
+  /// Count value of `--name` in [0, max], or `fallback` when absent. A
+  /// missing value, or a negative or larger one, throws Error(kInvalidInput)
+  /// naming the flag instead of defaulting or wrapping around to a huge
+  /// unsigned count.
   std::size_t get_count(const std::string& name, std::size_t fallback,
                         std::size_t max = std::numeric_limits<long>::max()) const;
 

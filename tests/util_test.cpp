@@ -268,12 +268,28 @@ TEST(Cli, GetIntRejectsOverflow) {
 }
 
 TEST(Cli, GetIntAcceptsWholeIntegers) {
-  const char* argv[] = {"prog", "--a", "-1", "--b=+7", "--c", "--d=0"};
-  const Cli cli(6, const_cast<char**>(argv));
+  const char* argv[] = {"prog", "--a", "-1", "--b=+7", "--d=0"};
+  const Cli cli(5, const_cast<char**>(argv));
   EXPECT_EQ(cli.get_int("a", 0), -1);
   EXPECT_EQ(cli.get_int("b", 0), 7);
-  EXPECT_EQ(cli.get_int("c", 5), 5);  // present without a value: fallback
   EXPECT_EQ(cli.get_int("d", 5), 0);
+  EXPECT_EQ(cli.get_int("absent", 5), 5);
+}
+
+TEST(Cli, GetIntRejectsAFlagWithoutAValue) {
+  // "--c" is followed by another flag, "--d=" has an empty value: neither
+  // falls back to the default.
+  const char* argv[] = {"prog", "--c", "--d=", "--e"};
+  const Cli cli(4, const_cast<char**>(argv));
+  for (const char* flag : {"c", "d", "e"}) {
+    try {
+      cli.get_int(flag, 5);
+      ADD_FAILURE() << "--" << flag << " without a value was accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidInput) << flag;
+      EXPECT_EQ(e.context(), std::string("flag=--") + flag);
+    }
+  }
 }
 
 TEST(Cli, RunCliExitsTwoOnAMalformedFlag) {
@@ -321,9 +337,19 @@ TEST(Cli, GetCountAcceptsTheWholeRange) {
   const Cli cli(7, const_cast<char**>(argv));
   EXPECT_EQ(cli.get_count("a", 5, 1000), 0u);
   EXPECT_EQ(cli.get_count("b", 5, 1000), 1000u);
-  EXPECT_EQ(cli.get_count("c", 5, 1000), 5u);  // present without a value
+  EXPECT_THROW(cli.get_count("c", 5, 1000), Error);  // present without a value
   EXPECT_EQ(cli.get_count("absent", 9, 1000), 9u);
   EXPECT_EQ(cli.get_count("d", 0), 7u);  // default bound: any long
+}
+
+TEST(Cli, RunCliExitsTwoOnACountFlagWithoutAValue) {
+  const auto body = [](const Cli& cli) {
+    return static_cast<int>(cli.get_count("cycles", 256, 1000) / 256) - 1;
+  };
+  const char* bare[] = {"prog", "--cycles"};
+  EXPECT_EQ(run_cli(2, const_cast<char**>(bare), {"cycles N"}, body), 2);
+  const char* absent[] = {"prog"};
+  EXPECT_EQ(run_cli(1, const_cast<char**>(absent), {"cycles N"}, body), 0);
 }
 
 TEST(Cli, FlagsAreListedInCommandLineOrder) {
