@@ -1,18 +1,23 @@
 // Structure goldens: the cost figures of every corpus flow, the exact
-// cube lists espresso returns on seeded wide specs and the exact networks
-// algebraic extraction returns, pinned so that a speed change to the
-// two-level minimizers (QM covering, the espresso cube index) or to
-// factoring can be shown to change no choice at all. The
+// cube lists espresso returns (on seeded wide specs, on every corpus
+// block, on s1's fig4 blocks and on specs with constant and narrow
+// outputs) and the exact networks algebraic extraction returns, pinned so
+// that a speed change to the two-level minimizers (QM covering, espresso's
+// EXPAND and containment) or to factoring can be shown to change no
+// choice at all. The
 // CorpusTechEquivalence and SharedBlock suites check functional
 // equivalence; these check that the *same* netlists come out.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "benchdata/iwls93.hpp"
 #include "bist/architectures.hpp"
 #include "encoding/encoding.hpp"
 #include "logic/espresso_lite.hpp"
 #include "logic/factor.hpp"
+#include "ostr/realization.hpp"
 #include "structure_golden.hpp"
 #include "synth/flow.hpp"
 #include "util/rng.hpp"
@@ -305,13 +310,13 @@ std::uint64_t digest(const CubeList& f) {
   return h.value();
 }
 
-struct EspressoGolden {
+struct WideSpecGolden {
   std::uint64_t seed;
   std::size_t cubes, input_literals;
   std::uint64_t digest;
 };
 
-const EspressoGolden kEspressoGolden[] = {
+const WideSpecGolden kWideSpecGolden[] = {
     {1, 316, 2529, 0x7ae47930cce1ae9fULL},
     {2, 347, 3579, 0x392ab387dd5372daULL},
     {3, 267, 1835, 0xbdd8bbfe316a786fULL},
@@ -323,7 +328,7 @@ const EspressoGolden kEspressoGolden[] = {
 };
 
 TEST(CorpusStructureGolden, EspressoOnWideSpecsAsPinned) {
-  for (const EspressoGolden& g : kEspressoGolden) {
+  for (const WideSpecGolden& g : kWideSpecGolden) {
     SCOPED_TRACE("seed " + std::to_string(g.seed));
     const PlaSpec spec = wide_random_spec(g.seed);
     for (std::size_t b = 0; b < spec.num_outputs; ++b)
@@ -334,6 +339,268 @@ TEST(CorpusStructureGolden, EspressoOnWideSpecsAsPinned) {
     EXPECT_EQ(digest(f), g.digest);
   }
 }
+
+// --- espresso on the corpus blocks and on edge-case specs ---------------------
+
+struct EspressoGoldenRow {
+  const char* name;
+  std::size_t cubes, input_literals;
+  std::uint64_t digest;
+};
+
+void expect_cover(const CubeList& f, const EspressoGoldenRow& g) {
+  EXPECT_EQ(f.num_cubes(), g.cubes);
+  EXPECT_EQ(f.num_input_literals(), g.input_literals);
+  EXPECT_EQ(digest(f), g.digest)
+      << "actual row: {\"" << g.name << "\", " << f.num_cubes() << ", "
+      << f.num_input_literals() << ", 0x" << std::hex << digest(f) << "ULL}";
+}
+
+const EspressoGoldenRow* find_row(const std::string& name, const EspressoGoldenRow* rows,
+                                  std::size_t n) {
+  for (std::size_t k = 0; k < n; ++k)
+    if (name == rows[k].name) return &rows[k];
+  return nullptr;
+}
+
+// Each corpus machine's combined fig1-fig3 block (natural encoding), s1
+// and tbk included.
+const EspressoGoldenRow kEspressoCorpusGolden[] = {
+    {"bbara", 95, 500, 0xc4ef5cd223fb88ecULL},
+    {"bbtas", 20, 63, 0x69d4d128601d9250ULL},
+    {"dk14", 51, 250, 0x46d67a4c7f011beULL},
+    {"dk15", 28, 113, 0x73426ee238011c08ULL},
+    {"dk16", 106, 648, 0x5068f41a911c134eULL},
+    {"dk17", 28, 121, 0xf17eea019d1aeb63ULL},
+    {"dk27", 12, 38, 0x71c79ed67fa3fcadULL},
+    {"dk512", 29, 125, 0x892d85408b614728ULL},
+    {"mc", 28, 119, 0xad1a826c5be61d31ULL},
+    {"s1", 4744, 51851, 0x259af71b610b0316ULL},
+    {"shiftreg", 13, 36, 0x2f4e38f2a74228c3ULL},
+    {"tav", 54, 256, 0x1add6f080d6b90d7ULL},
+    {"tbk", 1299, 11032, 0x6193e8efeafa4213ULL},
+    {"paper_fig5", 8, 20, 0x49d9ef4da724bf25ULL},
+    {"serial_adder", 7, 18, 0x74932819b36cbd64ULL},
+    {"parity4", 16, 80, 0xd4202776cc00e625ULL},
+    {"count10", 13, 33, 0x3e33942f01e0587ULL},
+    {"count15", 17, 47, 0x8539cb4683ef205ULL},
+    {"shiftreg4", 5, 5, 0x2b9a5e2274b0c7daULL},
+};
+
+class EspressoGolden : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(EspressoGolden, CorpusBlockAsPinned) {
+  const std::string& name = GetParam();
+  const MealyMachine m = load_benchmark(name);
+  const CubeList f =
+      minimize_espresso_mv(encode_fsm(m, natural_encoding(m.num_states())).spec);
+  const EspressoGoldenRow* g =
+      find_row(name, kEspressoCorpusGolden, std::size(kEspressoCorpusGolden));
+  ASSERT_NE(g, nullptr) << "no golden; actual row: {\"" << name << "\", "
+                        << f.num_cubes() << ", " << f.num_input_literals() << ", 0x"
+                        << std::hex << digest(f) << "ULL}";
+  expect_cover(f, *g);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKissMachines, EspressoGolden,
+                         ::testing::ValuesIn(benchmark_names()),
+                         [](const auto& info) { return info.param; });
+
+/// s1's fig4 blocks. OSTR's best pair for s1 is the identity pair, so
+/// they are built from it directly: C1 (13 variables) and
+/// lambda (18 variables, 5046 ON cubes). C2 equals C1.
+struct S1Fig4Specs {
+  PlaSpec c1, lambda;
+};
+
+const S1Fig4Specs& s1_fig4_specs() {
+  static const S1Fig4Specs specs = [] {
+    const MealyMachine m = load_benchmark("s1");
+    const Partition id = Partition::identity(m.num_states());
+    const FactorTables& ft = build_realization(m, id, id).tables;
+    const Encoding enc1 = natural_encoding(ft.n1);
+    const Encoding enc2 = natural_encoding(ft.n2);
+    const std::size_t input_bits = m.effective_input_bits();
+    S1Fig4Specs s;
+    s.c1 = encode_factor(ft.delta1, ft.num_inputs, input_bits, enc1, enc2).spec;
+    s.lambda = encode_lambda(ft.lambda, ft.n1, ft.n2, ft.num_inputs, input_bits,
+                             m.effective_output_bits(), enc1, enc2)
+                   .spec;
+    return s;
+  }();
+  return specs;
+}
+
+const EspressoGoldenRow kEspressoS1Fig4Golden[] = {
+    {"s1 fig4 C1", 2248, 23417, 0x487f360bfe84c885ULL},
+    {"s1 fig4 lambda", 4295, 63036, 0xed01b6a4ca313bc7ULL},
+};
+
+TEST(EspressoGolden, S1Fig4BlocksAsPinned) {
+  const S1Fig4Specs& s = s1_fig4_specs();
+  ASSERT_EQ(s.c1.num_vars, 13u);
+  ASSERT_EQ(s.lambda.num_vars, 18u);
+  ASSERT_EQ(s.lambda.on.num_cubes(), 5046u);
+  expect_cover(minimize_espresso_mv(s.c1), kEspressoS1Fig4Golden[0]);
+  expect_cover(minimize_espresso_mv(s.lambda), kEspressoS1Fig4Golden[1]);
+}
+
+/// Random multi-output spec over 8-11 variables and 5-7 outputs whose
+/// first three outputs are edge cases of EXPAND's OFF-cover index:
+///   output 0 is constant 0 (no ON or DC cube drives it), so its OFF cover
+///     is the universe: one literal-free cube, an index with empty support;
+///   output 1 is constant 1 (a literal-free DC cube drives it), so its OFF
+///     cover is empty: an index of zero words;
+///   output 2 depends only on the upper half of the variables, so its OFF
+///     cover has no literal on the lower half (the cubes a literal of a
+///     trial cube finds no index row for).
+/// The other outputs are random, with cubes shared across outputs.
+PlaSpec edge_random_spec(std::uint64_t seed) {
+  Rng rng(seed);
+  PlaSpec spec;
+  spec.num_vars = 8 + rng.below(4);
+  spec.num_outputs = 5 + rng.below(3);
+  spec.on = CubeList(spec.num_vars, spec.num_outputs);
+  spec.dc = CubeList(spec.num_vars, spec.num_outputs);
+  const std::uint64_t random_out = ((std::uint64_t{1} << spec.num_outputs) - 1) & ~0x7ULL;
+  const std::uint64_t upper_half = ((std::uint64_t{1} << spec.num_vars) - 1) &
+                                   ~((std::uint64_t{1} << (spec.num_vars / 2)) - 1);
+  const auto random_cube = [&](std::uint64_t vars) {
+    std::uint64_t care = 0;
+    for (std::uint64_t rest = vars; rest; rest &= rest - 1)
+      if (rng.below(3) != 0) care |= rest & (~rest + 1);
+    return Cube{care, rng.next() & care};
+  };
+  const std::uint64_t all_vars = (std::uint64_t{1} << spec.num_vars) - 1;
+  for (std::size_t k = 0; k < 30 * spec.num_outputs; ++k) {
+    std::uint64_t out = rng.next() & random_out;
+    if (rng.below(4) == 0) out |= 0x2;  // shares products with the constant-1 output
+    if (out == 0) out = std::uint64_t{1} << (3 + rng.below(spec.num_outputs - 3));
+    spec.on.add(random_cube(all_vars), out);
+  }
+  // At most 6 x 2 of the upper half's >= 16 minterms: never a tautology.
+  for (std::size_t k = 0; k < 6; ++k) {
+    const std::uint64_t care =
+        upper_half & ~(std::uint64_t{1} << (spec.num_vars / 2 + rng.below(spec.num_vars / 2)));
+    spec.on.add(Cube{care, rng.next() & care}, 0x4);
+  }
+  for (std::size_t k = 0; k < 10; ++k) spec.dc.add(random_cube(all_vars), rng.next() & random_out);
+  spec.dc.add(Cube::top(), 0x2);
+  return spec;
+}
+
+const EspressoGoldenRow kEspressoRandomGolden[] = {
+    {"seed 1", 60, 212, 0x3268798495cdea67ULL},
+    {"seed 2", 158, 1091, 0x9fffedae250c2ad5ULL},
+    {"seed 3", 22, 39, 0x1936f82976c2ac55ULL},
+    {"seed 4", 119, 730, 0x2182b16a46c74ab0ULL},
+    {"seed 5", 55, 207, 0xe222bfa324662993ULL},
+    {"seed 6", 102, 402, 0xfe813049e01d78f0ULL},
+};
+
+TEST(EspressoGolden, RandomPlasWithConstantAndNarrowOutputsAsPinned) {
+  std::uint64_t seed = 0;
+  for (const EspressoGoldenRow& g : kEspressoRandomGolden) {
+    SCOPED_TRACE(g.name);
+    const PlaSpec spec = edge_random_spec(++seed);
+    const auto off_cover = [&](std::size_t b) {
+      Cover care = spec.on.output_cover(b);
+      const Cover dc = spec.dc.output_cover(b);
+      for (const Cube& q : dc.cubes()) care.add(q);
+      return complement_cover(care);
+    };
+    const Cover off0 = off_cover(0), off1 = off_cover(1), off2 = off_cover(2);
+    ASSERT_EQ(off0.num_cubes(), 1u);
+    ASSERT_EQ(off0.cubes()[0], Cube::top());
+    ASSERT_TRUE(off1.empty());
+    std::uint64_t support2 = 0;
+    for (const Cube& q : off2.cubes()) support2 |= q.care;
+    ASSERT_FALSE(off2.empty());
+    ASSERT_EQ(support2 & ((std::uint64_t{1} << (spec.num_vars / 2)) - 1), 0u);
+
+    const CubeList f = minimize_espresso_mv(spec);
+    for (const MCube& q : f.cubes()) EXPECT_EQ(q.out & 0x1, 0u);
+    expect_cover(f, g);
+  }
+}
+
+// --- fig4 with coinciding factors --------------------------------------------
+
+// When delta1 = delta2 over n1 = n2 states, both factors use the same
+// natural encoding, so encode_factor yields one block for C1 and C2 and
+// build_fig4 minimizes it once. These suites check that premise on every
+// corpus machine where it holds and that fig4 still matches its row.
+
+/// The realization run_flow builds: OSTR at the flow's node cap.
+Realization flow_realization(const MealyMachine& m) {
+  const OstrResult r = solve_ostr(m, FlowOptions().ostr);
+  return build_realization(m, r.best.pi, r.best.tau);
+}
+
+bool factors_coincide(const FactorTables& ft) {
+  return ft.n1 == ft.n2 && ft.delta1 == ft.delta2;
+}
+
+const std::vector<std::string> kCoincidingFactors = {
+    "bbtas", "count10", "count15", "dk14",  "dk15",        "dk17",
+    "mc",    "paper_fig5", "parity4", "s1", "serial_adder"};
+
+TEST(Fig4SharedFactor, CoincidingFactorsAreExactlyThese) {
+  std::vector<std::string> found;
+  for (const std::string& name : benchmark_names())
+    if (factors_coincide(flow_realization(load_benchmark(name)).tables)) found.push_back(name);
+  std::sort(found.begin(), found.end());
+  EXPECT_EQ(found, kCoincidingFactors);
+}
+
+void expect_same_table(const TruthTable& a, const TruthTable& b) {
+  ASSERT_EQ(a.num_vars(), b.num_vars());
+  EXPECT_EQ(a.on_minterms(), b.on_minterms());
+  EXPECT_EQ(a.dc_minterms(), b.dc_minterms());
+}
+
+class Fig4SharedFactor : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(Fig4SharedFactor, C2BlockEqualsC1BlockAndFig4AsPinned) {
+  const std::string& name = GetParam();
+  const MealyMachine m = load_benchmark(name);
+  const Realization real = flow_realization(m);
+  const FactorTables& ft = real.tables;
+  ASSERT_TRUE(factors_coincide(ft));
+  const Encoding enc1 = natural_encoding(ft.n1);
+  const Encoding enc2 = natural_encoding(ft.n2);
+  const std::size_t input_bits = m.effective_input_bits();
+  const EncodedFactor f1 = encode_factor(ft.delta1, ft.num_inputs, input_bits, enc1, enc2);
+  const EncodedFactor f2 = encode_factor(ft.delta2, ft.num_inputs, input_bits, enc2, enc1);
+  EXPECT_EQ(f1.in_state_bits, f2.in_state_bits);
+  EXPECT_EQ(f1.out_state_bits, f2.out_state_bits);
+  EXPECT_EQ(f1.spec.num_vars, f2.spec.num_vars);
+  EXPECT_EQ(f1.spec.num_outputs, f2.spec.num_outputs);
+  EXPECT_EQ(f1.spec.on.cubes(), f2.spec.on.cubes());
+  EXPECT_EQ(f1.spec.dc.cubes(), f2.spec.dc.cubes());
+  ASSERT_EQ(f1.next_state.size(), f2.next_state.size());
+  for (std::size_t b = 0; b < f1.next_state.size(); ++b)
+    expect_same_table(f1.next_state[b], f2.next_state[b]);
+
+  for (const Technology tech : {Technology::kTwoLevel, Technology::kMultiLevel}) {
+    SCOPED_TRACE(technology_name(tech));
+    FlowOptions opts;
+    opts.technology = tech;
+    const StructureReport r =
+        measure_structure(build_fig4(m, real, MinimizerKind::kAuto, tech), opts);
+    if (name == "s1" && tech == Technology::kMultiLevel) {
+      expect_matches(r, kS1MultiLevelGolden[3], tech);
+    } else {
+      const FlowGolden* g = find_golden(name, tech);
+      ASSERT_NE(g, nullptr);
+      expect_matches(r, g->fig[3], tech);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(CoincidingFactors, Fig4SharedFactor,
+                         ::testing::ValuesIn(kCoincidingFactors),
+                         [](const auto& info) { return info.param; });
 
 // --- algebraic extraction -----------------------------------------------------
 
