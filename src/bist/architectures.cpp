@@ -273,8 +273,6 @@ ControllerStructure build_fig4(const MealyMachine& fsm, const Realization& real,
 
   const EncodedFactor f1 =
       encode_factor(ft.delta1, ft.num_inputs, input_bits, enc1, enc2);
-  const EncodedFactor f2 =
-      encode_factor(ft.delta2, ft.num_inputs, input_bits, enc2, enc1);
   const EncodedLambda lam =
       encode_lambda(ft.lambda, ft.n1, ft.n2, ft.num_inputs, input_bits,
                     output_bits, enc1, enc2);
@@ -295,10 +293,20 @@ ControllerStructure build_fig4(const MealyMachine& fsm, const Realization& real,
   const auto c1 = build_minimized(nl, mb1, vars1);
   for (std::size_t b = 0; b < enc2.width; ++b) nl.connect_dff(r2.q[b], c1[b]);
 
-  // C2: (inputs, R2) -> D of R1.
+  // C2: (inputs, R2) -> D of R1. When the factors coincide (delta1 =
+  // delta2 over n1 = n2 states) both sides use the same natural encoding,
+  // so C2's block is C1's and is minimized once. Under a work allowance
+  // that is exactly what a second call would return; under a deadline or
+  // a cancel C2 takes C1's block, valid like any truncated block, together
+  // with its degradation label.
   std::vector<NetId> vars2 = cs.pi;
   vars2.insert(vars2.end(), r2.q.begin(), r2.q.end());
-  const MinimizedBlock mb2 = minimize_for(f2.spec, f2.next_state, mk, tech, budget);
+  const bool shared_factor = ft.n1 == ft.n2 && ft.delta1 == ft.delta2;
+  const MinimizedBlock mb2 = shared_factor ? mb1 : [&] {
+    const EncodedFactor f2 =
+        encode_factor(ft.delta2, ft.num_inputs, input_bits, enc2, enc1);
+    return minimize_for(f2.spec, f2.next_state, mk, tech, budget);
+  }();
   add_block_cost(cs, mb2);
   const auto c2 = build_minimized(nl, mb2, vars2);
   for (std::size_t b = 0; b < enc1.width; ++b) nl.connect_dff(r1.q[b], c2[b]);

@@ -53,23 +53,6 @@ bool Cover::implements(const TruthTable& tt) const {
   return true;
 }
 
-void Cover::remove_contained() {
-  std::vector<Cube> kept;
-  for (std::size_t i = 0; i < cubes_.size(); ++i) {
-    bool covered = false;
-    for (std::size_t j = 0; j < cubes_.size() && !covered; ++j) {
-      if (i == j) continue;
-      // Strict domination, with index tie-break for equal cubes.
-      if (cubes_[j].covers(cubes_[i]) &&
-          (!(cubes_[i].covers(cubes_[j])) || j < i)) {
-        covered = true;
-      }
-    }
-    if (!covered) kept.push_back(cubes_[i]);
-  }
-  cubes_ = std::move(kept);
-}
-
 std::string Cover::to_string() const {
   std::string out;
   for (const auto& c : cubes_) {

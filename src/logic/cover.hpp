@@ -62,7 +62,9 @@ class Cover {
   bool implements(const TruthTable& tt) const;
 
   /// Remove duplicate and single-cube-contained cubes (cheap cleanup; not
-  /// a full irredundant-cover computation).
+  /// a full irredundant-cover computation), keeping the order: a cube goes
+  /// when another strictly contains it or equals it and comes first.
+  /// Defined with the bit-sliced cube index (logic/cubelist.cpp).
   void remove_contained();
 
   std::string to_string() const;

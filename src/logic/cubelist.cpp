@@ -200,6 +200,43 @@ Cube supercube(const std::vector<Cube>& cubes) {
   return Cube{keep, ones & keep};
 }
 
+// --- containment -------------------------------------------------------------
+
+namespace {
+
+/// Keep the cubes no other cube dominates, in their order: cube i goes
+/// when some other cube dominates it strictly (covers its input part and
+/// drives a superset of its outputs), or equals it and comes first.
+/// `index` is over `cubes`, and `as_mcube` views a cube as an MCube. The
+/// index is fresh, so dominating() yields exactly the cubes that dominate
+/// or equal cube i, and only the equal ones need a look.
+template <typename T, typename AsMCube>
+void keep_undominated(std::vector<T>& cubes, const CubeIndex& index, AsMCube as_mcube) {
+  std::vector<std::uint64_t> candidates(index.num_words());
+  std::vector<T> kept;
+  kept.reserve(cubes.size());
+  for (std::size_t i = 0; i < cubes.size(); ++i) {
+    const MCube mi = as_mcube(cubes[i]);
+    index.dominating(mi, candidates.data());
+    candidates[i / 64] &= ~(std::uint64_t{1} << (i % 64));
+    bool dominated = false;
+    for (std::size_t w = 0; w < candidates.size() && !dominated; ++w) {
+      for (std::uint64_t bits = candidates[w]; bits && !dominated; bits &= bits - 1) {
+        const std::size_t j = w * 64 + static_cast<std::size_t>(count_trailing_zeros64(bits));
+        dominated = j < i || !(as_mcube(cubes[j]) == mi);
+      }
+    }
+    if (!dominated) kept.push_back(cubes[i]);
+  }
+  cubes = std::move(kept);
+}
+
+}  // namespace
+
+void Cover::remove_contained() {
+  keep_undominated(cubes_, CubeIndex(cubes_), [](const Cube& c) { return MCube{c, 0}; });
+}
+
 // --- CubeList ----------------------------------------------------------------
 
 CubeList::CubeList(std::size_t num_vars, std::size_t num_outputs)
@@ -257,28 +294,7 @@ void CubeList::merge_identical_inputs() {
 }
 
 void CubeList::remove_dominated() {
-  const CubeIndex index(*this);
-  std::vector<std::uint64_t> candidates(index.num_words());
-  std::vector<MCube> kept;
-  kept.reserve(cubes_.size());
-  for (std::size_t i = 0; i < cubes_.size(); ++i) {
-    index.dominating(cubes_[i], candidates.data());
-    bool dominated = false;
-    for (std::size_t w = 0; w < candidates.size() && !dominated; ++w) {
-      for (std::uint64_t bits = candidates[w]; bits && !dominated; bits &= bits - 1) {
-        const std::size_t j = w * 64 + static_cast<std::size_t>(count_trailing_zeros64(bits));
-        if (j == i) continue;
-        if (cubes_[j].in.covers(cubes_[i].in) &&
-            (cubes_[j].out & cubes_[i].out) == cubes_[i].out) {
-          // Strict domination, with index tie-break for exact duplicates.
-          const bool equal = cubes_[i].in == cubes_[j].in && cubes_[i].out == cubes_[j].out;
-          if (!equal || j < i) dominated = true;
-        }
-      }
-    }
-    if (!dominated) kept.push_back(cubes_[i]);
-  }
-  cubes_ = std::move(kept);
+  keep_undominated(cubes_, CubeIndex(*this), [](const MCube& m) { return m; });
 }
 
 bool CubeList::implements(const std::vector<TruthTable>& tables) const {

@@ -150,13 +150,18 @@ class CubeIndex {
 
   /// The cubes driving output b; b must be driven by some indexed cube.
   const std::uint64_t* output_row(std::size_t b) const { return &out_[b * words_]; }
+  /// Every indexed cube (the bits past the last cube are 0).
+  const std::uint64_t* all_row() const { return all_.data(); }
+  /// The cubes compatible with the literal v = x, or nullptr when no
+  /// indexed cube has a literal on v: every cube is, so the row would be
+  /// all_row() and callers treat the missing row as all ones.
+  const std::uint64_t* literal_row(std::size_t v, std::uint64_t x) const {
+    return (support_ >> v) & 1 ? &lit_[(2 * v + x) * words_] : nullptr;
+  }
 
  private:
   CubeIndex(std::size_t num_cubes, std::uint64_t support, std::size_t num_outputs);
   void set_cube(std::size_t j, const Cube& c);
-  const std::uint64_t* literal_row(std::size_t v, std::uint64_t x) const {
-    return &lit_[(2 * v + x) * words_];
-  }
   /// Fill rows[] with c's literal rows (those of its support variables);
   /// returns how many.
   std::size_t literal_rows(const Cube& c, const std::uint64_t** rows) const;

@@ -36,31 +36,107 @@ std::vector<CubeIndex> off_covers(const PlaSpec& spec, const Budget& budget,
   return off;
 }
 
-/// EXPAND one multi-output cube: drop input literals (LSB first) while the
-/// enlarged cube stays disjoint from the OFF cover of every output it
-/// drives, then raise the output part onto any further output whose OFF
-/// cover the cube avoids (espresso's output-part expansion -- this is what
-/// buys product-term sharing beyond identical ON rows).
-void expand_mcube(MCube& m, const std::vector<CubeIndex>& off, std::size_t num_vars) {
-  for (std::size_t v = 0; v < num_vars; ++v) {
-    const std::uint64_t bit = std::uint64_t{1} << v;
-    if (!(m.in.care & bit)) continue;
-    const Cube trial = m.in.without(v);
-    bool valid = true;
-    std::uint64_t rest = m.out;
-    while (valid && rest) {
-      const std::size_t b = static_cast<std::size_t>(count_trailing_zeros64(rest));
-      rest &= rest - 1;
-      valid = !off[b].any_intersecting(trial);
+/// EXPAND, one multi-output cube at a time: drop input literals (LSB
+/// first) while the enlarged cube stays disjoint from the OFF cover of
+/// every output it drives, then raise the output part onto any further
+/// output whose OFF cover the cube avoids (espresso's output-part
+/// expansion -- this is what buys product-term sharing beyond identical ON
+/// rows).
+///
+/// The literal drops are espresso's blocking-matrix test, bit-sliced. The
+/// trial for the cube's k-th literal keeps the literals kept so far and
+/// every original literal after k, so for each driven output the OFF cubes
+/// it meets are P & S[k+1]: P is the AND of the kept literals' rows of that
+/// output's OFF index, S[k+1] the AND of the rows of the original literals
+/// from k+1 on. The suffix rows are built once per cube and P takes one
+/// AND per kept literal, so a cube costs O(lits x words) per driven output
+/// instead of one fresh O(lits x words) intersection per trial. Every
+/// trial tests the same cube as before, so every choice is unchanged. A
+/// variable outside an index's support has no row there and counts as all
+/// ones. The scratch rows are sized once for the whole minimization.
+class Expander {
+ public:
+  Expander(const std::vector<CubeIndex>& off, std::size_t num_vars)
+      : off_(off), base_(off.size()) {
+    std::size_t total = 0;
+    for (std::size_t b = 0; b < off.size(); ++b) {
+      base_[b] = total;
+      total += (num_vars + 1) * off[b].num_words();  // P, then S[1..lits]
     }
-    if (valid) m.in = trial;
+    scratch_.resize(total);
   }
-  for (std::size_t b = 0; b < off.size(); ++b) {
-    const std::uint64_t bit = std::uint64_t{1} << b;
-    if (m.out & bit) continue;
-    if (!off[b].any_intersecting(m.in)) m.out |= bit;
+
+  void expand(MCube& m) {
+    std::size_t vars[64];
+    std::size_t n = 0;
+    for (std::uint64_t rest = m.in.care; rest; rest &= rest - 1)
+      vars[n++] = static_cast<std::size_t>(count_trailing_zeros64(rest));
+    const std::uint64_t value = m.in.value;
+    const auto row = [&](const CubeIndex& idx, std::size_t k) {
+      return idx.literal_row(vars[k], (value >> vars[k]) & 1);
+    };
+
+    // Per driven output: P = every OFF cube, S[n] = every OFF cube,
+    // S[k] = S[k+1] & row(k) down to S[1].
+    for (std::uint64_t rest = m.out; rest && n > 0; rest &= rest - 1) {
+      const std::size_t b = static_cast<std::size_t>(count_trailing_zeros64(rest));
+      const CubeIndex& idx = off_[b];
+      const std::size_t words = idx.num_words();
+      std::uint64_t* p = scratch_.data() + base_[b];
+      std::uint64_t* s = p + words;  // S[k] at s + (k - 1) * words
+      std::copy(idx.all_row(), idx.all_row() + words, p);
+      std::copy(idx.all_row(), idx.all_row() + words, s + (n - 1) * words);
+      for (std::size_t k = n - 1; k >= 1; --k) {
+        const std::uint64_t* src = s + k * words;
+        std::uint64_t* dst = s + (k - 1) * words;
+        if (const std::uint64_t* r = row(idx, k)) {
+          for (std::size_t w = 0; w < words; ++w) dst[w] = src[w] & r[w];
+        } else {
+          std::copy(src, src + words, dst);
+        }
+      }
+    }
+
+    for (std::size_t k = 0; k < n; ++k) {
+      bool valid = true;
+      for (std::uint64_t rest = m.out; valid && rest; rest &= rest - 1) {
+        const std::size_t b = static_cast<std::size_t>(count_trailing_zeros64(rest));
+        const std::size_t words = off_[b].num_words();
+        const std::uint64_t* p = scratch_.data() + base_[b];
+        const std::uint64_t* suffix = p + (k + 1) * words;  // S[k + 1]
+        for (std::size_t w = 0; w < words; ++w) {
+          if (p[w] & suffix[w]) {
+            valid = false;
+            break;
+          }
+        }
+      }
+      if (valid) {
+        m.in = m.in.without(vars[k]);
+        continue;
+      }
+      for (std::uint64_t rest = m.out; rest; rest &= rest - 1) {
+        const std::size_t b = static_cast<std::size_t>(count_trailing_zeros64(rest));
+        const CubeIndex& idx = off_[b];
+        if (const std::uint64_t* r = row(idx, k)) {
+          std::uint64_t* p = scratch_.data() + base_[b];
+          for (std::size_t w = 0; w < idx.num_words(); ++w) p[w] &= r[w];
+        }
+      }
+    }
+
+    for (std::size_t b = 0; b < off_.size(); ++b) {
+      const std::uint64_t bit = std::uint64_t{1} << b;
+      if (m.out & bit) continue;
+      if (!off_[b].any_intersecting(m.in)) m.out |= bit;
+    }
   }
-}
+
+ private:
+  const std::vector<CubeIndex>& off_;
+  std::vector<std::size_t> base_;       // output b's rows start at scratch_[base_[b]]
+  std::vector<std::uint64_t> scratch_;  // per output: P, then S[1..lits]
+};
 
 /// Shared scaffolding of IRREDUNDANT / REDUCE: the cofactor, with respect
 /// to cube `idx`, of everything else that drives output b (other active
@@ -227,6 +303,7 @@ CubeList minimize_espresso_mv(const PlaSpec& spec, const EspressoOptions& option
     return f;
   }
 
+  Expander expander(off, spec.num_vars);
   CubeList best = f;
   std::size_t best_cost = SIZE_MAX, last_cost = SIZE_MAX;
   for (std::size_t iter = 0; iter < kMaxRounds; ++iter) {
@@ -244,7 +321,7 @@ CubeList minimize_espresso_mv(const PlaSpec& spec, const EspressoOptions& option
         truncated = stop = true;
         break;
       }
-      expand_mcube(m, off, spec.num_vars);
+      expander.expand(m);
     }
     f.merge_identical_inputs();
     f.remove_dominated();

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
 #include <limits>
 #include <thread>
 
@@ -15,6 +16,7 @@
 #include "logic/espresso_lite.hpp"
 #include "logic/factor.hpp"
 #include "netlist/eval64.hpp"
+#include "ostr/realization.hpp"
 #include "ostr/verify.hpp"
 #include "synth/flow.hpp"
 #include "util/budget.hpp"
@@ -362,14 +364,15 @@ TEST(AnytimeCampaign, MidFlightCancellationAcrossWorkerThreads) {
 // the clock and the token every 256 cycles. Each case starts a 10^6-cycle
 // run on s1, cancels 50 ms in, and must return within a second.
 
-/// Run `work` with a token that is cancelled 50 ms in; returns the
-/// seconds from the cancel to the return.
+/// Run `work` with a token that is cancelled `delay` in (50 ms by
+/// default); returns the seconds from the cancel to the return.
 template <typename Fn>
-double seconds_after_cancel(const Fn& work) {
+double seconds_after_cancel(const Fn& work,
+                            std::chrono::duration<double> delay = std::chrono::milliseconds(50)) {
   auto token = std::make_shared<CancelToken>();
   std::chrono::steady_clock::time_point cancelled_at;
   std::thread canceller([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    std::this_thread::sleep_for(delay);
     cancelled_at = std::chrono::steady_clock::now();
     token->request();
   });
@@ -420,6 +423,105 @@ TEST(AnytimeCampaign, CancelStopsAMillionCycleFunctionalSweepWithinASecond) {
   EXPECT_LT(r.simulated, r.total);
   EXPECT_TRUE(deg.degraded);
   EXPECT_EQ(deg.reason, "cancelled");
+}
+
+// --- cancel bound of the espresso stage --------------------------------------
+
+/// s1's fig4 lambda block: 18 variables, 5046 ON cubes. OSTR's best pair
+/// for s1 is the identity pair.
+PlaSpec s1_lambda_spec() {
+  const MealyMachine m = load_benchmark("s1");
+  const Partition id = Partition::identity(m.num_states());
+  const FactorTables& ft = build_realization(m, id, id).tables;
+  return encode_lambda(ft.lambda, ft.n1, ft.n2, ft.num_inputs, m.effective_input_bits(),
+                       m.effective_output_bits(), natural_encoding(ft.n1),
+                       natural_encoding(ft.n2))
+      .spec;
+}
+
+/// The OFF cover of output b of `spec`: the complement of ON u DC.
+Cover off_cover(const PlaSpec& spec, std::size_t b) {
+  Cover care = spec.on.output_cover(b);
+  const Cover dc = spec.dc.output_cover(b);
+  for (const Cube& q : dc.cubes()) care.add(q);
+  return complement_cover(care);
+}
+
+/// Cube-calculus check that `f` implements `spec` (a dense sweep of 2^18
+/// minterms would take a minute): per output, every ON cube lies inside
+/// the output's cover and no cube of that cover meets the OFF cover.
+bool implements_spec(const CubeList& f, const PlaSpec& spec) {
+  for (std::size_t b = 0; b < spec.num_outputs; ++b) {
+    const Cover cover = f.output_cover(b);
+    const CubeIndex off(off_cover(spec, b).cubes());
+    for (const Cube& q : cover.cubes())
+      if (off.any_intersecting(q)) return false;
+    const Cover on = spec.on.output_cover(b);
+    for (const Cube& q : on.cubes())
+      if (!cover_contains_cube(cover, q)) return false;
+  }
+  return true;
+}
+
+double seconds_of(const std::function<void()>& work) {
+  const auto start = std::chrono::steady_clock::now();
+  work();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
+// EXPAND polls the budget once per cube. A cancel that lands in the first
+// round's EXPAND must therefore return within the clean-up after the
+// loop (merging, dropping dominated cubes, keeping the best cover), well
+// inside half an uncancelled first round; without the poll the call
+// would finish EXPAND, IRREDUNDANT and REDUCE first. The timings are the
+// faster of two uncancelled runs on the same spec just before, so the
+// bound scales with the build (Release or a sanitizer). The cancel is
+// aimed a fifth into the round, past the OFF covers; an attempt whose
+// canceller woke before the first round (work_done 0) is aimed later, one
+// that waited past the bound earlier, up to five attempts.
+TEST(AnytimeEspresso, CancelMidExpandOnS1LambdaReturnsWithinHalfARound) {
+  const PlaSpec spec = s1_lambda_spec();
+  ASSERT_EQ(spec.num_vars, 18u);
+  ASSERT_EQ(spec.on.num_cubes(), 5046u);
+  EspressoOptions one_round;
+  one_round.budget = Budget::work_limit(1);
+  double off_s = 1e9, round_s = 1e9;
+  for (int run = 0; run < 2; ++run) {
+    const double off = seconds_of([&] {
+      for (std::size_t b = 0; b < spec.num_outputs; ++b) off_cover(spec, b);
+    });
+    const double round = seconds_of([&] { minimize_espresso_mv(spec, one_round); }) - off;
+    off_s = std::min(off_s, off);
+    round_s = std::min(round_s, round);
+  }
+  const double bound_s = round_s / 2;
+
+  bool landed = false;
+  double aim = 0.2;  // of round_s, after off_s
+  std::string attempts;
+  for (int attempt = 0; attempt < 5 && !landed; ++attempt) {
+    SCOPED_TRACE("attempt " + std::to_string(attempt));
+    CubeList f;
+    Degradation deg;
+    const double waited = seconds_after_cancel(
+        [&](const Budget& budget) {
+          EspressoOptions opt;
+          opt.budget = budget;
+          f = minimize_espresso_mv(spec, opt, &deg);
+        },
+        std::chrono::duration<double>(off_s + aim * round_s));
+    EXPECT_TRUE(deg.degraded);
+    EXPECT_EQ(deg.stage, "espresso");
+    EXPECT_EQ(deg.reason, "cancelled");
+    EXPECT_TRUE(implements_spec(f, spec));
+    landed = deg.work_done == 1 && waited < bound_s;
+    attempts += " [aim " + std::to_string(aim) + ": rounds " +
+                std::to_string(deg.work_done) + ", waited " + std::to_string(waited) + " s]";
+    aim += deg.work_done == 0 ? 0.1 : -0.05;
+  }
+  EXPECT_TRUE(landed) << "no cancel in the first round returned within " << bound_s
+                      << " s (OFF covers " << off_s << " s, round " << round_s
+                      << " s):" << attempts;
 }
 
 TEST(AnytimeCampaign, FunctionalCoverageHonorsTheBudget) {

@@ -186,6 +186,27 @@ TEST(EspressoMv, SharesIdenticalProducts) {
   EXPECT_TRUE(r.implements({f0, f1}));
 }
 
+TEST(EspressoMv, ConstantOneOutputsExpandToTheUniverse) {
+  // A constant-1 output has an empty OFF cover, so its EXPAND index has no
+  // words at all. Here it is the last output, and in the second spec the
+  // only one, so there is no EXPAND scratch either.
+  TruthTable f0(3), f1(3), ones(3);
+  for (Minterm m = 0; m < 8; ++m) {
+    if ((m & 0b101) == 0b100) f0.set_on(m);
+    if (m & 0b100) f1.set_on(m);
+    else f1.set_dc(m);
+    ones.set_on(m);
+  }
+  const CubeList r = minimize_espresso_mv(PlaSpec::from_tables({f0, f1}));
+  EXPECT_TRUE(r.implements({f0, f1}));
+  ASSERT_EQ(r.output_cover(1).num_cubes(), 1u);
+  EXPECT_EQ(r.output_cover(1).cubes()[0], Cube::top());
+
+  const CubeList only = minimize_espresso_mv(PlaSpec::from_tables({ones}));
+  ASSERT_EQ(only.num_cubes(), 1u);
+  EXPECT_EQ(only.cubes()[0], (MCube{Cube::top(), 0b1}));
+}
+
 TEST(EspressoMv, OutputRaisingSharesSubsumedProducts) {
   // f0 = ab, f1 = ab + a'b' : the ab product must be shared (raised onto
   // f1's output part) rather than re-derived.

@@ -542,8 +542,8 @@ bool factors_coincide(const FactorTables& ft) {
 }
 
 const std::vector<std::string> kCoincidingFactors = {
-    "bbtas", "count10", "count15", "dk14",  "dk15",        "dk17",
-    "mc",    "paper_fig5", "parity4", "s1", "serial_adder"};
+    "bbtas", "count10", "count15", "dk14", "dk15", "dk17",
+    "mc", "paper_fig5", "parity4", "s1", "serial_adder"};
 
 TEST(Fig4SharedFactor, CoincidingFactorsAreExactlyThese) {
   std::vector<std::string> found;
