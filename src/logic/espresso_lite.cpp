@@ -82,13 +82,12 @@ class Expander {
       const std::size_t b = static_cast<std::size_t>(count_trailing_zeros64(rest));
       const CubeIndex& idx = off_[b];
       const std::size_t words = idx.num_words();
-      std::uint64_t* p = scratch_.data() + base_[b];
-      std::uint64_t* s = p + words;  // S[k] at s + (k - 1) * words
+      std::uint64_t* p = scratch_.data() + base_[b];  // S[k] at p + k * words
       std::copy(idx.all_row(), idx.all_row() + words, p);
-      std::copy(idx.all_row(), idx.all_row() + words, s + (n - 1) * words);
+      std::copy(idx.all_row(), idx.all_row() + words, p + n * words);
       for (std::size_t k = n - 1; k >= 1; --k) {
-        const std::uint64_t* src = s + k * words;
-        std::uint64_t* dst = s + (k - 1) * words;
+        const std::uint64_t* src = p + (k + 1) * words;
+        std::uint64_t* dst = p + k * words;
         if (const std::uint64_t* r = row(idx, k)) {
           for (std::size_t w = 0; w < words; ++w) dst[w] = src[w] & r[w];
         } else {
