@@ -220,13 +220,14 @@ void BM_CompiledEval64Event(benchmark::State& state) {
   static const ControllerStructure cs = fig1_for("tbk");
   const Netlist& nl = cs.nl;
   CompiledNetlist cn(nl);
+  const LaneFaultMasks none(cn);
   EventScratch ev;
   std::vector<std::uint64_t> in_lanes(nl.num_inputs(), 0);
   std::vector<std::uint64_t> dff_lanes(nl.num_dffs(), 0);
   std::size_t k = 0;
   for (auto _ : state) {
     in_lanes[0] = (++k) & 1 ? ~std::uint64_t{0} : 0;
-    cn.evaluate_event(in_lanes.data(), dff_lanes.data(), ev);
+    cn.evaluate_event(none, in_lanes.data(), dff_lanes.data(), ev);
     benchmark::DoNotOptimize(ev.values[nl.num_nets() - 1]);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);

@@ -19,8 +19,9 @@
 // the keyed artifact cache deduplicates builds (--repeat 2 demonstrates
 // all-hit re-runs), and one aggregated corpus report closes the run.
 //
-// With --faultsim the per-structure report includes campaign wall time and
-// the mean per-cycle activity ratio. With --tech multi_level the
+// With --faultsim the per-structure report includes campaign wall time,
+// the mean per-cycle activity ratio and the (fault, session) pairs the
+// campaign skipped outside the sessions' observation cones. With --tech multi_level the
 // combinational blocks are algebraically factored (simulation-equivalent)
 // and the report shows both the two-level PLA and the factored cost points.
 //

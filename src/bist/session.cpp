@@ -1,6 +1,8 @@
 #include "bist/session.hpp"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -342,17 +344,26 @@ void absorb_output_lanes(LaneBilbo& misr, const std::uint64_t* values,
   }
 }
 
-/// Everything one campaign worker needs across fault batches: the compiled
-/// program, the event evaluator's resident state, lane-sliced banks/MISR,
-/// the input generator, and every lane buffer. Constructed once per worker;
-/// the lane runs below then perform zero heap allocations in the steady
-/// state -- across cycles, sessions AND batches, at every lane width
+/// Event-evaluator residency slots per worker: slot 0 for the full
+/// program, slot 1 + k for the observation cone of session key k (see
+/// CampaignWarmState::program_for; at most four keys).
+constexpr std::size_t kProgramSlots = 5;
+
+/// Everything one campaign worker needs across fault batches: the fault
+/// masks, the event evaluator's resident state per program it runs,
+/// lane-sliced banks/MISR, the input generator, and every lane buffer. The
+/// compiled programs are immutable and shared by all workers; `cn` points
+/// at the one the lane run in flight uses. Constructed once per worker; the
+/// lane runs below then perform zero heap allocations in the steady state
+/// -- across cycles, sessions, programs AND batches, at every lane width
 /// (verified by the allocation-counting hook in tests/allocfree_test.cpp).
 struct CampaignScratch {
   const ControllerStructure& cs;
   const PinMap& pins;  // owned by the warm state (or the functional pass)
-  CompiledNetlist cn;
-  EventScratch ev;
+  LaneFaultMasks faults;      // net-indexed, so shared by every program
+  std::array<EventScratch, kProgramSlots> events;
+  const CompiledNetlist* cn;  // the program of the lane run in flight
+  EventScratch* ev;           // its resident state: one of `events`
   LaneBank bank_a, bank_b;
   LaneBilbo out_misr;
   Bilbo input_gen;
@@ -362,8 +373,9 @@ struct CampaignScratch {
   std::vector<std::uint64_t> flat_values;     // flat-engine output buffer
   std::vector<std::uint64_t> diff_mask;       // W-word detected-lane mask
   std::vector<LaneFault> batch;
-  std::uint64_t cycles = 0;  // machine cycles simulated by this worker
-  std::uint64_t ops = 0;     // ops evaluated by this worker (see LaneCycle)
+  std::uint64_t cycles = 0;   // machine cycles simulated by this worker
+  std::uint64_t ops = 0;      // ops evaluated by this worker (see LaneCycle)
+  std::uint64_t offered = 0;  // num_ops() of the program, summed per cycle
 
   // Fleet extras (run_fleet_shard only; idle in campaign use). Sized at
   // construction so fleet runs stay allocation-free in the steady state
@@ -376,35 +388,35 @@ struct CampaignScratch {
   std::vector<Fault> fleet_faults;             // defect-sampler sink
   std::vector<char> fleet_defective;           // per-pair defect flags
 
-  /// `proto` is a compiled program shared by all workers: copying its
-  /// vectors is far cheaper than re-running the compile (CSR build +
-  /// AND-node folding fixpoint) once per thread, and each worker still
-  /// gets its own mutable mask state. Takes only `output_misr_width`, not
-  /// the whole SelfTestPlan: scratch is cached/pooled per (structure,
+  /// `full` is the whole-netlist program (slot 0), shared by all workers
+  /// and outliving the scratch. Takes only `output_misr_width`, not the
+  /// whole SelfTestPlan: scratch is cached/pooled per (structure,
   /// lane_words, MISR width) tuple -- see JobCache's warm key -- and this
   /// signature is what proves plans differing in anything else can share
   /// it safely.
-  CampaignScratch(const ControllerStructure& cs, const CompiledNetlist& proto,
+  CampaignScratch(const ControllerStructure& cs, const CompiledNetlist& full,
                   std::size_t output_misr_width, const PinMap& pins)
       : cs(cs),
         pins(pins),
-        cn(proto),
-        bank_a(cs.nl, cs.reg_a, proto.lane_words()),
-        bank_b(cs.nl, cs.reg_b, proto.lane_words()),
-        out_misr(output_misr_width, proto.lane_words()),
+        faults(full),
+        cn(&full),
+        ev(&events[0]),
+        bank_a(cs.nl, cs.reg_a, full.lane_words()),
+        bank_b(cs.nl, cs.reg_b, full.lane_words()),
+        out_misr(output_misr_width, full.lane_words()),
         input_gen(std::max<std::size_t>(8, cs.pi.size())),
-        in_lanes(cs.nl.num_inputs() * proto.lane_words(), 0),
-        dff_lanes(cs.nl.num_dffs() * proto.lane_words(), 0),
-        flat_values(cs.nl.num_nets() * proto.lane_words(), 0),
-        diff_mask(proto.lane_words(), 0),
+        in_lanes(cs.nl.num_inputs() * full.lane_words(), 0),
+        dff_lanes(cs.nl.num_dffs() * full.lane_words(), 0),
+        flat_values(cs.nl.num_nets() * full.lane_words(), 0),
+        diff_mask(full.lane_words(), 0),
         fleet_input_gen(std::max<std::size_t>(8, cs.pi.size()),
-                        proto.lane_words()),
-        fleet_po_stream(proto.lane_words(), 0),
-        fleet_d_stream(proto.lane_words(), 0),
-        fleet_misr_sig(proto.lane_words(), 0),
-        fleet_any_sig(proto.lane_words(), 0),
-        fleet_defective(fleet_instances_per_run(proto.lane_words()), 0) {
-    const unsigned W = proto.lane_words();
+                        full.lane_words()),
+        fleet_po_stream(full.lane_words(), 0),
+        fleet_d_stream(full.lane_words(), 0),
+        fleet_misr_sig(full.lane_words(), 0),
+        fleet_any_sig(full.lane_words(), 0),
+        fleet_defective(fleet_instances_per_run(full.lane_words()), 0) {
+    const unsigned W = full.lane_words();
     const Netlist::SimState init = cs.nl.initial_state();
     init_dff_lanes.assign(init.dff.size() * W, 0);
     for (std::size_t k = 0; k < init.dff.size(); ++k)
@@ -418,6 +430,13 @@ struct CampaignScratch {
         in_lanes[pins.test_slot * W + w] = ~std::uint64_t{0};
     batch.reserve(faults_per_run(W));
   }
+
+  /// Run the next lane runs on `program`, keeping its resident event
+  /// state in `slot`.
+  void use(const CompiledNetlist& program, std::size_t slot) {
+    cn = &program;
+    ev = &events[slot];
+  }
 };
 
 // The flat hand-off (see DESIGN.md, "Lane retirement and the flat
@@ -430,11 +449,12 @@ constexpr std::uint64_t kHandoffPercent = 30;
 
 /// The one place a lane run -- a (session, batch) campaign run, a fleet
 /// run or a functional batch -- evaluates a cycle. cycle() evaluates
-/// sc.in_lanes / sc.dff_lanes, counts the cycle and its ops into the
-/// scratch (num_ops() per flat cycle), and polls the budget's clock and
-/// cancel token (spend(0)). One LaneCycle spans one lane run, so the
-/// sessions of a fleet run share one hand-off window. The hand-off reads
-/// only op counts, so every counter repeats per input.
+/// sc.in_lanes / sc.dff_lanes on the scratch's current program, counts the
+/// cycle, its ops (num_ops() per flat cycle) and the ops the program
+/// offers (num_ops() per cycle) into the scratch, and polls the budget's
+/// clock and cancel token (spend(0)). One LaneCycle spans one lane run, so
+/// the sessions of a fleet run share one hand-off window. The hand-off
+/// reads only op counts, so every counter repeats per input.
 class LaneCycle {
  public:
   LaneCycle(CampaignScratch& sc, CampaignEngine engine, Budget& budget)
@@ -444,21 +464,24 @@ class LaneCycle {
   /// is exhausted and the run must be abandoned.
   const std::uint64_t* cycle() {
     if (budget_.spend(0)) return nullptr;
+    const CompiledNetlist& cn = *sc_.cn;
     ++sc_.cycles;
+    sc_.offered += cn.num_ops();
     if (engine_ == CampaignEngine::kEvent) {
-      const std::uint64_t before = sc_.ev.ops_evaluated;
-      sc_.cn.evaluate_event(sc_.in_lanes.data(), sc_.dff_lanes.data(), sc_.ev);
-      const std::uint64_t ops = sc_.ev.ops_evaluated - before;
+      EventScratch& ev = *sc_.ev;
+      const std::uint64_t before = ev.ops_evaluated;
+      cn.evaluate_event(sc_.faults, sc_.in_lanes.data(), sc_.dff_lanes.data(), ev);
+      const std::uint64_t ops = ev.ops_evaluated - before;
       sc_.ops += ops;
       window_ops_ += ops;
       if (++watched_ == kHandoffWindow &&
-          window_ops_ * 100 > kHandoffPercent * kHandoffWindow * sc_.cn.num_ops())
+          window_ops_ * 100 > kHandoffPercent * kHandoffWindow * cn.num_ops())
         engine_ = CampaignEngine::kFlat;
-      return sc_.ev.values.data();
+      return ev.values.data();
     }
-    sc_.cn.evaluate(sc_.in_lanes.data(), sc_.dff_lanes.data(),
-                    sc_.flat_values.data());
-    sc_.ops += sc_.cn.num_ops();
+    cn.evaluate(sc_.faults, sc_.in_lanes.data(), sc_.dff_lanes.data(),
+                sc_.flat_values.data());
+    sc_.ops += cn.num_ops();
     return sc_.flat_values.data();
   }
 
@@ -489,7 +512,7 @@ struct BroadcastInputs {
     prev = ~sc.input_gen.state();
   }
   void drive() {
-    const unsigned W = sc.cn.lane_words();
+    const unsigned W = sc.cn->lane_words();
     const std::uint64_t word = sc.input_gen.state();
     const std::uint64_t delta = word ^ prev;
     prev = word;
@@ -509,7 +532,7 @@ struct LaneInputs {
   CampaignScratch& sc;
 
   void drive() {
-    const unsigned W = sc.cn.lane_words();
+    const unsigned W = sc.cn->lane_words();
     for (std::size_t k = 0; k < sc.pins.pi_slot.size(); ++k) {
       const std::uint64_t* src = sc.fleet_input_gen.row(k);
       std::uint64_t* dst = sc.in_lanes.data() + sc.pins.pi_slot[k] * W;
@@ -534,7 +557,7 @@ struct BilboClocking {
     sc.bank_b.deposit(sc.dff_lanes.data());
   }
   void clock(const std::uint64_t* values) {
-    absorb_output_lanes(sc.out_misr, values, sc.cs.po, sc.cn.lane_words());
+    absorb_output_lanes(sc.out_misr, values, sc.cs.po, sc.cn->lane_words());
     sc.bank_a.clock(values);
     sc.bank_b.clock(values);
   }
@@ -547,9 +570,9 @@ struct SystemClocking {
 
   void deposit() {}
   void clock(const std::uint64_t* values) {
-    const unsigned W = sc.cn.lane_words();
-    for (std::size_t k = 0; k < sc.cn.num_dffs(); ++k)
-      std::copy_n(values + std::size_t{sc.cn.dff_d(k)} * W, W,
+    const unsigned W = sc.cn->lane_words();
+    for (std::size_t k = 0; k < sc.cn->num_dffs(); ++k)
+      std::copy_n(values + std::size_t{sc.cn->dff_d(k)} * W, W,
                   sc.dff_lanes.begin() + k * W);
   }
 };
@@ -564,10 +587,10 @@ struct SystemClocking {
 template <class Stimulus, class Clocking, class Observer>
 bool run_lane_session(CampaignScratch& sc, LaneCycle& eval, std::size_t cycles,
                       Stimulus&& stimulus, Clocking&& clocking, Observer&& observe) {
-  sc.cn.set_faults(sc.batch);
+  sc.faults.set(sc.batch);
   std::copy(sc.init_dff_lanes.begin(), sc.init_dff_lanes.end(),
             sc.dff_lanes.begin());
-  sc.cn.reset(sc.ev);
+  sc.cn->reset(*sc.ev);
   bool completed = true;
   for (std::size_t cycle = 0; cycle < cycles; ++cycle) {
     stimulus.drive();
@@ -581,7 +604,7 @@ bool run_lane_session(CampaignScratch& sc, LaneCycle& eval, std::size_t cycles,
     if (!observe(values)) break;
     stimulus.step();
   }
-  sc.cn.clear_faults();
+  sc.faults.clear();
   return completed;
 }
 
@@ -606,7 +629,7 @@ constexpr std::uint64_t kFleetGenBSalt = 0x464c4545542d4742ULL;   // "FLEET-GB"
 bool run_fleet_lanes(const SelfTestPlan& plan, CampaignScratch& sc,
                      CampaignEngine engine, Budget& budget, std::size_t n_pairs,
                      std::uint64_t base_seed, std::uint64_t first_instance) {
-  const unsigned W = sc.cn.lane_words();
+  const unsigned W = sc.cn->lane_words();
   constexpr std::uint64_t kEven = 0x5555555555555555ULL;
   sc.out_misr.reset(0);
   std::fill(sc.fleet_po_stream.begin(), sc.fleet_po_stream.end(), 0);
@@ -681,7 +704,20 @@ bool run_fleet_lanes(const SelfTestPlan& plan, CampaignScratch& sc,
 
 // --- warm campaign state -----------------------------------------------------
 
-/// Compiled program + pin map + scratch free-list for one (structure, MISR
+/// The program a campaign session runs on: the compiled observation cone
+/// of the session (the fanin closure, stopping at DFF Q pins, of the
+/// primary outputs and of the D nets of every bank the session clocks in
+/// kCompress or kSystem mode) and its member nets. A session whose cone
+/// holds every op runs on the full program.
+struct SessionProgram {
+  std::shared_ptr<const CompiledNetlist> program;
+  std::vector<char> observed;  // per net; empty: every net (the full program)
+  std::size_t slot = 0;        // EventScratch slot in every worker's scratch
+
+  bool observes(NetId net) const { return observed.empty() || observed[net] != 0; }
+};
+
+/// Compiled programs + pin map + scratch free-list for one (structure, MISR
 /// width, lane_words) tuple. Defined here so it can hold the TU-local
 /// CampaignScratch; callers only ever see the opaque handle.
 class CampaignWarmState {
@@ -692,12 +728,46 @@ class CampaignWarmState {
   // key sufficient by construction.
   CampaignWarmState(const ControllerStructure& cs, std::size_t output_misr_width,
                     unsigned lane_words)
-      : cs_(&cs),
-        misr_width_(output_misr_width),
-        pins_(map_pins(cs)),
-        proto_(cs.nl, lane_words) {}
+      : cs_(&cs), misr_width_(output_misr_width), pins_(map_pins(cs)) {
+    full_.program = std::make_shared<const CompiledNetlist>(cs.nl, lane_words);
+  }
 
-  unsigned lane_words() const { return proto_.lane_words(); }
+  unsigned lane_words() const { return full_.program->lane_words(); }
+
+  /// The program of a session in `spec`'s roles. Only which banks the
+  /// session observes matters, so there are at most four cones per
+  /// structure; each is compiled on first use (thread-safe) and shared by
+  /// every worker and campaign of this warm state from then on.
+  const SessionProgram& program_for(const SessionSpec& spec) {
+    const auto reads_d = [](BilboMode mode, const std::vector<std::size_t>& bank) {
+      return !bank.empty() &&
+             (mode == BilboMode::kCompress || mode == BilboMode::kSystem);
+    };
+    const bool obs_a = reads_d(spec.role_a, cs_->reg_a);
+    const bool obs_b = reads_d(spec.role_b, cs_->reg_b);
+    const std::size_t key = (obs_a ? 1 : 0) | (obs_b ? 2 : 0);
+    std::call_once(cone_once_[key], [&] {
+      const Netlist& nl = cs_->nl;
+      std::vector<NetId> roots = cs_->po;
+      const auto add_d = [&](const std::vector<std::size_t>& bank) {
+        for (const std::size_t k : bank) roots.push_back(nl.gate(nl.dffs()[k]).fanins[0]);
+      };
+      if (obs_a) add_d(cs_->reg_a);
+      if (obs_b) add_d(cs_->reg_b);
+      std::vector<char> cone = fanin_cone(nl, roots);
+      std::size_t ops = 0;
+      for (const NetId id : nl.topo_order()) ops += cone[id] ? 1 : 0;
+      if (ops == nl.topo_order().size()) {
+        cones_[key] = full_;
+        return;
+      }
+      cones_[key].program =
+          std::make_shared<const CompiledNetlist>(nl, lane_words(), cone);
+      cones_[key].observed = std::move(cone);
+      cones_[key].slot = 1 + key;
+    });
+    return cones_[key];
+  }
 
   /// What differs between this warm state's binding and (cs, misr_width,
   /// words), or "" when it was built for exactly that tuple.
@@ -716,6 +786,7 @@ class CampaignWarmState {
   /// A leased scratch: a parked one (warm start) or a fresh one, returned
   /// to the free-list on destruction -- also when an engine or sampler
   /// throw unwinds the lane run, so no scratch leaks out of the warm state.
+  /// A lease starts on the full program.
   class Lease {
    public:
     explicit Lease(CampaignWarmState& warm) : warm_(warm) {
@@ -725,11 +796,12 @@ class CampaignWarmState {
           sc_ = std::move(warm_.free_.back());
           warm_.free_.pop_back();
           warm_.reuses_.fetch_add(1, std::memory_order_relaxed);
+          sc_->use(*warm_.full_.program, warm_.full_.slot);
           return;
         }
       }
       warm_.builds_.fetch_add(1, std::memory_order_relaxed);
-      sc_ = std::make_unique<CampaignScratch>(*warm_.cs_, warm_.proto_,
+      sc_ = std::make_unique<CampaignScratch>(*warm_.cs_, *warm_.full_.program,
                                               warm_.misr_width_, warm_.pins_);
     }
     ~Lease() {
@@ -753,7 +825,9 @@ class CampaignWarmState {
   const ControllerStructure* cs_;
   std::size_t misr_width_;
   PinMap pins_;
-  CompiledNetlist proto_;
+  SessionProgram full_;  // the whole netlist: fleet runs and every lease's start
+  std::array<std::once_flag, 4> cone_once_;
+  std::array<SessionProgram, 4> cones_;
   std::mutex mu_;
   std::vector<std::unique_ptr<CampaignScratch>> free_;
   std::atomic<std::size_t> reuses_{0};
@@ -893,46 +967,65 @@ CampaignResult run_fault_campaign(const ControllerStructure& cs, const SelfTestP
     // The MISR is linear over GF(2), so a lane's difference from lane 0
     // evolves independently of lane 0's own state: each survivor carries
     // that difference (misr_delta) and lane 0 restarts from 0, which
-    // leaves every final compare unchanged. Batch b covers survivors
-    // [Bb, Bb+B); chunk c takes batches c, c+K, ... (K = num_chunks) and
-    // keeps one budget copy across the sessions. Chunks write disjoint
-    // rep ranges, so the result is identical for every chunk count,
-    // thread count and interleaving -- inline, on a private pool or on the
-    // scheduler's shared pool (a wall-clock budget may cut different runs
-    // from one call to the next; every retired verdict stays exact). A
-    // fault that did not finish the plan counts as unsimulated.
+    // leaves every final compare unchanged.
+    //
+    // Each session runs on its observation cone (SessionProgram): no net
+    // outside it can reach a primary output or the D input of a bank that
+    // uses D this session, since generating and holding banks ignore D.
+    // A survivor whose fault net lies outside the cone and whose MISR
+    // difference is 0 therefore leaves every signature of the session
+    // equal to lane 0's and its difference at 0: it skips the session
+    // unchanged (in the last session it is simulated and undetected). A
+    // nonzero difference still evolves under the MISR feedback, so such a
+    // survivor runs. Runners are batched in rep order: batch b covers
+    // runners [Bb, Bb+B); chunk c takes batches c, c+K, ... (K =
+    // num_chunks) and keeps one budget copy across the sessions. Chunks
+    // write disjoint rep ranges, so the result is identical for every
+    // chunk count, thread count and interleaving -- inline, on a private
+    // pool or on the scheduler's shared pool (a wall-clock budget may cut
+    // different runs from one call to the next; every retired verdict
+    // stays exact). A fault that did not finish the plan counts as
+    // unsimulated.
     struct ChunkTally {
       Budget budget;
-      std::uint64_t cycles = 0, ops = 0;
+      std::uint64_t cycles = 0, ops = 0, offered = 0;
       std::size_t runs = 0;
     };
     std::vector<ChunkTally> chunks(parallelism, ChunkTally{options.budget});
     std::vector<char> batch_ran((reps.size() + batch_size - 1) / batch_size, 0);
-    std::vector<std::size_t> survivors(reps.size()), next;
+    std::vector<std::size_t> survivors(reps.size()), runners, next;
     for (std::size_t i = 0; i < reps.size(); ++i) survivors[i] = i;
+    runners.reserve(reps.size());
     next.reserve(reps.size());
     std::vector<std::uint64_t> misr_delta(reps.size(), 0);
 
     for (std::size_t si = 0; si < plan.sessions.size() && !survivors.empty(); ++si) {
       const SessionSpec& spec = plan.sessions[si];
       const bool last = si + 1 == plan.sessions.size();
-      const std::size_t num_batches = (survivors.size() + batch_size - 1) / batch_size;
+      const SessionProgram& sp = warm->program_for(spec);
+      runners.clear();
+      for (const std::size_t rep : survivors)
+        if (sp.observes(reps[rep].net) || misr_delta[rep] != 0) runners.push_back(rep);
+      res.fault_sessions_skipped += survivors.size() - runners.size();
+      const std::size_t num_batches = (runners.size() + batch_size - 1) / batch_size;
       const std::size_t num_chunks = std::min(parallelism, num_batches);
       std::fill(batch_ran.begin(), batch_ran.end(), 0);
       auto chunk_fn = [&](std::size_t c) {
         ChunkTally& tally = chunks[c];
         const CampaignWarmState::Lease lease(*warm);
         CampaignScratch& sc = *lease;
+        sc.use(*sp.program, sp.slot);
         const std::uint64_t cycles0 = sc.cycles;
         const std::uint64_t ops0 = sc.ops;
+        const std::uint64_t offered0 = sc.offered;
         for (std::size_t b = c; b < num_batches; b += num_chunks) {
           if (tally.budget.spend(1)) break;
           const std::size_t begin = b * batch_size;
-          const std::size_t end = std::min(survivors.size(), begin + batch_size);
+          const std::size_t end = std::min(runners.size(), begin + batch_size);
           sc.batch.clear();
           sc.out_misr.reset(0);
           for (std::size_t i = begin; i < end; ++i) {
-            const std::size_t rep = survivors[i];
+            const std::size_t rep = runners[i];
             const unsigned lane = static_cast<unsigned>(i - begin + 1);
             sc.batch.push_back({reps[rep].net, reps[rep].stuck_value, lane});
             sc.out_misr.load_lane(lane, misr_delta[rep]);
@@ -950,7 +1043,7 @@ CampaignResult run_fault_campaign(const ControllerStructure& cs, const SelfTestP
           if (last) sc.out_misr.accumulate_diff(sc.diff_mask.data());
           const std::uint64_t ref = sc.out_misr.lane_state(0);
           for (std::size_t i = begin; i < end; ++i) {
-            const std::size_t rep = survivors[i];
+            const std::size_t rep = runners[i];
             const unsigned lane = static_cast<unsigned>(i - begin + 1);
             if ((sc.diff_mask[lane >> 6] >> (lane & 63)) & 1) {
               rep_detected[rep] = 1;
@@ -966,21 +1059,32 @@ CampaignResult run_fault_campaign(const ControllerStructure& cs, const SelfTestP
         }
         tally.cycles += sc.cycles - cycles0;
         tally.ops += sc.ops - ops0;
+        tally.offered += sc.offered - offered0;
       };
-      run_chunks(pool, num_chunks, chunk_fn);
+      if (num_chunks > 0) run_chunks(pool, num_chunks, chunk_fn);
 
-      // The next session's survivors: the unretired faults of the runs
-      // that completed.
+      // The next session's survivors, in rep order: the skipped ones, and
+      // the unretired runners of the runs that completed. `runners` is a
+      // subsequence of `survivors`, so one merge pass tells them apart.
       next.clear();
-      for (std::size_t i = 0; i < survivors.size(); ++i)
-        if (batch_ran[i / batch_size] && !rep_detected[survivors[i]])
-          next.push_back(survivors[i]);
+      std::size_t r = 0;
+      for (const std::size_t rep : survivors) {
+        if (r < runners.size() && runners[r] == rep) {
+          if (batch_ran[r / batch_size] && !rep_detected[rep]) next.push_back(rep);
+          ++r;
+        } else if (last) {
+          rep_simulated[rep] = 1;
+        } else {
+          next.push_back(rep);
+        }
+      }
       survivors.swap(next);
     }
     res.ops_per_cycle = nl.topo_order().size();
     for (const ChunkTally& tally : chunks) {
       res.cycles_simulated += tally.cycles;
       res.ops_evaluated += tally.ops;
+      res.ops_offered += tally.offered;
       res.session_runs += tally.runs;
     }
   }
@@ -1066,7 +1170,7 @@ bool run_fleet_shard(const ControllerStructure& cs, const SelfTestPlan& plan,
   const CampaignWarmState::Lease lease(warm);
   CampaignScratch& sc = *lease;
 
-  const unsigned W = sc.cn.lane_words();
+  const unsigned W = sc.cn->lane_words();
   const std::size_t per_run = fleet_instances_per_run(W);
   const std::uint64_t cycles0 = sc.cycles;
   bool completed = true;
@@ -1144,7 +1248,8 @@ CoverageResult measure_functional_coverage(const ControllerStructure& cs,
     // lanes are detected.
     constexpr unsigned W = kMaxLaneWords;
     const PinMap pins = map_pins(cs);
-    CampaignScratch sc(cs, CompiledNetlist(nl, W), 1, pins);
+    const CompiledNetlist program(nl, W);
+    CampaignScratch sc(cs, program, 1, pins);
     if (pins.test_slot != SIZE_MAX)
       std::fill_n(sc.in_lanes.begin() + pins.test_slot * W, W, 0);
     // One allocation whatever the detected count, so the sweep's heap

@@ -124,7 +124,12 @@ CoverageResult measure_coverage(const ControllerStructure& cs, const SelfTestPla
 /// Campaigns run session-major: each session runs, in batches of 64·W − 1,
 /// the faults no earlier session's compacting bank flagged (a bank's
 /// signature is final when its session ends), and every survivor carries
-/// its output-MISR lane state into the next session. Detection is
+/// its output-MISR lane state into the next session. A session runs on
+/// its observation cone -- the fanin closure, stopping at flip-flops, of
+/// the primary outputs and of the D inputs of the banks it clocks in
+/// compress or system mode -- and skips, unchanged, the survivors whose
+/// fault net lies outside that cone while their output-MISR difference is
+/// 0: nothing the session observes can see them. Detection is
 /// signature-exact: a lane is detected iff any final compacting-register
 /// or output-MISR signature differs from lane 0 — the same criterion as
 /// measure_coverage, so the detected-fault sets are identical by
@@ -155,12 +160,14 @@ enum class CampaignEngine {
   kFlat,
 };
 
-/// Warm per-structure campaign state: the compiled lane program plus a
-/// free-list of per-worker scratch (lane buffers, banks, event residency).
-/// Building one costs the netlist compile; a campaign handed a warm state
-/// via CampaignOptions::warm skips the compile entirely and its workers
-/// lease scratch instead of allocating it -- re-queued jobs on a cached
-/// structure start hot. Bound to one (structure, MISR width, lane_words)
+/// Warm per-structure campaign state: the compiled lane programs (the
+/// whole netlist, plus one per distinct session observation cone, each
+/// compiled on first use and shared read-only by every worker) and a
+/// free-list of per-worker scratch (fault masks, lane buffers, banks, event
+/// residency per program). Building one costs the whole-netlist compile; a
+/// campaign handed a warm state via CampaignOptions::warm skips the
+/// compiles it has already done and its workers lease scratch instead of
+/// allocating it -- re-queued jobs on a cached structure start hot. Bound to one (structure, MISR width, lane_words)
 /// tuple; run_fault_campaign rejects a mismatched warm state with a typed
 /// Error. Thread-safe: concurrent campaigns may share one warm state.
 class CampaignWarmState;
@@ -239,27 +246,35 @@ struct CampaignResult {
   /// Anytime label: what the budget cut, if anything.
   Degradation degradation;
   /// Lane runs performed: one per (session, batch) -- the sum over
-  /// sessions of ceil(survivors / faults_per_run).
+  /// sessions of ceil(runners / faults_per_run), where a session's runners
+  /// are its survivors minus the ones it skips (below).
   std::size_t session_runs = 0;
+  /// (collapsed fault, session) pairs skipped: the survivor's fault net
+  /// lies outside the session's observation cone and its output-MISR
+  /// difference is 0, so the session cannot change its signatures (see
+  /// run_fault_campaign).
+  std::size_t fault_sessions_skipped = 0;
 
-  // Activity accounting. ops_per_cycle is the compiled netlist's
-  // combinational op count, i.e. the cost of one flat evaluation.
+  // Activity accounting. ops_per_cycle is the full netlist's combinational
+  // op count, i.e. the cost of one flat evaluation of the whole netlist;
+  // ops_offered sums, over the simulated cycles, the op count of the
+  // program each cycle ran on (a session's observation cone).
   std::uint64_t cycles_simulated = 0;
   std::uint64_t ops_evaluated = 0;
+  std::uint64_t ops_offered = 0;
   std::size_t ops_per_cycle = 0;
 
   double coverage() const { return raw.coverage(); }
-  /// Mean fraction of combinational ops re-evaluated to a fresh value per
-  /// cycle (1.0 for the flat engine). An *event rate*: dense
-  /// PLA products whose cheap resident-word check confirms the old value
-  /// are not counted, so this tracks how quiescent the netlist is, not
-  /// the engine's wall-clock cost -- compare campaign wall times for that.
+  /// Mean fraction of the offered combinational ops re-evaluated to a
+  /// fresh value per cycle (1.0 for the flat engine). An *event rate*:
+  /// dense PLA products whose cheap resident-word check confirms the old
+  /// value are not counted, so this tracks how quiescent the netlist is,
+  /// not the engine's wall-clock cost -- compare campaign wall times for
+  /// that.
   double mean_activity() const {
-    return cycles_simulated == 0 || ops_per_cycle == 0
-               ? 1.0
-               : static_cast<double>(ops_evaluated) /
-                     (static_cast<double>(cycles_simulated) *
-                      static_cast<double>(ops_per_cycle));
+    return ops_offered == 0 ? 1.0
+                            : static_cast<double>(ops_evaluated) /
+                                  static_cast<double>(ops_offered);
   }
 };
 

@@ -361,9 +361,19 @@ void CubeIndex::set_cube(std::size_t j, const Cube& c) {
   }
 }
 
+void CubeIndex::set_free_rows() {
+  // A cube compatible with both v = 0 and v = 1 has no literal on v.
+  const std::size_t num_vars = bit_width(support_);
+  free_.resize(num_vars * words_);
+  for (std::size_t v = 0; v < num_vars; ++v)
+    for (std::size_t w = 0; w < words_; ++w)
+      free_[v * words_ + w] = lit_[2 * v * words_ + w] & lit_[(2 * v + 1) * words_ + w];
+}
+
 CubeIndex::CubeIndex(const std::vector<Cube>& cubes)
     : CubeIndex(cubes.size(), support_of(cubes), 0) {
   for (std::size_t j = 0; j < cubes.size(); ++j) set_cube(j, cubes[j]);
+  set_free_rows();
 }
 
 CubeIndex::CubeIndex(const CubeList& list)
@@ -375,6 +385,7 @@ CubeIndex::CubeIndex(const CubeList& list)
       out_[static_cast<std::size_t>(count_trailing_zeros64(rest)) * words_ + j / 64] |=
           std::uint64_t{1} << (j % 64);
   }
+  set_free_rows();
 }
 
 void CubeIndex::and_rows(const std::uint64_t* const* rows, std::size_t n,
@@ -412,20 +423,16 @@ bool CubeIndex::any_intersecting(const Cube& c) const {
 }
 
 void CubeIndex::dominating(const MCube& m, std::uint64_t* dst) const {
-  // A covering cube has no literal where m.in has none, and agrees with
-  // m.in wherever it has one. Variables outside the support constrain
-  // nothing: no indexed cube has a literal there.
-  const std::uint64_t* rows[2 * 64 + 64];
+  // A covering cube has no literal where m.in has none (one precomputed
+  // row per variable), and agrees with m.in wherever it has one.
+  // Variables outside the support constrain nothing: no indexed cube has a
+  // literal there. The no-literal rows go first: they are the sparse ones,
+  // so a word's AND reaches 0 (and stops) sooner.
+  const std::uint64_t* rows[64 + 64];
   std::size_t n = 0;
-  for (std::uint64_t rest = support_; rest; rest &= rest - 1) {
-    const std::size_t v = static_cast<std::size_t>(count_trailing_zeros64(rest));
-    if ((m.in.care >> v) & 1) {
-      rows[n++] = literal_row(v, (m.in.value >> v) & 1);
-    } else {
-      rows[n++] = literal_row(v, 0);
-      rows[n++] = literal_row(v, 1);
-    }
-  }
+  for (std::uint64_t rest = support_ & ~m.in.care; rest; rest &= rest - 1)
+    rows[n++] = &free_[static_cast<std::size_t>(count_trailing_zeros64(rest)) * words_];
+  n += literal_rows(m.in, rows + n);
   for (std::uint64_t rest = m.out; rest; rest &= rest - 1)
     rows[n++] = output_row(static_cast<std::size_t>(count_trailing_zeros64(rest)));
   and_rows(rows, n, dst);

@@ -127,6 +127,8 @@ class CubeList {
 /// (no literal on v, or the literal v = x); for each output b the output
 /// row holds the cubes whose output part has bit b. The AND of a cube's
 /// literal rows is then exactly the set of indexed cubes it intersects.
+/// A no-literal row per variable (the AND of its two literal rows) serves
+/// dominating().
 /// The index is a snapshot: callers that shrink indexed cubes afterwards
 /// still get a superset of the intersecting cubes and must re-check.
 class CubeIndex {
@@ -162,6 +164,8 @@ class CubeIndex {
  private:
   CubeIndex(std::size_t num_cubes, std::uint64_t support, std::size_t num_outputs);
   void set_cube(std::size_t j, const Cube& c);
+  /// Derive the no-literal rows once every cube is set.
+  void set_free_rows();
   /// Fill rows[] with c's literal rows (those of its support variables);
   /// returns how many.
   std::size_t literal_rows(const Cube& c, const std::uint64_t** rows) const;
@@ -172,6 +176,7 @@ class CubeIndex {
   std::uint64_t support_ = 0;       // variables some indexed cube has a literal on
   std::vector<std::uint64_t> all_;  // every indexed cube
   std::vector<std::uint64_t> lit_;  // (2 v + x) x words_, for v below support_'s top bit
+  std::vector<std::uint64_t> free_;  // v x words_: the cubes with no literal on v
   std::vector<std::uint64_t> out_;  // b x words_
 };
 

@@ -7,30 +7,72 @@
 
 namespace stc {
 
+std::vector<char> fanin_cone(const Netlist& nl, const std::vector<NetId>& roots) {
+  std::vector<char> cone(nl.num_nets(), 0);
+  std::vector<NetId> stack;
+  for (const NetId r : roots) {
+    if (r >= cone.size())
+      throw std::out_of_range("fanin_cone: bad root net " + std::to_string(r));
+    if (!cone[r]) {
+      cone[r] = 1;
+      stack.push_back(r);
+    }
+  }
+  while (!stack.empty()) {
+    const Gate& g = nl.gate(stack.back());
+    stack.pop_back();
+    if (g.type == GateType::kDff) continue;  // Q is a source this cycle
+    for (const NetId f : g.fanins)
+      if (!cone[f]) {
+        cone[f] = 1;
+        stack.push_back(f);
+      }
+  }
+  return cone;
+}
+
 CompiledNetlist::CompiledNetlist(const Netlist& nl, unsigned lane_words) {
+  compile(nl, lane_words, nullptr);
+}
+
+CompiledNetlist::CompiledNetlist(const Netlist& nl, unsigned lane_words,
+                                 const std::vector<char>& cone) {
+  compile(nl, lane_words, &cone);
+}
+
+void CompiledNetlist::compile(const Netlist& nl, unsigned lane_words,
+                              const std::vector<char>* cone) {
   if (!nl.finalized()) throw std::logic_error("CompiledNetlist: finalize() not called");
   if (!lane_words_supported(lane_words))
     throw std::invalid_argument(
         "CompiledNetlist: lane_words must be 1, 4 or 8 (64, 256 or 512 "
         "lanes); got " +
         std::to_string(lane_words));
+  if (cone != nullptr && cone->size() != nl.num_nets())
+    throw std::invalid_argument("CompiledNetlist: cone has " +
+                                std::to_string(cone->size()) + " flags for " +
+                                std::to_string(nl.num_nets()) + " nets");
   lane_words_ = lane_words;
   num_nets_ = nl.num_nets();
   inputs_ = nl.inputs();
   dffs_ = nl.dffs();
   dff_d_.reserve(dffs_.size());
   for (NetId q : dffs_) dff_d_.push_back(nl.gate(q).fanins[0]);
+  for (NetId id = 0; id < num_nets_; ++id) {
+    if (nl.gate(id).type == GateType::kConst0) const0_.push_back(id);
+    if (nl.gate(id).type == GateType::kConst1) const1_.push_back(id);
+  }
 
-  const unsigned W = lane_words_;
-  init_.assign(num_nets_ * W, 0);
-  for (NetId id = 0; id < num_nets_; ++id)
-    if (nl.gate(id).type == GateType::kConst1)
-      for (unsigned w = 0; w < W; ++w) init_[id * W + w] = ~std::uint64_t{0};
-
+  const auto kept = [cone](NetId id) { return cone == nullptr || (*cone)[id] != 0; };
   const auto& order = nl.topo_order();
-  ops_.reserve(order.size());
   for (NetId id : order) {
+    if (!kept(id)) continue;
     const Gate& g = nl.gate(id);
+    for (const NetId f : g.fanins)
+      if (!kept(f))
+        throw std::invalid_argument(
+            "CompiledNetlist: cone is not fanin-closed (net " + std::to_string(id) +
+            " reads net " + std::to_string(f) + ", which is outside it)");
     Op op;
     op.type = g.type;
     op.out = id;
@@ -39,9 +81,6 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl, unsigned lane_words) {
     fanins_.insert(fanins_.end(), g.fanins.begin(), g.fanins.end());
     ops_.push_back(op);
   }
-
-  and_mask_.assign(num_nets_ * W, ~std::uint64_t{0});
-  or_mask_.assign(num_nets_ * W, 0);
 
   // --- event-scheduler compile products -------------------------------------
   // Net levels: sources (inputs/DFF-q/consts) are level 0; an op's output is
@@ -282,21 +321,36 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl, unsigned lane_words) {
   }
 }
 
-void CompiledNetlist::set_faults(const std::vector<LaneFault>& faults) {
-  clear_faults();
+LaneFaultMasks::LaneFaultMasks(std::size_t num_nets, unsigned lane_words)
+    : num_nets_(num_nets),
+      lane_words_(lane_words),
+      and_mask_(num_nets * lane_words, ~std::uint64_t{0}),
+      or_mask_(num_nets * lane_words, 0) {
+  if (!lane_words_supported(lane_words))
+    throw std::invalid_argument(
+        "LaneFaultMasks: lane_words must be 1, 4 or 8; got " +
+        std::to_string(lane_words));
+  // One deterministic allocation up front: keeps campaign heap traffic
+  // invariant in the lane width, where growth by doubling would take one
+  // extra step for the wider batches.
+  dirty_.reserve(lane_words * 64 - 1);
+}
+
+LaneFaultMasks::LaneFaultMasks(const CompiledNetlist& program)
+    : LaneFaultMasks(program.num_nets(), program.lane_words()) {}
+
+void LaneFaultMasks::set(const std::vector<LaneFault>& faults) {
+  clear();
   const unsigned W = lane_words_;
-  // One deterministic allocation on the first batch (a no-op afterwards):
-  // keeps campaign heap traffic invariant in the lane width, where growth
-  // by doubling would take one extra step for the wider batches.
-  dirty_.reserve(num_lanes() - 1);
+  const unsigned lanes = W * 64;
   for (const LaneFault& f : faults) {
     if (f.net >= num_nets_)
-      throw std::out_of_range("set_faults: bad net " + std::to_string(f.net) +
+      throw std::out_of_range("LaneFaultMasks::set: bad net " + std::to_string(f.net) +
                               " (netlist has " + std::to_string(num_nets_) +
                               " nets)");
-    if (f.lane == 0 || f.lane >= num_lanes())
-      throw std::invalid_argument("set_faults: lane must be in 1.." +
-                                  std::to_string(num_lanes() - 1) + " (net " +
+    if (f.lane == 0 || f.lane >= lanes)
+      throw std::invalid_argument("LaneFaultMasks::set: lane must be in 1.." +
+                                  std::to_string(lanes - 1) + " (net " +
                                   std::to_string(f.net) + " requested lane " +
                                   std::to_string(f.lane) + ")");
     const std::size_t word = f.net * W + (f.lane >> 6);
@@ -307,10 +361,10 @@ void CompiledNetlist::set_faults(const std::vector<LaneFault>& faults) {
     else
       and_mask_[word] &= ~bit;
   }
-  if (!faults.empty()) ++faults_version_;
+  if (!faults.empty()) ++version_;
 }
 
-bool CompiledNetlist::lanes_dirty(NetId net) const {
+bool LaneFaultMasks::lanes_dirty(NetId net) const {
   const unsigned W = lane_words_;
   for (unsigned w = 0; w < W; ++w)
     if (and_mask_[net * W + w] != ~std::uint64_t{0} || or_mask_[net * W + w] != 0)
@@ -318,7 +372,7 @@ bool CompiledNetlist::lanes_dirty(NetId net) const {
   return false;
 }
 
-void CompiledNetlist::clear_faults() {
+void LaneFaultMasks::clear() {
   if (dirty_.empty()) return;
   const unsigned W = lane_words_;
   for (NetId n : dirty_)
@@ -327,11 +381,22 @@ void CompiledNetlist::clear_faults() {
       or_mask_[n * W + w] = 0;
     }
   dirty_.clear();
-  ++faults_version_;
+  ++version_;
+}
+
+void CompiledNetlist::check_masks(const LaneFaultMasks& faults) const {
+  if (faults.num_nets() != num_nets_ || faults.lane_words() != lane_words_)
+    throw std::invalid_argument(
+        "CompiledNetlist: fault masks sized for " + std::to_string(faults.num_nets()) +
+        " nets x " + std::to_string(faults.lane_words()) + " lane words; program has " +
+        std::to_string(num_nets_) + " x " + std::to_string(lane_words_));
 }
 
 template <bool kMasked, unsigned W>
-void CompiledNetlist::run_ops(std::uint64_t* values) const {
+void CompiledNetlist::run_ops(const LaneFaultMasks* faults,
+                              std::uint64_t* values) const {
+  const std::uint64_t* am = kMasked ? faults->and_mask_.data() : nullptr;
+  const std::uint64_t* om = kMasked ? faults->or_mask_.data() : nullptr;
   const std::uint32_t* pool = fanins_.data();
   for (const Op& op : ops_) {
     const std::uint32_t* f = pool + op.fanin_begin;
@@ -364,43 +429,64 @@ void CompiledNetlist::run_ops(std::uint64_t* values) const {
     }
     std::uint64_t* out = values + std::size_t{op.out} * W;
     if (kMasked)
-      lanes::mask_store<W>(out, v, and_mask_.data() + std::size_t{op.out} * W,
-                           or_mask_.data() + std::size_t{op.out} * W);
+      lanes::mask_store<W>(out, v, am + std::size_t{op.out} * W,
+                           om + std::size_t{op.out} * W);
     else
       lanes::copy<W>(out, v);
   }
 }
 
+void CompiledNetlist::evaluate(const LaneFaultMasks& faults,
+                               const std::uint64_t* input_lanes,
+                               const std::uint64_t* dff_lanes,
+                               std::uint64_t* values) const {
+  check_masks(faults);
+  evaluate_impl(&faults, input_lanes, dff_lanes, values);
+}
+
 void CompiledNetlist::evaluate(const std::uint64_t* input_lanes,
                                const std::uint64_t* dff_lanes,
                                std::uint64_t* values) const {
+  evaluate_impl(nullptr, input_lanes, dff_lanes, values);
+}
+
+void CompiledNetlist::evaluate_impl(const LaneFaultMasks* faults,
+                                    const std::uint64_t* input_lanes,
+                                    const std::uint64_t* dff_lanes,
+                                    std::uint64_t* values) const {
+  // Every net the program reads is written below: the constants, the
+  // sources, then each op's output. (A net outside a cone program is
+  // never written; no op of the program reads it.)
   const unsigned W = lane_words_;
-  std::copy(init_.begin(), init_.end(), values);
+  for (const NetId n : const0_) std::fill_n(values + std::size_t{n} * W, W, 0);
+  for (const NetId n : const1_)
+    std::fill_n(values + std::size_t{n} * W, W, ~std::uint64_t{0});
   for (std::size_t k = 0; k < inputs_.size(); ++k)
     for (unsigned w = 0; w < W; ++w)
       values[inputs_[k] * W + w] = input_lanes[k * W + w];
   for (std::size_t k = 0; k < dffs_.size(); ++k)
     for (unsigned w = 0; w < W; ++w)
       values[dffs_[k] * W + w] = dff_lanes[k * W + w];
-  if (!dirty_.empty()) {
+  // Fault-free reference path: all masks are the identity, skip them.
+  const bool masked = faults != nullptr && !faults->dirty_.empty();
+  if (masked) {
     // Source nets (inputs, DFF outputs, consts) get their masks here; the
     // op loop re-applies masks to combinational nets after driving them.
-    for (NetId n : dirty_)
+    for (NetId n : faults->dirty_)
       lanes::mask_to_runtime(values + std::size_t{n} * W,
                              values + std::size_t{n} * W,
-                             and_mask_.data() + std::size_t{n} * W,
-                             or_mask_.data() + std::size_t{n} * W, W);
+                             faults->and_mask_.data() + std::size_t{n} * W,
+                             faults->or_mask_.data() + std::size_t{n} * W, W);
   }
-  // Fault-free reference path: all masks are the identity, skip them.
   switch (W) {
     case 1:
-      dirty_.empty() ? run_ops<false, 1>(values) : run_ops<true, 1>(values);
+      masked ? run_ops<true, 1>(faults, values) : run_ops<false, 1>(faults, values);
       break;
     case 4:
-      dirty_.empty() ? run_ops<false, 4>(values) : run_ops<true, 4>(values);
+      masked ? run_ops<true, 4>(faults, values) : run_ops<false, 4>(faults, values);
       break;
     case 8:
-      dirty_.empty() ? run_ops<false, 8>(values) : run_ops<true, 8>(values);
+      masked ? run_ops<true, 8>(faults, values) : run_ops<false, 8>(faults, values);
       break;
   }
 }

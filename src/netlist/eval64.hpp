@@ -1,19 +1,27 @@
 #pragma once
 // Compiled bit-parallel netlist evaluator (PPSFP-style, wide lanes).
 //
-// `CompiledNetlist` flattens a finalized Netlist into a levelized program:
-// one opcode record per combinational gate in topological order, with all
-// fanins in a single contiguous uint32_t pool (no per-gate std::vector
-// chasing in the hot loop). Evaluation operates on groups of W = 1/4/8
-// contiguous uint64_t words per net ("lane words"), one bit per simulation
-// lane, so a single pass computes 64*W machine copies at once. Every
-// per-net array -- input/DFF source words, net values, fault masks, the
-// dense term table -- is W-strided: net n owns words [n*W, n*W + W). The
-// W-word group loops carry no per-word branching, so with a constant W the
-// compiler unrolls them into straight-line word ops that auto-vectorize
-// (SSE2/AVX2/AVX-512 as available). By convention lane 0 (bit 0 of word 0)
-// is the fault-free reference and lanes 1..64W-1 carry one injected
-// stuck-at fault each.
+// `CompiledNetlist` flattens a finalized Netlist into an immutable,
+// levelized program: one opcode record per combinational gate in
+// topological order, with all fanins in a single contiguous uint32_t pool
+// (no per-gate std::vector chasing in the hot loop). A program may cover
+// only an observation cone (a fanin-closed subset of the nets, see
+// fanin_cone): it keeps the netlist's net ids and skips every op outside
+// the cone. Evaluation operates on groups of W = 1/4/8 contiguous
+// uint64_t words per net ("lane words"), one bit per simulation lane, so a
+// single pass computes 64*W machine copies at once. Every per-net array --
+// input/DFF source words, net values, fault masks, the dense term table --
+// is W-strided: net n owns words [n*W, n*W + W). The W-word group loops
+// carry no per-word branching, so with a constant W the compiler unrolls
+// them into straight-line word ops that auto-vectorize (SSE2/AVX2/AVX-512
+// as available). By convention lane 0 (bit 0 of word 0) is the fault-free
+// reference and lanes 1..64W-1 carry one injected stuck-at fault each.
+//
+// A program holds no mutable state, so any number of threads may evaluate
+// one shared program. The mutable parts live with each caller:
+// `LaneFaultMasks` (the injected faults, net-indexed, so one set serves
+// every program of a netlist) and `EventScratch` (the event evaluator's
+// resident state, one per program a caller runs).
 //
 // Faults are injected with per-net AND/OR lane masks applied branchlessly
 // after every net is driven: sa-0 in lane l clears bit l%64 of word l/64
@@ -33,8 +41,8 @@
 //     ORs keep incremental active-fanin sets (see DESIGN.md, "Event-driven
 //     fault simulation" and "Wide-lane fault simulation"). Bit-identical to
 //     evaluate() by construction: any state the scheduler cannot trust
-//     (fresh scratch, set_faults / clear_faults since the last call) falls
-//     back to one full evaluation.
+//     (fresh scratch, other masks, a set()/clear() of the masks since the
+//     last call) falls back to one full evaluation.
 
 #include <cstdint>
 #include <vector>
@@ -150,12 +158,55 @@ struct LaneFault {
   unsigned lane = 1;  // 1 .. 64*lane_words - 1
 };
 
-/// Resident state of the event-driven evaluator. Owned by the caller (one
-/// per worker) so the campaign inner loop performs no heap allocation:
-/// every vector is sized once on first use and reused across cycles,
-/// sessions and fault batches. All counters accumulate until the caller
-/// resets them. Word vectors are lane_words-strided per net / term /
-/// product, matching the owning CompiledNetlist.
+/// The fanin closure of `roots`, stopping at DFF Q pins: a reached DFF's Q
+/// net is a member, its D input is not followed. Returns one flag per net
+/// (1 = member). A CompiledNetlist built over the result evaluates every
+/// root exactly as the whole program does.
+std::vector<char> fanin_cone(const Netlist& nl, const std::vector<NetId>& roots);
+
+class CompiledNetlist;
+
+/// The injected faults of a lane run: per-net AND/OR lane masks, W-strided
+/// like every per-net array. Net-indexed, so one set serves every program
+/// compiled from the same netlist at the same lane width (the full netlist
+/// and each observation cone). Owned by the caller, one per worker.
+class LaneFaultMasks {
+ public:
+  LaneFaultMasks(std::size_t num_nets, unsigned lane_words);
+  /// Masks sized for `program`'s netlist and lane width.
+  explicit LaneFaultMasks(const CompiledNetlist& program);
+
+  std::size_t num_nets() const { return num_nets_; }
+  unsigned lane_words() const { return lane_words_; }
+
+  /// Install the lane masks for a fault batch (at most 64*lane_words - 1
+  /// faults, lanes 1..64*lane_words-1), replacing any installed batch.
+  /// Invalidates every EventScratch evaluated under these masks (its next
+  /// evaluate_event() performs a full evaluation).
+  void set(const std::vector<LaneFault>& faults);
+  /// Back to the identity masks (no faults).
+  void clear();
+
+ private:
+  friend class CompiledNetlist;
+  /// Any non-identity mask word in net's lane group?
+  bool lanes_dirty(NetId net) const;
+
+  std::size_t num_nets_ = 0;
+  unsigned lane_words_ = 1;
+  std::vector<std::uint64_t> and_mask_;  // W-strided per net
+  std::vector<std::uint64_t> or_mask_;   // W-strided per net
+  std::vector<NetId> dirty_;             // nets with non-identity masks
+  std::uint64_t version_ = 1;            // bumped on set/clear
+};
+
+/// Resident state of the event-driven evaluator for one program. Owned by
+/// the caller (one per worker and program) so the campaign inner loop
+/// performs no heap allocation: every vector is sized once on first use
+/// and reused across cycles, sessions and fault batches. All counters
+/// accumulate until the caller resets them. Word vectors are
+/// lane_words-strided per net / term / product, matching the owning
+/// CompiledNetlist.
 struct EventScratch {
   std::vector<std::uint64_t> values;      // per-net W-word lane groups, resident
   std::vector<std::uint64_t> stamp;       // per-op epoch of last schedule
@@ -176,8 +227,9 @@ struct EventScratch {
   std::vector<std::uint32_t> or_nz_count;
   std::vector<std::uint32_t> or_edge_pos;
   std::uint64_t epoch = 0;
-  std::uint64_t faults_version = 0;  // CompiledNetlist mask state last seen
   const void* owner = nullptr;       // CompiledNetlist the state belongs to
+  const void* masks = nullptr;       // LaneFaultMasks the values were made under
+  std::uint64_t faults_version = 0;  // ... and their version then
   bool valid = false;                // values mirror the last evaluation
 
   // Activity accounting (incremental + full-eval cycles combined).
@@ -192,10 +244,18 @@ struct EventScratch {
 
 class CompiledNetlist {
  public:
-  /// Compiles the netlist; requires nl.finalize() to have been called.
-  /// `lane_words` selects the lane width (64*lane_words simulation lanes);
-  /// throws std::invalid_argument unless it is one of kSupportedLaneWords.
+  /// Compiles the whole netlist; requires nl.finalize() to have been
+  /// called. `lane_words` selects the lane width (64*lane_words simulation
+  /// lanes); throws std::invalid_argument unless it is one of
+  /// kSupportedLaneWords.
   explicit CompiledNetlist(const Netlist& nl, unsigned lane_words = 1);
+  /// Compiles only the ops whose output net is in `cone` (one flag per
+  /// net, as fanin_cone returns). Net ids are the netlist's own; nets
+  /// outside the cone are never written. Throws std::invalid_argument when
+  /// `cone` has the wrong size or is not fanin-closed (a kept op reads a
+  /// net whose driving op is skipped).
+  CompiledNetlist(const Netlist& nl, unsigned lane_words,
+                  const std::vector<char>& cone);
 
   std::size_t num_nets() const { return num_nets_; }
   std::size_t num_inputs() const { return inputs_.size(); }
@@ -204,26 +264,26 @@ class CompiledNetlist {
   unsigned lane_words() const { return lane_words_; }
   /// Simulation lanes per evaluation (64 * lane_words).
   unsigned num_lanes() const { return lane_words_ * 64; }
-  /// Combinational ops per full evaluation (the event engine's activity
-  /// denominator).
+  /// Combinational ops per full evaluation of this program (the event
+  /// engine's activity denominator).
   std::size_t num_ops() const { return ops_.size(); }
 
   /// D-input net of flip-flop k (dffs() order), for clocking.
   NetId dff_d(std::size_t k) const { return dff_d_[k]; }
 
-  /// Install the lane masks for a fault batch (at most 64*lane_words - 1
-  /// faults, lanes 1..64*lane_words-1). Replaces any previously installed
-  /// batch. Invalidates any EventScratch (its next evaluate_event()
-  /// performs a full evaluation).
-  void set_faults(const std::vector<LaneFault>& faults);
-  void clear_faults();
-
-  /// Evaluate all 64*lane_words lanes of the combinational logic.
+  /// Evaluate all 64*lane_words lanes of the program's ops.
   ///   input_lanes: W words per primary-input slot, inputs() order;
   ///   dff_lanes:   W words per flip-flop, dffs() order;
-  ///   values:      out, W words per net (size num_nets() * lane_words()).
-  /// Fault masks are applied to every net, including inputs/DFFs/consts;
-  /// when no faults are installed the mask pass is skipped entirely.
+  ///   values:      out, W words per net (size num_nets() * lane_words());
+  ///                a cone program leaves the nets outside its cone as they
+  ///                were.
+  /// `faults` are applied to every net, including inputs/DFFs/consts; when
+  /// none are installed the mask pass is skipped entirely. The overload
+  /// without masks evaluates the fault-free machine in every lane. Throws
+  /// std::invalid_argument when the masks were sized for another netlist
+  /// or lane width.
+  void evaluate(const LaneFaultMasks& faults, const std::uint64_t* input_lanes,
+                const std::uint64_t* dff_lanes, std::uint64_t* values) const;
   void evaluate(const std::uint64_t* input_lanes, const std::uint64_t* dff_lanes,
                 std::uint64_t* values) const;
 
@@ -233,10 +293,12 @@ class CompiledNetlist {
   /// by level, and a cone dies out as soon as a recomputed word group
   /// equals its old value (glitch suppression). PLA products run in the
   /// dense sweep instead, skipped entirely on cycles where no product
-  /// input changed. Falls back to one full evaluation when
-  /// the scratch is fresh, reset() was called, or the fault masks changed
-  /// -- which makes the result bit-identical to evaluate() by construction.
-  void evaluate_event(const std::uint64_t* input_lanes,
+  /// input changed. Falls back to one full evaluation when the scratch is
+  /// fresh, reset() was called, or it was last evaluated under other masks
+  /// or before their last set()/clear() -- which makes the result
+  /// bit-identical to evaluate() by construction.
+  void evaluate_event(const LaneFaultMasks& faults,
+                      const std::uint64_t* input_lanes,
                       const std::uint64_t* dff_lanes, EventScratch& s) const;
 
   /// Invalidate the scratch's resident values: the next evaluate_event()
@@ -262,29 +324,30 @@ class CompiledNetlist {
   /// ORs with at least this many fanins use incremental active-fanin sets.
   static constexpr std::uint32_t kSparseOrMinFanins = 16;
 
+  /// The shared compile: every op when `cone` is null.
+  void compile(const Netlist& nl, unsigned lane_words,
+               const std::vector<char>* cone);
+  void check_masks(const LaneFaultMasks& faults) const;
   template <bool kMasked, unsigned W>
-  void run_ops(std::uint64_t* values) const;
+  void run_ops(const LaneFaultMasks* faults, std::uint64_t* values) const;
+  void evaluate_impl(const LaneFaultMasks* faults, const std::uint64_t* input_lanes,
+                     const std::uint64_t* dff_lanes, std::uint64_t* values) const;
   template <unsigned W>
-  void evaluate_event_impl(const std::uint64_t* input_lanes,
+  void evaluate_event_impl(const LaneFaultMasks& faults,
+                           const std::uint64_t* input_lanes,
                            const std::uint64_t* dff_lanes, EventScratch& s) const;
   void ensure_scratch(EventScratch& s) const;
   void refresh_dense(EventScratch& s) const;
   void rebuild_or_sets(EventScratch& s) const;
-  /// Any non-identity mask word in net's lane group?
-  bool lanes_dirty(NetId net) const;
 
   std::size_t num_nets_ = 0;
   unsigned lane_words_ = 1;
   std::vector<NetId> inputs_;
   std::vector<NetId> dffs_;
   std::vector<NetId> dff_d_;
+  std::vector<NetId> const0_, const1_;  // constant nets
   std::vector<Op> ops_;               // levelized combinational program
   std::vector<std::uint32_t> fanins_; // flat fanin pool
-  std::vector<std::uint64_t> init_;   // template: consts pre-driven, rest 0
-  std::vector<std::uint64_t> and_mask_;  // W-strided per net
-  std::vector<std::uint64_t> or_mask_;   // W-strided per net
-  std::vector<NetId> dirty_;          // nets with non-identity masks
-  std::uint64_t faults_version_ = 1;  // bumped on set_faults/clear_faults
 
   // Event-scheduler compile products.
   std::vector<std::uint32_t> op_of_net_;     // driving op per net (kNoOp: source)

@@ -92,15 +92,16 @@ void CompiledNetlist::refresh_dense(EventScratch& s) const {
 }
 
 template <unsigned W>
-void CompiledNetlist::evaluate_event_impl(const std::uint64_t* input_lanes,
+void CompiledNetlist::evaluate_event_impl(const LaneFaultMasks& faults,
+                                          const std::uint64_t* input_lanes,
                                           const std::uint64_t* dff_lanes,
                                           EventScratch& s) const {
   ++s.epoch;
   std::fill(s.level_fill.begin(), s.level_fill.end(), 0);
   bool dense_input_changed = false;
   std::uint64_t* vals = s.values.data();
-  const std::uint64_t* AM = and_mask_.data();
-  const std::uint64_t* OM = or_mask_.data();
+  const std::uint64_t* AM = faults.and_mask_.data();
+  const std::uint64_t* OM = faults.or_mask_.data();
 
   const auto schedule = [&](std::uint32_t op) {
     if (s.stamp[op] == s.epoch) return;  // already queued this cycle
@@ -141,7 +142,7 @@ void CompiledNetlist::evaluate_event_impl(const std::uint64_t* input_lanes,
   };
   // Drive a source word group; its readers only wake if the (masked) group
   // actually changed since the previous cycle. Fault masks are constant
-  // within a batch (set_faults/clear_faults force the full-evaluation path
+  // within a batch (a masks set()/clear() forces the full-evaluation path
   // above) and are applied at every drive and commit, so a masked group
   // changes exactly when this diff fires -- injected lanes stay exact by
   // the same resident-value invariant as the fault-free ones.
@@ -338,18 +339,20 @@ void CompiledNetlist::evaluate_event_impl(const std::uint64_t* input_lanes,
   ++s.cycles;
 }
 
-void CompiledNetlist::evaluate_event(const std::uint64_t* input_lanes,
+void CompiledNetlist::evaluate_event(const LaneFaultMasks& faults,
+                                     const std::uint64_t* input_lanes,
                                      const std::uint64_t* dff_lanes,
                                      EventScratch& s) const {
   ensure_scratch(s);
-  if (!s.valid || s.faults_version != faults_version_) {
+  if (!s.valid || s.masks != &faults || s.faults_version != faults.version_) {
     // Reset path: one full evaluation re-seeds the resident values, making
     // the incremental engine bit-identical to evaluate() by construction.
-    evaluate(input_lanes, dff_lanes, s.values.data());
+    evaluate(faults, input_lanes, dff_lanes, s.values.data());
     refresh_dense(s);
     rebuild_or_sets(s);
     s.valid = true;
-    s.faults_version = faults_version_;
+    s.masks = &faults;
+    s.faults_version = faults.version_;
     ++s.full_evals;
     ++s.cycles;
     s.ops_evaluated += ops_.size();
@@ -357,13 +360,13 @@ void CompiledNetlist::evaluate_event(const std::uint64_t* input_lanes,
   }
   switch (lane_words_) {
     case 1:
-      evaluate_event_impl<1>(input_lanes, dff_lanes, s);
+      evaluate_event_impl<1>(faults, input_lanes, dff_lanes, s);
       break;
     case 4:
-      evaluate_event_impl<4>(input_lanes, dff_lanes, s);
+      evaluate_event_impl<4>(faults, input_lanes, dff_lanes, s);
       break;
     case 8:
-      evaluate_event_impl<8>(input_lanes, dff_lanes, s);
+      evaluate_event_impl<8>(faults, input_lanes, dff_lanes, s);
       break;
   }
 }

@@ -43,7 +43,10 @@ StructureReport measure_structure(const ControllerStructure& cs,
     } else {
       CampaignResult camp = run_fault_campaign(
           cs, self_test_plan(cs.kind, options.bist_cycles), copt, faults);
-      if (camp.cycles_simulated > 0) rep.activity = camp.mean_activity();
+      if (camp.cycles_simulated > 0) {
+        rep.activity = camp.mean_activity();
+        rep.fault_sessions_skipped = camp.fault_sessions_skipped;
+      }
       if (camp.degradation.degraded)
         rep.degradations.push_back(camp.degradation);
       cov = std::move(camp.raw);

@@ -67,6 +67,9 @@ struct StructureReport {
   /// paper-table drivers double as the perf harness.
   double campaign_seconds = 0.0;
   std::optional<double> activity;
+  /// (collapsed fault, session) pairs the campaign skipped because the
+  /// session's observation cone cannot reach the fault (set with activity).
+  std::optional<std::size_t> fault_sessions_skipped;
   /// Anytime labels: every stage of this structure's build or measurement
   /// that truncated work under its budget (empty = nothing degraded).
   std::vector<Degradation> degradations;

@@ -19,6 +19,8 @@ std::string render_structure(const StructureReport& s) {
                      s.total_faults, s.campaign_seconds);
   if (s.activity)
     out += strprintf(", activity %4.1f%%", *s.activity * 100.0);
+  if (s.fault_sessions_skipped)
+    out += strprintf(", %zu fault-sessions skipped", *s.fault_sessions_skipped);
   if (s.feedback_coverage)
     out += strprintf(", feedback-line coverage %5.1f%%", *s.feedback_coverage * 100.0);
   out += "\n";

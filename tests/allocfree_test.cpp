@@ -17,6 +17,8 @@
 #include "benchdata/iwls93.hpp"
 #include "bist/session.hpp"
 #include "logic/qm.hpp"
+#include "netlist/eval64.hpp"
+#include "ostr/ostr.hpp"
 #include "util/rng.hpp"
 #include "engine_names.hpp"
 
@@ -41,6 +43,12 @@ namespace {
 ControllerStructure fig1_for(const std::string& name) {
   const MealyMachine m = load_benchmark(name);
   return build_fig1(encode_fsm(m, natural_encoding(m.num_states())));
+}
+
+ControllerStructure fig4_for(const std::string& name) {
+  const MealyMachine m = load_benchmark(name);
+  const OstrResult ostr = solve_ostr(m);
+  return build_fig4(m, build_realization(m, ostr.best.pi, ostr.best.tau));
 }
 
 std::uint64_t count_campaign_allocs(const ControllerStructure& cs,
@@ -89,6 +97,24 @@ TEST_P(CampaignAllocations, IndependentOfLaneWords) {
         << "campaign allocations must not scale with lane words (engine "
         << engine_name(engine) << ", W=" << lane_words << ")";
   }
+}
+
+TEST_P(CampaignAllocations, IndependentOfCycleCountAcrossSessionCones) {
+  // fig4's two sessions observe different registers (R2's next-state
+  // block, then R1's), so each runs its own cone program: a worker builds
+  // the event state of each cone once and then switches between them
+  // across batches and sessions without touching the heap.
+  const ControllerStructure cs = fig4_for("dk14");
+  const auto cone_of = [&](const std::vector<std::size_t>& bank) {
+    std::vector<NetId> roots = cs.po;
+    for (const std::size_t k : bank) roots.push_back(cs.nl.gate(cs.nl.dffs()[k]).fanins[0]);
+    return fanin_cone(cs.nl, roots);
+  };
+  ASSERT_NE(cone_of(cs.reg_b), cone_of(cs.reg_a));
+  const CampaignEngine engine = GetParam();
+  const std::uint64_t short_run = count_campaign_allocs(cs, 24, engine, false);
+  const std::uint64_t long_run = count_campaign_allocs(cs, 240, engine, false);
+  EXPECT_EQ(short_run, long_run) << engine_name(engine);
 }
 
 TEST_P(CampaignAllocations, StableAcrossRepeatedCampaigns) {

@@ -1,7 +1,7 @@
 // Tests for the event-driven 64-lane evaluator: word-for-word agreement
 // with the flat engine over the whole corpus (with and without installed
-// fault batches), the reset-to-full-eval invariant around set_faults /
-// clear_faults / session boundaries, and targeted edge cases -- const-only
+// fault batches), the reset-to-full-eval invariant around the masks'
+// set() / clear() / session boundaries, and targeted edge cases -- const-only
 // cones, XOR gates, glitch suppression (a word that returns to its old
 // value mid-cascade kills the cone), and faults injected on primary-input
 // and DFF-output nets.
@@ -32,8 +32,9 @@ std::set<std::pair<NetId, bool>> fault_set(const std::vector<Fault>& faults) {
 
 /// Drive `cycles` pseudo-random source patterns through both engines and
 /// require identical words on every net every cycle.
-void expect_engines_identical(const Netlist& nl, CompiledNetlist& cn,
-                              std::size_t cycles, std::uint64_t seed) {
+void expect_engines_identical(const Netlist& nl, const CompiledNetlist& cn,
+                              const LaneFaultMasks& masks, std::size_t cycles,
+                              std::uint64_t seed) {
   EventScratch ev;
   std::vector<std::uint64_t> in(nl.num_inputs(), 0), dff(nl.num_dffs(), 0);
   std::vector<std::uint64_t> flat(nl.num_nets(), 0);
@@ -44,8 +45,8 @@ void expect_engines_identical(const Netlist& nl, CompiledNetlist& cn,
                            rng.below(1u << 16);
     for (auto& w : dff) w = (std::uint64_t(rng.below(1u << 16)) << 40) ^
                             rng.below(1u << 16);
-    cn.evaluate_event(in.data(), dff.data(), ev);
-    cn.evaluate(in.data(), dff.data(), flat.data());
+    cn.evaluate_event(masks, in.data(), dff.data(), ev);
+    cn.evaluate(masks, in.data(), dff.data(), flat.data());
     for (NetId id = 0; id < nl.num_nets(); ++id)
       ASSERT_EQ(ev.values[id], flat[id]) << "cycle " << c << " net " << id;
   }
@@ -55,8 +56,9 @@ void expect_engines_identical(const Netlist& nl, CompiledNetlist& cn,
 
 /// Wide variant: drive W-word broadcast-free random lane groups through
 /// both engines and require identical word groups on every net.
-void expect_engines_identical_wide(const Netlist& nl, CompiledNetlist& cn,
-                                   std::size_t cycles, std::uint64_t seed) {
+void expect_engines_identical_wide(const Netlist& nl, const CompiledNetlist& cn,
+                                   const LaneFaultMasks& masks, std::size_t cycles,
+                                   std::uint64_t seed) {
   const unsigned W = cn.lane_words();
   EventScratch ev;
   std::vector<std::uint64_t> in(nl.num_inputs() * W, 0),
@@ -69,8 +71,8 @@ void expect_engines_identical_wide(const Netlist& nl, CompiledNetlist& cn,
                            rng.below(1u << 16);
     for (auto& w : dff) w = (std::uint64_t(rng.below(1u << 16)) << 40) ^
                             rng.below(1u << 16);
-    cn.evaluate_event(in.data(), dff.data(), ev);
-    cn.evaluate(in.data(), dff.data(), flat.data());
+    cn.evaluate_event(masks, in.data(), dff.data(), ev);
+    cn.evaluate(masks, in.data(), dff.data(), flat.data());
     for (NetId id = 0; id < nl.num_nets(); ++id)
       for (unsigned w = 0; w < W; ++w)
         ASSERT_EQ(ev.values[id * W + w], flat[id * W + w])
@@ -85,20 +87,21 @@ class EventEvaluator : public ::testing::TestWithParam<std::string> {};
 TEST_P(EventEvaluator, MatchesFlatEngineWordForWord) {
   const ControllerStructure cs = fig1_for(GetParam());
   CompiledNetlist cn(cs.nl);
+  LaneFaultMasks masks(cn);
   // Fault-free.
-  expect_engines_identical(cs.nl, cn, 48, 0xE1);
-  // With a full 63-fault batch installed (set_faults invalidates resident
+  expect_engines_identical(cs.nl, cn, masks, 48, 0xE1);
+  // With a full 63-fault batch installed (set() invalidates resident
   // state, so the next evaluate_event must re-seed via a full evaluation).
   const auto faults = enumerate_stuck_faults(cs.nl);
   std::vector<LaneFault> batch;
   for (unsigned l = 1; l <= 63 && l <= faults.size(); ++l)
     batch.push_back({faults[(l * 7) % faults.size()].net,
                      faults[(l * 7) % faults.size()].stuck_value, l});
-  cn.set_faults(batch);
-  expect_engines_identical(cs.nl, cn, 48, 0xE2);
+  masks.set(batch);
+  expect_engines_identical(cs.nl, cn, masks, 48, 0xE2);
   // And again after clearing -- the masks must be fully gone.
-  cn.clear_faults();
-  expect_engines_identical(cs.nl, cn, 24, 0xE3);
+  masks.clear();
+  expect_engines_identical(cs.nl, cn, masks, 24, 0xE3);
 }
 
 TEST_P(EventEvaluator, WideLanesMatchFlatEngineWordForWord) {
@@ -106,10 +109,11 @@ TEST_P(EventEvaluator, WideLanesMatchFlatEngineWordForWord) {
   const auto faults = enumerate_stuck_faults(cs.nl);
   for (const unsigned W : {4u, 8u}) {
     CompiledNetlist cn(cs.nl, W);
+    LaneFaultMasks masks(cn);
     ASSERT_EQ(cn.lane_words(), W);
     // Fault-free, with per-word independent random stimulus (stress beyond
     // the campaign's broadcast inputs).
-    expect_engines_identical_wide(cs.nl, cn, 24, 0xA0 + W);
+    expect_engines_identical_wide(cs.nl, cn, masks, 24, 0xA0 + W);
     // With a full wide batch installed: lanes spread over every word of
     // the group, including the last lane.
     std::vector<LaneFault> batch;
@@ -118,10 +122,10 @@ TEST_P(EventEvaluator, WideLanesMatchFlatEngineWordForWord) {
       batch.push_back({faults[(l * 7) % faults.size()].net,
                        faults[(l * 7) % faults.size()].stuck_value, l});
     batch.push_back({faults[0].net, faults[0].stuck_value, num_lanes - 1});
-    cn.set_faults(batch);
-    expect_engines_identical_wide(cs.nl, cn, 24, 0xB0 + W);
-    cn.clear_faults();
-    expect_engines_identical_wide(cs.nl, cn, 12, 0xC0 + W);
+    masks.set(batch);
+    expect_engines_identical_wide(cs.nl, cn, masks, 24, 0xB0 + W);
+    masks.clear();
+    expect_engines_identical_wide(cs.nl, cn, masks, 12, 0xC0 + W);
   }
 }
 
@@ -147,11 +151,13 @@ TEST(EventEvaluator, ConstOnlyConesSettleAtResetAndStayQuiet) {
   nl.finalize();
 
   CompiledNetlist cn(nl);
+
+  LaneFaultMasks masks(cn);
   EventScratch ev;
   std::vector<std::uint64_t> in(1, 0), flat(nl.num_nets(), 0);
   for (int c = 0; c < 8; ++c) {
     in[0] = (c & 1) ? ~std::uint64_t{0} : 0x1234;
-    cn.evaluate_event(in.data(), nullptr, ev);
+    cn.evaluate_event(masks, in.data(), nullptr, ev);
     cn.evaluate(in.data(), nullptr, flat.data());
     for (NetId id = 0; id < nl.num_nets(); ++id)
       ASSERT_EQ(ev.values[id], flat[id]) << "net " << id;
@@ -173,10 +179,12 @@ TEST(EventEvaluator, XorConesPropagateExactly) {
   nl.finalize();
 
   CompiledNetlist cn(nl);
-  expect_engines_identical(nl, cn, 64, 0x40);
+
+  LaneFaultMasks masks(cn);
+  expect_engines_identical(nl, cn, masks, 64, 0x40);
   EventScratch ev;
   std::vector<std::uint64_t> in = {0xF0F0, 0x0FF0, 0x3C3C};
-  cn.evaluate_event(in.data(), nullptr, ev);
+  cn.evaluate_event(masks, in.data(), nullptr, ev);
   EXPECT_EQ(ev.values[x2], ev.values[x3]);  // chained == flat parity
 }
 
@@ -195,16 +203,18 @@ TEST(EventEvaluator, GlitchSuppressionKillsConeWhenWordReturnsToOldValue) {
   nl.finalize();
 
   CompiledNetlist cn(nl);
+
+  LaneFaultMasks masks(cn);
   EventScratch ev;
   std::vector<std::uint64_t> in = {0, 0};
   std::vector<std::uint64_t> flat(nl.num_nets(), 0);
-  cn.evaluate_event(in.data(), nullptr, ev);  // reset path
+  cn.evaluate_event(masks, in.data(), nullptr, ev);  // reset path
 
   for (int c = 1; c <= 6; ++c) {
     in[0] = ~in[0];
     in[1] = ~in[1];  // a and b toggle together: x glitches back to old value
     const std::uint64_t before = ev.ops_evaluated;
-    cn.evaluate_event(in.data(), nullptr, ev);
+    cn.evaluate_event(masks, in.data(), nullptr, ev);
     // x is re-evaluated and suppressed, y is recomputed to a fresh value
     // (it reads `a` directly), and w -- behind the suppressed glitch --
     // never wakes at all.
@@ -234,16 +244,18 @@ TEST(EventEvaluator, CsrGlitchSuppressionForXorReadingADenseProduct) {
   nl.finalize();
 
   CompiledNetlist cn(nl);
+
+  LaneFaultMasks masks(cn);
   EventScratch ev;
   std::vector<std::uint64_t> in = {0, ~std::uint64_t{0}, 0};  // b = 1
   std::vector<std::uint64_t> flat(nl.num_nets(), 0);
-  cn.evaluate_event(in.data(), nullptr, ev);  // reset path
+  cn.evaluate_event(masks, in.data(), nullptr, ev);  // reset path
 
   for (int cyc = 1; cyc <= 6; ++cyc) {
     in[0] = ~in[0];
     in[2] = ~in[2];  // a and c toggle together: s glitches back
     const std::uint64_t before = ev.ops_evaluated;
-    cn.evaluate_event(in.data(), nullptr, ev);
+    cn.evaluate_event(masks, in.data(), nullptr, ev);
     // p (dense) changes, s is re-evaluated and suppressed, y updates; w
     // behind the suppressed glitch does not run.
     EXPECT_EQ(ev.ops_evaluated - before, 3u) << "cycle " << cyc;
@@ -271,13 +283,15 @@ TEST(EventEvaluator, ProductReadingALevelOneProductIsChainedNotSlab) {
   nl.finalize();
 
   CompiledNetlist cn(nl);
+
+  LaneFaultMasks masks(cn);
   EventScratch ev;
   std::vector<std::uint64_t> in(4, 0), flat(nl.num_nets(), 0);
-  cn.evaluate_event(in.data(), nullptr, ev);  // reset at all-zero
+  cn.evaluate_event(masks, in.data(), nullptr, ev);  // reset at all-zero
   in[2] = in[3] = ~std::uint64_t{0};          // c = d = 1
   for (int cyc = 1; cyc <= 4; ++cyc) {
     in[0] = in[1] = (cyc & 1) ? ~std::uint64_t{0} : 0;  // a = b toggle
-    cn.evaluate_event(in.data(), nullptr, ev);
+    cn.evaluate_event(masks, in.data(), nullptr, ev);
     cn.evaluate(in.data(), nullptr, flat.data());
     ASSERT_EQ(ev.values[p1], flat[p1]) << "cycle " << cyc;
     ASSERT_EQ(ev.values[p2], flat[p2]) << "cycle " << cyc;
@@ -318,22 +332,28 @@ TEST(EventEvaluator, FaultsOnPrimaryInputAndDffOutputNets) {
 TEST(EventEvaluator, ResetFallsBackToOneFullEvaluation) {
   const ControllerStructure cs = fig1_for("dk27");
   CompiledNetlist cn(cs.nl);
+  LaneFaultMasks masks(cn);
   EventScratch ev;
   std::vector<std::uint64_t> in(cs.nl.num_inputs(), 0),
       dff(cs.nl.num_dffs(), 0);
-  cn.evaluate_event(in.data(), dff.data(), ev);
+  cn.evaluate_event(masks, in.data(), dff.data(), ev);
   EXPECT_EQ(ev.full_evals, 1u);
-  cn.evaluate_event(in.data(), dff.data(), ev);
+  cn.evaluate_event(masks, in.data(), dff.data(), ev);
   EXPECT_EQ(ev.full_evals, 1u);  // steady state: incremental
   cn.reset(ev);
-  cn.evaluate_event(in.data(), dff.data(), ev);
+  cn.evaluate_event(masks, in.data(), dff.data(), ev);
   EXPECT_EQ(ev.full_evals, 2u);  // explicit reset
-  cn.set_faults({{cs.nl.outputs()[0], true, 3}});
-  cn.evaluate_event(in.data(), dff.data(), ev);
+  masks.set({{cs.nl.outputs()[0], true, 3}});
+  cn.evaluate_event(masks, in.data(), dff.data(), ev);
   EXPECT_EQ(ev.full_evals, 3u);  // mask change forces the full path
-  cn.clear_faults();
-  cn.evaluate_event(in.data(), dff.data(), ev);
+  masks.clear();
+  cn.evaluate_event(masks, in.data(), dff.data(), ev);
   EXPECT_EQ(ev.full_evals, 4u);
+  LaneFaultMasks other(cn);  // same (identity) masks, another owner
+  cn.evaluate_event(other, in.data(), dff.data(), ev);
+  EXPECT_EQ(ev.full_evals, 5u);
+  cn.evaluate_event(other, in.data(), dff.data(), ev);
+  EXPECT_EQ(ev.full_evals, 5u);
 }
 
 }  // namespace

@@ -389,6 +389,7 @@ void expect_word_for_word_equivalent(const Netlist& two, const Netlist& multi,
   ASSERT_EQ(two.num_outputs(), multi.num_outputs());
   ASSERT_EQ(two.num_dffs(), multi.num_dffs());
   CompiledNetlist ca(two), cb(multi);
+  const LaneFaultMasks none(cb);
   EventScratch ev;
 
   std::vector<std::uint64_t> in(two.num_inputs(), 0);
@@ -405,7 +406,7 @@ void expect_word_for_word_equivalent(const Netlist& two, const Netlist& multi,
     for (auto& w : in) w = rng.next();
     ca.evaluate(in.data(), da.data(), va.data());
     cb.evaluate(in.data(), db.data(), vb.data());
-    cb.evaluate_event(in.data(), db.data(), ev);
+    cb.evaluate_event(none, in.data(), db.data(), ev);
     for (NetId id = 0; id < multi.num_nets(); ++id)
       ASSERT_EQ(ev.values[id], vb[id]) << "event engine, net " << id;
     for (std::size_t o = 0; o < two.num_outputs(); ++o)

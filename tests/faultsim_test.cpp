@@ -17,6 +17,7 @@
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "engine_names.hpp"
+#include "session_model.hpp"
 
 namespace stc {
 namespace {
@@ -46,6 +47,7 @@ TEST(CompiledNetlist, MatchesScalarEvaluateWithLaneFaults) {
   const ControllerStructure cs = fig1_for("dk27");
   const Netlist& nl = cs.nl;
   CompiledNetlist cn(nl);
+  LaneFaultMasks masks(cn);
 
   const auto faults = enumerate_stuck_faults(nl);
   Rng rng(42);
@@ -56,7 +58,7 @@ TEST(CompiledNetlist, MatchesScalarEvaluateWithLaneFaults) {
     const Fault& f = faults[rng.below(faults.size())];
     batch.push_back({f.net, f.stuck_value, lane});
   }
-  cn.set_faults(batch);
+  masks.set(batch);
 
   std::vector<std::uint64_t> in_lanes(nl.num_inputs());
   std::vector<std::uint64_t> dff_lanes(nl.num_dffs());
@@ -73,7 +75,7 @@ TEST(CompiledNetlist, MatchesScalarEvaluateWithLaneFaults) {
     for (std::size_t k = 0; k < nl.num_dffs(); ++k)
       dff_lanes[k] = state.dff[k] ? ~std::uint64_t{0} : 0;
 
-    cn.evaluate(in_lanes.data(), dff_lanes.data(), lane_values.data());
+    cn.evaluate(masks, in_lanes.data(), dff_lanes.data(), lane_values.data());
 
     // Lane 0: fault-free reference.
     nl.evaluate(in, state, scalar_values);
@@ -98,6 +100,7 @@ TEST(CompiledNetlist, WideLanesMatchScalarEvaluateOnHighLanes) {
   const ControllerStructure cs = fig1_for("dk27");
   const Netlist& nl = cs.nl;
   CompiledNetlist cn(nl, 8);
+  LaneFaultMasks masks(cn);
   ASSERT_EQ(cn.num_lanes(), 512u);
 
   const auto faults = enumerate_stuck_faults(nl);
@@ -107,7 +110,7 @@ TEST(CompiledNetlist, WideLanesMatchScalarEvaluateOnHighLanes) {
     const Fault& f = faults[rng.below(faults.size())];
     batch.push_back({f.net, f.stuck_value, lane});
   }
-  cn.set_faults(batch);
+  masks.set(batch);
 
   const unsigned W = cn.lane_words();
   std::vector<std::uint64_t> in_lanes(nl.num_inputs() * W);
@@ -127,7 +130,7 @@ TEST(CompiledNetlist, WideLanesMatchScalarEvaluateOnHighLanes) {
       for (unsigned w = 0; w < W; ++w)
         dff_lanes[k * W + w] = state.dff[k] ? ~std::uint64_t{0} : 0;
 
-    cn.evaluate(in_lanes.data(), dff_lanes.data(), lane_values.data());
+    cn.evaluate(masks, in_lanes.data(), dff_lanes.data(), lane_values.data());
 
     nl.evaluate(in, state, scalar_values);
     for (NetId id = 0; id < nl.num_nets(); ++id)
@@ -155,13 +158,14 @@ TEST(CompiledNetlist, ClearFaultsRestoresFaultFree) {
   const ControllerStructure cs = fig1_for("shiftreg");
   const Netlist& nl = cs.nl;
   CompiledNetlist cn(nl);
-  cn.set_faults({{nl.outputs()[0], true, 5}});
-  cn.clear_faults();
+  LaneFaultMasks masks(cn);
+  masks.set({{nl.outputs()[0], true, 5}});
+  masks.clear();
 
   std::vector<std::uint64_t> in_lanes(nl.num_inputs(), 0);
   std::vector<std::uint64_t> dff_lanes(nl.num_dffs(), 0);
   std::vector<std::uint64_t> values(nl.num_nets());
-  cn.evaluate(in_lanes.data(), dff_lanes.data(), values.data());
+  cn.evaluate(masks, in_lanes.data(), dff_lanes.data(), values.data());
   for (NetId id = 0; id < nl.num_nets(); ++id) {
     const std::uint64_t w = values[id];
     EXPECT_TRUE(w == 0 || w == ~std::uint64_t{0}) << "net " << id;
@@ -285,44 +289,6 @@ TEST(CollapseFaults, ClassMembersHaveIdenticalSerialDetection) {
 
 // --- campaign equivalence ----------------------------------------------------
 
-/// How many of `faults` each session of a session-major campaign runs:
-/// every fault that no compacting bank of an earlier session flagged. The
-/// retirements come from the serial oracle's per-session register
-/// signatures.
-std::vector<std::size_t> survivors_per_session(const ControllerStructure& cs,
-                                               const SelfTestPlan& plan,
-                                               const std::vector<Fault>& faults) {
-  const Signatures golden = run_self_test(cs, plan);
-  std::vector<Signatures> sigs;
-  for (const Fault& f : faults) sigs.push_back(run_self_test(cs, plan, f));
-  std::vector<char> retired(faults.size(), 0);
-  std::vector<std::size_t> alive;
-  std::size_t first_sig = 0;
-  for (const SessionSpec& spec : plan.sessions) {
-    alive.push_back(static_cast<std::size_t>(
-        std::count(retired.begin(), retired.end(), 0)));
-    // run_self_test records one signature per compacting bank of the
-    // session (an empty reg_b records none).
-    const std::size_t n_sigs =
-        (spec.role_a == BilboMode::kCompress ? 1 : 0) +
-        (spec.role_b == BilboMode::kCompress && !cs.reg_b.empty() ? 1 : 0);
-    for (std::size_t i = 0; i < faults.size(); ++i)
-      for (std::size_t k = first_sig; k < first_sig + n_sigs; ++k)
-        if (sigs[i].register_sigs[k] != golden.register_sigs[k]) retired[i] = 1;
-    first_sig += n_sigs;
-  }
-  return alive;
-}
-
-/// The (session, batch) runs: each session's survivors in batches of
-/// `per_run`.
-std::size_t session_batches(const std::vector<std::size_t>& alive,
-                            std::size_t per_run) {
-  std::size_t runs = 0;
-  for (const std::size_t n : alive) runs += (n + per_run - 1) / per_run;
-  return runs;
-}
-
 class CampaignEquivalence : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(CampaignEquivalence, BothLaneEnginesMatchSerialOracleAtAllThreadCounts) {
@@ -345,10 +311,10 @@ TEST_P(CampaignEquivalence, BothLaneEnginesMatchSerialOracleAtAllThreadCounts) {
     const CoverageResult serial = measure_coverage(cs, plan, list);
     const auto serial_undet = fault_set(serial.undetected);
     const std::size_t sessions = plan.sessions.size();
-    const std::vector<std::size_t> alive = survivors_per_session(cs, plan, reps);
+    const SessionWork work = survivors_per_session(cs, plan, reps);
 
     for (const unsigned lane_words : kSupportedLaneWords) {
-      const std::size_t runs = session_batches(alive, faults_per_run(lane_words));
+      const std::size_t runs = work.runs(faults_per_run(lane_words));
       for (const CampaignEngine engine :
            {CampaignEngine::kEvent, CampaignEngine::kFlat}) {
         for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
@@ -370,8 +336,10 @@ TEST_P(CampaignEquivalence, BothLaneEnginesMatchSerialOracleAtAllThreadCounts) {
                 << " lane_words=" << lane_words << " sessions=" << sessions;
             if (collapse) {
               EXPECT_LE(par.collapsed_total, par.raw.total);
-              // One run per (session, batch) of that session's survivors.
+              // One run per (session, batch) of that session's runners.
               EXPECT_EQ(par.session_runs, runs)
+                  << "lane_words=" << lane_words << " sessions=" << sessions;
+              EXPECT_EQ(par.fault_sessions_skipped, work.skipped())
                   << "lane_words=" << lane_words << " sessions=" << sessions;
             }
             // Activity accounting: the flat engine evaluates everything; the
@@ -393,7 +361,7 @@ TEST_P(CampaignEquivalence, BothLaneEnginesMatchSerialOracleAtAllThreadCounts) {
 TEST(Campaign, WiderLanesTakeFewerSessionRuns) {
   const ControllerStructure cs = fig1_for("bbara");
   const SelfTestPlan plan = SelfTestPlan::two_session(48);
-  const std::vector<std::size_t> alive =
+  const SessionWork work =
       survivors_per_session(cs, plan, enumerate_stuck_faults(cs.nl));
   std::size_t prev_runs = SIZE_MAX;
   for (const unsigned lane_words : kSupportedLaneWords) {
@@ -401,7 +369,7 @@ TEST(Campaign, WiderLanesTakeFewerSessionRuns) {
     opt.lane_words = lane_words;
     opt.collapse = false;
     const CampaignResult r = run_fault_campaign(cs, plan, opt);
-    EXPECT_EQ(r.session_runs, session_batches(alive, faults_per_run(lane_words)));
+    EXPECT_EQ(r.session_runs, work.runs(faults_per_run(lane_words)));
     EXPECT_LE(r.session_runs, prev_runs);
     prev_runs = r.session_runs;
   }

@@ -5,6 +5,9 @@
 // CampaignEquivalence and FunctionalEquivalence check the verdicts against
 // the serial references; these also pin session_runs, cycles_simulated,
 // ops_evaluated (which the flat hand-off reads) and every fleet counter.
+// The campaign rows' three work counters were re-recorded when sessions
+// began to run on their observation cones (DESIGN.md, "Session
+// observation cones"); their verdict fields are unchanged.
 // Every row runs with each evaluator pinned (CampaignOptions::engine and
 // run_fleet_shard's engine argument; kEvent is the kernel's own policy).
 // A failing row prints its actual values in the table's own layout.
@@ -80,12 +83,12 @@ void expect_campaign(const ControllerStructure& cs, const SelfTestPlan& plan,
 TEST(LaneKernelGolden, TbkMultiLevelFig3Thorough256) {
   const ControllerStructure cs = build_for("tbk", 3, Technology::kMultiLevel);
   const CampaignRow rows[] = {
-      {"event", 1, 4611, 0x4400a676814dfde5ull, 152, 38970, 18122387},
-      {"event", 4, 4611, 0x4400a676814dfde5ull, 39, 9999, 6149316},
-      {"event", 8, 4611, 0x4400a676814dfde5ull, 20, 5128, 3791105},
-      {"flat", 1, 4611, 0x4400a676814dfde5ull, 152, 38970, 102023460},
-      {"flat", 4, 4611, 0x4400a676814dfde5ull, 39, 9999, 26177382},
-      {"flat", 8, 4611, 0x4400a676814dfde5ull, 20, 5128, 13425104},
+      {"event", 1, 4611, 0x4400a676814dfde5ull, 133, 34102, 12542590},
+      {"event", 4, 4611, 0x4400a676814dfde5ull, 34, 8718, 4443952},
+      {"event", 8, 4611, 0x4400a676814dfde5ull, 18, 4616, 2871414},
+      {"flat", 1, 4611, 0x4400a676814dfde5ull, 133, 34102, 71709985},
+      {"flat", 4, 4611, 0x4400a676814dfde5ull, 34, 8718, 18355749},
+      {"flat", 8, 4611, 0x4400a676814dfde5ull, 18, 4616, 9718988},
   };
   for (const CampaignRow& row : rows)
     expect_campaign(cs, SelfTestPlan::thorough(256), row);
@@ -94,12 +97,12 @@ TEST(LaneKernelGolden, TbkMultiLevelFig3Thorough256) {
 TEST(LaneKernelGolden, Dk27Fig4TwoSession128) {
   const ControllerStructure cs = build_for("dk27", 4, Technology::kTwoLevel);
   const CampaignRow rows[] = {
-      {"event", 1, 56, kNoFaults, 2, 256, 5552},
-      {"event", 4, 56, kNoFaults, 2, 256, 5552},
-      {"event", 8, 56, kNoFaults, 2, 256, 5552},
-      {"flat", 1, 56, kNoFaults, 2, 256, 6144},
-      {"flat", 4, 56, kNoFaults, 2, 256, 6144},
-      {"flat", 8, 56, kNoFaults, 2, 256, 6144},
+      {"event", 1, 56, kNoFaults, 2, 256, 4754},
+      {"event", 4, 56, kNoFaults, 2, 256, 4754},
+      {"event", 8, 56, kNoFaults, 2, 256, 4754},
+      {"flat", 1, 56, kNoFaults, 2, 256, 5248},
+      {"flat", 4, 56, kNoFaults, 2, 256, 5248},
+      {"flat", 8, 56, kNoFaults, 2, 256, 5248},
   };
   for (const CampaignRow& row : rows)
     expect_campaign(cs, SelfTestPlan::two_session(128), row);
