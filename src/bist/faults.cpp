@@ -1,13 +1,13 @@
 #include "bist/faults.hpp"
 
+#include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace stc {
 
 std::string Fault::describe(const Netlist& nl) const {
-  const Gate& g = nl.gate(net);
   const char* type = "net";
-  switch (g.type) {
+  switch (nl.gate(net).type) {
     case GateType::kInput: type = "pi"; break;
     case GateType::kDff: type = "ff"; break;
     case GateType::kAnd: type = "and"; break;
@@ -17,8 +17,8 @@ std::string Fault::describe(const Netlist& nl) const {
     case GateType::kBuf: type = "buf"; break;
     default: break;
   }
-  return strprintf("%s%u%s/sa%d", type, net,
-                   g.name.empty() ? "" : ("(" + g.name + ")").c_str(),
+  const std::string& name = nl.name(net);
+  return strprintf("%s%u%s/sa%d", type, net, name.empty() ? "" : ("(" + name + ")").c_str(),
                    stuck_value ? 1 : 0);
 }
 
@@ -31,6 +31,13 @@ std::vector<Fault> enumerate_stuck_faults(const Netlist& nl) {
     out.push_back({id, true});
   }
   return out;
+}
+
+void check_fault_list(const Netlist& nl, const std::vector<Fault>& faults) {
+  for (const Fault& f : faults)
+    if (f.net >= nl.num_nets())
+      throw Error(ErrorCode::kInvalidInput, "fault list names a net outside the netlist",
+                  strprintf("net=%u; nets=%zu", f.net, nl.num_nets()));
 }
 
 std::vector<Fault> faults_on_nets(const std::vector<NetId>& nets) {
@@ -74,9 +81,8 @@ CollapsedFaults collapse_faults(const Netlist& nl, const std::vector<Fault>& fau
   // machines differ at an observable net.
   std::vector<std::uint32_t> readers(n, 0);
   std::vector<char> observed(n, 0);
-  for (NetId id = 0; id < n; ++id)
-    for (NetId f : nl.gate(id).fanins)
-      if (f != kNoNet) ++readers[f];
+  for (const NetId f : nl.fanin_pool())
+    if (f != kNoNet) ++readers[f];
   for (NetId o : nl.outputs()) observed[o] = 1;
 
   const auto key = [](NetId net, bool sv) {
@@ -84,7 +90,7 @@ CollapsedFaults collapse_faults(const Netlist& nl, const std::vector<Fault>& fau
   };
   Dsu dsu(2 * n);
   for (NetId id = 0; id < n; ++id) {
-    const Gate& g = nl.gate(id);
+    const GateView g = nl.gate(id);
     if (g.type == GateType::kDff) continue;
     for (NetId a : g.fanins) {
       if (readers[a] != 1 || observed[a]) continue;

@@ -24,6 +24,11 @@ struct Fault {
 /// a fault on its fanout).
 std::vector<Fault> enumerate_stuck_faults(const Netlist& nl);
 
+/// The fault-list check the oracle, the campaign and the functional pass
+/// run before any work: Error(kInvalidInput) naming the first fault whose
+/// net is not in `nl`, and the net count.
+void check_fault_list(const Netlist& nl, const std::vector<Fault>& faults);
+
 /// The subset of faults on the given nets (used to isolate e.g. the
 /// feedback lines from R to C when reproducing the paper's drawback (3)).
 std::vector<Fault> faults_on_nets(const std::vector<NetId>& nets);

@@ -87,7 +87,8 @@ class Bank {
  public:
   Bank(const Netlist& nl, const std::vector<std::size_t>& dff_idx, BilboMode mode,
        std::uint64_t seed)
-      : nl_(nl), idx_(dff_idx), mode_(mode), reg_(idx_.empty() ? 1 : idx_.size()) {
+      : idx_(dff_idx), mode_(mode), reg_(idx_.empty() ? 1 : idx_.size()) {
+    for (const std::size_t k : idx_) d_net_.push_back(nl.gate(nl.dffs()[k]).fanins[0]);
     reg_.load(bank_start(mode, seed));
   }
 
@@ -95,25 +96,22 @@ class Bank {
   std::uint64_t value() const { return reg_.state(); }
 
   /// Write the bank's current contents into the simulator DFF image.
-  void deposit(Netlist::SimState& state) const {
+  void deposit(std::vector<std::uint8_t>& state) const {
     for (std::size_t k = 0; k < idx_.size(); ++k)
-      state.dff[idx_[k]] = (reg_.state() >> k) & 1;
+      state[idx_[k]] = (reg_.state() >> k) & 1;
   }
 
   /// Clock the bank given the netlist's computed D values.
-  void clock(const std::vector<bool>& net_values) {
+  void clock(const std::vector<std::uint8_t>& net_values) {
     std::uint64_t d = 0;
-    for (std::size_t k = 0; k < idx_.size(); ++k) {
-      const NetId q = nl_.dffs()[idx_[k]];
-      const NetId dn = nl_.gate(q).fanins[0];
-      if (net_values[dn]) d |= std::uint64_t{1} << k;
-    }
+    for (std::size_t k = 0; k < d_net_.size(); ++k)
+      if (net_values[d_net_[k]]) d |= std::uint64_t{1} << k;
     reg_.clock(mode_, d);
   }
 
  private:
-  const Netlist& nl_;
   std::vector<std::size_t> idx_;
+  std::vector<NetId> d_net_;  // D input of each bank bit
   BilboMode mode_;
   Bilbo reg_;
 };
@@ -155,7 +153,7 @@ PinMap map_pins(const ControllerStructure& cs) {
 /// single-absorb path silently discarded outputs beyond the MISR width
 /// and beyond bit 63.) For machines with <= width observed outputs this
 /// performs exactly one absorb per cycle with the same value as before.
-void absorb_outputs(Bilbo& misr, const std::vector<bool>& values,
+void absorb_outputs(Bilbo& misr, const std::vector<std::uint8_t>& values,
                     const std::vector<NetId>& po) {
   const std::size_t w = misr.width();
   std::uint64_t chunk = 0;
@@ -181,14 +179,15 @@ Signatures run_self_test(const ControllerStructure& cs, const SelfTestPlan& plan
   const std::string problems = plan_problems(plan);
   if (!problems.empty())
     throw Error(ErrorCode::kInvalidInput, "invalid self-test plan", problems);
+  if (fault) check_fault_list(nl, {*fault});
   const NetId fnet = fault ? fault->net : kNoNet;
   const bool fval = fault ? fault->stuck_value : false;
   const PinMap pins = map_pins(cs);
 
   Signatures sigs;
   Bilbo out_misr(plan.output_misr_width);
-  std::vector<bool> in(nl.num_inputs(), false);
-  std::vector<bool> values;  // scratch reused across cycles and sessions
+  std::vector<std::uint8_t> in(nl.num_inputs(), 0);
+  std::vector<std::uint8_t> values;  // scratch reused across cycles and sessions
 
   for (const SessionSpec& spec : plan.sessions) {
     Bank bank_a(nl, cs.reg_a, spec.role_a, spec.gen_seed);
@@ -198,13 +197,13 @@ Signatures run_self_test(const ControllerStructure& cs, const SelfTestPlan& plan
     Bilbo input_gen(std::max<std::size_t>(8, cs.pi.size()));
     input_gen.seed(spec.input_seed);
 
-    Netlist::SimState state = nl.initial_state();
+    std::vector<std::uint8_t> state = nl.initial_state();
     for (std::size_t cycle = 0; cycle < spec.cycles; ++cycle) {
       // Drive primary inputs from the input generator; assert test_mode.
-      std::fill(in.begin(), in.end(), false);
+      std::fill(in.begin(), in.end(), 0);
       for (std::size_t k = 0; k < cs.pi.size(); ++k)
         in[pins.pi_slot[k]] = input_gen.bit(k);
-      if (pins.test_slot != SIZE_MAX) in[pins.test_slot] = true;
+      if (pins.test_slot != SIZE_MAX) in[pins.test_slot] = 1;
 
       bank_a.deposit(state);
       bank_b.deposit(state);
@@ -228,9 +227,10 @@ Signatures run_self_test(const ControllerStructure& cs, const SelfTestPlan& plan
 
 CoverageResult measure_coverage(const ControllerStructure& cs, const SelfTestPlan& plan,
                                 std::optional<std::vector<Fault>> faults) {
-  const Signatures golden = run_self_test(cs, plan);
   const std::vector<Fault> list =
       faults ? std::move(*faults) : enumerate_stuck_faults(cs.nl);
+  check_fault_list(cs.nl, list);
+  const Signatures golden = run_self_test(cs, plan);
 
   CoverageResult res;
   res.total = list.size();
@@ -417,10 +417,10 @@ struct CampaignScratch {
         fleet_any_sig(full.lane_words(), 0),
         fleet_defective(fleet_instances_per_run(full.lane_words()), 0) {
     const unsigned W = full.lane_words();
-    const Netlist::SimState init = cs.nl.initial_state();
-    init_dff_lanes.assign(init.dff.size() * W, 0);
-    for (std::size_t k = 0; k < init.dff.size(); ++k)
-      if (init.dff[k])
+    const std::vector<std::uint8_t> init = cs.nl.initial_state();
+    init_dff_lanes.assign(init.size() * W, 0);
+    for (std::size_t k = 0; k < init.size(); ++k)
+      if (init[k])
         for (unsigned w = 0; w < W; ++w)
           init_dff_lanes[k * W + w] = ~std::uint64_t{0};
     // The test-mode pin and the unused input slots never change: set them
@@ -755,9 +755,8 @@ class CampaignWarmState {
       if (obs_a) add_d(cs_->reg_a);
       if (obs_b) add_d(cs_->reg_b);
       std::vector<char> cone = fanin_cone(nl, roots);
-      std::size_t ops = 0;
-      for (const NetId id : nl.topo_order()) ops += cone[id] ? 1 : 0;
-      if (ops == nl.topo_order().size()) {
+      if (std::all_of(nl.program().begin(), nl.program().end(),
+                      [&](const NetOp& op) { return cone[op.out] != 0; })) {
         cones_[key] = full_;
         return;
       }
@@ -904,6 +903,7 @@ CampaignResult run_fault_campaign(const ControllerStructure& cs, const SelfTestP
   options.validate(plan);
   const std::vector<Fault> list =
       faults ? std::move(*faults) : enumerate_stuck_faults(nl);
+  check_fault_list(nl, list);
 
   CampaignResult res;
   res.raw.total = list.size();
@@ -1080,7 +1080,7 @@ CampaignResult run_fault_campaign(const ControllerStructure& cs, const SelfTestP
       }
       survivors.swap(next);
     }
-    res.ops_per_cycle = nl.topo_order().size();
+    res.ops_per_cycle = nl.program().size();
     for (const ChunkTally& tally : chunks) {
       res.cycles_simulated += tally.cycles;
       res.ops_evaluated += tally.ops;
@@ -1234,6 +1234,7 @@ CoverageResult measure_functional_coverage(const ControllerStructure& cs,
   const Netlist& nl = cs.nl;
   const std::vector<Fault> list =
       faults ? std::move(*faults) : enumerate_stuck_faults(cs.nl);
+  check_fault_list(nl, list);
 
   CoverageResult res;
   res.total = list.size();

@@ -19,7 +19,7 @@ std::vector<char> fanin_cone(const Netlist& nl, const std::vector<NetId>& roots)
     }
   }
   while (!stack.empty()) {
-    const Gate& g = nl.gate(stack.back());
+    const GateView g = nl.gate(stack.back());
     stack.pop_back();
     if (g.type == GateType::kDff) continue;  // Q is a source this cycle
     for (const NetId f : g.fanins)
@@ -64,21 +64,19 @@ void CompiledNetlist::compile(const Netlist& nl, unsigned lane_words,
   }
 
   const auto kept = [cone](NetId id) { return cone == nullptr || (*cone)[id] != 0; };
-  const auto& order = nl.topo_order();
-  for (NetId id : order) {
-    if (!kept(id)) continue;
-    const Gate& g = nl.gate(id);
-    for (const NetId f : g.fanins)
-      if (!kept(f))
+  const std::vector<NetId>& pool = nl.fanin_pool();
+  for (const NetOp& nop : nl.program()) {
+    if (!kept(nop.out)) continue;
+    const auto first = pool.begin() + nop.fanin_begin;
+    const auto last = first + nop.fanin_count;
+    for (auto f = first; f != last; ++f)
+      if (!kept(*f))
         throw std::invalid_argument(
-            "CompiledNetlist: cone is not fanin-closed (net " + std::to_string(id) +
-            " reads net " + std::to_string(f) + ", which is outside it)");
-    Op op;
-    op.type = g.type;
-    op.out = id;
+            "CompiledNetlist: cone is not fanin-closed (net " + std::to_string(nop.out) +
+            " reads net " + std::to_string(*f) + ", which is outside it)");
+    Op op = nop;
     op.fanin_begin = static_cast<std::uint32_t>(fanins_.size());
-    op.fanin_count = static_cast<std::uint32_t>(g.fanins.size());
-    fanins_.insert(fanins_.end(), g.fanins.begin(), g.fanins.end());
+    fanins_.insert(fanins_.end(), first, last);
     ops_.push_back(op);
   }
 

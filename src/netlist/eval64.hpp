@@ -1,10 +1,10 @@
 #pragma once
 // Compiled bit-parallel netlist evaluator (PPSFP-style, wide lanes).
 //
-// `CompiledNetlist` flattens a finalized Netlist into an immutable,
-// levelized program: one opcode record per combinational gate in
-// topological order, with all fanins in a single contiguous uint32_t pool
-// (no per-gate std::vector chasing in the hot loop). A program may cover
+// `CompiledNetlist` copies a finalized Netlist's program into an
+// immutable, levelized one: one opcode record per combinational gate in
+// topological order, with all fanins in a single contiguous uint32_t pool,
+// plus the event scheduler's tables built from it. A program may cover
 // only an observation cone (a fanin-closed subset of the nets, see
 // fanin_cone): it keeps the netlist's net ids and skips every op outside
 // the cone. Evaluation operates on groups of W = 1/4/8 contiguous
@@ -307,12 +307,8 @@ class CompiledNetlist {
   void reset(EventScratch& s) const { s.valid = false; }
 
  private:
-  struct Op {
-    GateType type;
-    std::uint32_t out;
-    std::uint32_t fanin_begin;
-    std::uint32_t fanin_count;
-  };
+  /// The netlist's program record; fanin_begin indexes fanins_.
+  using Op = NetOp;
   /// A run of dense products sharing one fanin count: fixed inner trip
   /// counts keep the sweep's loop branches perfectly predicted.
   struct DenseGroup {

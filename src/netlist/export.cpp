@@ -8,11 +8,11 @@ namespace stc {
 namespace {
 
 std::string net_name(const Netlist& nl, NetId id) {
-  const Gate& g = nl.gate(id);
+  const std::string& name = nl.name(id);
   // Sanitize user names; fall back to positional names.
-  if (!g.name.empty()) {
+  if (!name.empty()) {
     std::string s = "n_";
-    for (char c : g.name)
+    for (char c : name)
       s += (std::isalnum(static_cast<unsigned char>(c)) ? c : '_');
     return s + "_" + std::to_string(id);
   }
@@ -31,7 +31,7 @@ std::string write_verilog(const Netlist& nl, const std::string& module_name) {
 
   // Declarations.
   for (NetId id = 0; id < nl.num_nets(); ++id) {
-    const Gate& g = nl.gate(id);
+    const GateView g = nl.gate(id);
     if (g.type == GateType::kInput) continue;
     out += (g.type == GateType::kDff ? "  reg  " : "  wire ") + net_name(nl, id) +
            ";\n";
@@ -39,7 +39,7 @@ std::string write_verilog(const Netlist& nl, const std::string& module_name) {
   out += "\n";
 
   // Combinational gates.
-  auto operand_list = [&](const Gate& g, const char* op) {
+  auto operand_list = [&](const GateView& g, const char* op) {
     std::string e;
     for (std::size_t k = 0; k < g.fanins.size(); ++k) {
       if (k) e += std::string(" ") + op + " ";
@@ -48,7 +48,7 @@ std::string write_verilog(const Netlist& nl, const std::string& module_name) {
     return e;
   };
   for (NetId id = 0; id < nl.num_nets(); ++id) {
-    const Gate& g = nl.gate(id);
+    const GateView g = nl.gate(id);
     const std::string lhs = "  assign " + net_name(nl, id) + " = ";
     switch (g.type) {
       case GateType::kConst0: out += lhs + "1'b0;\n"; break;
@@ -65,7 +65,7 @@ std::string write_verilog(const Netlist& nl, const std::string& module_name) {
 
   // Flip-flops.
   for (NetId q : nl.dffs()) {
-    const Gate& g = nl.gate(q);
+    const GateView g = nl.gate(q);
     out += "  always @(posedge clk or posedge rst)\n";
     out += strprintf("    if (rst) %s <= 1'b%d;\n", net_name(nl, q).c_str(),
                      g.dff_init ? 1 : 0);
@@ -90,15 +90,15 @@ std::string write_blif(const Netlist& nl, const std::string& model_name) {
   out += "\n";
 
   for (NetId q : nl.dffs()) {
-    const Gate& g = nl.gate(q);
+    const GateView g = nl.gate(q);
     out += strprintf(".latch %s %s re clk %d\n", net_name(nl, g.fanins[0]).c_str(),
                      net_name(nl, q).c_str(), g.dff_init ? 1 : 0);
   }
 
   for (NetId id = 0; id < nl.num_nets(); ++id) {
-    const Gate& g = nl.gate(id);
+    const GateView g = nl.gate(id);
     const std::string target = net_name(nl, id);
-    auto names_header = [&](const Gate& gate) {
+    auto names_header = [&](const GateView& gate) {
       std::string h = ".names";
       for (NetId f : gate.fanins) h += " " + net_name(nl, f);
       return h + " " + target + "\n";

@@ -1,25 +1,41 @@
 #include "netlist/netlist.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/strings.hpp"
 
 namespace stc {
+namespace {
 
-NetId Netlist::add_input(std::string name) {
-  gates_.push_back({GateType::kInput, {}, std::move(name), false});
-  const NetId id = static_cast<NetId>(gates_.size() - 1);
-  inputs_.push_back(id);
-  topo_.clear();
+bool is_source(GateType t) {
+  return t == GateType::kInput || t == GateType::kDff || t == GateType::kConst0 ||
+         t == GateType::kConst1;
+}
+
+}  // namespace
+
+NetId Netlist::add_net(GateType type, const std::vector<NetId>& fanins,
+                       std::string name) {
+  const NetId id = static_cast<NetId>(types_.size());
+  types_.push_back(type);
+  pool_.insert(pool_.end(), fanins.begin(), fanins.end());
+  offsets_.push_back(static_cast<std::uint32_t>(pool_.size()));
+  if (!name.empty()) names_.emplace(id, std::move(name));
+  if (type == GateType::kConst0 || type == GateType::kConst1) consts_.push_back(id);
+  program_.clear();
   finalized_ = false;
   return id;
 }
 
+NetId Netlist::add_input(std::string name) {
+  const NetId id = add_net(GateType::kInput, {}, std::move(name));
+  inputs_.push_back(id);
+  return id;
+}
+
 NetId Netlist::add_const(bool value) {
-  gates_.push_back({value ? GateType::kConst1 : GateType::kConst0, {}, "", false});
-  topo_.clear();
-  finalized_ = false;
-  return static_cast<NetId>(gates_.size() - 1);
+  return add_net(value ? GateType::kConst1 : GateType::kConst0, {}, "");
 }
 
 NetId Netlist::add_gate(GateType type, std::vector<NetId> fanins, std::string name) {
@@ -28,228 +44,179 @@ NetId Netlist::add_gate(GateType type, std::vector<NetId> fanins, std::string na
   if (fanins.empty() && type != GateType::kConst0 && type != GateType::kConst1)
     throw std::invalid_argument("add_gate: combinational gate without fanins");
   for (NetId f : fanins)
-    if (f >= gates_.size()) throw std::out_of_range("add_gate: bad fanin");
-  gates_.push_back({type, std::move(fanins), std::move(name), false});
-  topo_.clear();
-  finalized_ = false;
-  return static_cast<NetId>(gates_.size() - 1);
+    if (f >= num_nets()) throw std::out_of_range("add_gate: bad fanin");
+  return add_net(type, fanins, std::move(name));
 }
 
 NetId Netlist::add_dff(std::string name, bool init) {
-  gates_.push_back({GateType::kDff, {kNoNet}, std::move(name), init});
-  const NetId id = static_cast<NetId>(gates_.size() - 1);
+  const NetId id = add_net(GateType::kDff, {kNoNet}, std::move(name));
   dffs_.push_back(id);
-  topo_.clear();
-  finalized_ = false;
+  dff_init_.push_back(init ? 1 : 0);
   return id;
 }
 
 void Netlist::connect_dff(NetId q, NetId d) {
-  if (q >= gates_.size() || gates_[q].type != GateType::kDff)
+  if (q >= num_nets() || types_[q] != GateType::kDff)
     throw std::invalid_argument("connect_dff: not a DFF");
-  if (d >= gates_.size()) throw std::out_of_range("connect_dff: bad d net");
-  gates_[q].fanins[0] = d;
+  if (d >= num_nets()) throw std::out_of_range("connect_dff: bad d net");
+  pool_[offsets_[q]] = d;
+  program_.clear();
+  finalized_ = false;
 }
 
 void Netlist::add_output(NetId net, std::string name) {
-  if (net >= gates_.size()) throw std::out_of_range("add_output");
+  if (net >= num_nets()) throw std::out_of_range("add_output");
   outputs_.push_back(net);
   // Keep the name on the driving gate if it has none.
-  if (gates_[net].name.empty()) gates_[net].name = std::move(name);
+  if (!name.empty()) names_.emplace(net, std::move(name));
+}
+
+GateView Netlist::gate(NetId id) const {
+  if (id >= num_nets()) throw std::out_of_range("gate: bad net " + std::to_string(id));
+  GateView g{types_[id], {pool_.data() + offsets_[id], pool_.data() + offsets_[id + 1]},
+             false};
+  if (g.type == GateType::kDff)
+    g.dff_init = dff_init_[std::lower_bound(dffs_.begin(), dffs_.end(), id) - dffs_.begin()];
+  return g;
+}
+
+const std::string& Netlist::name(NetId id) const {
+  static const std::string kUnnamed;
+  const auto it = names_.find(id);
+  return it == names_.end() ? kUnnamed : it->second;
 }
 
 void Netlist::finalize() {
   for (NetId q : dffs_)
-    if (gates_[q].fanins[0] == kNoNet)
-      throw std::logic_error("finalize: unconnected DFF '" + gates_[q].name + "'");
+    if (pool_[offsets_[q]] == kNoNet)
+      throw std::logic_error("finalize: unconnected DFF '" + name(q) + "'");
 
   // Topological sort of combinational gates; inputs/consts/DFF-q are
-  // sources. Kahn's algorithm over combinational fanin edges.
-  const std::size_t n = gates_.size();
-  std::vector<std::size_t> pending(n, 0);
+  // sources. Kahn's algorithm over combinational fanin edges, with a LIFO
+  // ready list: a gate tends to run right after its last fanin, while the
+  // values it reads are still hot (net-id order is 60% slower in the
+  // serial oracle).
+  const std::size_t n = num_nets();
+  std::vector<std::uint32_t> pending(n, 0);
   std::vector<std::vector<NetId>> fanouts(n);
-  for (NetId id = 0; id < n; ++id) {
-    const Gate& g = gates_[id];
-    if (g.type == GateType::kInput || g.type == GateType::kDff ||
-        g.type == GateType::kConst0 || g.type == GateType::kConst1)
-      continue;
-    pending[id] = g.fanins.size();
-    for (NetId f : g.fanins) fanouts[f].push_back(id);
-  }
-
-  topo_.clear();
   std::vector<NetId> ready;
+  std::size_t expected = 0;
   for (NetId id = 0; id < n; ++id) {
-    const Gate& g = gates_[id];
-    if (g.type == GateType::kInput || g.type == GateType::kDff ||
-        g.type == GateType::kConst0 || g.type == GateType::kConst1)
+    if (is_source(types_[id])) {
       ready.push_back(id);
+      continue;
+    }
+    ++expected;
+    pending[id] = offsets_[id + 1] - offsets_[id];
+    for (std::uint32_t k = offsets_[id]; k < offsets_[id + 1]; ++k)
+      fanouts[pool_[k]].push_back(id);
   }
-  std::size_t comb_count = 0;
+  program_.clear();
   while (!ready.empty()) {
     const NetId id = ready.back();
     ready.pop_back();
-    const Gate& g = gates_[id];
-    const bool comb = g.type != GateType::kInput && g.type != GateType::kDff &&
-                      g.type != GateType::kConst0 && g.type != GateType::kConst1;
-    if (comb) {
-      topo_.push_back(id);
-      ++comb_count;
-    }
+    if (!is_source(types_[id]))
+      program_.push_back({types_[id], id, offsets_[id], offsets_[id + 1] - offsets_[id]});
     for (NetId out : fanouts[id])
       if (--pending[out] == 0) ready.push_back(out);
   }
-  std::size_t expected = 0;
-  for (NetId id = 0; id < n; ++id) {
-    const Gate& g = gates_[id];
-    if (g.type != GateType::kInput && g.type != GateType::kDff &&
-        g.type != GateType::kConst0 && g.type != GateType::kConst1)
-      ++expected;
-  }
-  if (comb_count != expected)
+  if (program_.size() != expected)
     throw std::logic_error("finalize: combinational cycle detected");
   finalized_ = true;
 }
 
 double Netlist::area_ge() const {
   double area = 0.0;
-  for (const Gate& g : gates_) {
-    switch (g.type) {
-      case GateType::kNot:
-        area += 0.5;
-        break;
-      case GateType::kAnd:
-      case GateType::kOr:
-        if (g.fanins.size() >= 2) area += static_cast<double>(g.fanins.size() - 1);
-        break;
-      case GateType::kXor:
-        if (g.fanins.size() >= 2)
-          area += 2.0 * static_cast<double>(g.fanins.size() - 1);
-        break;
-      case GateType::kDff:
-        area += 4.0;
-        break;
-      default:
-        break;
-    }
+  for (NetId id = 0; id < num_nets(); ++id) {
+    const double fanins = offsets_[id + 1] - offsets_[id];
+    const GateType t = types_[id];
+    if (t == GateType::kNot) area += 0.5;
+    if ((t == GateType::kAnd || t == GateType::kOr) && fanins >= 2) area += fanins - 1;
+    if (t == GateType::kXor && fanins >= 2) area += 2.0 * (fanins - 1);
+    if (t == GateType::kDff) area += 4.0;
   }
   return area;
 }
 
 std::size_t Netlist::depth() const {
-  std::vector<std::size_t> level(gates_.size(), 0);
+  std::vector<std::size_t> level(num_nets(), 0);
   std::size_t max_level = 0;
-  for (NetId id : topo_) {
-    const Gate& g = gates_[id];
+  for (const NetOp& op : program_) {
     std::size_t lv = 0;
-    for (NetId f : g.fanins) lv = std::max(lv, level[f]);
-    const bool counts = g.type == GateType::kNot || g.type == GateType::kAnd ||
-                        g.type == GateType::kOr || g.type == GateType::kXor;
-    level[id] = lv + (counts ? 1 : 0);
-    max_level = std::max(max_level, level[id]);
+    for (std::uint32_t k = 0; k < op.fanin_count; ++k)
+      lv = std::max(lv, level[pool_[op.fanin_begin + k]]);
+    level[op.out] = lv + (op.type == GateType::kBuf ? 0 : 1);
+    max_level = std::max(max_level, level[op.out]);
   }
   return max_level;
 }
 
-Netlist::SimState Netlist::initial_state() const {
-  SimState s;
-  s.dff.reserve(dffs_.size());
-  for (NetId q : dffs_) s.dff.push_back(gates_[q].dff_init);
-  return s;
-}
-
-void Netlist::evaluate(const std::vector<bool>& input_values, const SimState& state,
-                       std::vector<bool>& values, NetId forced_net,
+void Netlist::evaluate(const std::vector<std::uint8_t>& input_values,
+                       const std::vector<std::uint8_t>& state,
+                       std::vector<std::uint8_t>& values, NetId forced_net,
                        bool forced_value) const {
   if (input_values.size() != inputs_.size())
     throw std::invalid_argument("evaluate: input arity mismatch");
-  if (state.dff.size() != dffs_.size())
+  if (state.size() != dffs_.size())
     throw std::invalid_argument("evaluate: state arity mismatch");
   if (!finalized_) throw std::logic_error("evaluate: finalize() not called");
+  if (forced_net != kNoNet && forced_net >= num_nets())
+    throw std::out_of_range("evaluate: bad fault net " + std::to_string(forced_net));
 
-  values.assign(gates_.size(), false);
-  for (std::size_t k = 0; k < inputs_.size(); ++k) values[inputs_[k]] = input_values[k];
-  for (std::size_t k = 0; k < dffs_.size(); ++k) values[dffs_[k]] = state.dff[k];
-  for (NetId id = 0; id < gates_.size(); ++id)
-    if (gates_[id].type == GateType::kConst1) values[id] = true;
+  // Every net is a source or a program op, so every byte is written below.
+  values.resize(num_nets());
+  std::uint8_t* v = values.data();
+  for (std::size_t k = 0; k < inputs_.size(); ++k) v[inputs_[k]] = input_values[k];
+  for (std::size_t k = 0; k < dffs_.size(); ++k) v[dffs_[k]] = state[k];
+  for (const NetId c : consts_) v[c] = types_[c] == GateType::kConst1 ? 1 : 0;
+  // A source net takes the fault here; a combinational net is overwritten
+  // by its op below and takes it again right after being driven.
+  const std::uint8_t fv = forced_value ? 1 : 0;
+  if (forced_net != kNoNet) v[forced_net] = fv;
 
-  auto apply_fault = [&](NetId id) {
-    if (id == forced_net) values[id] = forced_value;
-  };
-  // Source nets (inputs, DFF outputs, constants) take the fault here;
-  // combinational nets take it right after being driven, below. Constants
-  // are included so the injection semantics match the bit-parallel
-  // evaluator's per-net masks exactly.
-  if (forced_net != kNoNet) {
-    const GateType t = gates_[forced_net].type;
-    if (t == GateType::kInput || t == GateType::kDff ||
-        t == GateType::kConst0 || t == GateType::kConst1)
-      values[forced_net] = forced_value;
-  }
-
-  for (NetId id : topo_) {
-    const Gate& g = gates_[id];
-    bool v = false;
-    switch (g.type) {
-      case GateType::kBuf:
-        v = values[g.fanins[0]];
-        break;
-      case GateType::kNot:
-        v = !values[g.fanins[0]];
-        break;
+  const NetId* pool = pool_.data();
+  for (const NetOp& op : program_) {
+    const NetId* f = pool + op.fanin_begin;
+    const NetId* const end = f + op.fanin_count;
+    std::uint8_t out = 0;
+    switch (op.type) {
+      case GateType::kBuf: out = v[*f]; break;
+      case GateType::kNot: out = v[*f] ^ 1; break;
       case GateType::kAnd:
-        v = true;
-        for (NetId f : g.fanins) v = v && values[f];
+        while (f != end && v[*f]) ++f;
+        out = f == end;
         break;
       case GateType::kOr:
-        v = false;
-        for (NetId f : g.fanins) v = v || values[f];
+        while (f != end && !v[*f]) ++f;
+        out = f != end;
         break;
       case GateType::kXor:
-        v = false;
-        for (NetId f : g.fanins) v = v != values[f];
+        for (; f != end; ++f) out ^= v[*f];
         break;
-      default:
-        break;
+      default: break;
     }
-    values[id] = v;
-    apply_fault(id);
+    v[op.out] = op.out == forced_net ? fv : out;
   }
 }
 
-std::vector<bool> Netlist::step(const std::vector<bool>& input_values, SimState& state,
-                                NetId forced_net, bool forced_value) const {
-  std::vector<bool> values, out;
-  step(input_values, state, values, out, forced_net, forced_value);
-  return out;
-}
-
-void Netlist::step(const std::vector<bool>& input_values, SimState& state,
-                   std::vector<bool>& values, std::vector<bool>& out,
+void Netlist::step(const std::vector<std::uint8_t>& input_values,
+                   std::vector<std::uint8_t>& state, std::vector<std::uint8_t>& values,
                    NetId forced_net, bool forced_value) const {
   evaluate(input_values, state, values, forced_net, forced_value);
-  out.resize(outputs_.size());
-  for (std::size_t k = 0; k < outputs_.size(); ++k) out[k] = values[outputs_[k]];
   for (std::size_t k = 0; k < dffs_.size(); ++k)
-    state.dff[k] = values[gates_[dffs_[k]].fanins[0]];
+    state[k] = values[pool_[offsets_[dffs_[k]]]];
 }
 
 std::string Netlist::stats() const {
-  std::size_t n_and = 0, n_or = 0, n_not = 0, n_xor = 0;
-  for (const Gate& g : gates_) {
-    switch (g.type) {
-      case GateType::kAnd: ++n_and; break;
-      case GateType::kOr: ++n_or; break;
-      case GateType::kNot: ++n_not; break;
-      case GateType::kXor: ++n_xor; break;
-      default: break;
-    }
-  }
+  const auto count = [this](GateType t) {
+    return static_cast<std::size_t>(std::count(types_.begin(), types_.end(), t));
+  };
   return strprintf(
       "nets=%zu inputs=%zu outputs=%zu dffs=%zu and=%zu or=%zu not=%zu xor=%zu "
       "area=%.1fGE depth=%zu",
-      num_nets(), num_inputs(), num_outputs(), num_dffs(), n_and, n_or, n_not,
-      n_xor, area_ge(), depth());
+      num_nets(), num_inputs(), num_outputs(), num_dffs(), count(GateType::kAnd),
+      count(GateType::kOr), count(GateType::kNot), count(GateType::kXor), area_ge(),
+      depth());
 }
 
 }  // namespace stc

@@ -308,14 +308,14 @@ TEST(BuildPla, MatchesCubeListSemantics) {
   for (NetId o : outs) nl.add_output(o, "o" + std::to_string(o));
   nl.finalize();
 
-  Netlist::SimState st = nl.initial_state();
-  std::vector<bool> values;
+  const std::vector<std::uint8_t> st = nl.initial_state();
+  std::vector<std::uint8_t> values;
   for (Minterm m = 0; m < 8; ++m) {
-    std::vector<bool> in;
+    std::vector<std::uint8_t> in;
     for (int k = 0; k < 3; ++k) in.push_back((m >> k) & 1);
     nl.evaluate(in, st, values);
     for (std::size_t b = 0; b < 3; ++b)
-      EXPECT_EQ(values[outs[b]], cl.evaluate(m, b)) << "m=" << m << " b=" << b;
+      EXPECT_EQ(values[outs[b]] != 0, cl.evaluate(m, b)) << "m=" << m << " b=" << b;
   }
 }
 
@@ -347,13 +347,13 @@ TEST(BuildPla, NoDanglingTermWhenOutputIsConstOne) {
   EXPECT_EQ(nl.num_nets(), 5u);
   // pla_cost mirrors the instantiation: one AND2 + one inverter, no ORs.
   EXPECT_DOUBLE_EQ(pla_cost(cl).gate_equivalents, 1.0 + 0.5);
-  Netlist::SimState st = nl.initial_state();
-  std::vector<bool> values;
+  const std::vector<std::uint8_t> st = nl.initial_state();
+  std::vector<std::uint8_t> values;
   for (Minterm m = 0; m < 4; ++m) {
-    std::vector<bool> in = {(m & 1) != 0, (m & 2) != 0};
+    const std::vector<std::uint8_t> in = {(m & 1) != 0, (m & 2) != 0};
     nl.evaluate(in, st, values);
     EXPECT_TRUE(values[outs[0]]);
-    EXPECT_EQ(values[outs[1]], cl.evaluate(m, 1));
+    EXPECT_EQ(values[outs[1]] != 0, cl.evaluate(m, 1));
   }
 }
 
@@ -365,8 +365,8 @@ TEST(BuildPla, TautologyCubeAndEmptyOutput) {
   const auto outs = build_pla(nl, cl, vars);
   for (NetId o : outs) nl.add_output(o, "o" + std::to_string(o));
   nl.finalize();
-  Netlist::SimState st = nl.initial_state();
-  std::vector<bool> values;
+  const std::vector<std::uint8_t> st = nl.initial_state();
+  std::vector<std::uint8_t> values;
   nl.evaluate({false, true}, st, values);
   EXPECT_TRUE(values[outs[0]]);
   EXPECT_FALSE(values[outs[1]]);

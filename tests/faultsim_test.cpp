@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
 
 #include "benchdata/iwls93.hpp"
@@ -17,6 +18,7 @@
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "engine_names.hpp"
+#include "scalar_step.hpp"
 #include "session_model.hpp"
 
 namespace stc {
@@ -63,17 +65,17 @@ TEST(CompiledNetlist, MatchesScalarEvaluateWithLaneFaults) {
   std::vector<std::uint64_t> in_lanes(nl.num_inputs());
   std::vector<std::uint64_t> dff_lanes(nl.num_dffs());
   std::vector<std::uint64_t> lane_values(nl.num_nets());
-  std::vector<bool> in(nl.num_inputs());
-  std::vector<bool> scalar_values;
+  std::vector<std::uint8_t> in(nl.num_inputs());
+  std::vector<std::uint8_t> scalar_values;
 
   for (int trial = 0; trial < 20; ++trial) {
-    Netlist::SimState state = nl.initial_state();
+    std::vector<std::uint8_t> state = nl.initial_state();
     for (std::size_t k = 0; k < nl.num_inputs(); ++k) in[k] = rng.below(2) != 0;
-    for (std::size_t k = 0; k < nl.num_dffs(); ++k) state.dff[k] = rng.below(2) != 0;
+    for (std::size_t k = 0; k < nl.num_dffs(); ++k) state[k] = rng.below(2) != 0;
     for (std::size_t k = 0; k < nl.num_inputs(); ++k)
       in_lanes[k] = in[k] ? ~std::uint64_t{0} : 0;
     for (std::size_t k = 0; k < nl.num_dffs(); ++k)
-      dff_lanes[k] = state.dff[k] ? ~std::uint64_t{0} : 0;
+      dff_lanes[k] = state[k] ? ~std::uint64_t{0} : 0;
 
     cn.evaluate(masks, in_lanes.data(), dff_lanes.data(), lane_values.data());
 
@@ -116,19 +118,19 @@ TEST(CompiledNetlist, WideLanesMatchScalarEvaluateOnHighLanes) {
   std::vector<std::uint64_t> in_lanes(nl.num_inputs() * W);
   std::vector<std::uint64_t> dff_lanes(nl.num_dffs() * W);
   std::vector<std::uint64_t> lane_values(nl.num_nets() * W);
-  std::vector<bool> in(nl.num_inputs());
-  std::vector<bool> scalar_values;
+  std::vector<std::uint8_t> in(nl.num_inputs());
+  std::vector<std::uint8_t> scalar_values;
 
   for (int trial = 0; trial < 10; ++trial) {
-    Netlist::SimState state = nl.initial_state();
+    std::vector<std::uint8_t> state = nl.initial_state();
     for (std::size_t k = 0; k < nl.num_inputs(); ++k) in[k] = rng.below(2) != 0;
-    for (std::size_t k = 0; k < nl.num_dffs(); ++k) state.dff[k] = rng.below(2) != 0;
+    for (std::size_t k = 0; k < nl.num_dffs(); ++k) state[k] = rng.below(2) != 0;
     for (std::size_t k = 0; k < nl.num_inputs(); ++k)
       for (unsigned w = 0; w < W; ++w)
         in_lanes[k * W + w] = in[k] ? ~std::uint64_t{0} : 0;
     for (std::size_t k = 0; k < nl.num_dffs(); ++k)
       for (unsigned w = 0; w < W; ++w)
-        dff_lanes[k * W + w] = state.dff[k] ? ~std::uint64_t{0} : 0;
+        dff_lanes[k * W + w] = state[k] ? ~std::uint64_t{0} : 0;
 
     cn.evaluate(masks, in_lanes.data(), dff_lanes.data(), lane_values.data());
 
@@ -178,21 +180,27 @@ TEST(CompiledNetlist, RequiresFinalize) {
   EXPECT_THROW(CompiledNetlist cn(nl), std::logic_error);
 }
 
-// --- allocation-free scalar step --------------------------------------------
+// --- scalar step scratch ------------------------------------------------------
 
-TEST(NetlistStep, ScratchOverloadMatchesAllocatingStep) {
+TEST(NetlistStep, ReusedScratchMatchesFreshScratch) {
+  // step() writes every net's byte each cycle, so a values buffer reused
+  // across cycles (and faults) holds nothing stale.
   const ControllerStructure cs = fig1_for("dk27");
   const Netlist& nl = cs.nl;
+  const auto faults = enumerate_stuck_faults(nl);
   Rng rng(7);
-  Netlist::SimState s1 = nl.initial_state(), s2 = nl.initial_state();
-  std::vector<bool> in(nl.num_inputs());
-  std::vector<bool> values, out;
+  std::vector<std::uint8_t> s1 = nl.initial_state(), s2 = nl.initial_state();
+  std::vector<std::uint8_t> in(nl.num_inputs());
+  std::vector<std::uint8_t> values;
   for (int k = 0; k < 100; ++k) {
     for (std::size_t b = 0; b < in.size(); ++b) in[b] = rng.below(2) != 0;
-    const auto expect = nl.step(in, s1);
-    nl.step(in, s2, values, out);
+    const Fault& f = faults[rng.below(faults.size())];
+    const auto expect = step_outputs(nl, in, s1, f.net, f.stuck_value);
+    nl.step(in, s2, values, f.net, f.stuck_value);
+    std::vector<std::uint8_t> out;
+    for (const NetId o : nl.outputs()) out.push_back(values[o]);
     ASSERT_EQ(out, expect) << "cycle " << k;
-    ASSERT_EQ(s1.dff, s2.dff) << "cycle " << k;
+    ASSERT_EQ(s1, s2) << "cycle " << k;
   }
 }
 
@@ -302,16 +310,17 @@ TEST_P(CampaignEquivalence, BothLaneEnginesMatchSerialOracleAtAllThreadCounts) {
   const std::size_t cap = 160;
   const std::size_t stride = all.size() <= cap ? 1 : (all.size() + cap - 1) / cap;
   for (std::size_t i = 0; i < all.size(); i += stride) list.push_back(all[i]);
-  const std::vector<Fault> reps = collapse_faults(cs.nl, list).representatives;
+  const CollapsedFaults cf = collapse_faults(cs.nl, list);
 
   // thorough and autonomous run 2-4 sessions, so lanes retire mid-plan.
   for (const SelfTestPlan& plan :
        {SelfTestPlan::two_session(48), SelfTestPlan::thorough(48),
         SelfTestPlan::autonomous(48)}) {
-    const CoverageResult serial = measure_coverage(cs, plan, list);
+    const OracleRun oracle = run_oracle(cs, plan, list);
+    const CoverageResult serial = oracle.coverage();
     const auto serial_undet = fault_set(serial.undetected);
     const std::size_t sessions = plan.sessions.size();
-    const SessionWork work = survivors_per_session(cs, plan, reps);
+    const SessionWork work = survivors_per_session(cs, plan, oracle.representatives(cf));
 
     for (const unsigned lane_words : kSupportedLaneWords) {
       const std::size_t runs = work.runs(faults_per_run(lane_words));
@@ -362,7 +371,7 @@ TEST(Campaign, WiderLanesTakeFewerSessionRuns) {
   const ControllerStructure cs = fig1_for("bbara");
   const SelfTestPlan plan = SelfTestPlan::two_session(48);
   const SessionWork work =
-      survivors_per_session(cs, plan, enumerate_stuck_faults(cs.nl));
+      survivors_per_session(cs, plan, run_oracle(cs, plan, enumerate_stuck_faults(cs.nl)));
   std::size_t prev_runs = SIZE_MAX;
   for (const unsigned lane_words : kSupportedLaneWords) {
     CampaignOptions opt;
@@ -443,6 +452,41 @@ TEST(Campaign, OracleAndKernelRejectTheSameBadPlans) {
         EXPECT_NE(e.context().find(expected), std::string::npos)
             << name << ": " << e.context();
       }
+    }
+  }
+}
+
+TEST(Campaign, OracleAndKernelRejectTheSameBadFault) {
+  // One fault-list check: a fault on a net the netlist does not have is a
+  // typed error naming the net and the net count, raised before any work
+  // by the serial oracle, the campaign (collapsing or not) and the
+  // functional pass -- never an out-of-range read.
+  const MealyMachine m = load_benchmark("dk27");
+  const ControllerStructure cs =
+      build_fig2(encode_fsm(m, natural_encoding(m.num_states())));
+  const NetId bad = static_cast<NetId>(cs.nl.num_nets() + 1000000);
+  const std::vector<Fault> list = {{0, false}, {bad, true}};
+  const SelfTestPlan plan = SelfTestPlan::conventional(16);
+  CampaignOptions no_collapse;
+  no_collapse.collapse = false;
+  const std::pair<const char*, std::function<void()>> engines[] = {
+      {"measure_coverage", [&] { measure_coverage(cs, plan, list); }},
+      {"run_self_test", [&] { run_self_test(cs, plan, list[1]); }},
+      {"collapsing campaign", [&] { run_fault_campaign(cs, plan, {}, list); }},
+      {"campaign", [&] { run_fault_campaign(cs, plan, no_collapse, list); }},
+      {"functional pass", [&] { measure_functional_coverage(cs, 16, list); }},
+  };
+  for (const auto& [name, run] : engines) {
+    try {
+      run();
+      ADD_FAILURE() << name << " accepted a fault on net " << bad;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidInput) << name;
+      EXPECT_NE(e.context().find("net=" + std::to_string(bad)), std::string::npos)
+          << name << ": " << e.context();
+      EXPECT_NE(e.context().find("nets=" + std::to_string(cs.nl.num_nets())),
+                std::string::npos)
+          << name << ": " << e.context();
     }
   }
 }

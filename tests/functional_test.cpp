@@ -24,20 +24,20 @@ CoverageResult scalar_functional_coverage(const ControllerStructure& cs,
   for (NetId net : cs.pi)
     for (std::size_t k = 0; k < nl.inputs().size(); ++k)
       if (nl.inputs()[k] == net) pi_slot.push_back(k);
-  std::vector<bool> in(nl.num_inputs(), false);
-  std::vector<bool> values, outs;
+  std::vector<std::uint8_t> in(nl.num_inputs(), 0);
+  std::vector<std::uint8_t> values;
   const auto run_trace = [&](std::optional<Fault> fault) {
     const NetId fnet = fault ? fault->net : kNoNet;
     const bool fval = fault ? fault->stuck_value : false;
     Bilbo gen(std::max<std::size_t>(8, cs.pi.size()));
     gen.seed(seed);
-    Netlist::SimState state = nl.initial_state();
+    std::vector<std::uint8_t> state = nl.initial_state();
     std::vector<bool> trace;
     for (std::size_t cycle = 0; cycle < cycles; ++cycle) {
-      std::fill(in.begin(), in.end(), false);
+      std::fill(in.begin(), in.end(), 0);
       for (std::size_t k = 0; k < cs.pi.size(); ++k) in[pi_slot[k]] = gen.bit(k);
-      nl.step(in, state, values, outs, fnet, fval);
-      trace.insert(trace.end(), outs.begin(), outs.end());
+      nl.step(in, state, values, fnet, fval);
+      for (const NetId o : nl.outputs()) trace.push_back(values[o] != 0);
       gen.clock(BilboMode::kGenerate);
     }
     return trace;

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "logic/qm.hpp"
 #include "netlist/builder.hpp"
+#include "netlist/eval64.hpp"
 #include "util/rng.hpp"
+#include "scalar_step.hpp"
 
 namespace stc {
 namespace {
@@ -26,11 +30,11 @@ TEST(Netlist, CombinationalGateEvaluation) {
   auto st = nl.initial_state();
   for (int av = 0; av < 2; ++av) {
     for (int bv = 0; bv < 2; ++bv) {
-      auto out = nl.step({av != 0, bv != 0}, st);
-      EXPECT_EQ(out[0], (av & bv) != 0);
-      EXPECT_EQ(out[1], (av | bv) != 0);
-      EXPECT_EQ(out[2], (av ^ bv) != 0);
-      EXPECT_EQ(out[3], av == 0);
+      auto out = step_outputs(nl, {av != 0, bv != 0}, st);
+      EXPECT_EQ(out[0] != 0, (av & bv) != 0);
+      EXPECT_EQ(out[1] != 0, (av | bv) != 0);
+      EXPECT_EQ(out[2] != 0, (av ^ bv) != 0);
+      EXPECT_EQ(out[3] != 0, av == 0);
     }
   }
 }
@@ -44,7 +48,7 @@ TEST(Netlist, ConstantsAndBuf) {
   nl.add_output(zero, "z");
   nl.finalize();
   auto st = nl.initial_state();
-  auto out = nl.step({}, st);
+  auto out = step_outputs(nl, {}, st);
   EXPECT_TRUE(out[0]);
   EXPECT_FALSE(out[1]);
 }
@@ -60,7 +64,7 @@ TEST(Netlist, DffHoldsStateAcrossCycles) {
 
   auto st = nl.initial_state();
   std::vector<bool> seq;
-  for (int k = 0; k < 4; ++k) seq.push_back(nl.step({}, st)[0]);
+  for (int k = 0; k < 4; ++k) seq.push_back(step_outputs(nl, {}, st)[0] != 0);
   EXPECT_EQ(seq, (std::vector<bool>{false, true, false, true}));
 }
 
@@ -71,7 +75,7 @@ TEST(Netlist, DffInitValueRespected) {
   nl.add_output(q, "q");
   nl.finalize();
   auto st = nl.initial_state();
-  EXPECT_TRUE(nl.step({}, st)[0]);
+  EXPECT_TRUE(step_outputs(nl, {}, st)[0]);
 }
 
 TEST(Netlist, UnconnectedDffRejected) {
@@ -98,7 +102,7 @@ TEST(Netlist, EvaluateRequiresFinalize) {
   const NetId a = nl.add_input("a");
   nl.add_output(nl.add_not(a), "o");
   auto st = nl.initial_state();
-  std::vector<bool> values;
+  std::vector<std::uint8_t> values;
   EXPECT_THROW(nl.evaluate({true}, st, values), std::logic_error);
 }
 
@@ -110,10 +114,94 @@ TEST(Netlist, FaultInjectionForcesNet) {
   nl.finalize();
   auto st = nl.initial_state();
   // Healthy: out = !a. Fault inv stuck-at-0: out = 0 regardless.
-  EXPECT_TRUE(nl.step({false}, st)[0]);
-  EXPECT_FALSE(nl.step({false}, st, inv, false)[0]);
+  EXPECT_TRUE(step_outputs(nl, {false}, st)[0]);
+  EXPECT_FALSE(step_outputs(nl, {false}, st, inv, false)[0]);
   // Fault on the input net itself.
-  EXPECT_FALSE(nl.step({false}, st, a, true)[0]);
+  EXPECT_FALSE(step_outputs(nl, {false}, st, a, true)[0]);
+}
+
+TEST(Netlist, ConnectDffAfterFinalizeNeedsFinalizeAgain) {
+  Netlist nl;
+  const NetId a = nl.add_input("a");
+  const NetId q = nl.add_dff("q", false);
+  const NetId g = nl.add_and({a, q});
+  nl.connect_dff(q, g);
+  nl.add_output(g, "o");
+  nl.finalize();
+  nl.connect_dff(q, a);
+  EXPECT_FALSE(nl.finalized());
+  auto st = nl.initial_state();
+  std::vector<std::uint8_t> values;
+  EXPECT_THROW(nl.evaluate({true}, st, values), std::logic_error);
+  EXPECT_THROW(nl.step({true}, st, values), std::logic_error);
+  EXPECT_THROW(CompiledNetlist(nl, 1), std::logic_error);
+  nl.finalize();
+  EXPECT_NO_THROW(CompiledNetlist(nl, 1));
+  // The new D net is the one clocked: q loads a, then g = a & q reads it.
+  EXPECT_FALSE(step_outputs(nl, {true}, st)[0]);
+  EXPECT_TRUE(step_outputs(nl, {true}, st)[0]);
+}
+
+TEST(Netlist, GateViewKeepsBuilderFaninOrder) {
+  Netlist nl;
+  const NetId a = nl.add_input("a");
+  const NetId b = nl.add_input("b");
+  const NetId c = nl.add_input("c");
+  const NetId q = nl.add_dff("q", true);
+  const NetId g = nl.add_or({c, a, q, b, a});
+  nl.connect_dff(q, g);
+  nl.finalize();
+  const GateView v = nl.gate(g);
+  EXPECT_EQ(v.type, GateType::kOr);
+  EXPECT_EQ(std::vector<NetId>(v.fanins.begin(), v.fanins.end()),
+            (std::vector<NetId>{c, a, q, b, a}));
+  EXPECT_FALSE(v.dff_init);
+  const GateView d = nl.gate(q);
+  EXPECT_EQ(d.type, GateType::kDff);
+  ASSERT_EQ(d.fanins.size(), 1u);
+  EXPECT_EQ(d.fanins[0], g);
+  EXPECT_TRUE(d.dff_init);
+  EXPECT_EQ(nl.gate(a).fanins.size(), 0u);
+  EXPECT_EQ(nl.name(b), "b");
+  EXPECT_EQ(nl.name(g), "");
+  EXPECT_THROW(nl.gate(static_cast<NetId>(nl.num_nets())), std::out_of_range);
+}
+
+TEST(Netlist, ConstantNetTakesStuckAtLikeLaneKernel) {
+  // A stuck-at fault on a constant net flips it; the scalar evaluator and
+  // the lane kernel's per-net masks must agree on every net.
+  Netlist nl;
+  const NetId a = nl.add_input("a");
+  const NetId one = nl.add_const(true);
+  const NetId zero = nl.add_const(false);
+  const NetId g_and = nl.add_and({a, one});
+  const NetId g_or = nl.add_or({a, zero});
+  nl.add_output(g_and, "and");
+  nl.add_output(g_or, "or");
+  nl.finalize();
+  const CompiledNetlist cn(nl, 1);
+  LaneFaultMasks masks(cn);
+  masks.set({{one, false, 1}, {zero, true, 2}});
+  std::vector<std::uint8_t> values;
+  const std::vector<std::uint8_t> st = nl.initial_state();
+  for (const bool av : {false, true}) {
+    const std::uint64_t in = av ? ~std::uint64_t{0} : 0;
+    std::vector<std::uint64_t> lanes(nl.num_nets());
+    cn.evaluate(masks, &in, nullptr, lanes.data());
+    for (const auto& [lane, net, stuck] :
+         {std::tuple<unsigned, NetId, bool>{0, kNoNet, false},
+          {1, one, false},
+          {2, zero, true}}) {
+      nl.evaluate({av}, st, values, net, stuck);
+      for (NetId id = 0; id < nl.num_nets(); ++id)
+        EXPECT_EQ(values[id], (lanes[id] >> lane) & 1)
+            << "a=" << av << " lane " << lane << " net " << id;
+    }
+  }
+  nl.evaluate({true}, st, values, one, false);
+  EXPECT_EQ(values[g_and], 0);
+  nl.evaluate({false}, st, values, zero, true);
+  EXPECT_EQ(values[g_or], 1);
 }
 
 TEST(Netlist, AreaAndDepthModel) {
@@ -136,7 +224,7 @@ TEST(Netlist, InputArityChecked) {
   nl.add_input("a");
   nl.finalize();
   auto st = nl.initial_state();
-  std::vector<bool> values;
+  std::vector<std::uint8_t> values;
   EXPECT_THROW(nl.evaluate({}, st, values), std::invalid_argument);
   EXPECT_THROW(nl.evaluate({true, false}, st, values), std::invalid_argument);
 }
@@ -163,9 +251,9 @@ TEST_P(SopBuilder, NetlistMatchesCoverOnAllMinterms) {
 
   auto st = nl.initial_state();
   for (Minterm m = 0; m < tt.num_minterms(); ++m) {
-    std::vector<bool> in(vars);
+    std::vector<std::uint8_t> in(vars);
     for (std::size_t v = 0; v < vars; ++v) in[v] = (m >> v) & 1;
-    EXPECT_EQ(nl.step(in, st)[0], cover.evaluate(m)) << "minterm " << m;
+    EXPECT_EQ(step_outputs(nl, in, st)[0] != 0, cover.evaluate(m)) << "minterm " << m;
   }
 }
 
@@ -178,7 +266,7 @@ TEST(SopBuilderEdge, EmptyCoverIsConstZero) {
   nl.add_output(out, "f");
   nl.finalize();
   auto st = nl.initial_state();
-  EXPECT_FALSE(nl.step({true}, st)[0]);
+  EXPECT_FALSE(step_outputs(nl, {true}, st)[0]);
 }
 
 TEST(SopBuilderEdge, TautologyCubeIsConstOne) {
@@ -190,7 +278,7 @@ TEST(SopBuilderEdge, TautologyCubeIsConstOne) {
   nl.add_output(out, "f");
   nl.finalize();
   auto st = nl.initial_state();
-  EXPECT_TRUE(nl.step({false}, st)[0]);
+  EXPECT_TRUE(step_outputs(nl, {false}, st)[0]);
 }
 
 TEST(SopBuilderEdge, SharedInvertersNotDuplicated) {
@@ -216,10 +304,10 @@ TEST(Mux, SelectsCorrectly) {
   nl.add_output(build_mux(nl, s, a, b), "y");
   nl.finalize();
   auto st = nl.initial_state();
-  EXPECT_TRUE(nl.step({true, true, false}, st)[0]);    // sel -> a
-  EXPECT_FALSE(nl.step({true, false, true}, st)[0]);
-  EXPECT_TRUE(nl.step({false, false, true}, st)[0]);   // !sel -> b
-  EXPECT_FALSE(nl.step({false, true, false}, st)[0]);
+  EXPECT_TRUE(step_outputs(nl, {true, true, false}, st)[0]);    // sel -> a
+  EXPECT_FALSE(step_outputs(nl, {true, false, true}, st)[0]);
+  EXPECT_TRUE(step_outputs(nl, {false, false, true}, st)[0]);   // !sel -> b
+  EXPECT_FALSE(step_outputs(nl, {false, true, false}, st)[0]);
 }
 
 TEST(RegisterBank, InitEncodesLsbFirst) {
@@ -228,7 +316,7 @@ TEST(RegisterBank, InitEncodesLsbFirst) {
   for (NetId q : bank.q) nl.connect_dff(q, q);
   nl.finalize();
   auto st = nl.initial_state();
-  EXPECT_EQ(st.dff, (std::vector<bool>{true, false, true}));
+  EXPECT_EQ(st, (std::vector<std::uint8_t>{1, 0, 1}));
 }
 
 }  // namespace

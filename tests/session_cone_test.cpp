@@ -71,16 +71,17 @@ TEST_P(SessionCone, CampaignsMatchSerialOracleAndModel) {
   const auto& [machine, tech, fig] = GetParam();
   const ControllerStructure cs = pipeline_for(machine, tech, fig);
   const std::vector<Fault> list = strided_sample(cs.nl);
-  const std::vector<Fault> reps = collapse_faults(cs.nl, list).representatives;
+  const CollapsedFaults cf = collapse_faults(cs.nl, list);
 
   for (const auto& [name, plan] :
        {std::pair<const char*, SelfTestPlan>{"two_session", SelfTestPlan::two_session(48)},
         {"thorough", SelfTestPlan::thorough(48)},
         {"autonomous", SelfTestPlan::autonomous(48)}}) {
     SCOPED_TRACE(name);
-    const CoverageResult serial = measure_coverage(cs, plan, list);
+    const OracleRun oracle = run_oracle(cs, plan, list);
+    const CoverageResult serial = oracle.coverage();
     const auto serial_undet = fault_set(serial.undetected);
-    const SessionWork work = survivors_per_session(cs, plan, reps);
+    const SessionWork work = survivors_per_session(cs, plan, oracle.representatives(cf));
     for (const unsigned lane_words : kSupportedLaneWords) {
       for (const CampaignEngine engine :
            {CampaignEngine::kEvent, CampaignEngine::kFlat}) {
@@ -238,13 +239,13 @@ TEST(SessionConeProgram, RejectsConesThatAreNotFaninClosed) {
   const Netlist& nl = cs.nl;
   std::vector<char> cone(nl.num_nets(), 0);
   cone[cs.po[0]] = 1;  // an output without the logic that drives it
-  ASSERT_FALSE(nl.topo_order().empty());
+  ASSERT_FALSE(nl.program().empty());
   EXPECT_THROW(CompiledNetlist(nl, 1, cone), std::invalid_argument);
   EXPECT_THROW(CompiledNetlist(nl, 1, std::vector<char>(nl.num_nets() + 1, 1)),
                std::invalid_argument);
   // The closure of that output is accepted and evaluates it.
   const CompiledNetlist part(nl, 1, fanin_cone(nl, {cs.po[0]}));
-  EXPECT_LE(part.num_ops(), nl.topo_order().size());
+  EXPECT_LE(part.num_ops(), nl.program().size());
 }
 
 TEST(SessionConeProgram, MasksMustFitTheProgram) {

@@ -2,7 +2,9 @@
 // An independent model of the work a session-major campaign does, built
 // from the netlist and the serial oracle only -- no lane kernel code. The
 // campaign suites compare CampaignResult::session_runs and
-// fault_sessions_skipped against it exactly.
+// fault_sessions_skipped against it exactly, and their serial verdicts
+// come from the same oracle run (OracleRun), so each fault's full plan
+// runs once.
 //
 // Session by session, the survivors are the faults no compacting bank of
 // an earlier session flagged (read off run_self_test's per-session
@@ -41,7 +43,7 @@ inline std::vector<char> model_session_cone(const ControllerStructure& cs,
     stack.pop_back();
     if (in[n]) continue;
     in[n] = 1;
-    const Gate& g = nl.gate(n);
+    const GateView g = nl.gate(n);
     if (g.type == GateType::kDff) continue;
     for (const NetId f : g.fanins) stack.push_back(f);
   }
@@ -55,6 +57,53 @@ inline std::vector<char> model_session_cone(const ControllerStructure& cs,
   }
   if (whole) std::fill(in.begin(), in.end(), 1);
   return in;
+}
+
+/// The serial oracle's full-plan signatures of a fault list: the
+/// fault-free run and one run per fault.
+struct OracleRun {
+  Signatures golden;
+  std::vector<Fault> faults;
+  std::vector<Signatures> sigs;  // parallel to faults
+
+  /// The serial verdict, as measure_coverage(cs, plan, faults) reports it.
+  CoverageResult coverage() const {
+    CoverageResult res;
+    res.total = faults.size();
+    res.simulated = faults.size();
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      if (sigs[i] != golden) {
+        ++res.detected;
+      } else {
+        res.undetected.push_back(faults[i]);
+      }
+    }
+    return res;
+  }
+
+  /// This run at the representatives of `cf` (collapsed from `faults`):
+  /// the first list member of each class, in class order.
+  OracleRun representatives(const CollapsedFaults& cf) const {
+    OracleRun reps;
+    reps.golden = golden;
+    std::vector<char> seen(cf.num_classes(), 0);
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      if (seen[cf.class_of[i]]) continue;
+      seen[cf.class_of[i]] = 1;
+      reps.faults.push_back(faults[i]);
+      reps.sigs.push_back(sigs[i]);
+    }
+    return reps;
+  }
+};
+
+inline OracleRun run_oracle(const ControllerStructure& cs, const SelfTestPlan& plan,
+                            std::vector<Fault> faults) {
+  OracleRun run;
+  run.golden = run_self_test(cs, plan);
+  run.faults = std::move(faults);
+  for (const Fault& f : run.faults) run.sigs.push_back(run_self_test(cs, plan, f));
+  return run;
 }
 
 /// Per session: how many of `faults` survive into it and how many of
@@ -76,16 +125,15 @@ struct SessionWork {
   }
 };
 
-/// The model above over `faults` (pass the collapsed representatives to
-/// compare with a collapsing campaign). Also checks the skip rule's
-/// premise on the serial oracle: a skipped fault leaves every register
-/// signature of its session equal to the fault-free one.
+/// The model above over the faults of `run` (pass the collapsed
+/// representatives to compare with a collapsing campaign). Also checks the
+/// skip rule's premise on the serial oracle: a skipped fault leaves every
+/// register signature of its session equal to the fault-free one.
 inline SessionWork survivors_per_session(const ControllerStructure& cs,
-                                         const SelfTestPlan& plan,
-                                         const std::vector<Fault>& faults) {
-  const Signatures golden = run_self_test(cs, plan);
-  std::vector<Signatures> sigs;
-  for (const Fault& f : faults) sigs.push_back(run_self_test(cs, plan, f));
+                                         const SelfTestPlan& plan, const OracleRun& run) {
+  const Signatures& golden = run.golden;
+  const std::vector<Fault>& faults = run.faults;
+  const std::vector<Signatures>& sigs = run.sigs;
   std::vector<char> retired(faults.size(), 0);
   SessionWork work;
   std::size_t first_sig = 0;
