@@ -92,10 +92,9 @@ void Netlist::finalize() {
       throw std::logic_error("finalize: unconnected DFF '" + name(q) + "'");
 
   // Topological sort of combinational gates; inputs/consts/DFF-q are
-  // sources. Kahn's algorithm over combinational fanin edges, with a LIFO
-  // ready list: a gate tends to run right after its last fanin, while the
-  // values it reads are still hot (net-id order is 60% slower in the
-  // serial oracle).
+  // sources. Kahn's algorithm over combinational fanin edges with a LIFO
+  // ready list. Net-id order is topological too, but the serial oracle
+  // runs 40-100% slower on it (DESIGN.md, "One flat netlist form").
   const std::size_t n = num_nets();
   std::vector<std::uint32_t> pending(n, 0);
   std::vector<std::vector<NetId>> fanouts(n);
