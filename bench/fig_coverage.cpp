@@ -25,9 +25,6 @@
 //   --repeat N    enqueue the job list N times (cache-warm re-runs: every
 //                 repeat after the first is all cache hits, no recompiles)
 //   --cycles N    BIST cycles per session (default 256)
-//   --lanes L     simulation lanes per run: 64 (default), 256 or 512
-//                 (faults per self-test run = lanes - 1; identical
-//                 detected sets at every width)
 //   --tech T      implementation technology: two_level (default) or
 //                 multi_level (ignored under --all, which sweeps both)
 //   --time-budget-ms N
@@ -51,8 +48,8 @@ namespace {
 
 using namespace stc;
 
-void coverage_series(unsigned lane_words, const std::shared_ptr<CancelToken>& cancel,
-                     long budget_ms, std::size_t threads) {
+void coverage_series(const std::shared_ptr<CancelToken>& cancel, long budget_ms,
+                     std::size_t threads) {
   // Coverage vs test length for the pipeline structure (series data).
   std::printf("Pipeline (fig4) coverage vs cycles per session, machine dk27 "
               "(%zu threads):\n", threads);
@@ -62,7 +59,6 @@ void coverage_series(unsigned lane_words, const std::shared_ptr<CancelToken>& ca
   const ControllerStructure fig4 = build_fig4(m, real);
   CampaignOptions copt;
   copt.num_threads = threads;
-  copt.lane_words = lane_words;
   copt.budget.with_cancel(cancel);
   if (budget_ms >= 0)
     copt.budget.with_deadline_ms(static_cast<double>(budget_ms));
@@ -82,7 +78,7 @@ int run(const Cli& cli) {
   // bad value is one typed error before any synthesis work starts.
   CampaignJobSpec job;
   set_job_flags(job, cli,
-                {{"tech", "tech"}, {"lanes", "lanes"}, {"cycles", "bist_cycles"}});
+                {{"tech", "tech"}, {"cycles", "bist_cycles"}});
 
   const auto cancel = install_sigint_cancel();
   const long budget_ms = cli.get_int("time-budget-ms", -1);
@@ -102,11 +98,10 @@ int run(const Cli& cli) {
   sw.job_budget_ms = static_cast<double>(budget_ms);
   sw.cancel = cancel;
 
-  std::printf("Corpus sweep: %s, %zu lanes, %zu jobs%s\n",
+  std::printf("Corpus sweep: %s, %zu jobs%s\n",
               all ? "full KISS corpus x fig1-fig4 x two_level+multi_level"
                   : "paper set x fig1-fig4",
-              64 * (std::size_t)job.lane_words, sw.jobs,
-              sw.repeat > 1 ? " (repeated)" : "");
+              sw.jobs, sw.repeat > 1 ? " (repeated)" : "");
   std::printf("%s\n", corpus_row_header().c_str());
   JobCache cache;
   const CorpusReport rep =
@@ -123,7 +118,7 @@ int run(const Cli& cli) {
   // The dk27 series stays a focused single-structure study; skip it for
   // the corpus-wide sweep (and once cancellation has been requested).
   if (!all && !(cancel && cancel->requested()))
-    coverage_series(job.lane_words, cancel, budget_ms, sw.jobs);
+    coverage_series(cancel, budget_ms, sw.jobs);
   return 0;
 }
 
@@ -131,7 +126,7 @@ int run(const Cli& cli) {
 
 int main(int argc, char** argv) {
   return run_cli(argc, argv,
-                 {"all", "jobs N", "repeat N", "cycles N", "lanes 64|256|512",
-                  "tech two_level|multi_level", "time-budget-ms N"},
+                 {"all", "jobs N", "repeat N", "cycles N", "tech two_level|multi_level",
+                  "time-budget-ms N"},
                  run);
 }

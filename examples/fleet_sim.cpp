@@ -9,8 +9,7 @@
 // Run:  ./fleet_sim [--machine dk27] [--arch fig2|fig3|fig4]
 //                   [--instances 1000000] [--widths 8,16,24,40]
 //                   [--distribution fault_free|single_uniform|clustered]
-//                   [--defect-rate X] [--jobs N] [--lanes 64|256|512]
-//                   [--cycles N] [--seed N]
+//                   [--defect-rate X] [--jobs N] [--cycles N] [--seed N]
 //                   [--budget-ms N] [--tech two_level|multi_level]
 //
 // The job flags go through the spool's set_job_field, bounds included:
@@ -40,7 +39,7 @@ int run(const stc::Cli& cli) {
   spec.fleet_instances = 1'000'000;
   set_job_flags(spec, cli,
                 {{"machine", "machine"}, {"arch", "arch"}, {"tech", "tech"},
-                 {"lanes", "lanes"}, {"cycles", "bist_cycles"},
+                 {"cycles", "bist_cycles"},
                  {"instances", "fleet_instances"},
                  {"widths", "fleet_widths"},
                  {"distribution", "fleet_distribution"},
@@ -87,7 +86,7 @@ int main(int argc, char** argv) {
   return stc::run_cli(argc, argv,
                       {"machine NAME", "arch fig2|fig3|fig4", "instances N",
                        "widths W,W,...", "distribution fault_free|single_uniform|clustered",
-                       "defect-rate X", "jobs N", "lanes 64|256|512", "cycles N",
-                       "seed N", "budget-ms N", "tech two_level|multi_level"},
+                       "defect-rate X", "jobs N", "cycles N", "seed N", "budget-ms N",
+                       "tech two_level|multi_level"},
                       run);
 }

@@ -24,7 +24,7 @@ int run(const stc::Cli& cli) {
   using namespace stc;
   const std::string name = cli.get("machine", "shiftreg");
   const std::size_t cycles = cli.get_count("cycles", 256, 1'000'000);
-  // Campaigns run on the bit-parallel engine (63 faults per session run);
+  // Campaigns run on the bit-parallel engine (511 faults per session run);
   // the detected sets are identical to the serial per-fault oracle.
   CampaignOptions copt;
   copt.num_threads = cli.get_count("jobs", 1, 4096);

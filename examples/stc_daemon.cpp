@@ -5,8 +5,7 @@
 //                           [--max-attempts N] [--watchdog-grace X]
 //                           [--watchdog-kill-grace X] [--quiet]
 //       ./stc_daemon submit <spool-dir> --machine NAME [--arch fig1..fig4]
-//                           [--tech two_level|multi_level]
-//                           [--lanes 64|256|512] [--cycles N]
+//                           [--tech two_level|multi_level] [--cycles N]
 //                           [--minimizer auto|qm|espresso]
 //                           [--no-faultsim] [--budget-ms MS] [--count N]
 //                           [--fleet-instances N] [--fleet-widths 8,16,24,40]
@@ -53,7 +52,7 @@ const std::vector<std::string> kFlags = {
     "jobs N", "budget-ms MS", "drain", "cache-max-entries N", "max-attempts N",
     "watchdog-grace X", "watchdog-kill-grace X", "max-recoveries N", "quiet",
     "machine NAME", "arch fig1..fig4", "tech two_level|multi_level",
-    "lanes 64|256|512", "cycles N", "functional-cycles N",
+    "cycles N", "functional-cycles N",
     "minimizer auto|qm|espresso", "no-faultsim", "count N", "fleet-instances N",
     "fleet-widths W,W,...", "distribution fault_free|single_uniform|clustered",
     "defect-rate X", "fleet-seed N"};
@@ -124,7 +123,7 @@ int cmd_submit(const stc::Cli& cli, const std::string& spool) {
   // --fleet-instances > 0 spools a deployment simulation.
   set_job_flags(job.spec, cli,
                 {{"machine", "machine"}, {"arch", "arch"}, {"tech", "tech"},
-                 {"lanes", "lanes"}, {"cycles", "bist_cycles"},
+                 {"cycles", "bist_cycles"},
                  {"functional-cycles", "functional_cycles"}, {"minimizer", "minimizer"},
                  {"fleet-instances", "fleet_instances"}, {"fleet-widths", "fleet_widths"},
                  {"distribution", "fleet_distribution"},

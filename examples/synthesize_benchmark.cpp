@@ -3,7 +3,6 @@
 // controller structures -> (optionally) fault simulation.
 //
 // Run:  ./synthesize_benchmark --machine shiftreg [--faultsim] [--jobs N]
-//                              [--lanes 64|256|512]
 //                              [--tech two_level|multi_level]
 //                              [--time-budget-ms N] [--max-nodes N]
 //       ./synthesize_benchmark --all [--jobs N] [--repeat N] [--faultsim]
@@ -57,7 +56,7 @@ int run(const stc::Cli& cli) {
 
   CampaignJobSpec job;
   set_job_flags(job, cli,
-                {{"lanes", "lanes"}, {"tech", "tech"}, {"cycles", "bist_cycles"}});
+                {{"tech", "tech"}, {"cycles", "bist_cycles"}});
   job.with_fault_sim = cli.has("faultsim");
   const std::size_t jobs = cli.get_count("jobs", hardware_threads(), 4096);
 
@@ -109,7 +108,6 @@ int run(const stc::Cli& cli) {
   opts.ostr.max_nodes = cli.get_count("max-nodes", kJobOstrMaxNodes);
   opts.bist_cycles = job.bist_cycles;
   opts.campaign.num_threads = jobs;
-  opts.campaign.lane_words = job.lane_words;
   opts.technology = job.tech;
 
   // Anytime controls: one whole-flow budget carrying the wall-clock
@@ -136,8 +134,7 @@ int run(const stc::Cli& cli) {
 int main(int argc, char** argv) {
   return stc::run_cli(argc, argv,
                       {"machine NAME", "kiss FILE", "list", "all", "faultsim",
-                       "jobs N", "repeat N", "lanes 64|256|512",
-                       "tech two_level|multi_level", "cycles N", "max-nodes N",
-                       "time-budget-ms N"},
+                       "jobs N", "repeat N", "tech two_level|multi_level",
+                       "cycles N", "max-nodes N", "time-budget-ms N"},
                       run);
 }

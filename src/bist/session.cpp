@@ -391,9 +391,9 @@ struct CampaignScratch {
   /// `full` is the whole-netlist program (slot 0), shared by all workers
   /// and outliving the scratch. Takes only `output_misr_width`, not the
   /// whole SelfTestPlan: scratch is cached/pooled per (structure,
-  /// lane_words, MISR width) tuple -- see JobCache's warm key -- and this
-  /// signature is what proves plans differing in anything else can share
-  /// it safely.
+  /// lane_words, MISR width) tuple -- JobCache's warm key fixes lane_words
+  /// at kMaxLaneWords -- and this signature is what proves plans differing
+  /// in anything else can share it safely.
   CampaignScratch(const ControllerStructure& cs, const CompiledNetlist& full,
                   std::size_t output_misr_width, const PinMap& pins)
       : cs(cs),
@@ -723,7 +723,7 @@ struct SessionProgram {
 class CampaignWarmState {
  public:
   // Deliberately takes output_misr_width rather than a SelfTestPlan: the
-  // cache keys warm state on (structure, lane_words, MISR width) only, and
+  // cache keys warm state on (structure, MISR width) at one lane width, and
   // this constructor consuming nothing else from a plan is what makes that
   // key sufficient by construction.
   CampaignWarmState(const ControllerStructure& cs, std::size_t output_misr_width,
@@ -848,14 +848,6 @@ std::size_t campaign_warm_reuses(const CampaignWarmState& warm) {
 }
 std::size_t campaign_warm_builds(const CampaignWarmState& warm) {
   return warm.builds();
-}
-
-unsigned lane_words_from_lanes(std::uint64_t lanes) {
-  if (lanes % 64 == 0 && lanes <= 512 &&
-      lane_words_supported(static_cast<unsigned>(lanes / 64)))
-    return static_cast<unsigned>(lanes / 64);
-  throw Error(ErrorCode::kInvalidInput, "unsupported lane count",
-              "lanes=" + std::to_string(lanes) + "; expected 64|256|512");
 }
 
 void CampaignOptions::validate(const SelfTestPlan& plan) const {

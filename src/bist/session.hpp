@@ -24,6 +24,7 @@
 
 #include "bist/architectures.hpp"
 #include "bist/bilbo.hpp"
+#include "netlist/eval64.hpp"
 #include "util/budget.hpp"
 
 namespace stc {
@@ -141,11 +142,6 @@ inline constexpr std::size_t faults_per_run(unsigned lane_words) {
   return 64u * lane_words - 1;
 }
 
-/// Map a driver-facing --lanes value (64, 256 or 512) to the lane-word
-/// count of CampaignOptions::lane_words; throws Error(kInvalidInput)
-/// naming the value given and the accepted ones.
-unsigned lane_words_from_lanes(std::uint64_t lanes);
-
 /// The lane kernel's evaluator pin -- not a user option: no job spec,
 /// spool key or driver flag selects it. Every evaluator yields identical
 /// verdicts; the equivalence suites, goldens and benches pin each one.
@@ -201,9 +197,12 @@ struct CampaignOptions {
   CampaignEngine engine = CampaignEngine::kEvent;
   /// uint64_t words per lane group: 1, 4 or 8 (64, 256 or 512 simulation
   /// lanes, batching faults_per_run(lane_words) faults per self-test run).
-  /// Validated up front by run_fault_campaign. Results are identical for
-  /// any supported value.
-  unsigned lane_words = 1;
+  /// A kernel pin like `engine`: no job spec, spool key or driver flag
+  /// selects it; the suites and benches that compare widths set it. The
+  /// default, 512 lanes, is the fastest on the large machines. Validated
+  /// up front by run_fault_campaign. Results are identical for any
+  /// supported value.
+  unsigned lane_words = kMaxLaneWords;
   /// Anytime governance. One work unit = one lane run of one session over
   /// one batch, charged per chunk of batches; the clock and the
   /// cancel token are also polled every cycle, and an exhausted budget

@@ -48,7 +48,7 @@ void FleetOptions::validate() const {
       problems.push_back(bad);
   }
   if (shard_instances == 0) problems.push_back("shard_instances must be > 0");
-  if (lane_words != 1 && lane_words != 4 && lane_words != 8)
+  if (!lane_words_supported(lane_words))
     problems.push_back("lane_words must be 1, 4 or 8");
   if (pool && jobs > 1)
     problems.push_back(

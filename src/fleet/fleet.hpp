@@ -59,7 +59,9 @@ struct FleetOptions {
   /// above 1 the shards run on a private TaskPool(jobs - 1) plus the
   /// calling thread.
   std::size_t jobs = 1;
-  unsigned lane_words = 1;
+  /// Lane words per packed run (see CampaignOptions::lane_words): a kernel
+  /// pin; counts are identical at every supported width.
+  unsigned lane_words = kMaxLaneWords;
   /// Plan template; output_misr_width is overridden per sweep entry and
   /// session cycles per curve point.
   SelfTestPlan plan = SelfTestPlan::two_session(256);

@@ -158,19 +158,19 @@ std::shared_ptr<JobCache::StructureEntry> JobCache::structure(
 
 std::shared_ptr<CampaignWarmState> JobCache::warm(
     const std::shared_ptr<StructureEntry>& s, std::size_t output_misr_width,
-    unsigned lane_words, bool* hit) {
+    bool* hit) {
   if (s->tagged) {
     // The next budget-bound build of its key may free this structure, and
     // a warm entry keyed on its address would then outlive it.
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.warm_misses;
     if (hit != nullptr) *hit = false;
-    return make_campaign_warm_state(s->cs, output_misr_width, lane_words);
+    return make_campaign_warm_state(s->cs, output_misr_width, kMaxLaneWords);
   }
-  const WarmKey key{reinterpret_cast<std::uintptr_t>(s.get()), lane_words, output_misr_width};
+  const WarmKey key{reinterpret_cast<std::uintptr_t>(s.get()), output_misr_width};
   return build_once(*slot_of(warms_, key), Budget(), &JobCacheStats::warm_hits,
                     &JobCacheStats::warm_misses, hit, [&] {
-                      auto w = make_campaign_warm_state(s->cs, output_misr_width, lane_words);
+                      auto w = make_campaign_warm_state(s->cs, output_misr_width, kMaxLaneWords);
                       std::lock_guard<std::mutex> lock(mu_);
                       all_warms_.push_back(w);
                       return w;
@@ -211,8 +211,8 @@ void JobCache::evict_locked() {
       // or younger): the compiled program references the structure's
       // netlist, so the structure must stay.
       const auto address = reinterpret_cast<std::uintptr_t>(slot->shared.get());
-      const auto w = warms_.lower_bound(WarmKey{address, 0, 0});
-      if (w != warms_.end() && std::get<0>(w->first) == address) continue;
+      const auto w = warms_.lower_bound(WarmKey{address, 0});
+      if (w != warms_.end() && w->first.first == address) continue;
       if (sv == structures_.end() || slot->last_use < sv->second->last_use)
         sv = it;
     }

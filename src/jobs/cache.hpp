@@ -10,8 +10,8 @@
 //              (espresso + factoring) of the fig1-fig3 structures
 //   structure  (content fingerprint, arch, tech, minimizer) -> built
 //              ControllerStructure
-//   warm       (structure identity, lane_words, MISR width) -> compiled
-//              lane program + scratch free-list (bist/session warm state)
+//   warm       (structure identity, MISR width) -> compiled lane program
+//              + scratch free-list (bist/session warm state)
 //
 // Every level keeps one build-once rule (build_once). A caller is served
 // what is already built for its key (a hit) or builds it under its own
@@ -152,22 +152,22 @@ class JobCache {
                                             const Budget& budget,
                                             bool* hit = nullptr);
 
-  /// Compiled lane program + scratch free-list for a cached structure.
-  /// Keyed (and parameterized) on exactly (structure, lane_words, MISR
-  /// width): callers pass plan.output_misr_width, and because the warm
-  /// state cannot consume anything else from a plan (its constructor does
-  /// not see one), plans differing in sessions/cycles/seeds share entries
-  /// safely. A tagged structure gets a fresh, uncached warm state.
+  /// Compiled lane program + scratch free-list for a cached structure, at
+  /// the kernel's default width (kMaxLaneWords). Keyed (and parameterized)
+  /// on exactly (structure, MISR width): callers pass
+  /// plan.output_misr_width, and because the warm state cannot consume
+  /// anything else from a plan (its constructor does not see one), plans
+  /// differing in sessions/cycles/seeds share entries safely. A tagged
+  /// structure gets a fresh, uncached warm state.
   std::shared_ptr<CampaignWarmState> warm(const std::shared_ptr<StructureEntry>& s,
                                           std::size_t output_misr_width,
-                                          unsigned lane_words,
                                           bool* hit = nullptr);
 
   JobCacheStats stats() const;
 
  private:
   using StructKey = std::tuple<std::uint64_t, ArchKind, Technology, MinimizerKind>;
-  using WarmKey = std::tuple<std::uintptr_t, unsigned, std::size_t>;  // structure address
+  using WarmKey = std::pair<std::uintptr_t, std::size_t>;  // structure address
 
   using Counter = std::size_t JobCacheStats::*;
 

@@ -85,12 +85,14 @@ void assign_job_field(CampaignJobSpec& s, const std::string& key,
   else if (key == "arch") s.arch = parse_arch(v);
   else if (key == "tech") s.tech = parse_technology(v);
   // Retired: spool files from before the lane kernel picked its own
-  // evaluator carry `engine = event|flat`. The key sets nothing.
+  // evaluator and width carry `engine = event|flat` and `lanes =
+  // 64|256|512`. The keys set nothing.
   else if (key == "engine") {
     if (v != "event" && v != "flat") throw invalid("event|flat (a retired key)");
   }
-  else if (key == "lanes")
-    s.lane_words = lane_words_from_lanes(parse_bounded(v, 0, UINT64_MAX));
+  else if (key == "lanes") {
+    if (v != "64" && v != "256" && v != "512") throw invalid("64|256|512 (a retired key)");
+  }
   else if (key == "bist_cycles") s.bist_cycles = parse_bounded(v, 1, kMaxCycles);
   else if (key == "functional_cycles")
     s.functional_cycles = parse_bounded(v, 1, kMaxCycles);
@@ -120,7 +122,6 @@ std::string render_job_fields(const CampaignJobSpec& spec) {
   std::string out = "machine = " + spec.machine + "\n";
   out += std::string("arch = ") + arch_name(spec.arch) + "\n";
   out += std::string("tech = ") + technology_name(spec.tech) + "\n";
-  out += "lanes = " + std::to_string(64u * spec.lane_words) + "\n";
   out += "bist_cycles = " + std::to_string(spec.bist_cycles) + "\n";
   out += "functional_cycles = " + std::to_string(spec.functional_cycles) + "\n";
   out += std::string("minimizer = ") + minimizer_name(spec.minimizer) + "\n";
@@ -209,7 +210,6 @@ CampaignJobResult run_campaign_job(const CampaignJobSpec& spec, JobCache& cache,
     fopt.bist_cycles = spec.bist_cycles;
     fopt.functional_cycles = spec.functional_cycles;
     fopt.budget = budget;
-    fopt.campaign.lane_words = spec.lane_words;
     // Scheduler-owned: inner parallelism goes through the shared pool (or
     // stays serial when there is none) -- never a nested per-campaign pool.
     fopt.campaign.num_threads = 1;
@@ -221,8 +221,7 @@ CampaignJobResult run_campaign_job(const CampaignJobSpec& spec, JobCache& cache,
     // (fig1 runs no sessions).
     std::shared_ptr<CampaignWarmState> warm;
     if (fopt.with_fault_sim && spec.arch != ArchKind::kFig1) {
-      warm = cache.warm(s, plan.output_misr_width, spec.lane_words,
-                        &r.warm_cached);
+      warm = cache.warm(s, plan.output_misr_width, &r.warm_cached);
       fopt.campaign.warm = warm.get();
     }
 
@@ -232,7 +231,6 @@ CampaignJobResult run_campaign_job(const CampaignJobSpec& spec, JobCache& cache,
       FleetOptions flo;
       flo.instances = spec.fleet_instances;
       flo.misr_widths = spec.fleet_widths;
-      flo.lane_words = spec.lane_words;
       flo.plan = plan;
       flo.base_seed = spec.fleet_seed;
       flo.defects.model = spec.fleet_distribution;
@@ -243,9 +241,9 @@ CampaignJobResult run_campaign_job(const CampaignJobSpec& spec, JobCache& cache,
       // Warm states come from the cache per MISR width, so re-queued fleet
       // jobs on a cached structure skip every compile (run_fleet calls this
       // serially from the width loop).
-      flo.warm = [&cache, &s, &spec, &r](std::size_t width) {
+      flo.warm = [&cache, &s, &r](std::size_t width) {
         bool hit = false;
-        auto w = cache.warm(s, width, spec.lane_words, &hit);
+        auto w = cache.warm(s, width, &hit);
         r.warm_cached = r.warm_cached || hit;
         return w;
       };

@@ -1,6 +1,6 @@
 #pragma once
 // Corpus-scale campaign orchestration: (machine x architecture x
-// technology x test plan x lane width) as a first-class CampaignJob,
+// technology x test plan) as a first-class CampaignJob,
 // executed on the work-stealing TaskPool with the JobCache supplying every
 // reusable artifact, aggregated into a single streamed CorpusReport.
 //
@@ -33,7 +33,6 @@ struct CampaignJobSpec {
   std::string machine;
   ArchKind arch = ArchKind::kFig1;
   Technology tech = Technology::kTwoLevel;
-  unsigned lane_words = 1;
   std::size_t bist_cycles = 256;       // per session (figs 2-4 plans)
   std::size_t functional_cycles = 512; // fig1 baseline
   MinimizerKind minimizer = MinimizerKind::kAuto;
@@ -42,7 +41,7 @@ struct CampaignJobSpec {
   /// Fleet mode: when > 0 the job is a deployment simulation -- synthesize
   /// the structure as usual (area/depth metrics still reported, fault sweep
   /// skipped), then run `fleet_instances` chip instances per MISR width
-  /// through run_fleet on the job's lane width, with defects drawn
+  /// through run_fleet, with defects drawn
   /// from `fleet_distribution`. 0 = ordinary campaign job.
   std::uint64_t fleet_instances = 0;
   std::vector<std::size_t> fleet_widths = {8, 16, 24, 40};
@@ -64,7 +63,8 @@ void set_job_field(CampaignJobSpec& spec, const std::string& key,
 
 /// Every field as `key = value` lines, in the spool's fixed order. The fleet_*
 /// keys appear only for fleet jobs (fleet_instances > 0); the retired
-/// `engine` key, which set_job_field still accepts, is never written.
+/// `engine` and `lanes` keys, which set_job_field still accepts, are never
+/// written.
 std::string render_job_fields(const CampaignJobSpec& spec);
 
 /// A driver's job flags: for each (flag, key) pair whose --flag is given,

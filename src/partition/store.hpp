@@ -12,8 +12,9 @@
 // lattice enumerations and the decomposition engines share one partition
 // universe per machine (see DESIGN.md "Interner architecture").
 //
-// A store is NOT thread-safe: parallel searches give each worker its own
-// store. Ids are store-relative and must never be mixed across stores.
+// A store is NOT thread-safe and belongs to one caller: nothing may use
+// it from two threads at once. Ids are store-relative and must never be
+// mixed across stores.
 
 #include <cstdint>
 #include <unordered_map>

@@ -271,6 +271,7 @@ TEST(AnytimeCampaign, MidCampaignTruncationReportsPartialCoverage) {
   const SelfTestPlan plan = SelfTestPlan::two_session(48);
   CampaignOptions opt;
   opt.num_threads = 1;  // deterministic truncated subset
+  opt.lane_words = 1;   // 63-fault batches: bbara's classes take several
   // One unit is one (session, batch) run, and on fig1 only session 2's
   // bank compacts, so no fault finishes before session 2: allow all of
   // session 1 plus one batch of session 2, then stop.

@@ -161,16 +161,21 @@ TEST_F(DaemonTest, DrainModeRunsEveryJobAndExits) {
   }
 }
 
-TEST_F(DaemonTest, SpoolJobWithRetiredEngineKeyDrainsToDone) {
-  // Written while the evaluator was a job option: the retired `engine`
-  // line sets nothing and the job runs as any other.
+TEST_F(DaemonTest, SpoolJobWithRetiredKeysDrainsToDone) {
+  // Written while the evaluator and the lane width were job options: the
+  // retired `engine` and `lanes` lines set nothing, and each job runs as
+  // the same job written without them.
   TempSpool spool;
-  const std::string id = "0000000000000001-00001-0000";
   JobQueue q(spool.path);
-  {
+  const std::vector<std::pair<std::string, std::string>> jobs = {
+      {"0000000000000001-00001-0000", "engine = flat\nlanes = 64\n"},
+      {"0000000000000002-00001-0000", "engine = event\nlanes = 256\n"},
+      {"0000000000000003-00001-0000", ""}};
+  for (const auto& [id, retired] : jobs) {
     std::ofstream os(spool.path + "/pending/" + id + ".job");
     os << "# stc job spec\nmachine = shiftreg\narch = fig2\ntech = two_level\n"
-          "engine = flat\nlanes = 64\nbist_cycles = 64\nfunctional_cycles = 512\n"
+       << retired
+       << "bist_cycles = 64\nfunctional_cycles = 512\n"
           "minimizer = auto\nfaultsim = 1\nbudget_ms = -1.000\nattempts = 0\n"
           "recoveries = 0\nnot_before_unix_ms = 0\n";
   }
@@ -179,12 +184,18 @@ TEST_F(DaemonTest, SpoolJobWithRetiredEngineKeyDrainsToDone) {
   opt.drain = true;
   opt.retry = fast_retry();
   const DaemonReport rep = run_daemon(opt);
-  EXPECT_EQ(rep.jobs_done, 1u);
-  EXPECT_EQ(q.list_done(), std::vector<std::string>{id});
-  const auto r = q.result(id);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->status, "done");
-  EXPECT_GT(r->total_faults, 0u);
+  EXPECT_EQ(rep.jobs_done, jobs.size());
+  EXPECT_EQ(q.list_done().size(), jobs.size());
+  const auto plain = q.result(jobs.back().first);
+  ASSERT_TRUE(plain.has_value());
+  for (const auto& [id, retired] : jobs) {
+    const auto r = q.result(id);
+    ASSERT_TRUE(r.has_value()) << id;
+    EXPECT_EQ(r->status, "done") << id;
+    EXPECT_GT(r->total_faults, 0u) << id;
+    EXPECT_EQ(r->total_faults, plain->total_faults) << id;
+    EXPECT_EQ(r->coverage, plain->coverage) << id;
+  }
 }
 
 TEST_F(DaemonTest, WatchdogMultipliersMustBePositiveAndOrdered) {

@@ -491,20 +491,6 @@ TEST(Campaign, OracleAndKernelRejectTheSameBadFault) {
   }
 }
 
-TEST(Campaign, LaneWordsFromLanesMapsDriverFlag) {
-  EXPECT_EQ(lane_words_from_lanes(64), 1u);
-  EXPECT_EQ(lane_words_from_lanes(256), 4u);
-  EXPECT_EQ(lane_words_from_lanes(512), 8u);
-  for (const unsigned bad : {0u, 1u, 63u, 128u, 1024u}) {
-    try {
-      lane_words_from_lanes(bad);
-      ADD_FAILURE() << "lanes=" << bad << " accepted";
-    } catch (const Error& e) {
-      EXPECT_EQ(e.code(), ErrorCode::kInvalidInput) << "lanes=" << bad;
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(AllKissMachines, CampaignEquivalence,
                          ::testing::ValuesIn(benchmark_names()),
                          [](const auto& info) { return info.param; });

@@ -166,6 +166,7 @@ TEST(CampaignValidate, RejectsMismatchedWarmState) {
   const SelfTestPlan plan = SelfTestPlan::two_session(16);
   auto warm = make_campaign_warm_state(fig3, plan.output_misr_width, 1);
   CampaignOptions opt;
+  opt.lane_words = 1;
   opt.warm = warm.get();
   try {
     run_fault_campaign(fig2, plan, opt);  // warm built for fig3, not fig2
@@ -521,7 +522,7 @@ TEST(JobCachePublish, ConcurrentDistinctBudgetsOnOneKey) {
       got[t] = cache.structure(m, ArchKind::kFig2, Technology::kMultiLevel,
                                MinimizerKind::kAuto, OstrOptions{}, budget);
       bool hit = true;
-      cache.warm(got[t], 8, 1, &hit);
+      cache.warm(got[t], 8, &hit);
       EXPECT_FALSE(hit);
     });
   for (auto& th : threads) th.join();
@@ -597,6 +598,39 @@ TEST(CorpusSweep, MatchesDirectSerialMeasureStructure) {
   }
 }
 
+TEST(CorpusSweep, JobRowEqualsMeasureStructureAtDefaultOptions) {
+  // No job names a lane width: run_campaign_job, its cached warm state
+  // included, runs at CampaignOptions' default width, so even the
+  // width-dependent activity equals a default measure_structure's.
+  JobCache cache;
+  for (ArchKind arch : {ArchKind::kFig2, ArchKind::kFig3, ArchKind::kFig4}) {
+    CampaignJobSpec spec;
+    spec.machine = "bbara";
+    spec.arch = arch;
+    const CampaignJobResult row = run_campaign_job(spec, cache);
+    ASSERT_TRUE(row.error.empty()) << row.error;
+    OstrOptions ostr;
+    ostr.max_nodes = kJobOstrMaxNodes;
+    const auto s = cache.structure(cache.machine(spec.machine), arch, spec.tech,
+                                   spec.minimizer, ostr, Budget());
+    FlowOptions fopt;
+    fopt.with_fault_sim = true;
+    fopt.bist_cycles = spec.bist_cycles;
+    fopt.functional_cycles = spec.functional_cycles;
+    CoverageResult cov;
+    const StructureReport ref = measure_structure(s->cs, fopt, &cov);
+    SCOPED_TRACE(arch_name(arch));
+    ASSERT_TRUE(ref.activity.has_value());
+    EXPECT_EQ(ref.coverage, row.report.coverage);
+    EXPECT_EQ(ref.activity, row.report.activity);
+    EXPECT_EQ(cov.undetected, row.coverage.undetected);
+
+    // The activity does tell widths apart: at 64 lanes it differs.
+    fopt.campaign.lane_words = 1;
+    EXPECT_NE(measure_structure(s->cs, fopt).activity, row.report.activity);
+  }
+}
+
 TEST(CorpusSweep, RowOrderIsMachineMajorThenTechThenArch) {
   SweepOptions sw;
   sw.machines = {"a", "b"};
@@ -619,7 +653,7 @@ TEST(CorpusSweep, ExpandCopiesTheJobTemplate) {
   sw.machines = {"a"};
   sw.archs = {ArchKind::kFig4};
   sw.job.machine = "ignored";
-  sw.job.lane_words = 4;
+  sw.job.functional_cycles = 99;
   sw.job.bist_cycles = 77;
   sw.job.fleet_instances = 9;
   sw.job.fleet_widths = {12};
@@ -627,7 +661,7 @@ TEST(CorpusSweep, ExpandCopiesTheJobTemplate) {
   ASSERT_EQ(specs.size(), 1u);
   EXPECT_EQ(specs[0].machine, "a");  // machine, arch, tech come from the axes
   EXPECT_EQ(arch_name(specs[0].arch), std::string("fig4"));
-  EXPECT_EQ(specs[0].lane_words, 4u);  // everything else from the template
+  EXPECT_EQ(specs[0].functional_cycles, 99u);  // everything else from the template
   EXPECT_EQ(specs[0].bist_cycles, 77u);
   EXPECT_EQ(specs[0].fleet_instances, 9u);
   EXPECT_EQ(specs[0].fleet_widths, std::vector<std::size_t>{12});

@@ -47,7 +47,6 @@ CampaignJobSpec full_spec() {
   s.machine = "dk27";
   s.arch = ArchKind::kFig3;
   s.tech = Technology::kMultiLevel;
-  s.lane_words = 8;
   s.bist_cycles = 1'000'000;
   s.functional_cycles = 1;
   s.minimizer = MinimizerKind::kQuineMcCluskey;
@@ -64,7 +63,6 @@ void expect_same_spec(const CampaignJobSpec& a, const CampaignJobSpec& b) {
   EXPECT_EQ(a.machine, b.machine);
   EXPECT_EQ(a.arch, b.arch);
   EXPECT_EQ(a.tech, b.tech);
-  EXPECT_EQ(a.lane_words, b.lane_words);
   EXPECT_EQ(a.bist_cycles, b.bist_cycles);
   EXPECT_EQ(a.functional_cycles, b.functional_cycles);
   EXPECT_EQ(a.minimizer, b.minimizer);
@@ -98,15 +96,14 @@ CampaignJobSpec reparse(const CampaignJobSpec& spec, std::size_t* keys) {
 TEST(JobSpec, EveryKeyRoundTrips) {
   std::size_t keys = 0;
   expect_same_spec(reparse(full_spec(), &keys), full_spec());
-  EXPECT_EQ(keys, 13u);
+  EXPECT_EQ(keys, 12u);
 
-  // A non-fleet job renders (and needs) only the eight campaign keys.
+  // A non-fleet job renders (and needs) only the seven campaign keys.
   CampaignJobSpec plain;
   plain.machine = "shiftreg";
   plain.arch = ArchKind::kFig4;
-  plain.lane_words = 4;
   expect_same_spec(reparse(plain, &keys), plain);
-  EXPECT_EQ(keys, 8u);
+  EXPECT_EQ(keys, 7u);
 
   for (const auto& [arch, tech, minimizer, model] :
        {std::tuple{ArchKind::kFig1, Technology::kTwoLevel, MinimizerKind::kAuto,
@@ -136,7 +133,6 @@ TEST(JobSpec, SpoolFormatIsByteStable) {
             "machine = dk27\n"
             "arch = fig3\n"
             "tech = multi_level\n"
-            "lanes = 512\n"
             "bist_cycles = 1000000\n"
             "functional_cycles = 1\n"
             "minimizer = qm\n"
@@ -158,7 +154,6 @@ TEST(JobSpec, SpoolFormatIsByteStable) {
             "machine = dk27\n"
             "arch = fig1\n"
             "tech = two_level\n"
-            "lanes = 64\n"
             "bist_cycles = 256\n"
             "functional_cycles = 512\n"
             "minimizer = auto\n"
@@ -169,15 +164,15 @@ TEST(JobSpec, SpoolFormatIsByteStable) {
             "not_before_unix_ms = 0\n");
 }
 
-/// A spool file as written while the evaluator was a job option: every
-/// one carried an `engine = event|flat` line after `tech`.
-std::string spool_text_with(const std::string& engine_line) {
+/// A spool file as written while the evaluator or the lane width was a job
+/// option: each carried `engine = event|flat` and/or `lanes = 64|256|512`
+/// lines after `tech`.
+std::string spool_text_with(const std::string& retired_lines) {
   return "# stc job spec\n"
          "machine = shiftreg\n"
          "arch = fig2\n"
          "tech = two_level\n" +
-         engine_line +
-         "lanes = 64\n"
+         retired_lines +
          "bist_cycles = 64\n"
          "functional_cycles = 512\n"
          "minimizer = auto\n"
@@ -188,15 +183,31 @@ std::string spool_text_with(const std::string& engine_line) {
          "not_before_unix_ms = 0\n";
 }
 
-TEST(JobSpec, RetiredEngineKeyParsesAsNoOp) {
+TEST(JobSpec, RetiredKeysParseAsNoOp) {
   const SpoolJob without = parse_spool_job(spool_text_with(""), "new.job");
-  for (const char* line : {"engine = event\n", "engine = flat\n"}) {
-    const SpoolJob with = parse_spool_job(spool_text_with(line), "old.job");
+  for (const char* lines :
+       {"engine = event\n", "engine = flat\n", "lanes = 64\n", "lanes = 256\n",
+        "lanes = 512\n", "engine = flat\nlanes = 64\n", "engine = event\nlanes = 512\n"}) {
+    const SpoolJob with = parse_spool_job(spool_text_with(lines), "old.job");
     expect_same_spec(with.spec, without.spec);
-    EXPECT_EQ(render_spool_job(with), render_spool_job(without)) << line;
+    EXPECT_EQ(render_spool_job(with), render_spool_job(without)) << lines;
   }
-  // Nothing writes the key any more.
+  // Nothing writes either key any more.
   EXPECT_EQ(render_spool_job(without).find("engine"), std::string::npos);
+  EXPECT_EQ(render_spool_job(without).find("lanes"), std::string::npos);
+
+  // A retired key still takes only the values it once took.
+  for (const char* bad : {"0", "1", "63", "128", "1024"}) {
+    CampaignJobSpec s;
+    try {
+      set_job_field(s, "lanes", bad);
+      ADD_FAILURE() << "lanes=" << bad << " accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidInput) << "lanes=" << bad;
+      EXPECT_EQ(e.context().rfind(std::string("key=lanes; value=") + bad, 0), 0u)
+          << e.context();
+    }
+  }
 }
 
 TEST(JobSpec, BoundaryValuesAreAccepted) {
@@ -218,8 +229,6 @@ TEST(JobSpec, BoundaryValuesAreAccepted) {
   CampaignJobSpec s;
   set_job_field(s, "fleet_widths", "64, 1");
   EXPECT_EQ(s.fleet_widths, (std::vector<std::size_t>{64, 1}));
-  set_job_field(s, "lanes", "256");
-  EXPECT_EQ(s.lane_words, 4u);
 }
 
 /// Every value here must be rejected: the defect inputs that used to crash,
@@ -352,13 +361,13 @@ TEST(JobSpec, DriverFlagsGoThroughTheSameParser) {
   set_job_flags(spec, cli,
                 {{"machine", "machine"}, {"instances", "fleet_instances"},
                  {"widths", "fleet_widths"}, {"defect-rate", "fleet_defect_rate"},
-                 {"cycles", "bist_cycles"}, {"lanes", "lanes"}});
+                 {"cycles", "bist_cycles"}, {"tech", "tech"}});
   EXPECT_EQ(spec.machine, "dk27");
   EXPECT_EQ(spec.fleet_instances, 12u);
   EXPECT_EQ(spec.fleet_widths, (std::vector<std::size_t>{8, 16}));
   EXPECT_DOUBLE_EQ(spec.fleet_defect_rate, 0.5);
   EXPECT_EQ(spec.bist_cycles, 32u);
-  EXPECT_EQ(spec.lane_words, 1u);
+  EXPECT_EQ(spec.tech, Technology::kTwoLevel);  // --tech not given
 
   std::vector<std::string> bad_args = {"prog", "--defect-rate", "abc"};
   std::vector<char*> bad_argv;
@@ -411,8 +420,10 @@ TEST(JobSpec, SubmitRejectsMalformedFlagsWithExitTwo) {
        {std::vector<std::string>{"--defect-rate", "abc"},
         std::vector<std::string>{"--lanes", "4294967360"},
         std::vector<std::string>{"--fleet-widths", "8,x"},
-        // The lane kernel picks its evaluator: no driver takes --engine.
-        std::vector<std::string>{"--engine", "flat"}}) {
+        // The lane kernel picks its evaluator and its width: no driver
+        // takes --engine or --lanes.
+        std::vector<std::string>{"--engine", "flat"},
+        std::vector<std::string>{"--lanes", "512"}}) {
     TempSpool spool;
     std::vector<std::string> all = {"--machine", "dk27"};
     all.insert(all.end(), flags.begin(), flags.end());

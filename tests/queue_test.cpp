@@ -41,7 +41,6 @@ SpoolJob sample_job() {
   job.spec.machine = "shiftreg";
   job.spec.arch = ArchKind::kFig3;
   job.spec.tech = Technology::kMultiLevel;
-  job.spec.lane_words = 4;
   job.spec.bist_cycles = 128;
   job.spec.functional_cycles = 300;
   job.spec.minimizer = MinimizerKind::kEspresso;
@@ -70,7 +69,6 @@ TEST_F(QueueTest, JobRoundTripPreservesEveryField) {
   EXPECT_EQ(back.spec.machine, "shiftreg");
   EXPECT_EQ(back.spec.arch, ArchKind::kFig3);
   EXPECT_EQ(back.spec.tech, Technology::kMultiLevel);
-  EXPECT_EQ(back.spec.lane_words, 4u);
   EXPECT_EQ(back.spec.bist_cycles, 128u);
   EXPECT_EQ(back.spec.functional_cycles, 300u);
   EXPECT_EQ(back.spec.minimizer, MinimizerKind::kEspresso);
