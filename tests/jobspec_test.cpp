@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -183,20 +184,33 @@ std::string spool_text_with(const std::string& retired_lines) {
          "not_before_unix_ms = 0\n";
 }
 
-TEST(JobSpec, RetiredKeysParseAsNoOp) {
+/// Parses each set of retired lines into a spool job and checks it equals
+/// the same job written without them, spec and rendered text alike.
+void expect_retired_lines_are_no_ops(std::initializer_list<const char*> retired) {
   const SpoolJob without = parse_spool_job(spool_text_with(""), "new.job");
-  for (const char* lines :
-       {"engine = event\n", "engine = flat\n", "lanes = 64\n", "lanes = 256\n",
-        "lanes = 512\n", "engine = flat\nlanes = 64\n", "engine = event\nlanes = 512\n"}) {
+  for (const char* lines : retired) {
     const SpoolJob with = parse_spool_job(spool_text_with(lines), "old.job");
     expect_same_spec(with.spec, without.spec);
     EXPECT_EQ(render_spool_job(with), render_spool_job(without)) << lines;
   }
-  // Nothing writes either key any more.
+}
+
+TEST(JobSpec, RetiredEngineKeyParsesAsNoOp) {
+  expect_retired_lines_are_no_ops(
+      {"engine = event\n", "engine = flat\n", "engine = flat\nlanes = 64\n",
+       "engine = event\nlanes = 512\n"});
+  // Nothing writes the key any more.
+  const SpoolJob without = parse_spool_job(spool_text_with(""), "new.job");
   EXPECT_EQ(render_spool_job(without).find("engine"), std::string::npos);
+}
+
+TEST(JobSpec, RetiredLanesKeyParsesAsNoOp) {
+  expect_retired_lines_are_no_ops({"lanes = 64\n", "lanes = 256\n", "lanes = 512\n"});
+  // Nothing writes the key any more.
+  const SpoolJob without = parse_spool_job(spool_text_with(""), "new.job");
   EXPECT_EQ(render_spool_job(without).find("lanes"), std::string::npos);
 
-  // A retired key still takes only the values it once took.
+  // The retired key still takes only the values it once took.
   for (const char* bad : {"0", "1", "63", "128", "1024"}) {
     CampaignJobSpec s;
     try {
