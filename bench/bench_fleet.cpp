@@ -41,6 +41,7 @@ FleetOptions fleet_options(std::uint64_t instances) {
   opt.misr_widths = {16};
   opt.plan = SelfTestPlan::two_session(64);
   opt.curve_cycles.clear();  // benches measure the sweep, not the curve
+  opt.lane_words = 1;        // 64 lanes, as BM_FleetShard's warm state
   return opt;
 }
 

@@ -296,19 +296,24 @@ TEST(AnytimeCampaign, MidCampaignTruncationReportsPartialCoverage) {
 }
 
 TEST(AnytimeCampaign, TruncatedVerdictsAgreeWithFullCampaign) {
-  // bbara has more collapsed classes than one 63-fault batch holds, so a
-  // one-batch allowance genuinely truncates.
+  // bbara's collapsed classes fill several 63-fault batches; as in
+  // MidCampaignTruncationReportsPartialCoverage, the allowance covers
+  // session 1 and one batch of session 2, so some faults finish and
+  // others are cut.
   const ControllerStructure cs = fig1_of("bbara");
   const SelfTestPlan plan = SelfTestPlan::two_session(48);
   CampaignOptions full_opt;
   full_opt.num_threads = 1;
+  full_opt.lane_words = 1;
   const CampaignResult full = run_fault_campaign(cs, plan, full_opt);
 
-  CampaignOptions opt;
-  opt.num_threads = 1;
-  opt.budget = Budget::work_limit(1);
+  CampaignOptions opt = full_opt;
+  const std::size_t per_run = faults_per_run(opt.lane_words);
+  opt.budget = Budget::work_limit((full.collapsed_total + per_run - 1) / per_run + 1);
   const CampaignResult part = run_fault_campaign(cs, plan, opt);
   ASSERT_LT(part.faults_simulated, part.raw.total);
+  ASSERT_GT(part.faults_simulated, 0u);
+  ASSERT_FALSE(part.raw.undetected.empty());
   // Every fault the truncated run DID simulate got the same verdict the
   // full campaign gives it (batches are exact, truncation only skips).
   EXPECT_LE(part.raw.detected, full.raw.detected);
@@ -344,6 +349,11 @@ TEST(AnytimeCampaign, MidFlightCancellationAcrossWorkerThreads) {
   auto token = std::make_shared<CancelToken>();
   CampaignOptions opt;
   opt.num_threads = 4;
+  opt.lane_words = 1;  // 63-fault batches, so every worker gets one
+  const std::size_t per_run = faults_per_run(opt.lane_words);
+  ASSERT_GE((collapse_faults(cs.nl, enumerate_stuck_faults(cs.nl)).num_classes() +
+             per_run - 1) / per_run,
+            opt.num_threads);
   opt.budget.with_cancel(token);
   std::thread canceller([token] {
     std::this_thread::sleep_for(std::chrono::microseconds(200));

@@ -468,6 +468,7 @@ void expect_campaign_parity(const ControllerStructure& cs, std::size_t cycles) {
       CampaignOptions opt;
       opt.engine = engine;
       opt.num_threads = threads;
+      opt.lane_words = 1;  // 63-fault batches: tbk's sample takes two per session
       const CampaignResult par = run_fault_campaign(cs, plan, opt, list);
       EXPECT_EQ(par.raw.total, serial.total);
       EXPECT_EQ(par.raw.detected, serial.detected)

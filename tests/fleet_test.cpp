@@ -304,11 +304,14 @@ TEST(Fleet, WidePackingMatchesSingleWord) {
   FleetOptions one = small_fleet();
   one.curve_cycles.clear();
   one.misr_widths = {16};
-  FleetOptions wide = one;
-  wide.lane_words = 4;
+  one.lane_words = 1;
   const FleetReport a = run_fleet(cs, one);
-  const FleetReport b = run_fleet(cs, wide);
-  expect_same_stats(a.widths[0].stats, b.widths[0].stats, "lane_words");
+  for (const unsigned words : {4u, kMaxLaneWords}) {
+    FleetOptions wide = one;
+    wide.lane_words = words;
+    const FleetReport b = run_fleet(cs, wide);
+    expect_same_stats(a.widths[0].stats, b.widths[0].stats, "lane_words");
+  }
 }
 
 TEST(Fleet, FaultFreeFleetNeverFlags) {

@@ -432,7 +432,6 @@ std::size_t pending_entries(const std::string& spool) {
 TEST(JobSpec, SubmitRejectsMalformedFlagsWithExitTwo) {
   for (const std::vector<std::string>& flags :
        {std::vector<std::string>{"--defect-rate", "abc"},
-        std::vector<std::string>{"--lanes", "4294967360"},
         std::vector<std::string>{"--fleet-widths", "8,x"},
         // The lane kernel picks its evaluator and its width: no driver
         // takes --engine or --lanes.
